@@ -9,10 +9,9 @@
 use crate::node::{NodeRole, NodeSpec};
 use crate::thermal::{check_node_thermals, ThermalIssue};
 use crate::topology::ClusterSpec;
-use serde::Serialize;
 
 /// One acceptance check outcome.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceptanceCheck {
     pub node: String,
     pub check: &'static str,

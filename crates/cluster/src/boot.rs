@@ -13,7 +13,6 @@
 //! float seconds via `Into<SimDuration>`, and `start_s`/`duration_s`
 //! are now accessor methods).
 
-use serde::{Deserialize, Serialize};
 use xcbc_sim::{SimDuration, SimTime, SpanRecorder, TraceEvent, TraceKind};
 
 /// Re-exported from `xcbc-sim`: label prefix that marks a phase as
@@ -22,7 +21,7 @@ use xcbc_sim::{SimDuration, SimTime, SpanRecorder, TraceEvent, TraceKind};
 pub use xcbc_sim::BACKOFF_PREFIX;
 
 /// A named phase with a start time and duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BootPhase {
     start: SimTime,
     duration: SimDuration,
@@ -75,7 +74,7 @@ impl BootPhase {
 }
 
 /// An append-only timeline of phases.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     phases: Vec<BootPhase>,
 }

@@ -5,10 +5,8 @@
 //! commercial cloud is typically an ongoing service expense rather than a
 //! one-time capital expense."
 
-use serde::{Deserialize, Serialize};
-
 /// One line of a bill of materials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BomLine {
     pub item: String,
     pub unit_usd: f64,
@@ -22,7 +20,7 @@ impl BomLine {
 }
 
 /// A full bill of materials.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bom {
     pub system: String,
     pub lines: Vec<BomLine>,
@@ -93,7 +91,7 @@ pub fn server_configuration_bom() -> Bom {
 }
 
 /// A commercial cloud offering for the §8 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudOffering {
     pub name: String,
     /// Hourly price of an instance roughly matching one cluster node.
@@ -111,7 +109,7 @@ impl CloudOffering {
 }
 
 /// Cluster capex vs cloud opex over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcoComparison {
     pub cluster_capex_usd: f64,
     /// Cluster running cost per month (power at $0.12/kWh).

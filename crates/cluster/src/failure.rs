@@ -10,10 +10,9 @@ use crate::node::NodeRole;
 use crate::topology::ClusterSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Which component of a node failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailedComponent {
     Motherboard,
     Cpu,
@@ -59,7 +58,7 @@ impl FailedComponent {
 }
 
 /// One injected failure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Failure {
     pub hostname: String,
     pub component: FailedComponent,

@@ -5,10 +5,8 @@
 //! design constraints (cooler height, per-node power) are *derived*, not
 //! asserted.
 
-use serde::Serialize;
-
 /// A CPU model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     pub name: &'static str,
     pub clock_ghz: f64,
@@ -80,7 +78,7 @@ pub const I7_4770S: CpuModel = CpuModel {
 };
 
 /// Disk technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskKind {
     /// Spinning laptop-type 2.5" drive.
     Hdd25,
@@ -94,7 +92,7 @@ pub enum DiskKind {
 }
 
 /// A storage device.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskDrive {
     pub name: &'static str,
     pub kind: DiskKind,
@@ -124,7 +122,7 @@ pub const LAPTOP_HDD_500GB: DiskDrive = DiskDrive {
 };
 
 /// A network interface.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Nic {
     pub name: &'static str,
     pub speed_gbps: f64,
@@ -137,7 +135,7 @@ pub const GBE_NIC: Nic = Nic {
 };
 
 /// Motherboard form factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FormFactor {
     MiniItx,
     MicroAtx,
@@ -145,7 +143,7 @@ pub enum FormFactor {
 }
 
 /// A motherboard.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Motherboard {
     pub name: &'static str,
     pub form_factor: FormFactor,
@@ -175,7 +173,7 @@ pub const ATOM_BOARD_D510MO: Motherboard = Motherboard {
 };
 
 /// A power supply.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Psu {
     pub name: &'static str,
     pub watts: f64,
@@ -202,7 +200,7 @@ pub const LIMULUS_850W_PSU: Psu = Psu {
 
 /// CPU cooling solution with physical height (the binding constraint in
 /// a LittleFe bay).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cooler {
     pub name: &'static str,
     /// Total stack height in millimetres.

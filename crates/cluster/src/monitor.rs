@@ -20,18 +20,16 @@
 //! Everything iterates `BTreeMap`s, so dumps, expositions, and alert
 //! order are deterministic for deterministic inputs.
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use xcbc_sim::{format_prom_f64, MetricRegistry, SimDuration, SimTime, TraceEvent};
 
 /// Trace source of fired-alert events.
 pub const ALERT_TRACE_SOURCE: &str = "mon.alert";
 
 /// The metric kinds a stock gmond reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MetricKind {
     /// 1-minute load average.
     LoadOne,
@@ -71,7 +69,7 @@ impl MetricKind {
 }
 
 /// One observation, stamped on the shared simulation clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSample {
     /// When the sample was taken.
     pub time: SimTime,
@@ -165,7 +163,7 @@ impl Ring {
 
 /// RRD consolidation function: how raw samples collapse into one
 /// downsampled point per step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Consolidation {
     /// Mean of the bucket's samples.
     Average,
@@ -438,10 +436,20 @@ impl ClusterMonitor {
         }
     }
 
+    // Monitoring stays readable after a publisher panics: a poisoned
+    // lock hands back the map as that publisher left it.
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, NodeMonitor>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, NodeMonitor>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register a node (idempotent). Registered-but-silent nodes show
     /// up in [`absent_nodes`](Self::absent_nodes).
     pub fn register(&self, hostname: &str) {
-        let mut g = self.inner.write();
+        let mut g = self.write();
         if !g.contains_key(hostname) {
             g.insert(
                 hostname.to_string(),
@@ -451,19 +459,19 @@ impl ClusterMonitor {
     }
 
     pub fn node_count(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// Registered hostnames, sorted.
     pub fn hosts(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
+        self.read().keys().cloned().collect()
     }
 
     /// Publish one observation for a node (auto-registers). Accepts
     /// `SimTime` or legacy float seconds.
     pub fn publish(&self, hostname: &str, kind: MetricKind, time: impl Into<SimTime>, value: f64) {
         let time = time.into();
-        let mut g = self.inner.write();
+        let mut g = self.write();
         if !g.contains_key(hostname) {
             g.insert(
                 hostname.to_string(),
@@ -487,7 +495,7 @@ impl ClusterMonitor {
         let Some(mut cur) = updates.next() else {
             return;
         };
-        let mut g = self.inner.write();
+        let mut g = self.write();
         'runs: loop {
             let host: &str = &cur.host;
             if !g.contains_key(host) {
@@ -513,13 +521,13 @@ impl ClusterMonitor {
 
     /// Run `f` over one gmond.
     pub fn with_node<R>(&self, hostname: &str, f: impl FnOnce(&NodeMonitor) -> R) -> Option<R> {
-        self.inner.read().get(hostname).map(f)
+        self.read().get(hostname).map(f)
     }
 
     /// Cluster-wide latest mean of a metric (the front page of a Ganglia
     /// web UI).
     pub fn cluster_mean(&self, kind: MetricKind) -> Option<f64> {
-        let g = self.inner.read();
+        let g = self.read();
         let vals: Vec<f64> = g
             .values()
             .filter_map(|n| n.ring(kind).latest().map(|s| s.value))
@@ -533,7 +541,7 @@ impl ClusterMonitor {
 
     /// Nodes whose latest sample of `kind` exceeds `threshold`.
     pub fn hotspots(&self, kind: MetricKind, threshold: f64) -> Vec<String> {
-        let g = self.inner.read();
+        let g = self.read();
         g.values()
             .filter(|n| {
                 n.ring(kind)
@@ -548,7 +556,7 @@ impl ClusterMonitor {
     /// Heartbeat check: registered nodes that have never reported, or
     /// whose last report is older than `max_age` at instant `now`.
     pub fn absent_nodes(&self, now: SimTime, max_age: Option<SimDuration>) -> Vec<String> {
-        let g = self.inner.read();
+        let g = self.read();
         g.values()
             .filter(|n| match (n.last_seen(), max_age) {
                 (None, _) => true,
@@ -561,7 +569,7 @@ impl ClusterMonitor {
 
     /// Text dump in the spirit of gmetad's interactive port.
     pub fn dump(&self) -> String {
-        let g = self.inner.read();
+        let g = self.read();
         let mut out = String::new();
         for n in g.values() {
             out.push_str(&format!("HOST {}\n", n.hostname));
@@ -585,7 +593,7 @@ impl ClusterMonitor {
     /// Byte-deterministic: hosts in name order, metrics in declaration
     /// order, all floats through one formatter.
     pub fn ganglia_xml(&self, cluster_name: &str, now: SimTime) -> String {
-        let g = self.inner.read();
+        let g = self.read();
         let mut out = String::new();
         out.push_str("<GANGLIA_XML VERSION=\"3.1.7\" SOURCE=\"gmetad\">\n");
         let _ = writeln!(
@@ -628,7 +636,7 @@ impl ClusterMonitor {
     /// `base_labels` (e.g. `site`) then `host` — the gmetad→registry
     /// bridge.
     pub fn register_into(&self, registry: &mut MetricRegistry, base_labels: &[(&str, &str)]) {
-        let g = self.inner.read();
+        let g = self.read();
         for n in g.values() {
             let mut labels: Vec<(&str, &str)> = base_labels.to_vec();
             labels.push(("host", n.hostname.as_str()));
@@ -669,7 +677,7 @@ fn xml_escape(s: &str) -> String {
 // ---------------------------------------------------------------------
 
 /// Which side of the threshold violates the rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertOp {
     /// Violated when the value exceeds the threshold.
     Above,

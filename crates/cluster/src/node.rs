@@ -2,10 +2,9 @@
 
 use crate::flops;
 use crate::hw::{Cooler, CpuModel, DiskDrive, Motherboard, Nic, Psu};
-use serde::Serialize;
 
 /// Role of a node in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRole {
     /// Rocks "frontend" appliance — dual-homed head node.
     Frontend,
@@ -17,7 +16,7 @@ pub enum NodeRole {
 
 /// Power state, managed by [`crate::power::PowerManager`] on the Limulus
 /// ("power management that turns nodes on and off as needed").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerState {
     Off,
     Booting,
@@ -25,7 +24,7 @@ pub enum PowerState {
 }
 
 /// A single node's hardware build.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     pub hostname: String,
     pub role: NodeRole,

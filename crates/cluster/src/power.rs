@@ -15,7 +15,6 @@
 
 use crate::node::{NodeRole, PowerState};
 use crate::topology::ClusterSpec;
-use serde::{Deserialize, Serialize};
 use xcbc_sim::{SimDuration, SimTime, TraceEvent};
 
 /// Trace source for power transitions (`boot node N` spans,
@@ -23,7 +22,7 @@ use xcbc_sim::{SimDuration, SimTime, TraceEvent};
 pub const POWER_TRACE_SOURCE: &str = "cluster.power";
 
 /// Node power policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PowerPolicy {
     /// Every node stays on (classic LittleFe behavior).
     AlwaysOn,
@@ -60,7 +59,7 @@ impl PowerPolicy {
 }
 
 /// Outcome of a power simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     pub policy_label: String,
     /// Total energy over the simulated horizon, kWh.

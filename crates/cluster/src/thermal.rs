@@ -7,7 +7,6 @@
 //! This module turns those statements into checkable constraints.
 
 use crate::node::NodeSpec;
-use serde::{Deserialize, Serialize};
 
 /// Vertical clearance of one LittleFe node bay, millimetres. The
 /// mini-ITX boards stack with ~40 mm between board surface and the next
@@ -19,7 +18,7 @@ pub const LITTLEFE_BAY_CLEARANCE_MM: f64 = 40.0;
 pub const DESKSIDE_CLEARANCE_MM: f64 = 160.0;
 
 /// A thermal or mechanical problem with a node build.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ThermalIssue {
     /// The cooler stack is taller than the bay allows.
     CoolerDoesNotFit {

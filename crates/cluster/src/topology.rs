@@ -3,10 +3,9 @@
 
 use crate::hw::Psu;
 use crate::node::{NodeRole, NodeSpec};
-use serde::Serialize;
 
 /// The private interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSpec {
     pub name: String,
     pub speed_gbps: f64,
@@ -28,7 +27,7 @@ impl NetworkSpec {
 }
 
 /// A whole cluster build.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     pub name: String,
     pub nodes: Vec<NodeSpec>,

@@ -8,11 +8,10 @@
 //! transfer with per-file integrity verification and fault retry, and a
 //! GFFS mount namespace.
 
-use serde::Serialize;
 use xcbc_rpm::RpmDb;
 
 /// A Globus endpoint bound to one cluster.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Endpoint {
     pub name: String,
     /// Effective WAN bandwidth, MB/s.
@@ -20,7 +19,7 @@ pub struct Endpoint {
 }
 
 /// Why endpoint setup failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SetupError {
     /// `globus-connect-server` is not installed on the host.
     MissingPackage(String),
@@ -54,14 +53,14 @@ pub fn setup_endpoint(name: &str, db: &RpmDb, wan_mb_s: f64) -> Result<Endpoint,
 }
 
 /// One file in a transfer.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferFile {
     pub path: String,
     pub bytes: u64,
 }
 
 /// A completed transfer's report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferReport {
     pub source: String,
     pub destination: String,

@@ -23,13 +23,12 @@
 //! byte-identical at any `threads` setting.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xcbc_fault::{CampaignCheckpoint, FaultPlan, InjectionPoint};
 use xcbc_rpm::{RpmDb, TransactionError};
 use xcbc_sched::{JobRequest, ResourceManager};
-use xcbc_sim::TraceEvent;
+use xcbc_sim::{pool, TraceEvent};
 use xcbc_yum::{solve_across_skew, Fnv64, Repository, SolveCache, SolveRequest, YumConfig};
 
 /// Trace source for every event a campaign emits.
@@ -490,36 +489,11 @@ pub fn run_campaign(
             ));
         }
 
-        // Parallel per-node updates: worker pool with order-independent
-        // work (per-node injectors) merged back in cohort order.
-        let outcomes: Vec<NodeUpdate> = {
-            let slots: Vec<Mutex<Option<NodeUpdate>>> =
-                cohort.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let workers = config.threads.clamp(1, cohort.len().max(1));
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cohort.len() {
-                            break;
-                        }
-                        let result = update_node(
-                            target,
-                            &dbs[&cohort[i]],
-                            faults,
-                            config.retry_budget,
-                            cache,
-                        );
-                        *slots[i].lock().unwrap() = Some(result);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-                .collect()
-        };
+        // Parallel per-node updates: order-independent work (per-node
+        // injectors) merged back in cohort order.
+        let outcomes = pool::map(config.threads, cohort, |node| {
+            update_node(target, &dbs[node], faults, config.retry_budget, cache)
+        });
 
         let mut wave_dur = 0.0f64;
         let mut updated: Vec<String> = Vec::new();
@@ -1068,7 +1042,7 @@ mod tests {
         .unwrap();
         rm.drain();
         use xcbc_sched::JobState;
-        let states: Vec<_> = rm.sim().jobs().map(|j| j.state.clone()).collect();
+        let states: Vec<_> = rm.sim().jobs().map(|j| j.state).collect();
         assert!(
             states.iter().any(|s| matches!(s, JobState::Cancelled)),
             "mutation lost the job: {states:?}"

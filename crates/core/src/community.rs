@@ -9,12 +9,11 @@
 //! new packages — growing the toolkit exactly the way the paper
 //! describes.
 
-use serde::Serialize;
 use xcbc_rpm::{Package, PackageBuilder, PackageGroup};
 use xcbc_yum::Repository;
 
 /// Who asked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequesterGroup {
     CampusChampion,
     AciRef,
@@ -22,7 +21,7 @@ pub enum RequesterGroup {
 }
 
 /// Lifecycle of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestState {
     Submitted,
     Accepted,
@@ -31,7 +30,7 @@ pub enum RequestState {
 }
 
 /// Why a request is declined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// Already in the XCBC catalog or XNIT.
     AlreadyAvailable,
@@ -42,7 +41,7 @@ pub enum RejectReason {
 }
 
 /// One software request.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftwareRequest {
     pub id: u32,
     pub package_name: String,

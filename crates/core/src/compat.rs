@@ -7,11 +7,10 @@
 //! profile in [`crate::catalog`].
 
 use crate::catalog::{xsede_reference, CatalogEntry};
-use serde::Serialize;
 use xcbc_rpm::{Evr, RpmDb};
 
 /// One compatibility deviation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CompatIssue {
     /// A reference package is absent.
     Missing { package: String },
@@ -47,7 +46,7 @@ impl std::fmt::Display for CompatIssue {
 }
 
 /// The full report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CompatReport {
     /// Reference packages checked.
     pub checked: usize,

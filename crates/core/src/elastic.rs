@@ -32,17 +32,16 @@
 //! fails that site's join; the fleet continues without it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xcbc_cluster::PowerSequencer;
 use xcbc_fault::{ElasticCheckpoint, FaultPlan, InjectionPoint};
 use xcbc_rpm::RpmDb;
 use xcbc_sched::{JobRequest, ResourceManager};
-use xcbc_sim::{SimDuration, SimTime, TraceEvent};
-use xcbc_yum::{Fnv64, SolveCache, SolveError};
+use xcbc_sim::{pool, SimDuration, SimTime, TraceEvent};
+use xcbc_yum::{Fnv64, SolveCache};
 
-use crate::deploy::{deploy_xnit_overlay_with, DeploymentReport};
+use crate::deploy::deploy_xnit_overlay_with;
 use crate::xnit::XnitSetupMethod;
 
 /// Trace source for autoscaler decisions and queue/capacity counters.
@@ -931,33 +930,9 @@ pub fn run_elastic(
             }
         }
         if !deploying.is_empty() {
-            let results: Vec<Result<DeploymentReport, SolveError>> = {
-                let slots: Vec<Mutex<Option<Result<DeploymentReport, SolveError>>>> =
-                    deploying.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                let workers = config.threads.clamp(1, deploying.len());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= deploying.len() {
-                                break;
-                            }
-                            let b = deploying[i];
-                            let r = deploy_xnit_overlay_with(
-                                &b.existing,
-                                b.method,
-                                Some(Arc::clone(cache)),
-                            );
-                            *slots[i].lock().unwrap() = Some(r);
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-                    .collect()
-            };
+            let results = pool::map(config.threads, &deploying, |b| {
+                deploy_xnit_overlay_with(&b.existing, b.method, Some(Arc::clone(cache)))
+            });
             let offset = SimDuration::from_secs_f64(t0);
             for (b, result) in deploying.iter().zip(results) {
                 match result {

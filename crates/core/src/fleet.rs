@@ -28,8 +28,7 @@ use crate::deploy::{deploy_from_scratch_resilient, deploy_xnit_overlay_with, Dep
 use crate::xnit::XnitSetupMethod;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use xcbc_cluster::{
     default_alert_rules, Alert, ClusterMonitor, ClusterSpec, MetricKind, RrdConfig,
     TelemetryConfig, TelemetrySink,
@@ -37,7 +36,7 @@ use xcbc_cluster::{
 use xcbc_fault::{FaultPlan, InstallCheckpoint};
 use xcbc_rocks::{InstallError, ResilienceConfig};
 use xcbc_rpm::RpmDb;
-use xcbc_sim::{MetricRegistry, SimTime, TraceEvent, TraceSink};
+use xcbc_sim::{pool, MetricRegistry, SimTime, TraceEvent, TraceSink};
 use xcbc_yum::{CacheStats, SolveCache};
 
 /// How one fleet site gets deployed.
@@ -384,41 +383,12 @@ impl Fleet {
         &self.cache
     }
 
-    /// Deploy every site and collect the fleet report.
-    ///
-    /// Workers pull the next undeployed site off a shared counter; the
-    /// outcome lands in the slot of the site's index, so report order
-    /// is site order no matter which worker finishes when.
+    /// Deploy every site and collect the fleet report, in site order
+    /// no matter which worker finishes when.
     pub fn deploy(&self) -> FleetReport {
-        let n = self.sites.len();
-        let workers = self.threads.min(n.max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SiteOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = self.deploy_site(&self.sites[i]);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                });
-            }
-        });
-
-        let sites = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every site slot filled before scope exit")
-            })
-            .collect();
         FleetReport {
-            sites,
-            threads: workers,
+            sites: pool::map(self.threads, &self.sites, |site| self.deploy_site(site)),
+            threads: pool::workers(self.threads, self.sites.len()),
             cache: self.cache.stats(),
         }
     }

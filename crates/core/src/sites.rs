@@ -4,10 +4,8 @@
 //! involvement" — six sites, 304 nodes, 2,708 cores, 49.61 TFLOPS —
 //! plus the §4 goal: "By the end of 2020 ... exceed half a PetaFLOPS."
 
-use serde::Serialize;
-
 /// How a site adopted the toolkit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdoptionPath {
     /// Built from the ground up with the XCBC Rocks installation media.
     XcbcFromScratch,
@@ -16,7 +14,7 @@ pub enum AdoptionPath {
 }
 
 /// One deployed cluster (a Table 3 row).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     pub name: &'static str,
     pub nodes: u32,
@@ -92,7 +90,7 @@ pub fn deployed_sites() -> Vec<Site> {
 }
 
 /// The Table 3 totals row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetTotals {
     pub sites: usize,
     pub nodes: u32,

@@ -11,12 +11,11 @@
 
 use crate::compat::check_compatibility;
 use crate::deploy::deploy_from_scratch;
-use serde::Serialize;
 use xcbc_cluster::{ClusterMonitor, ClusterSpec, MetricKind};
 use xcbc_sched::{JobRequest, ResourceManager, TorqueServer};
 
 /// One lesson step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LessonStep {
     /// Assemble the hardware and verify power/thermal budgets.
     AssembleHardware,
@@ -62,14 +61,14 @@ pub fn littlefe_curriculum() -> Curriculum {
 }
 
 /// An ordered set of lesson steps.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Curriculum {
     pub title: String,
     pub steps: Vec<LessonStep>,
 }
 
 /// Result of one step.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepOutcome {
     pub step: LessonStep,
     pub passed: bool,

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use xcbc_rpm::{PackageBuilder, RpmDb};
 use xcbc_yum::{Repository, UpdateNotifier, UpdatePolicy, Yum, YumConfig};
 
@@ -65,7 +64,7 @@ impl UpdateStrategy {
 }
 
 /// Outcome of simulating many update cycles under one strategy.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateRisk {
     pub strategy_label: String,
     pub cycles: u32,

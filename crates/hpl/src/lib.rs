@@ -6,7 +6,7 @@
 //! substitution:
 //!
 //! 1. **A real Linpack** — blocked, partially-pivoted LU factorization
-//!    with a rayon-parallel trailing update, a triangular solve, and the
+//!    with a thread-parallel trailing update, a triangular solve, and the
 //!    standard scaled-residual correctness check. It runs on the host
 //!    machine and exhibits the *shape* of HPL: GFLOPS grow with problem
 //!    size and thread count, and every run is verified.

@@ -4,11 +4,12 @@
 //! Right-looking algorithm: factor an `nb`-wide panel with row pivoting,
 //! then update the trailing submatrix. The trailing update (forward
 //! substitution for `U12` plus the `A22 -= L21·U12` GEMM) is
-//! column-independent, so it parallelizes across column chunks with
-//! rayon — the same decomposition HPL uses across MPI ranks, here across
-//! threads.
+//! column-independent, so it parallelizes across contiguous column
+//! blocks, one per worker — the same decomposition HPL uses across MPI
+//! ranks, here across threads.
 
 use crate::matrix::Matrix;
+use xcbc_sim::pool;
 
 /// The matrix was exactly singular at the given column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +37,6 @@ pub fn lu_factor(a: &mut Matrix, nb: usize, threads: usize) -> Result<Vec<usize>
     assert!(nb >= 1 && threads >= 1);
     let n = a.rows();
     let mut piv = vec![0usize; n];
-
-    let pool = (threads > 1).then(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool builds")
-    });
 
     let mut k0 = 0;
     while k0 < n {
@@ -111,13 +105,10 @@ pub fn lu_factor(a: &mut Matrix, nb: usize, threads: usize) -> Result<Vec<usize>
                     }
                 }
             };
-            match &pool {
-                Some(pool) => pool.install(|| {
-                    use rayon::prelude::*;
-                    right.par_chunks_mut(n).for_each(update_col);
-                }),
-                None => right.chunks_mut(n).for_each(update_col),
-            }
+            let per_worker = (n - panel_end).div_ceil(threads) * n;
+            pool::map(threads, right.chunks_mut(per_worker), |block| {
+                block.chunks_mut(n).for_each(&update_col)
+            });
         }
         k0 = panel_end;
     }

@@ -1,8 +1,8 @@
 //! Column-major dense matrix storage.
 //!
 //! Column-major is the natural layout for LU: panels and trailing-column
-//! chunks are contiguous, which both the cache and the rayon splitting in
-//! [`crate::lu`] rely on.
+//! chunks are contiguous, which both the cache and the per-worker column
+//! blocks in [`crate::lu`] rely on.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

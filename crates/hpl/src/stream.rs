@@ -7,8 +7,8 @@
 //! `NetworkSpec`-style parameters, matching the GbE numbers the
 //! efficiency model in [`crate::model`] assumes.
 
-use rayon::prelude::*;
 use std::time::Instant;
+use xcbc_sim::pool;
 
 /// Which STREAM kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,40 +54,14 @@ pub struct StreamResult {
 /// repeated `reps` times (best time reported, as STREAM does).
 pub fn run_stream(kernel: StreamKernel, n: usize, threads: usize, reps: usize) -> StreamResult {
     assert!(n > 0 && reps > 0 && threads > 0);
-    let scalar = 3.0f64;
     let mut a = vec![1.0f64; n];
     let mut b = vec![2.0f64; n];
     let mut c = vec![0.0f64; n];
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool");
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        pool.install(|| match kernel {
-            StreamKernel::Copy => {
-                c.par_iter_mut()
-                    .zip(a.par_iter())
-                    .for_each(|(c, a)| *c = *a);
-            }
-            StreamKernel::Scale => {
-                b.par_iter_mut()
-                    .zip(c.par_iter())
-                    .for_each(|(b, c)| *b = scalar * *c);
-            }
-            StreamKernel::Add => {
-                c.par_iter_mut()
-                    .zip(a.par_iter().zip(b.par_iter()))
-                    .for_each(|(c, (a, b))| *c = *a + *b);
-            }
-            StreamKernel::Triad => {
-                a.par_iter_mut()
-                    .zip(b.par_iter().zip(c.par_iter()))
-                    .for_each(|(a, (b, c))| *a = *b + scalar * *c);
-            }
-        });
+        stream_pass(kernel, &mut a, &mut b, &mut c, threads);
         best = best.min(start.elapsed().as_secs_f64());
     }
 
@@ -100,6 +74,29 @@ pub fn run_stream(kernel: StreamKernel, n: usize, threads: usize, reps: usize) -
         bandwidth_gb_s: bytes as f64 / best / 1e9,
         checksum: a[n / 2] + b[n / 2] + c[n / 2],
     }
+}
+
+/// One pass of `kernel` over the arrays, each of `threads` workers
+/// taking one contiguous chunk of every array.
+fn stream_pass(kernel: StreamKernel, a: &mut [f64], b: &mut [f64], c: &mut [f64], threads: usize) {
+    const SCALAR: f64 = 3.0;
+    let chunk = a.len().div_ceil(threads);
+    let chunks = a
+        .chunks_mut(chunk)
+        .zip(b.chunks_mut(chunk))
+        .zip(c.chunks_mut(chunk));
+    pool::map(threads, chunks, |((a, b), c)| match kernel {
+        StreamKernel::Copy => c.copy_from_slice(a),
+        StreamKernel::Scale => b.iter_mut().zip(&*c).for_each(|(b, c)| *b = SCALAR * c),
+        StreamKernel::Add => c
+            .iter_mut()
+            .zip(a.iter().zip(&*b))
+            .for_each(|(c, (a, b))| *c = a + b),
+        StreamKernel::Triad => a
+            .iter_mut()
+            .zip(b.iter().zip(&*c))
+            .for_each(|(a, (b, c))| *a = b + SCALAR * c),
+    });
 }
 
 /// Analytic MPI ping-pong: time to echo a message of `bytes` over a link
@@ -138,6 +135,33 @@ mod tests {
         // triad: a = b + 3*c with initial b=2, c=0 → a=2
         assert_eq!(r.checksum, 2.0 + 2.0 + 0.0);
         assert_eq!(r.kernel.words_per_element(), 3);
+    }
+
+    #[test]
+    fn threads_split_the_arrays_without_changing_them() {
+        let kernels = [
+            StreamKernel::Copy,
+            StreamKernel::Scale,
+            StreamKernel::Add,
+            StreamKernel::Triad,
+        ];
+        let n = 1003; // uneven chunks at 4 threads
+        let arrays = |threads| {
+            let mut a: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+            let mut b: Vec<f64> = (0..n).map(|i| (i % 17) as f64).collect();
+            let mut c: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+            for kernel in kernels {
+                stream_pass(kernel, &mut a, &mut b, &mut c, threads);
+            }
+            (a, b, c)
+        };
+        assert_eq!(arrays(1), arrays(4));
+        for kernel in kernels {
+            let one = run_stream(kernel, n, 1, 2);
+            let four = run_stream(kernel, n, 4, 2);
+            assert_eq!(one.checksum, four.checksum, "{kernel:?}");
+            assert_eq!(four.threads, 4);
+        }
     }
 
     #[test]

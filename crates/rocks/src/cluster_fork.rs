@@ -7,10 +7,9 @@
 
 use crate::database::RocksDb;
 use crate::graph::Appliance;
-use serde::Serialize;
 
 /// The result of one node's execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForkResult {
     pub host: String,
     pub exit_code: i32,
@@ -18,7 +17,7 @@ pub struct ForkResult {
 }
 
 /// Aggregated run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForkReport {
     pub command: String,
     pub results: Vec<ForkResult>,

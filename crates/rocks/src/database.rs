@@ -8,19 +8,18 @@
 //! private network allocation.
 
 use crate::graph::Appliance;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Membership binds a host to an appliance (Rocks also distinguishes
 /// sub-memberships; we keep the appliance plus the distribution name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Membership {
     pub appliance: Appliance,
 }
 
 /// One row of the hosts table.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostRecord {
     pub name: String,
     pub membership: Membership,

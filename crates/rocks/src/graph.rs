@@ -6,11 +6,10 @@
 //! structure: named nodes carrying packages/scripts, directed edges, and
 //! a per-appliance traversal with cycle detection.
 
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Appliance types (Rocks "memberships" bind hosts to these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Appliance {
     Frontend,
     Compute,
@@ -37,7 +36,7 @@ impl Appliance {
 }
 
 /// One node file in the graph.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GraphNode {
     pub name: String,
     /// Package *names* this node pulls in.

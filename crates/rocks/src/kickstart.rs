@@ -7,11 +7,10 @@
 //! modified LittleFe adds a Crucial mSATA drive per node.
 
 use crate::graph::{Appliance, GraphError, KickstartGraph};
-use serde::Serialize;
 use xcbc_cluster::NodeSpec;
 
 /// One partition line.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     pub mount: String,
     pub size_mb: u64,
@@ -19,7 +18,7 @@ pub struct Partition {
 }
 
 /// A generated kickstart profile for one node.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KickstartProfile {
     pub hostname: String,
     pub appliance: Appliance,

@@ -8,10 +8,9 @@
 //! interfaces will be used on compute nodes") is this layout.
 
 use crate::database::RocksDb;
-use serde::Serialize;
 
 /// One of the cluster's networks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkDef {
     pub name: String,
     pub subnet: String,
@@ -21,7 +20,7 @@ pub struct NetworkDef {
 }
 
 /// The Rocks networks table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkTable {
     pub private: NetworkDef,
     pub public: NetworkDef,

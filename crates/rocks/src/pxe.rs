@@ -6,11 +6,10 @@
 //! per-stage failure injection, producing the timelines the install
 //! workflow accounts and the diagnostics a training lab teaches.
 
-use serde::Serialize;
 use xcbc_cluster::Timeline;
 
 /// Stages of the chain, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PxeStage {
     Dhcp,
     Tftp,
@@ -57,7 +56,7 @@ impl PxeStage {
 }
 
 /// Outcome of a boot attempt.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PxeOutcome {
     pub hostname: String,
     /// Stage reached; `None` in `failed_at` means full success.

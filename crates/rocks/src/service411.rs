@@ -6,11 +6,10 @@
 //! base roll ships it (`rocks-411`); the training curriculum's "add a
 //! user" lab exercises it.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One distributed file with a version stamp.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncedFile {
     pub path: String,
     pub content: String,

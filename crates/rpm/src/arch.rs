@@ -5,12 +5,11 @@
 //! unsuitable); we model the small architecture lattice a CentOS 6 yum
 //! stack actually deals with.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Machine architecture of a package or host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Arch {
     /// 64-bit x86 — the XSEDE/XCBC baseline.
     X86_64,

@@ -7,11 +7,10 @@
 
 use crate::dep::Dependency;
 use crate::package::Package;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// An installed package plus install-time metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstalledPackage {
     pub package: Package,
     /// Monotonic transaction id that installed this package.
@@ -19,7 +18,7 @@ pub struct InstalledPackage {
 }
 
 /// Per-host installed-package database.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RpmDb {
     /// name → instances (multiple only for multilib/kernel-style installs).
     by_name: BTreeMap<String, Vec<InstalledPackage>>,
@@ -29,7 +28,7 @@ pub struct RpmDb {
 }
 
 /// A problem found by [`RpmDb::verify`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VerifyProblem {
     /// An installed package has a Requires nothing installed satisfies.
     UnsatisfiedRequire { package: String, require: String },

@@ -7,12 +7,11 @@
 //! (`rpmdsCompare`).
 
 use crate::evr::Evr;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// The comparison operator attached to a dependency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepFlag {
     /// Unversioned: any version satisfies.
     Any,
@@ -55,7 +54,7 @@ impl DepFlag {
 }
 
 /// A single dependency: `name [op evr]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Dependency {
     pub name: String,
     pub flag: DepFlag,

@@ -5,7 +5,6 @@
 //! post-release ordering, so that the Yum layer above resolves "newest
 //! candidate" exactly the way a CentOS 6.5 system (the XCBC base OS) would.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -179,7 +178,7 @@ fn strip_leading_zeros(s: &[u8]) -> &[u8] {
 /// [`Ord`] and break the total-order contract (`a == b` iff
 /// `a.cmp(&b) == Ordering::Equal`). [`Hash`] is computed over the
 /// normalized segment stream so equal values hash equally.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Evr {
     pub epoch: u32,
     pub version: String,

@@ -5,11 +5,10 @@ use crate::arch::Arch;
 use crate::dep::Dependency;
 use crate::evr::Evr;
 use crate::scriptlet::Scriptlet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Name-Epoch-Version-Release-Architecture: the full identity of a package.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Nevra {
     pub name: String,
     pub evr: Evr,
@@ -40,7 +39,7 @@ impl fmt::Display for Nevra {
 /// RPM "Group:" classification, trimmed to the groups XCBC actually uses.
 /// Table 2 of the paper partitions the XSEDE run-alike set into exactly
 /// these categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PackageGroup {
     /// Base OS / cluster basics (CentOS, modules, make tools).
     Basics,
@@ -80,7 +79,7 @@ impl PackageGroup {
 
 /// A binary package: identity plus everything the solver and the
 /// transaction machinery need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Package {
     pub nevra: Nevra,
     pub summary: String,

@@ -8,10 +8,8 @@
 //! update-strategy experiments in `xcbc-core::update` can inject realistic
 //! breakage.
 
-use serde::{Deserialize, Serialize};
-
 /// When a scriptlet runs relative to the file operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScriptletPhase {
     /// Before the package's files are laid down.
     Pre,
@@ -40,7 +38,7 @@ impl ScriptletPhase {
 }
 
 /// A single scriptlet attached to a package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scriptlet {
     pub phase: ScriptletPhase,
     /// Human-readable description of what the script does
@@ -68,7 +66,7 @@ impl Scriptlet {
 }
 
 /// One executed scriptlet in a transaction's trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptletTrace {
     pub package: String,
     pub phase: ScriptletPhase,

@@ -11,13 +11,12 @@ use crate::db::RpmDb;
 use crate::dep::Dependency;
 use crate::package::Package;
 use crate::scriptlet::ScriptletTrace;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use xcbc_fault::{FaultInjector, InjectionPoint};
 
 /// One element of a transaction set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransactionElement {
     /// Install a new package.
     Install(Package),
@@ -39,7 +38,7 @@ impl TransactionElement {
 }
 
 /// A problem detected by [`TransactionSet::check`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransactionProblem {
     /// A Requires of an incoming package is satisfied neither by the
     /// post-transaction database nor by another incoming package.
@@ -135,7 +134,7 @@ impl fmt::Display for TransactionError {
 impl std::error::Error for TransactionError {}
 
 /// Result of a successful [`TransactionSet::run`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TransactionReport {
     /// Elements in execution order (labels).
     pub executed: Vec<String>,

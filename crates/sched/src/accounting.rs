@@ -6,11 +6,10 @@
 
 use crate::job::JobState;
 use crate::sim::ClusterSim;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One user's row in the usage report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserUsage {
     pub user: String,
     pub jobs: usize,
@@ -21,7 +20,7 @@ pub struct UserUsage {
 }
 
 /// The full report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageReport {
     pub rows: Vec<UserUsage>,
     pub total_core_seconds: f64,

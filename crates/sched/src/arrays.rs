@@ -6,10 +6,9 @@
 
 use crate::job::{JobId, JobRequest};
 use crate::sim::ClusterSim;
-use serde::Serialize;
 
 /// A submitted array: the member ids in index order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobArray {
     pub base_name: String,
     pub member_ids: Vec<JobId>,

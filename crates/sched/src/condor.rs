@@ -6,10 +6,8 @@
 //! condor pool layered over a core budget with vacate-and-requeue
 //! semantics and goodput/badput accounting.
 
-use serde::Serialize;
-
 /// One opportunistic job.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CondorJob {
     pub id: u64,
     pub name: String,
@@ -23,7 +21,7 @@ pub struct CondorJob {
     pub vacations: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CondorState {
     Idle,
     Running,

@@ -14,7 +14,7 @@ use crate::metrics::SimMetrics;
 use crate::policy::SchedPolicy;
 use crate::rm::RmKind;
 use crate::workload::WorkloadSpec;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use xcbc_sim::pool;
 
 /// One experiment: a workload crossed with policy/frontend/load axes,
 /// replicated over seeds. Normalized and digestable like the workload
@@ -485,35 +485,13 @@ impl ExpReport {
     }
 }
 
-/// Run every grid point on `workers` threads. Points are pulled off a
-/// shared counter and results slotted by index, so the report is
-/// identical at any worker count (each run is an isolated simulator
-/// seeded only by its point).
+/// Run every grid point on `workers` threads. Results come back in
+/// point order, so the report is identical at any worker count (each
+/// run is an isolated simulator seeded only by its point).
 pub fn run_grid(grid: &ExpGrid, workers: usize) -> ExpReport {
     let g = grid.normalized();
     let digest = g.digest();
-    let points = g.points();
-    let workers = workers.clamp(1, points.len().max(1));
-    let slots: Vec<std::sync::Mutex<Option<RunResult>>> = (0..points.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= points.len() {
-                    break;
-                }
-                let result = run_point(&g, &points[i]);
-                *slots[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    let runs = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every point ran"))
-        .collect();
+    let runs = pool::map(workers, &g.points(), |p| run_point(&g, p));
     ExpReport {
         grid: g,
         digest,

@@ -1,12 +1,10 @@
 //! Jobs and their lifecycle.
 
-use serde::{Deserialize, Serialize};
-
 /// Opaque job identifier.
 pub type JobId = u64;
 
 /// What a user asks for at submit time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     pub name: String,
     /// Number of nodes requested.
@@ -51,7 +49,7 @@ impl JobRequest {
 }
 
 /// Lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobState {
     Queued,
     Running {
@@ -70,7 +68,7 @@ pub enum JobState {
 }
 
 /// A job in the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     pub id: JobId,
     pub request: JobRequest,

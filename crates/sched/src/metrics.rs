@@ -1,7 +1,6 @@
 //! Workload-level metrics over a finished simulation.
 
 use crate::sim::ClusterSim;
-use serde::{Deserialize, Serialize};
 
 /// A job is "starved" when it waited in the queue longer than this
 /// (4 hours) — the threshold the starvation counter and the experiment
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub const STARVATION_WAIT_S: f64 = 4.0 * 3600.0;
 
 /// Summary statistics of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimMetrics {
     pub policy: String,
     pub jobs_finished: usize,

@@ -10,10 +10,8 @@
 //!   (waiting time minus a fairshare penalty on heavy users) with EASY
 //!   backfill on top.
 
-use serde::{Deserialize, Serialize};
-
 /// The scheduling policy a simulator runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedPolicy {
     /// First-in-first-out, head-of-line blocking.
     Fifo,

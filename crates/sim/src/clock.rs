@@ -1,7 +1,6 @@
 //! The virtual clock every layer reads.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A monotonic virtual clock.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// ignored rather than panicking: out-of-order advance requests are a
 /// scheduling bug upstream, but a frozen clock is easier to debug than
 /// a crashed simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimClock {
     now: SimTime,
 }

@@ -35,6 +35,7 @@
 pub mod analyze;
 mod clock;
 mod metrics;
+pub mod pool;
 mod queue;
 mod recorder;
 mod selfprof;

@@ -9,7 +9,6 @@
 //! event logs. `From<f64>` conversions (interpreting the float as
 //! seconds) keep call sites as terse as the old APIs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
@@ -30,9 +29,7 @@ fn secs_to_nanos(s: f64) -> u64 {
 
 /// An instant on the simulation timeline: nanoseconds since the
 /// simulation epoch (t = 0, when the scenario starts).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -107,9 +104,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of simulation time in nanoseconds. Always non-negative.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -10,13 +10,12 @@
 //! for a fixed scenario seed.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 
 /// A typed field value attached to a trace event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// A string field.
     Str(String),
@@ -63,7 +62,7 @@ impl From<f64> for FieldValue {
 }
 
 /// What kind of occurrence a [`TraceEvent`] records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
     /// Work that occupied `[t, t + dur]` on the shared timeline.
     Span {
@@ -80,7 +79,7 @@ pub enum TraceKind {
 }
 
 /// One structured, timestamped record on the unified timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// When the event occurred (span start for [`TraceKind::Span`]).
     pub t: SimTime,

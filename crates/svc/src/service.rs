@@ -11,10 +11,10 @@
 //!    against token buckets and a tick-windowed queue limit (see
 //!    [`crate::admission`]); sequence numbers, the reject stream, and
 //!    the journal are fixed before any worker touches anything.
-//! 2. **Execution is serial *per tenant*.** Tenants are partitioned
-//!    across workers (stable name-order assignment), and one tenant's
-//!    requests run in sequence order on one worker. Tenant state (node
-//!    databases) is only ever touched by its own serial stream.
+//! 2. **Execution is serial *per tenant*.** Each tenant is one
+//!    [`xcbc_sim::pool`] item that owns its state (node databases) and
+//!    runs its requests in sequence order; whichever worker claims the
+//!    tenant, that state is only ever touched by its own serial stream.
 //! 3. **Cache keys are tenant-salted.** Shard counters move only under
 //!    a tenant's own keys, and a tenant's hit/miss outcomes depend only
 //!    on its own serial history — so even bank-wide counter totals are
@@ -34,7 +34,7 @@ use xcbc_core::deploy::deploy_xnit_overlay_salted;
 use xcbc_core::deploy::limulus_factory_image;
 use xcbc_core::xnit::{xnit_repository, XnitSetupMethod};
 use xcbc_rpm::RpmDb;
-use xcbc_sim::{self_profiler, MetricRegistry, SECTION_SVC_SERVE};
+use xcbc_sim::{pool, self_profiler, MetricRegistry, SECTION_SVC_SERVE};
 use xcbc_yum::{CacheStats, Repository, ShardedSolveCache, SolveRequest, YumConfig};
 
 /// How the service is shaped for one run.
@@ -237,8 +237,8 @@ enum Work {
     Ready(String),
 }
 
-/// Serve a request stream: serial admission, tenant-partitioned
-/// concurrent execution, journaled outcome. See the module docs for
+/// Serve a request stream: serial admission, per-tenant concurrent
+/// execution, journaled outcome. See the module docs for
 /// the determinism contract.
 pub fn serve(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
     self_profiler().time(SECTION_SVC_SERVE, || serve_inner(requests, config))
@@ -320,48 +320,24 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
     }
     let accepted = journal.entries.len();
 
-    // ---- execution: tenants partitioned across the worker pool ----
+    // ---- execution: one pool item per tenant, run serially ----
     let bank = ShardedSolveCache::new(shards);
     let repos = tenant_repos();
     let yum_config = YumConfig::default();
-    let tenant_names: Vec<&String> = work.keys().collect();
-    let mut executed: Vec<(u64, String)> = Vec::with_capacity(accepted);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers.min(tenant_names.len().max(1)) {
-            let mine: Vec<&String> = tenant_names
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % workers == w)
-                .map(|(_, t)| *t)
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let work = &work;
-            let bank = &bank;
-            let repos = &repos;
-            let yum_config = &yum_config;
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<(u64, String)> = Vec::new();
-                for tenant in mine {
-                    let mut state = TenantState::new(tenant);
-                    for (seq, item) in &work[tenant] {
-                        let body = match item {
-                            Work::Ready(body) => body.clone(),
-                            Work::Op(op) => state.execute(op, bank, repos, yum_config),
-                        };
-                        out.push((*seq, body));
-                    }
-                }
-                out
-            }));
-        }
-        for handle in handles {
-            executed.extend(handle.join().expect("svc worker panicked"));
-        }
+    let executed = pool::map(workers, work, |(tenant, items)| {
+        let mut state = TenantState::new(&tenant);
+        items
+            .into_iter()
+            .map(|(seq, item)| {
+                let body = match item {
+                    Work::Ready(body) => body,
+                    Work::Op(op) => state.execute(&op, &bank, &repos, &yum_config),
+                };
+                (seq, body)
+            })
+            .collect::<Vec<_>>()
     });
-    for (seq, body) in executed {
+    for (seq, body) in executed.into_iter().flatten() {
         responses[seq_slot[seq as usize]].body = body;
     }
 

@@ -7,11 +7,10 @@
 
 use crate::solver::SolveError;
 use crate::Yum;
-use serde::{Deserialize, Serialize};
 use xcbc_rpm::{RpmDb, TransactionReport};
 
 /// A comps-style package group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackageGroupDef {
     /// Group id (`@hpc-libraries`).
     pub id: String,

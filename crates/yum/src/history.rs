@@ -4,11 +4,10 @@
 //! an administrator can audit what changed (and the training curriculum in
 //! `xcbc-core` can grade a student's lab by its history).
 
-use serde::{Deserialize, Serialize};
 use xcbc_rpm::TransactionReport;
 
 /// One journaled transaction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistoryEntry {
     /// Monotonic id (yum history IDs start at 1).
     pub id: u64,
@@ -29,7 +28,7 @@ impl HistoryEntry {
 }
 
 /// The journal.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct YumHistory {
     entries: Vec<HistoryEntry>,
 }

@@ -8,7 +8,6 @@
 
 use crate::json::{JsonError, JsonObject, JsonValue};
 use crate::repo::Repository;
-use serde::{Deserialize, Serialize};
 use xcbc_rpm::{Arch, Evr};
 
 /// Error from [`RepoMetadata::from_json`]: either malformed JSON or a
@@ -40,7 +39,7 @@ impl From<JsonError> for MetadataError {
 }
 
 /// One package record in the primary metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrimaryRecord {
     pub name: String,
     pub epoch: u32,
@@ -61,7 +60,7 @@ impl PrimaryRecord {
 }
 
 /// The repo-level metadata document (`repomd.xml` analog).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepoMetadata {
     pub repo_id: String,
     pub revision: u64,

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use xcbc_fault::{retry_with, FaultInjector, InjectionPoint, RetryPolicy};
 use xcbc_sim::{SimTime, TraceEvent, BACKOFF_PREFIX};
 
@@ -23,7 +22,7 @@ const SAMPLER_JITTER_SEED: u64 = 0x5eed_f37c;
 pub const MIN_BANDWIDTH_MBPS: f64 = 1e-3;
 
 /// One mirror of a repository.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mirror {
     pub url: String,
     /// Sustained throughput in MB/s.
@@ -62,7 +61,7 @@ impl Mirror {
 }
 
 /// Outcome of a fetch attempt across the mirror list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MirrorOutcome {
     /// Mirror that served the fetch, if any.
     pub served_by: Option<String>,
@@ -80,7 +79,7 @@ impl MirrorOutcome {
 }
 
 /// An ordered list of mirrors with failover.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MirrorList {
     pub mirrors: Vec<Mirror>,
 }

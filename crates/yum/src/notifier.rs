@@ -13,11 +13,10 @@
 
 use crate::updates::CheckUpdate;
 use crate::{SolveError, Yum};
-use serde::{Deserialize, Serialize};
 use xcbc_rpm::RpmDb;
 
 /// How a site handles available updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdatePolicy {
     /// Apply every update as soon as the cron job sees it.
     Automatic,
@@ -29,7 +28,7 @@ pub enum UpdatePolicy {
 }
 
 /// One cron-run's outcome.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NotificationReport {
     /// Updates visible at check time.
     pub pending: Vec<String>,

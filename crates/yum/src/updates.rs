@@ -9,12 +9,11 @@
 use crate::priorities::apply_priorities;
 use crate::repo::Repository;
 use crate::YumConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xcbc_rpm::{Evr, RpmDb};
 
 /// Classification of an available update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateKind {
     /// Same version, newer release (packaging/backport fix).
     ReleaseBump,
@@ -25,7 +24,7 @@ pub enum UpdateKind {
 }
 
 /// One row of `yum check-update` output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckUpdate {
     pub name: String,
     pub installed: Evr,
