@@ -38,6 +38,6 @@ pub use invariant::{default_invariants, Invariant, Violation};
 pub use outcome::SoakOutcome;
 pub use scenario::{Scenario, ScenarioLimits};
 pub use soak::{
-    check_outcome, mutation_invariant, repro_command, run_seed, shrink, soak, SeedFailure,
+    check_outcome, invariants_for, repro_command, run_seed, shrink, soak, SeedFailure,
     ShrinkResult, SoakConfig, SoakReport,
 };

@@ -19,23 +19,22 @@ use xcbc_cluster::node::{NodeRole, NodeSpec};
 use xcbc_cluster::specs::{limulus_hpc200, littlefe_modified};
 use xcbc_cluster::topology::{ClusterSpec, NetworkSpec};
 use xcbc_core::campaign::{
-    run_campaign, CampaignConfig, CampaignError, CampaignMutation, CampaignTarget, CanaryAction,
+    run_campaign, CampaignConfig, CampaignError, CampaignTarget, CanaryAction,
 };
 use xcbc_core::deploy::{deploy_from_scratch_resilient, limulus_factory_image};
 use xcbc_core::elastic::{
-    run_elastic, BurstSite, ElasticConfig, ElasticError, ElasticMutation, ElasticState,
-    ElasticWorld,
+    run_elastic, BurstSite, ElasticConfig, ElasticError, ElasticState, ElasticWorld,
 };
 use xcbc_core::fleet::{Fleet, FleetSite, FleetTelemetry};
 use xcbc_core::xnit::{xnit_repository, XnitSetupMethod};
 use xcbc_fault::{
     CampaignCheckpoint, ElasticCheckpoint, FaultPlan, FaultWindow, InjectionPoint,
-    InstallCheckpoint,
+    InstallCheckpoint, Mutation,
 };
 use xcbc_rocks::install::{InstallErrorKind, ResilienceConfig};
 use xcbc_rpm::{PackageBuilder, RpmDb, TransactionSet};
 use xcbc_sched::{run_workload, ClusterSim, JobRequest, RmKind, SchedPolicy, WorkloadSpec};
-use xcbc_svc::{serve, SvcMutation, SvcWorkload};
+use xcbc_svc::{serve, SvcWorkload};
 use xcbc_yum::{SolveCache, SolveRequest, YumConfig};
 
 use crate::outcome::{
@@ -52,10 +51,10 @@ pub const MAX_JOBS: usize = 24;
 /// Most XNIT update requests one scenario applies.
 pub const MAX_UPDATES: usize = 4;
 
-/// Upper bounds on each scenario dimension (plus the campaign-stage
-/// mutation switch, which rides along so a mutated repro survives
-/// shrinking unchanged). The soak driver shrinks a failing seed by
-/// lowering the bounds, one dimension at a time.
+/// Upper bounds on each scenario dimension (plus the planted mutation,
+/// which rides along so a mutated repro survives shrinking unchanged).
+/// The soak driver shrinks a failing seed by lowering the bounds, one
+/// dimension at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioLimits {
     /// Max fleet sites deployed.
@@ -66,15 +65,9 @@ pub struct ScenarioLimits {
     pub jobs: usize,
     /// Max XNIT update requests applied.
     pub updates: usize,
-    /// Deliberate campaign-stage misbehavior for invariant self-tests
-    /// (`None` in normal soaks).
-    pub campaign_mutation: Option<CampaignMutation>,
-    /// Deliberate elastic-stage misbehavior for invariant self-tests
-    /// (`None` in normal soaks).
-    pub elastic_mutation: Option<ElasticMutation>,
-    /// Deliberate service-stage misbehavior for invariant self-tests
-    /// (`None` in normal soaks).
-    pub svc_mutation: Option<SvcMutation>,
+    /// Deliberate misbehavior for invariant self-tests (`None` in
+    /// normal soaks).
+    pub mutation: Option<Mutation>,
 }
 
 impl Default for ScenarioLimits {
@@ -84,9 +77,7 @@ impl Default for ScenarioLimits {
             fault_specs: MAX_FAULT_SPECS,
             jobs: MAX_JOBS,
             updates: MAX_UPDATES,
-            campaign_mutation: None,
-            elastic_mutation: None,
-            svc_mutation: None,
+            mutation: None,
         }
     }
 }
@@ -161,9 +152,6 @@ pub struct Scenario {
     pub campaign_plan: FaultPlan,
     /// Package names the campaign installs fleet-wide.
     pub campaign_targets: Vec<&'static str>,
-    /// Deliberate campaign misbehavior (from the limits), for
-    /// invariant self-tests.
-    pub campaign_mutation: Option<CampaignMutation>,
     /// Elastic stage: fleet floor (powered-on minimum).
     pub elastic_min: usize,
     /// Elastic stage: fleet ceiling the autoscaler may reach.
@@ -180,9 +168,6 @@ pub struct Scenario {
     /// `elastic.scale-up` aborts, which the stage resumes from
     /// checkpoints, and `elastic.burst-join` failures).
     pub elastic_plan: FaultPlan,
-    /// Deliberate elastic misbehavior (from the limits), for invariant
-    /// self-tests.
-    pub elastic_mutation: Option<ElasticMutation>,
     /// Generated-workload stage: the open-loop spec driving the stream.
     pub workload_spec: WorkloadSpec,
     /// Generated-workload stage: stream seed.
@@ -204,9 +189,9 @@ pub struct Scenario {
     pub svc_workers: usize,
     /// Service stage: workload-generator seed.
     pub svc_seed: u64,
-    /// Deliberate service misbehavior (from the limits), for invariant
-    /// self-tests.
-    pub svc_mutation: Option<SvcMutation>,
+    /// Deliberate misbehavior (from the limits), for invariant
+    /// self-tests; each stage reacts only to its own mutations.
+    pub mutation: Option<Mutation>,
 }
 
 fn salted(seed: u64, salt: u64) -> StdRng {
@@ -267,9 +252,7 @@ impl Scenario {
             fault_specs: limits.fault_specs.min(MAX_FAULT_SPECS),
             jobs: limits.jobs.min(MAX_JOBS),
             updates: limits.updates.min(MAX_UPDATES),
-            campaign_mutation: limits.campaign_mutation,
-            elastic_mutation: limits.elastic_mutation,
-            svc_mutation: limits.svc_mutation,
+            mutation: limits.mutation,
         };
 
         // Natural sizes: how big the scenario *wants* to be for this
@@ -604,7 +587,6 @@ impl Scenario {
             campaign_workload,
             campaign_plan,
             campaign_targets,
-            campaign_mutation: limits.campaign_mutation,
             elastic_min,
             elastic_max,
             elastic_ticks,
@@ -612,7 +594,6 @@ impl Scenario {
             elastic_workload,
             elastic_bursts,
             elastic_plan,
-            elastic_mutation: limits.elastic_mutation,
             workload_spec,
             workload_seed,
             workload_jobs,
@@ -623,7 +604,7 @@ impl Scenario {
             svc_requests,
             svc_workers,
             svc_seed,
-            svc_mutation: limits.svc_mutation,
+            mutation: limits.mutation,
         }
     }
 
@@ -781,7 +762,7 @@ impl Scenario {
         };
         let requests = workload.generate();
         let mut config = workload.config(self.svc_workers);
-        config.mutation = self.svc_mutation;
+        config.mutation = self.mutation;
         let report = serve(&requests, &config);
         SvcRecord {
             requests,
@@ -848,7 +829,7 @@ impl Scenario {
             drain_grace_s: 300.0,
             max_settle_ticks: 200,
             threads: 2,
-            mutation: self.elastic_mutation,
+            mutation: self.mutation,
         };
         let mut world = ElasticWorld {
             workload: self.elastic_workload.clone(),
@@ -971,7 +952,7 @@ impl Scenario {
             drain_grace_s: 90.0,
             on_canary_failure: self.campaign_canary_action,
             retry_budget: 2,
-            mutation: self.campaign_mutation,
+            mutation: self.mutation,
         };
 
         let mut resumes = 0usize;

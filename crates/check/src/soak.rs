@@ -1,10 +1,9 @@
 //! The soak driver: run seeds, report the first violation, shrink it.
 
-use crate::invariant::{Invariant, Violation};
+use crate::invariant::{default_invariants, Invariant, Violation};
 use crate::outcome::SoakOutcome;
 use crate::scenario::{Scenario, ScenarioLimits};
-use xcbc_core::campaign::CampaignMutation;
-use xcbc_core::elastic::ElasticMutation;
+use xcbc_fault::Mutation;
 use xcbc_sched::JobState;
 
 /// Configuration for one [`soak`] run.
@@ -18,11 +17,8 @@ pub struct SoakConfig {
     pub faults: bool,
     /// On violation, shrink to a minimal reproducing scenario.
     pub shrink: bool,
-    /// Scenario size bounds.
+    /// Scenario size bounds and the planted mutation, if any.
     pub limits: ScenarioLimits,
-    /// Whether the mutation (self-test) invariant is in the suite —
-    /// recorded so repro commands include `--mutate`.
-    pub mutate: bool,
 }
 
 impl Default for SoakConfig {
@@ -33,13 +29,12 @@ impl Default for SoakConfig {
             faults: false,
             shrink: true,
             limits: ScenarioLimits::default(),
-            mutate: false,
         }
     }
 }
 
 /// The exact CLI invocation that replays one scenario deterministically.
-pub fn repro_command(seed: u64, faults: bool, limits: &ScenarioLimits, mutate: bool) -> String {
+pub fn repro_command(seed: u64, faults: bool, limits: &ScenarioLimits) -> String {
     let mut cmd = format!(
         "xcbc soak --seed {seed} --sites {} --fault-specs {} --jobs {} --updates {}",
         limits.sites, limits.fault_specs, limits.jobs, limits.updates
@@ -47,24 +42,22 @@ pub fn repro_command(seed: u64, faults: bool, limits: &ScenarioLimits, mutate: b
     if faults {
         cmd.push_str(" --faults");
     }
-    if mutate {
-        cmd.push_str(" --mutate");
-    }
-    match limits.campaign_mutation {
-        Some(CampaignMutation::DropJobOnDrain) => cmd.push_str(" --campaign-mutation drop-job"),
-        Some(CampaignMutation::SkipSkewSolve) => cmd.push_str(" --campaign-mutation skip-skew"),
-        None => {}
-    }
-    match limits.elastic_mutation {
-        Some(ElasticMutation::DropJobOnScaleDown) => cmd.push_str(" --elastic-mutation drop-job"),
-        Some(ElasticMutation::SkipScaleUp) => cmd.push_str(" --elastic-mutation skip-scale-up"),
-        None => {}
-    }
-    if let Some(m) = limits.svc_mutation {
-        cmd.push_str(" --svc-mutation ");
+    if let Some(m) = limits.mutation {
+        cmd.push_str(" --mutation ");
         cmd.push_str(m.as_str());
     }
     cmd
+}
+
+/// The invariant suite a soak with `mutation` planted checks: the
+/// default suite, plus a deliberately broken "no job ever times out"
+/// invariant when the mutation is `soak.no-timeouts`.
+pub fn invariants_for(mutation: Option<Mutation>) -> Vec<Box<dyn Invariant + Send + Sync>> {
+    let mut suite = default_invariants();
+    if mutation == Some(Mutation::SoakNoTimeouts) {
+        suite.push(mutation_invariant());
+    }
+    suite
 }
 
 /// Generate and run one seed, returning every violation the given
@@ -188,23 +181,13 @@ impl SoakReport {
                         }
                         out.push_str(&format!(
                             "repro: {}\n",
-                            repro_command(
-                                shrunk.seed,
-                                shrunk.faults,
-                                &shrunk.limits,
-                                self.config.mutate
-                            )
+                            repro_command(shrunk.seed, shrunk.faults, &shrunk.limits)
                         ));
                     }
                     None => {
                         out.push_str(&format!(
                             "repro: {}\n",
-                            repro_command(
-                                fail.seed,
-                                self.config.faults,
-                                &self.config.limits,
-                                self.config.mutate
-                            )
+                            repro_command(fail.seed, self.config.faults, &self.config.limits)
                         ));
                     }
                 }
@@ -373,12 +356,12 @@ pub fn soak(config: &SoakConfig, invariants: &[Box<dyn Invariant + Send + Sync>]
     }
 }
 
-/// A deliberately broken invariant — "no job ever times out" — used by
-/// `xcbc soak --mutate` and the mutation smoke test to prove the
+/// A deliberately broken invariant — "no job ever times out" — planted
+/// by `xcbc soak --mutation soak.no-timeouts` to prove the
 /// harness catches violations and shrinks them. Generated workloads
 /// draw runtimes up to 1.2× the requested walltime, so timeouts are a
 /// legitimate, reachable outcome that this invariant wrongly forbids.
-pub fn mutation_invariant() -> Box<dyn Invariant + Send + Sync> {
+fn mutation_invariant() -> Box<dyn Invariant + Send + Sync> {
     struct NoTimeouts;
     impl Invariant for NoTimeouts {
         fn name(&self) -> &'static str {

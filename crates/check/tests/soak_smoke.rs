@@ -1,11 +1,9 @@
 //! End-to-end smoke tests for the soak harness: the default suite runs
-//! green, and a deliberately-broken invariant is caught, shrunk, and
-//! reproduces deterministically from the shrunk limits.
+//! green and a seed replays deterministically. Planted defects are
+//! covered by `mutations.rs`.
 
-use xcbc_check::{
-    default_invariants, mutation_invariant, repro_command, run_seed, soak, ScenarioLimits,
-    SoakConfig,
-};
+use xcbc_check::{default_invariants, invariants_for, run_seed, soak, ScenarioLimits, SoakConfig};
+use xcbc_fault::Mutation;
 
 #[test]
 fn default_suite_green_with_faults() {
@@ -19,11 +17,8 @@ fn default_suite_green_with_faults() {
             fault_specs: 4,
             jobs: 10,
             updates: 2,
-            campaign_mutation: None,
-            elastic_mutation: None,
-            svc_mutation: None,
+            mutation: None,
         },
-        mutate: false,
     };
     let report = soak(&config, &default_invariants());
     assert!(
@@ -41,68 +36,10 @@ fn run_seed_is_deterministic() {
         fault_specs: 2,
         jobs: 6,
         updates: 1,
-        campaign_mutation: None,
-        elastic_mutation: None,
-        svc_mutation: None,
+        mutation: None,
     };
-    let mut suite = default_invariants();
-    suite.push(mutation_invariant());
+    let suite = invariants_for(Some(Mutation::SoakNoTimeouts));
     let a = run_seed(7, true, &limits, &suite);
     let b = run_seed(7, true, &limits, &suite);
     assert_eq!(a, b, "same seed and limits must yield identical violations");
-}
-
-#[test]
-fn mutation_is_caught_and_shrunk_to_a_deterministic_repro() {
-    // The mutation invariant forbids job timeouts, which generated
-    // workloads legitimately produce; some seed in this window hits one.
-    let limits = ScenarioLimits {
-        sites: 1,
-        fault_specs: 2,
-        jobs: 12,
-        updates: 1,
-        campaign_mutation: None,
-        elastic_mutation: None,
-        svc_mutation: None,
-    };
-    let mut suite = default_invariants();
-    suite.push(mutation_invariant());
-    let config = SoakConfig {
-        seeds: 10,
-        start_seed: 0,
-        faults: false,
-        shrink: true,
-        limits,
-        mutate: true,
-    };
-    let report = soak(&config, &suite);
-    let failure = report
-        .failure
-        .as_ref()
-        .expect("mutation invariant must fire within 10 seeds");
-    assert!(failure
-        .violations
-        .iter()
-        .all(|v| v.invariant == "mutation.no-timeouts"));
-
-    let shrunk = failure.shrink.as_ref().expect("shrink was enabled");
-    assert!(shrunk.limits.sites <= limits.sites);
-    assert!(shrunk.limits.fault_specs <= limits.fault_specs);
-    assert!(shrunk.limits.jobs <= limits.jobs);
-    assert!(shrunk.limits.updates <= limits.updates);
-    // Non-sched dimensions are irrelevant to a timeout violation, so the
-    // shrinker must have floored them.
-    assert_eq!(shrunk.limits.sites, 1);
-    assert_eq!(shrunk.limits.fault_specs, 0);
-    assert_eq!(shrunk.limits.updates, 0);
-    assert!(shrunk.limits.jobs >= 1, "a timeout needs at least one job");
-
-    // The shrunk repro reproduces the same violation, deterministically.
-    let again = run_seed(shrunk.seed, shrunk.faults, &shrunk.limits, &suite);
-    assert_eq!(again, shrunk.violations);
-    let cmd = repro_command(shrunk.seed, shrunk.faults, &shrunk.limits, true);
-    assert!(cmd.contains(&format!("--seed {}", shrunk.seed)), "{cmd}");
-    assert!(cmd.ends_with("--mutate"), "{cmd}");
-    let rendered = report.render();
-    assert!(rendered.contains("repro: xcbc soak --seed"), "{rendered}");
 }

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use xcbc_fault::{CampaignCheckpoint, FaultPlan, InjectionPoint};
+use xcbc_fault::{CampaignCheckpoint, FaultPlan, InjectionPoint, Mutation};
 use xcbc_rpm::{RpmDb, TransactionError};
 use xcbc_sched::{JobRequest, ResourceManager};
 use xcbc_sim::{pool, TraceEvent};
@@ -74,16 +74,6 @@ pub enum CanaryAction {
     Rollback,
 }
 
-/// Test-only behavioral mutations, used by the soak harness to prove its
-/// campaign invariants can actually fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignMutation {
-    /// Cancel (lose) jobs evicted by a drain instead of requeueing them.
-    DropJobOnDrain,
-    /// Skip the post-wave version-skew solve probe.
-    SkipSkewSolve,
-}
-
 /// Campaign shape and safety knobs.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -101,7 +91,7 @@ pub struct CampaignConfig {
     /// Attempts per node before a scriptlet-failing update is abandoned.
     pub retry_budget: u32,
     /// Soak-harness mutation hook; `None` in production.
-    pub mutation: Option<CampaignMutation>,
+    pub mutation: Option<Mutation>,
 }
 
 impl Default for CampaignConfig {
@@ -465,7 +455,7 @@ pub fn run_campaign(
             if !rm.node_idle(idx) {
                 let victims = rm.requeue_node(idx);
                 requeued_jobs += victims.len();
-                if config.mutation == Some(CampaignMutation::DropJobOnDrain) {
+                if config.mutation == Some(Mutation::CampaignDropJob) {
                     for id in victims {
                         rm.sim_mut().cancel(id);
                     }
@@ -534,7 +524,7 @@ pub fn run_campaign(
 
         // Version-skew probe: the target must still solve against every
         // distinct database state now live in the fleet.
-        let skew = if config.mutation == Some(CampaignMutation::SkipSkewSolve) {
+        let skew = if config.mutation == Some(Mutation::CampaignSkipSkew) {
             None
         } else {
             let report =
@@ -1027,7 +1017,7 @@ mod tests {
         let cache = Arc::new(SolveCache::new());
         let config = CampaignConfig {
             drain_grace_s: 10.0,
-            mutation: Some(CampaignMutation::DropJobOnDrain),
+            mutation: Some(Mutation::CampaignDropJob),
             ..CampaignConfig::default()
         };
         run_campaign(

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xcbc_cluster::PowerSequencer;
-use xcbc_fault::{ElasticCheckpoint, FaultPlan, InjectionPoint};
+use xcbc_fault::{ElasticCheckpoint, FaultPlan, InjectionPoint, Mutation};
 use xcbc_rpm::RpmDb;
 use xcbc_sched::{JobRequest, ResourceManager};
 use xcbc_sim::{pool, SimDuration, SimTime, TraceEvent};
@@ -364,17 +364,6 @@ impl ElasticWorld {
     }
 }
 
-/// Test-only behavioral mutations, used by the soak harness to prove
-/// the elastic invariants can actually fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElasticMutation {
-    /// Cancel (lose) jobs evicted by a scale-down drain instead of
-    /// requeueing them.
-    DropJobOnScaleDown,
-    /// Suppress scale-up decisions the policy was obliged to make.
-    SkipScaleUp,
-}
-
 /// Engine shape and safety knobs.
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
@@ -403,7 +392,7 @@ pub struct ElasticConfig {
     /// Worker threads for burst-site overlay deploys.
     pub threads: usize,
     /// Soak-harness mutation hook; `None` in production.
-    pub mutation: Option<ElasticMutation>,
+    pub mutation: Option<Mutation>,
 }
 
 impl Default for ElasticConfig {
@@ -880,7 +869,7 @@ pub fn run_elastic(
                         if !rm.node_idle(idx) {
                             let evicted = rm.requeue_node(idx);
                             requeued_jobs += evicted.len();
-                            if config.mutation == Some(ElasticMutation::DropJobOnScaleDown) {
+                            if config.mutation == Some(Mutation::ElasticDropJob) {
                                 for id in evicted {
                                     rm.sim_mut().kill(id);
                                 }
@@ -980,7 +969,7 @@ pub fn run_elastic(
             booting: state.boots_in_flight.len(),
         };
         let mut decided = state.scaler.observe(sample);
-        if config.mutation == Some(ElasticMutation::SkipScaleUp)
+        if config.mutation == Some(Mutation::ElasticSkipScaleUp)
             && matches!(decided, ScaleDecision::Up(_))
         {
             state.scaler.clear_pending();
@@ -1392,7 +1381,7 @@ mod tests {
     #[test]
     fn drop_job_mutation_loses_jobs() {
         let mut config = config();
-        config.mutation = Some(ElasticMutation::DropJobOnScaleDown);
+        config.mutation = Some(Mutation::ElasticDropJob);
         config.down_streak = 2;
         // a blocker pins the floor node, shorts force the scale-up, and
         // one long job lands on a scaled-up node — still running when
@@ -1436,7 +1425,7 @@ mod tests {
     #[test]
     fn skip_scale_up_mutation_diverges_from_policy_replay() {
         let mut config = config();
-        config.mutation = Some(ElasticMutation::SkipScaleUp);
+        config.mutation = Some(Mutation::ElasticSkipScaleUp);
         let (r, _, _) = run_once(&bursty_world(12), &FaultPlan::new(7), &config);
         let report = r.unwrap();
         assert_eq!(report.scale_ups, 0);

@@ -55,9 +55,8 @@ pub mod xnit;
 
 pub use bridging::{setup_endpoint, transfer, Endpoint, GffsNamespace, TransferFile};
 pub use campaign::{
-    campaign_digest, plan_waves, run_campaign, CampaignConfig, CampaignError, CampaignMutation,
-    CampaignOutcome, CampaignReport, CampaignTarget, CanaryAction, WaveReport,
-    CAMPAIGN_TRACE_SOURCE,
+    campaign_digest, plan_waves, run_campaign, CampaignConfig, CampaignError, CampaignOutcome,
+    CampaignReport, CampaignTarget, CanaryAction, WaveReport, CAMPAIGN_TRACE_SOURCE,
 };
 pub use catalog::{xcbc_catalog, xsede_reference, CatalogEntry};
 pub use community::{RequestPipeline, RequestState, RequesterGroup, SoftwareRequest};
@@ -65,10 +64,9 @@ pub use compat::{check_compatibility, CompatIssue, CompatReport};
 pub use deploy::{DeploymentPath, DeploymentReport};
 pub use docs::{render_kb_barebones_software, render_kb_yum_repository};
 pub use elastic::{
-    elastic_digest, run_elastic, Autoscaler, BurstSite, ElasticConfig, ElasticError,
-    ElasticMutation, ElasticReport, ElasticState, ElasticVerdict, ElasticWorld, FleetMembership,
-    MemberState, MetricSample, ScaleDecision, ScalerPolicy, TickStat, ELASTIC_TRACE_SOURCE,
-    MEMBERSHIP_TRACE_SOURCE,
+    elastic_digest, run_elastic, Autoscaler, BurstSite, ElasticConfig, ElasticError, ElasticReport,
+    ElasticState, ElasticVerdict, ElasticWorld, FleetMembership, MemberState, MetricSample,
+    ScaleDecision, ScalerPolicy, TickStat, ELASTIC_TRACE_SOURCE, MEMBERSHIP_TRACE_SOURCE,
 };
 pub use fleet::{Fleet, FleetError, FleetReport, FleetSite, FleetTelemetry, SiteOutcome, SitePlan};
 pub use mon::{monitor_run, sparkline, MonReport};

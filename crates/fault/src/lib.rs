@@ -33,7 +33,7 @@ pub use checkpoint::{
 };
 pub use plan::{
     key_matches, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow,
-    InjectionPoint, PlanParseError,
+    InjectionPoint, Mutation, PlanParseError,
 };
 pub use postmortem::PostMortem;
 pub use retry::{retry_with, RetryOutcome, RetryPolicy};

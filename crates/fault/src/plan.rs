@@ -100,6 +100,69 @@ impl fmt::Display for InjectionPoint {
     }
 }
 
+/// A deliberately planted defect, selected by `xcbc soak --mutation`
+/// so the soak harness can prove its invariants catch real bugs. Each
+/// production hook is a single equality check; `None` in production.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Mutation {
+    /// Cancel (lose) jobs evicted by a campaign drain instead of
+    /// requeueing them (`campaign.no-job-lost` must fire).
+    CampaignDropJob,
+    /// Skip the post-wave version-skew solve probe
+    /// (`campaign.converges` must fire).
+    CampaignSkipSkew,
+    /// Cancel (lose) jobs evicted by an elastic scale-down drain instead
+    /// of requeueing them (`elastic.no-job-lost` must fire).
+    ElasticDropJob,
+    /// Suppress scale-up decisions the policy was obliged to make
+    /// (`elastic.converges` must fire).
+    ElasticSkipScaleUp,
+    /// Drop one accepted entry from the rendered `xcbcd` journal
+    /// (`svc.replay` must fire).
+    SvcDropJournalEntry,
+    /// Admit the first request that should have been rejected
+    /// `quota-exceeded` (`svc.admission` must fire).
+    SvcLeakQuota,
+    /// Add the deliberately broken "no job ever times out" invariant to
+    /// the suite (`mutation.no-timeouts` must fire).
+    SoakNoTimeouts,
+}
+
+impl Mutation {
+    pub const ALL: [Mutation; 7] = [
+        Mutation::CampaignDropJob,
+        Mutation::CampaignSkipSkew,
+        Mutation::ElasticDropJob,
+        Mutation::ElasticSkipScaleUp,
+        Mutation::SvcDropJournalEntry,
+        Mutation::SvcLeakQuota,
+        Mutation::SoakNoTimeouts,
+    ];
+
+    /// The stable name used by `--mutation` and repro commands.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Mutation::CampaignDropJob => "campaign.drop-job",
+            Mutation::CampaignSkipSkew => "campaign.skip-skew",
+            Mutation::ElasticDropJob => "elastic.drop-job",
+            Mutation::ElasticSkipScaleUp => "elastic.skip-scale-up",
+            Mutation::SvcDropJournalEntry => "svc.drop-journal-entry",
+            Mutation::SvcLeakQuota => "svc.leak-quota",
+            Mutation::SoakNoTimeouts => "soak.no-timeouts",
+        }
+    }
+
+    pub fn parse(s: &str) -> Option<Mutation> {
+        Self::ALL.into_iter().find(|m| m.as_str() == s)
+    }
+}
+
+impl fmt::Display for Mutation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// What kind of failure an injection produces. Callers map kinds onto
 /// their own error types (a `Timeout` at `dhcp.discover` costs a DHCP
 /// timeout; a `PowerLoss` aborts the whole install run).
@@ -526,6 +589,14 @@ mod tests {
             assert_eq!(InjectionPoint::parse(p.as_str()), Some(p));
         }
         assert_eq!(InjectionPoint::parse("bogus"), None);
+    }
+
+    #[test]
+    fn mutation_names_round_trip() {
+        for m in Mutation::ALL {
+            assert_eq!(Mutation::parse(m.as_str()), Some(m));
+        }
+        assert_eq!(Mutation::parse("drop-job"), None);
     }
 
     #[test]

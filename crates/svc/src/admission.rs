@@ -20,6 +20,7 @@
 use crate::api::RejectReason;
 use std::collections::BTreeMap;
 use std::fmt;
+use xcbc_fault::Mutation;
 
 /// One tenant's token-bucket parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,40 +134,6 @@ impl fmt::Display for QuotaTable {
     }
 }
 
-/// A deliberately planted admission/journal defect, for proving the
-/// soak invariants catch real bugs (`--svc-mutation`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SvcMutation {
-    /// Drop one accepted entry from the rendered journal (the replay
-    /// invariant must notice the response stream no longer matches).
-    DropJournalEntry,
-    /// Admit the first request that should have been rejected
-    /// `quota-exceeded` (the admission invariant must notice a tenant
-    /// exceeded its bucket).
-    LeakQuota,
-}
-
-impl SvcMutation {
-    /// The CLI flag value (`--svc-mutation <this>`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SvcMutation::DropJournalEntry => "drop-journal-entry",
-            SvcMutation::LeakQuota => "leak-quota",
-        }
-    }
-
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Result<SvcMutation, String> {
-        match s {
-            "drop-journal-entry" => Ok(SvcMutation::DropJournalEntry),
-            "leak-quota" => Ok(SvcMutation::LeakQuota),
-            other => Err(format!(
-                "unknown svc mutation {other:?} (expected drop-journal-entry|leak-quota)"
-            )),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
     tokens: u32,
@@ -182,7 +149,7 @@ pub struct AdmissionController {
     buckets: BTreeMap<String, Bucket>,
     window_tick: u64,
     window_accepted: usize,
-    mutation: Option<SvcMutation>,
+    mutation: Option<Mutation>,
     leaked: bool,
 }
 
@@ -214,9 +181,9 @@ impl AdmissionController {
         }
     }
 
-    /// Plant a [`SvcMutation::LeakQuota`] defect (no-op for the journal
+    /// Plant a [`Mutation::SvcLeakQuota`] defect (no-op for the journal
     /// mutation, which lives in the engine).
-    pub fn with_mutation(mut self, mutation: Option<SvcMutation>) -> AdmissionController {
+    pub fn with_mutation(mut self, mutation: Option<Mutation>) -> AdmissionController {
         self.mutation = mutation;
         self
     }
@@ -248,7 +215,7 @@ impl AdmissionController {
         bucket.last_tick = tick;
 
         if bucket.tokens == 0 {
-            if self.mutation == Some(SvcMutation::LeakQuota) && !self.leaked {
+            if self.mutation == Some(Mutation::SvcLeakQuota) && !self.leaked {
                 // the planted defect: wave the first starved request
                 // through without a token
                 self.leaked = true;
@@ -364,16 +331,8 @@ mod tests {
     #[test]
     fn leak_quota_mutation_admits_exactly_one_starved_request() {
         let mut ac = AdmissionController::new(table(&[("dead", 0, 0)]), 8)
-            .with_mutation(Some(SvcMutation::LeakQuota));
+            .with_mutation(Some(Mutation::SvcLeakQuota));
         assert_eq!(ac.admit("dead", 0), Ok(()), "the planted leak");
         assert_eq!(ac.admit("dead", 0), Err(RejectReason::QuotaExceeded));
-    }
-
-    #[test]
-    fn mutation_flags_round_trip() {
-        for m in [SvcMutation::DropJournalEntry, SvcMutation::LeakQuota] {
-            assert_eq!(SvcMutation::parse(m.as_str()), Ok(m));
-        }
-        assert!(SvcMutation::parse("set-fire").is_err());
     }
 }

@@ -42,7 +42,7 @@ pub mod journal;
 pub mod service;
 pub mod workload;
 
-pub use admission::{AdmissionController, QuotaTable, SvcMutation, TenantQuota};
+pub use admission::{AdmissionController, QuotaTable, TenantQuota};
 pub use api::{body_digest, Disposition, RejectReason, SvcOp, SvcRequest, SvcResponse};
 pub use journal::{Journal, JournalEntry, JournalError};
 pub use service::{replay, serve, ReplayReport, SvcConfig, SvcReport};

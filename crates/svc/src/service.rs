@@ -25,7 +25,7 @@
 //! which is exactly the information the replayer has when it reaches
 //! the same sequence number.
 
-use crate::admission::{AdmissionController, QuotaTable, SvcMutation};
+use crate::admission::{AdmissionController, QuotaTable};
 use crate::api::{body_digest, Disposition, RejectReason, SvcOp, SvcRequest, SvcResponse};
 use crate::journal::{Journal, JournalEntry, JournalError};
 use std::collections::BTreeMap;
@@ -33,6 +33,7 @@ use std::sync::Arc;
 use xcbc_core::deploy::deploy_xnit_overlay_salted;
 use xcbc_core::deploy::limulus_factory_image;
 use xcbc_core::xnit::{xnit_repository, XnitSetupMethod};
+use xcbc_fault::Mutation;
 use xcbc_rpm::RpmDb;
 use xcbc_sim::{pool, self_profiler, MetricRegistry, SECTION_SVC_SERVE};
 use xcbc_yum::{CacheStats, Repository, ShardedSolveCache, SolveRequest, YumConfig};
@@ -52,7 +53,7 @@ pub struct SvcConfig {
     /// The stream seed, journaled in the header.
     pub seed: u64,
     /// A deliberately planted defect for invariant self-tests.
-    pub mutation: Option<SvcMutation>,
+    pub mutation: Option<Mutation>,
 }
 
 impl Default for SvcConfig {
@@ -349,7 +350,7 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
             .push((entry.seq, responses[seq_slot[i]].body_digest()));
     }
     journal.set_cache_totals(&bank.stats());
-    if config.mutation == Some(SvcMutation::DropJournalEntry) && !journal.entries.is_empty() {
+    if config.mutation == Some(Mutation::SvcDropJournalEntry) && !journal.entries.is_empty() {
         let victim = journal.entries.len() / 2;
         journal.entries.remove(victim);
         // the dropped entry's `end entries` count must still agree with
@@ -730,7 +731,7 @@ mod tests {
         let report = serve(
             &reqs,
             &SvcConfig {
-                mutation: Some(SvcMutation::DropJournalEntry),
+                mutation: Some(Mutation::SvcDropJournalEntry),
                 ..config(2)
             },
         );

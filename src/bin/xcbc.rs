@@ -4,8 +4,9 @@
 //! xcbc tables              regenerate every paper table + figures
 //! xcbc deploy <target>     simulate a deployment (littlefe | limulus | both)
 //!       [--faults "<plan>"]  inject faults, e.g. "seed=42; node.boot key=compute-0-2"
+//!                            (littlefe path only: limulus rejects --faults)
 //! xcbc lab <student>       run the training curriculum and print the grade sheet
-//! xcbc linpack [n]         run a real HPL point on this machine
+//! xcbc linpack [n]         run a real HPL point on this machine (n > 0, default 512)
 //! xcbc fleet               deploy the Table 3 fleet concurrently
 //!       [--threads N]        worker threads (default 4)
 //!       [--jsonl]            emit the merged fleet trace as JSONL
@@ -27,8 +28,12 @@
 //!       [--seed S]           the whole stack and check every cross-crate
 //!       [--faults]           invariant; violations shrink to a minimal seed
 //!       [--no-shrink]        with an exact repro command. --sites/--fault-specs/
-//!       [--mutate]           --jobs/--updates bound (and replay) scenario size;
-//!                            --mutate breaks an invariant on purpose (self-test)
+//!       [--mutation NAME]    --jobs/--updates bound (and replay) scenario size;
+//!                            --mutation plants a named defect (self-test):
+//!                            campaign.drop-job | campaign.skip-skew |
+//!                            elastic.drop-job | elastic.skip-scale-up |
+//!                            svc.drop-journal-entry | svc.leak-quota |
+//!                            soak.no-timeouts. Unknown flags exit 1
 //! xcbc elastic             elastic fleet demo: the power-aware autoscaler
 //!       [--min N] [--max N]  grows a bursty fleet from its floor to its
 //!       [--ticks N]          ceiling and back, burst sites join mid-run
@@ -89,7 +94,14 @@ fn main() -> ExitCode {
             deploy(target, faults)
         }
         "lab" => lab(args.get(1).map(String::as_str).unwrap_or("student")),
-        "linpack" => linpack(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(512)),
+        "linpack" => match args.get(1).map(|s| (s, s.parse::<usize>())) {
+            None => linpack(512),
+            Some((_, Ok(n))) if n > 0 => linpack(n),
+            Some((text, _)) => {
+                eprintln!("xcbc linpack: N must be a positive integer, got {text:?}");
+                ExitCode::FAILURE
+            }
+        },
         "fleet" => {
             if args.iter().any(|a| a == "--table") {
                 print!("{}", report::render_table3());
@@ -167,7 +179,7 @@ fn main() -> ExitCode {
         "svc" => svc_cmd(&args),
         "help" | "--help" | "-h" => {
             eprintln!(
-                "usage: xcbc <tables|deploy [littlefe|limulus|both] [--faults \"<plan>\"]|lab [name]|linpack [n]|fleet [--threads N] [--jsonl] [--table]|compat|trace [littlefe] [--faults \"<plan>\"] [--jsonl]|trace analyze [littlefe] [--faults \"<plan>\"] [--folded|--top N]|mon [littlefe|elastic] [--faults \"<plan>\"] [--prom|--xml|--jsonl|--self]|soak [--seeds N] [--seed S] [--faults] [--no-shrink] [--mutate] [--sites N] [--fault-specs N] [--jobs N] [--updates N] [--campaign-mutation drop-job|skip-skew] [--elastic-mutation drop-job|skip-scale-up] [--svc-mutation drop-journal-entry|leak-quota]|campaign [--nodes N] [--canary N] [--waves N] [--threads N] [--rollback] [--resume] [--faults \"<plan>\"] [--jsonl]|elastic [--min N] [--max N] [--ticks N] [--faults \"<plan>\"] [--resume] [--jsonl]|exp [--spec teaching-lab|campus-research|heavy-tail] [--policies fifo,easy,maui] [--rms torque,slurm,sge] [--loads 1.0,2.0] [--seeds N] [--jobs N] [--nodes N] [--cores N] [--workers N] [--out DIR] [--name NAME]|svc [--tenants N] [--workers N] [--requests N] [--seed S] [--shards N] [--journal FILE] [--prom]>"
+                "usage: xcbc <tables|deploy [littlefe|limulus|both] [--faults \"<plan>\"]|lab [name]|linpack [n]|fleet [--threads N] [--jsonl] [--table]|compat|trace [littlefe] [--faults \"<plan>\"] [--jsonl]|trace analyze [littlefe] [--faults \"<plan>\"] [--folded|--top N]|mon [littlefe|elastic] [--faults \"<plan>\"] [--prom|--xml|--jsonl|--self]|soak [--seeds N] [--seed S] [--faults] [--no-shrink] [--sites N] [--fault-specs N] [--jobs N] [--updates N] [--mutation campaign.drop-job|campaign.skip-skew|elastic.drop-job|elastic.skip-scale-up|svc.drop-journal-entry|svc.leak-quota|soak.no-timeouts]|campaign [--nodes N] [--canary N] [--waves N] [--threads N] [--rollback] [--resume] [--faults \"<plan>\"] [--jsonl]|elastic [--min N] [--max N] [--ticks N] [--faults \"<plan>\"] [--resume] [--jsonl]|exp [--spec teaching-lab|campus-research|heavy-tail] [--policies fifo,easy,maui] [--rms torque,slurm,sge] [--loads 1.0,2.0] [--seeds N] [--jobs N] [--nodes N] [--cores N] [--workers N] [--out DIR] [--name NAME]|svc [--tenants N] [--workers N] [--requests N] [--seed S] [--shards N] [--journal FILE] [--prom]>"
             );
             ExitCode::SUCCESS
         }
@@ -230,6 +242,10 @@ fn tables() -> ExitCode {
 }
 
 fn deploy(target: &str, faults: Option<&str>) -> ExitCode {
+    if target == "limulus" && faults.is_some() {
+        eprintln!("xcbc deploy: --faults applies only to the littlefe from-scratch path");
+        return ExitCode::FAILURE;
+    }
     if target == "littlefe" || target == "both" {
         match faults {
             Some(dsl) => {
@@ -522,76 +538,56 @@ fn mon(scenario: &str, faults: Option<&str>, format: MonFormat) -> ExitCode {
 /// violation the report ends with the exact command that replays the
 /// (shrunk) failure deterministically.
 fn soak_cmd(args: &[String]) -> ExitCode {
-    use xcbc::check::{default_invariants, mutation_invariant, soak, ScenarioLimits, SoakConfig};
-    use xcbc::core::campaign::CampaignMutation;
-    use xcbc::core::elastic::ElasticMutation;
-    use xcbc::svc::SvcMutation;
+    use xcbc::check::{invariants_for, soak, SoakConfig};
+    use xcbc::fault::Mutation;
 
-    fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
+    fn value<T: std::str::FromStr>(flag: &str, text: Option<&String>) -> Result<T, String> {
+        let text = text.ok_or_else(|| format!("{flag} needs a value"))?;
+        text.parse()
+            .map_err(|_| format!("{flag} expects a non-negative integer, got {text:?}"))
     }
 
-    let defaults = ScenarioLimits::default();
-    let mut config = SoakConfig {
-        seeds: flag_value(args, "--seeds").unwrap_or(100),
-        start_seed: 0,
-        faults: args.iter().any(|a| a == "--faults"),
-        shrink: !args.iter().any(|a| a == "--no-shrink"),
-        limits: ScenarioLimits {
-            sites: flag_value(args, "--sites").unwrap_or(defaults.sites),
-            fault_specs: flag_value(args, "--fault-specs").unwrap_or(defaults.fault_specs),
-            jobs: flag_value(args, "--jobs").unwrap_or(defaults.jobs),
-            updates: flag_value(args, "--updates").unwrap_or(defaults.updates),
-            campaign_mutation: match flag_value::<String>(args, "--campaign-mutation").as_deref() {
-                Some("drop-job") => Some(CampaignMutation::DropJobOnDrain),
-                Some("skip-skew") => Some(CampaignMutation::SkipSkewSolve),
-                Some(other) => {
-                    eprintln!(
-                        "xcbc soak: unknown --campaign-mutation {other} \
-                         (expected drop-job or skip-skew)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                None => None,
-            },
-            elastic_mutation: match flag_value::<String>(args, "--elastic-mutation").as_deref() {
-                Some("drop-job") => Some(ElasticMutation::DropJobOnScaleDown),
-                Some("skip-scale-up") => Some(ElasticMutation::SkipScaleUp),
-                Some(other) => {
-                    eprintln!(
-                        "xcbc soak: unknown --elastic-mutation {other} \
-                         (expected drop-job or skip-scale-up)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                None => None,
-            },
-            svc_mutation: match flag_value::<String>(args, "--svc-mutation").as_deref() {
-                Some(text) => match SvcMutation::parse(text) {
-                    Ok(m) => Some(m),
-                    Err(e) => {
-                        eprintln!("xcbc soak: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => None,
-            },
-        },
-        mutate: args.iter().any(|a| a == "--mutate"),
-    };
-    if let Some(seed) = flag_value::<u64>(args, "--seed") {
+    let mut config = SoakConfig::default();
+    let mut seed = None;
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        let parsed = match flag.as_str() {
+            "--faults" => {
+                config.faults = true;
+                Ok(())
+            }
+            "--no-shrink" => {
+                config.shrink = false;
+                Ok(())
+            }
+            "--seeds" => value(flag, rest.next()).map(|v| config.seeds = v),
+            "--seed" => value(flag, rest.next()).map(|v| seed = Some(v)),
+            "--sites" => value(flag, rest.next()).map(|v| config.limits.sites = v),
+            "--fault-specs" => value(flag, rest.next()).map(|v| config.limits.fault_specs = v),
+            "--jobs" => value(flag, rest.next()).map(|v| config.limits.jobs = v),
+            "--updates" => value(flag, rest.next()).map(|v| config.limits.updates = v),
+            "--mutation" => value::<String>(flag, rest.next()).and_then(|name| {
+                config.limits.mutation = Some(Mutation::parse(&name).ok_or_else(|| {
+                    format!(
+                        "unknown --mutation {name:?} (expected one of {})",
+                        Mutation::ALL.map(Mutation::as_str).join(", ")
+                    )
+                })?);
+                Ok(())
+            }),
+            other => Err(format!("unknown flag {other:?} (try `xcbc help`)")),
+        };
+        if let Err(e) = parsed {
+            eprintln!("xcbc soak: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    if let Some(seed) = seed {
         config.start_seed = seed;
         config.seeds = 1;
     }
 
-    let mut suite = default_invariants();
-    if config.mutate {
-        suite.push(mutation_invariant());
-    }
-    let report = soak(&config, &suite);
+    let report = soak(&config, &invariants_for(config.limits.mutation));
     print!("{}", report.render());
     if report.passed() {
         ExitCode::SUCCESS
