@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::{HashSet, VecDeque};
 use xcbc_rpm::{Package, PackageBuilder, RpmDb};
-use xcbc_yum::{Repository, Solver, Yum, YumConfig};
+use xcbc_yum::{Repository, SolveRequest, Solver, Yum, YumConfig};
 
 /// Synthetic catalog: n packages, each requiring up to 3 earlier ones.
 fn synthetic_repo(n: usize) -> Repository {
@@ -49,9 +49,9 @@ fn bench_solver(c: &mut Criterion) {
         })
     });
 
-    // Before/after pair for the worklist refactor: `resolve_install`
-    // now carries `&Package` borrows through the closure and clones
-    // once into the Solution; the baseline below re-creates the old
+    // Before/after pair for the worklist refactor: `resolve` carries
+    // borrows of the repository's packages through the closure and
+    // shares them into the Solution; the baseline below re-creates the old
     // clone-into-the-queue algorithm on the same public API. Compare
     // `solver/xnit_catalog_resolve` against
     // `solver/xnit_catalog_resolve_cloning_baseline`.
@@ -63,9 +63,9 @@ fn bench_solver(c: &mut Criterion) {
             .iter()
             .map(|e| e.name.to_string())
             .collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let request = SolveRequest::install(names);
         let db = RpmDb::new();
-        b.iter(|| solver.resolve_install(&db, &refs).unwrap().len())
+        b.iter(|| solver.resolve(&db, &request).unwrap().len())
     });
 
     c.bench_function("solver/xnit_catalog_resolve_cloning_baseline", |b| {

@@ -7,6 +7,7 @@
 //! the reference install paths; the [`crate::compat`] checker compares a
 //! cluster against exactly this profile.
 
+use std::sync::OnceLock;
 use xcbc_rpm::{Package, PackageBuilder, PackageGroup};
 
 /// One catalog row.
@@ -1030,13 +1031,17 @@ pub fn entries_in(group: PackageGroup) -> Vec<&'static CatalogEntry> {
 /// XSEDE-compatible cluster must expose. This is the catalog minus the
 /// non-default scheduler alternatives — Table 2's scheduler row is
 /// "maui, torque"; SLURM and SGE are Table 1's "choose one" options and
-/// their absence does not break run-alike compatibility.
-pub fn xsede_reference() -> Vec<CatalogEntry> {
-    CATALOG
-        .iter()
-        .filter(|e| e.name != "slurm" && e.name != "gridengine")
-        .copied()
-        .collect()
+/// their absence does not break run-alike compatibility. Built once per
+/// process.
+pub fn xsede_reference() -> &'static [CatalogEntry] {
+    static REFERENCE: OnceLock<Vec<CatalogEntry>> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        CATALOG
+            .iter()
+            .filter(|e| e.name != "slurm" && e.name != "gridengine")
+            .copied()
+            .collect()
+    })
 }
 
 /// Look an entry up by name.

@@ -101,8 +101,7 @@ fn check_entry(db: &RpmDb, entry: &CatalogEntry) -> Vec<CompatIssue> {
     };
     let mut issues = Vec::new();
     let ref_version = Evr::parse(entry.version);
-    let installed_version = Evr::new(0, installed.package.evr().version.clone(), String::new());
-    if xcbc_rpm::rpmvercmp(&installed_version.version, &ref_version.version)
+    if xcbc_rpm::rpmvercmp(&installed.package.evr().version, &ref_version.version)
         != std::cmp::Ordering::Equal
     {
         issues.push(CompatIssue::WrongVersion {
@@ -125,7 +124,7 @@ fn check_entry(db: &RpmDb, entry: &CatalogEntry) -> Vec<CompatIssue> {
 
 /// Grade a host against the full XSEDE reference.
 pub fn check_compatibility(db: &RpmDb) -> CompatReport {
-    check_against(db, &xsede_reference())
+    check_against(db, xsede_reference())
 }
 
 /// Grade against an arbitrary subset of the reference (e.g. only the
@@ -245,8 +244,9 @@ mod tests {
                 .build(),
         );
         let subset: Vec<_> = xsede_reference()
-            .into_iter()
+            .iter()
             .filter(|e| e.name == "gcc")
+            .copied()
             .collect();
         let report = check_against(&db, &subset);
         assert!(report.is_compatible(), "{}", report.render());

@@ -273,9 +273,9 @@ pub fn deploy_xnit_overlay_salted(
 
     let mut preserved = true;
     let mut first = true;
+    // the first node's pre-install report, while it is still current
+    let mut first_compat: Option<CompatReport> = None;
     for (host, db) in node_dbs.iter_mut() {
-        let before: Vec<String> = db.names().iter().map(|s| s.to_string()).collect();
-
         let mut yum = Yum::new(YumConfig::default()).with_cache_salt(cache_salt);
         if let Some(cache) = &solve_cache {
             yum = yum.with_solve_cache(Arc::clone(cache));
@@ -283,19 +283,19 @@ pub fn deploy_xnit_overlay_salted(
         enable_xnit(&mut yum, db, method).map_err(SolveError::Transaction)?;
 
         // install everything the compat report says is missing
-        let missing: Vec<String> = check_compatibility(db)
-            .missing()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let refs: Vec<&str> = missing.iter().map(String::as_str).collect();
-        let tx_report = yum.install(db, &refs)?;
+        let compat = check_compatibility(db);
+        let tx_report = yum.install(db, &compat.missing())?;
 
         // §8's invariant: nothing pre-existing was removed
-        for name in &before {
-            if !db.is_installed(name) {
-                preserved = false;
-            }
+        if existing[host]
+            .names()
+            .iter()
+            .any(|name| !db.is_installed(name))
+        {
+            preserved = false;
+        }
+        if first && tx_report.executed.is_empty() {
+            first_compat = Some(compat);
         }
 
         let secs = 60.0 + tx_report.installed.len() as f64 * 2.0;
@@ -313,11 +313,14 @@ pub fn deploy_xnit_overlay_salted(
     admin_steps.push("yum install <missing packages> across nodes".to_string());
     admin_steps.push("verify with compat checker".to_string());
 
-    let compat = node_dbs
-        .values()
-        .next()
-        .map(check_compatibility)
-        .expect("at least one node");
+    // an unchanged first node keeps its pre-install report
+    let compat = first_compat.unwrap_or_else(|| {
+        node_dbs
+            .values()
+            .next()
+            .map(check_compatibility)
+            .expect("at least one node")
+    });
 
     Ok(DeploymentReport {
         path: DeploymentPath::XnitOverlay(method),

@@ -13,6 +13,7 @@
 //!    README".
 
 use crate::catalog::xcbc_catalog;
+use std::sync::OnceLock;
 use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb, TransactionSet};
 use xcbc_yum::{parse_repo_file, Repository, Yum, XSEDE_REPO_FILE};
 
@@ -70,18 +71,26 @@ pub fn yum_plugin_priorities() -> xcbc_rpm::Package {
         .build()
 }
 
-/// Build the XNIT repository: the full XCBC catalog plus the extras,
-/// plus the repo-RPM bootstrap packages, at the README's priority (50).
+/// The XNIT repository: the full XCBC catalog plus the extras, plus
+/// the repo-RPM bootstrap packages, at the README's priority (50).
+///
+/// Built once per process; each call returns a clone that shares the
+/// packages (see [`Repository`]), so enabling XNIT on another node
+/// copies no package payloads.
 pub fn xnit_repository() -> Repository {
-    let mut repo = Repository::new("xsede", "XSEDE National Integration Toolkit")
-        .with_baseurl("http://cb-repo.iu.xsede.org/xsederepo/")
-        .with_priority(50);
-    repo.gpgcheck = false; // matches the published repo file
-    repo.add_packages(xcbc_catalog());
-    repo.add_packages(xnit_extras());
-    repo.add_package(xsede_release_rpm());
-    repo.add_package(yum_plugin_priorities());
-    repo
+    static XNIT: OnceLock<Repository> = OnceLock::new();
+    XNIT.get_or_init(|| {
+        let mut repo = Repository::new("xsede", "XSEDE National Integration Toolkit")
+            .with_baseurl("http://cb-repo.iu.xsede.org/xsederepo/")
+            .with_priority(50);
+        repo.gpgcheck = false; // matches the published repo file
+        repo.add_packages(xcbc_catalog());
+        repo.add_packages(xnit_extras());
+        repo.add_package(xsede_release_rpm());
+        repo.add_package(yum_plugin_priorities());
+        repo
+    })
+    .clone()
 }
 
 /// How a site enables XNIT.

@@ -4,15 +4,24 @@
 //! queries everything else needs: by name, by capability
 //! (`whatprovides`), and by file path. Also implements `rpm -V`-style
 //! verification of database consistency.
+//!
+//! The database also carries its own content digest ([`RpmDb::digest`]),
+//! memoized so the solve cache can key on it once per database state
+//! instead of once per lookup.
 
 use crate::dep::Dependency;
+use crate::fnv::Fnv64;
 use crate::package::Package;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// An installed package plus install-time metadata.
+///
+/// The package is shared, usually with the repository it was installed
+/// from, so cloning a database copies pointers, not package payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstalledPackage {
-    pub package: Package,
+    pub package: Arc<Package>,
     /// Monotonic transaction id that installed this package.
     pub install_tid: u64,
 }
@@ -25,6 +34,18 @@ pub struct RpmDb {
     /// file path → owning package names.
     file_index: HashMap<String, Vec<String>>,
     next_tid: u64,
+    digest: DigestMemo,
+}
+
+/// The memoized [`RpmDb::digest`]. It is derived state, so `==` ignores
+/// it; a clone copies a warm value along with the contents it digests.
+#[derive(Debug, Clone, Default)]
+struct DigestMemo(OnceLock<u64>);
+
+impl PartialEq for DigestMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// A problem found by [`RpmDb::verify`].
@@ -142,9 +163,26 @@ impl RpmDb {
             .collect()
     }
 
+    /// 64-bit FNV-1a over every installed NEVRA in name order — the
+    /// database component of a solve-cache key. Computed on first use
+    /// and memoized until [`install`](Self::install),
+    /// [`erase`](Self::erase) or [`erase_exact`](Self::erase_exact)
+    /// changes the contents.
+    pub fn digest(&self) -> u64 {
+        *self.digest.0.get_or_init(|| {
+            let mut h = Fnv64::new();
+            for ip in self.iter() {
+                h.write_str(&ip.package.nevra.to_string());
+            }
+            h.finish()
+        })
+    }
+
     /// Low-level install (no dependency checking — that is the
     /// transaction layer's job). Returns the transaction id.
-    pub fn install(&mut self, package: Package) -> u64 {
+    pub fn install(&mut self, package: impl Into<Arc<Package>>) -> u64 {
+        let package = package.into();
+        self.digest = DigestMemo::default();
         self.next_tid += 1;
         let tid = self.next_tid;
         for f in &package.files {
@@ -167,6 +205,9 @@ impl RpmDb {
     /// packages (empty if the name was not installed).
     pub fn erase(&mut self, name: &str) -> Vec<InstalledPackage> {
         let removed = self.by_name.remove(name).unwrap_or_default();
+        if !removed.is_empty() {
+            self.digest = DigestMemo::default();
+        }
         for ip in &removed {
             for f in &ip.package.files {
                 if let Some(owners) = self.file_index.get_mut(f) {
@@ -186,6 +227,7 @@ impl RpmDb {
         let list = self.by_name.get_mut(name)?;
         let idx = list.iter().position(|ip| &ip.package.nevra.evr == evr)?;
         let removed = list.remove(idx);
+        self.digest = DigestMemo::default();
         let now_empty = list.is_empty();
         if now_empty {
             self.by_name.remove(name);

@@ -71,7 +71,7 @@ pub fn query_format(p: &Package, fmt: &str) -> String {
 pub fn query_file_owner<'a>(db: &'a RpmDb, path: &str) -> Option<&'a Package> {
     db.whatprovides(&crate::dep::Dependency::any(path))
         .first()
-        .map(|ip| &ip.package)
+        .map(|ip| &*ip.package)
 }
 
 #[cfg(test)]

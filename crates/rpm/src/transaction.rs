@@ -13,16 +13,19 @@ use crate::package::Package;
 use crate::scriptlet::ScriptletTrace;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use xcbc_fault::{FaultInjector, InjectionPoint};
 
-/// One element of a transaction set.
+/// One element of a transaction set. Packages are shared (see
+/// [`crate::InstalledPackage`]), so ordering a set and committing it
+/// copy no package payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransactionElement {
     /// Install a new package.
-    Install(Package),
+    Install(Arc<Package>),
     /// Upgrade: install `new`, erase older instances of the same name
     /// (and anything it Obsoletes).
-    Upgrade(Package),
+    Upgrade(Arc<Package>),
     /// Erase an installed package by name.
     Erase(String),
 }
@@ -165,13 +168,13 @@ impl TransactionSet {
         self.elements.len()
     }
 
-    pub fn add_install(&mut self, p: Package) -> &mut Self {
-        self.elements.push(TransactionElement::Install(p));
+    pub fn add_install(&mut self, p: impl Into<Arc<Package>>) -> &mut Self {
+        self.elements.push(TransactionElement::Install(p.into()));
         self
     }
 
-    pub fn add_upgrade(&mut self, p: Package) -> &mut Self {
-        self.elements.push(TransactionElement::Upgrade(p));
+    pub fn add_upgrade(&mut self, p: impl Into<Arc<Package>>) -> &mut Self {
+        self.elements.push(TransactionElement::Upgrade(p.into()));
         self
     }
 
@@ -188,7 +191,7 @@ impl TransactionSet {
         self.elements
             .iter()
             .filter_map(|e| match e {
-                TransactionElement::Install(p) | TransactionElement::Upgrade(p) => Some(p),
+                TransactionElement::Install(p) | TransactionElement::Upgrade(p) => Some(&**p),
                 TransactionElement::Erase(_) => None,
             })
             .collect()
@@ -438,7 +441,7 @@ impl TransactionSet {
                 }
                 match e {
                     TransactionElement::Install(p) | TransactionElement::Upgrade(p)
-                        if std::ptr::eq(p, target) =>
+                        if std::ptr::eq(&**p, target) =>
                     {
                         used[ei] = true;
                         out.push(e.clone());

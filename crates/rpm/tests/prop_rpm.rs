@@ -1,10 +1,21 @@
 //! Property-based tests for the RPM substrate: rpmvercmp is a total order,
-//! EVR ordering is consistent, and transactions preserve database
-//! invariants.
+//! EVR ordering is consistent, transactions preserve database
+//! invariants, and the memoized database digest never goes stale.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use xcbc_rpm::{rpmvercmp, Dependency, Evr, PackageBuilder, RpmDb, TransactionSet};
+use xcbc_rpm::{rpmvercmp, Dependency, Evr, Fnv64, PackageBuilder, RpmDb, TransactionSet};
+
+/// The database digest computed from scratch: FNV-1a over every
+/// installed NEVRA in name order. The oracle for the memoized
+/// [`RpmDb::digest`].
+fn digest_from_scratch(db: &RpmDb) -> u64 {
+    let mut h = Fnv64::new();
+    for ip in db.iter() {
+        h.write_str(&ip.package.nevra.to_string());
+    }
+    h.finish()
+}
 
 /// Version-string alphabet close to what real RPM versions use.
 fn version_strategy() -> impl Strategy<Value = String> {
@@ -146,6 +157,44 @@ proptest! {
                 let pd = pos[&format!("install n{dep}-1.0-1.x86_64")];
                 prop_assert!(pd < pi, "n{} must precede n{}", dep, i);
             }
+        }
+    }
+
+    /// Random sequences of `install`, `erase` and `erase_exact`: after
+    /// every step the memoized digest equals a from-scratch digest, a
+    /// clone taken before the memo was warmed compares equal to the
+    /// warmed original, and a clone taken before the step does not see
+    /// it.
+    #[test]
+    fn memoized_digest_tracks_every_mutation(
+        ops in proptest::collection::vec((0u8..3, 0usize..4, 0usize..3), 0..40),
+    ) {
+        let mut db = RpmDb::new();
+        prop_assert_eq!(db.digest(), digest_from_scratch(&db));
+        for (op, name, release) in ops {
+            let name = format!("n{name}");
+            let evr = Evr::new(0, "1.0".to_string(), format!("{release}"));
+            let before = db.clone();
+            let before_digest = digest_from_scratch(&db);
+            match op {
+                0 => {
+                    db.install(PackageBuilder::new(&name, "1.0", &format!("{release}")).build());
+                }
+                1 => {
+                    db.erase(&name);
+                }
+                _ => {
+                    db.erase_exact(&name, &evr);
+                }
+            }
+            prop_assert_eq!(digest_from_scratch(&before), before_digest);
+            prop_assert_eq!(before.digest(), before_digest);
+            let cold = db.clone();
+            prop_assert_eq!(db.digest(), digest_from_scratch(&db));
+            prop_assert!(cold == db, "a cold clone must equal the warmed original");
+            prop_assert_eq!(cold.digest(), db.digest());
+            // a clone of the warm original carries the same value
+            prop_assert_eq!(db.clone().digest(), digest_from_scratch(&db));
         }
     }
 }

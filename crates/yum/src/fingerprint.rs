@@ -11,58 +11,18 @@
 //! Repository fingerprints lean on the `revision` counter a repository
 //! bumps on every package add/remove (the repomd revision analog), so
 //! fingerprinting is O(#repos), not O(#packages). Database fingerprints
-//! walk the installed NEVRAs — `RpmDb` iterates in name order, so the
-//! digest is deterministic.
+//! digest the installed NEVRAs in `RpmDb`'s name order, so they are
+//! deterministic. `RpmDb` memoizes that digest ([`RpmDb::digest`]):
+//! the walk runs once per database state, and `install`, `erase` and
+//! `erase_exact` (every mutator, so every transaction) reset it. A
+//! cache key therefore costs O(#repos) plus, at most once between two
+//! mutations of a database, O(#installed).
 
 use crate::repo::Repository;
 use crate::YumConfig;
 use xcbc_rpm::RpmDb;
 
-/// 64-bit FNV-1a — tiny, dependency-free, and stable across platforms.
-/// Not cryptographic; collisions merely cause a (correct-by-replay)
-/// cache miss ambiguity that the deterministic solver tolerates.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-}
-
-impl Fnv64 {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Absorb a string, terminated so `("ab","c")` ≠ `("a","bc")`.
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        self.write(s.as_bytes()).write(&[0xff])
-    }
-
-    /// Absorb a little-endian u64.
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+pub use xcbc_rpm::Fnv64;
 
 /// Fingerprint of one repository's solver-visible identity: id,
 /// revision, enabledness, and priority. The revision counter stands in
@@ -92,29 +52,16 @@ pub fn repos_fingerprint(repos: &[Repository], config: &YumConfig) -> u64 {
 }
 
 /// Fingerprint of an installed-package database: every installed NEVRA
-/// in `RpmDb`'s deterministic name order.
+/// in `RpmDb`'s deterministic name order, read from the database's
+/// memoized [`RpmDb::digest`].
 pub fn db_fingerprint(db: &RpmDb) -> u64 {
-    let mut h = Fnv64::new();
-    for ip in db.iter() {
-        h.write_str(&ip.package.nevra.to_string());
-    }
-    h.finish()
+    db.digest()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xcbc_rpm::PackageBuilder;
-
-    #[test]
-    fn fnv_is_order_and_boundary_sensitive() {
-        let a = Fnv64::new().write_str("ab").write_str("c").finish();
-        let b = Fnv64::new().write_str("a").write_str("bc").finish();
-        assert_ne!(a, b);
-        let c = Fnv64::new().write_u64(1).write_u64(2).finish();
-        let d = Fnv64::new().write_u64(2).write_u64(1).finish();
-        assert_ne!(c, d);
-    }
 
     #[test]
     fn repo_fingerprint_tracks_revision() {

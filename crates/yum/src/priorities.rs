@@ -10,11 +10,12 @@
 
 use crate::repo::Repository;
 use std::collections::HashMap;
+use std::sync::Arc;
 use xcbc_rpm::Package;
 
 /// Apply the priorities rule across enabled repositories, returning the
 /// surviving `(repo, package)` candidates.
-pub fn apply_priorities<'a>(repos: &[&'a Repository]) -> Vec<(&'a Repository, &'a Package)> {
+pub fn apply_priorities<'a>(repos: &[&'a Repository]) -> Vec<(&'a Repository, &'a Arc<Package>)> {
     // name -> best (lowest) priority seen
     let mut best: HashMap<&str, u32> = HashMap::new();
     for repo in repos {

@@ -1,6 +1,12 @@
 //! A Yum repository: identity, state, and the packages it carries.
+//!
+//! Packages are held behind [`Arc`], so cloning a repository (attaching
+//! the shared XNIT repository to another engine, say) copies pointers,
+//! not Requires/Provides payloads, and a solver can hand the repository's
+//! own packages to a [`crate::Solution`] without copying them.
 
 use crate::metadata::RepoMetadata;
+use std::sync::Arc;
 use xcbc_rpm::{Dependency, Evr, Package};
 
 /// A package repository, e.g. `base`, `updates`, or the paper's `xsede`
@@ -21,7 +27,7 @@ pub struct Repository {
     pub gpgcheck: bool,
     /// Metadata revision, bumped on every package change (repomd revision).
     pub revision: u64,
-    packages: Vec<Package>,
+    packages: Vec<Arc<Package>>,
 }
 
 impl Repository {
@@ -59,7 +65,7 @@ impl Repository {
     /// Add one package (createrepo + upload, in real life).
     pub fn add_package(&mut self, p: Package) {
         self.revision += 1;
-        self.packages.push(p);
+        self.packages.push(Arc::new(p));
     }
 
     /// Add many packages.
@@ -84,13 +90,17 @@ impl Repository {
         self.packages.len()
     }
 
-    pub fn packages(&self) -> &[Package] {
+    pub fn packages(&self) -> &[Arc<Package>] {
         &self.packages
     }
 
     /// All candidates with the given name.
     pub fn by_name(&self, name: &str) -> Vec<&Package> {
-        self.packages.iter().filter(|p| p.name() == name).collect()
+        self.packages
+            .iter()
+            .filter(|p| p.name() == name)
+            .map(|p| &**p)
+            .collect()
     }
 
     /// Newest candidate with the given name.
@@ -105,11 +115,16 @@ impl Repository {
         self.packages
             .iter()
             .find(|p| p.name() == name && p.evr() == evr)
+            .map(|p| &**p)
     }
 
     /// Candidates satisfying a dependency (capability or file).
     pub fn whatprovides(&self, req: &Dependency) -> Vec<&Package> {
-        self.packages.iter().filter(|p| p.satisfies(req)).collect()
+        self.packages
+            .iter()
+            .filter(|p| p.satisfies(req))
+            .map(|p| &**p)
+            .collect()
     }
 
     /// Generate repo metadata (the `repodata/` a `createrepo` run makes).

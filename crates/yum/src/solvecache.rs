@@ -454,6 +454,31 @@ mod tests {
         let sol = cache.get_or_solve(&repos, &cfg, &db, &req).unwrap();
         assert_eq!(cache.stats().misses, 2, "db change must re-solve");
         assert_eq!(sol.installs.len(), 1, "openmpi now satisfied by db");
+
+        // erase returns the db to its first state: the memoized digest
+        // must follow, so the first entry answers (a stale digest would
+        // serve the one-install solution above)
+        db.erase("openmpi");
+        let sol = cache.get_or_solve(&repos, &cfg, &db, &req).unwrap();
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+        assert_eq!(sol.installs.len(), 2, "erase must reset the db digest");
+
+        // erase_exact back to {openmpi}: the second entry answers (a
+        // stale digest would serve the empty gromacs-installed solution)
+        db.install(PackageBuilder::new("openmpi", "1.6.5", "1").build());
+        db.install(PackageBuilder::new("gromacs", "4.6.5", "2").build());
+        assert!(cache
+            .get_or_solve(&repos, &cfg, &db, &req)
+            .unwrap()
+            .is_empty());
+        db.erase_exact("gromacs", &xcbc_rpm::Evr::parse("4.6.5-2"));
+        let sol = cache.get_or_solve(&repos, &cfg, &db, &req).unwrap();
+        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 3));
+        assert_eq!(
+            sol.installs.len(),
+            1,
+            "erase_exact must reset the db digest"
+        );
     }
 
     #[test]

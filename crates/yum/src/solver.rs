@@ -9,9 +9,8 @@
 //!
 //! Requests are described by the typed [`SolveRequest`] builder — one
 //! vocabulary shared by the install path, the update path, and the
-//! fleet-scale [`crate::SolveCache`]'s key normalization. The historical
-//! `resolve_install` / `resolve_update` entry points remain as thin
-//! wrappers over [`Solver::resolve`].
+//! fleet-scale [`crate::SolveCache`]'s key normalization —
+//! and [`Solver::resolve`] is the one entry point.
 
 use crate::fingerprint::Fnv64;
 use crate::groups::PackageGroupDef;
@@ -80,10 +79,9 @@ impl SolveKind {
 /// A typed depsolve request: what operation, against which targets,
 /// under which architecture filter.
 ///
-/// Replaces the stringly-typed `resolve_install(&db, &["a", "b"])` /
-/// `resolve_update(&db, None)` call shapes with one builder both paths
-/// share — and gives the solve cache a canonical value to normalize
-/// into a key ([`SolveRequest::digest`]).
+/// One builder the install and update paths share, which also gives
+/// the solve cache a canonical value to normalize into a key
+/// ([`SolveRequest::digest`]).
 ///
 /// ```
 /// use xcbc_yum::{SolveRequest, SolveKind};
@@ -216,10 +214,10 @@ impl SolveRequest {
 
 /// A resolved set of operations, ready to become a transaction.
 ///
-/// Packages are held behind [`Arc`] so a cached solution can be shared
-/// across fleet sites (and across threads) without deep-cloning the
-/// Requires/Provides payloads; the copies happen only when a site
-/// commits the solution into a transaction.
+/// Packages are the repository's own [`Arc`]s, so neither a solve, nor
+/// a cached solution shared across fleet sites (and across threads),
+/// nor the transaction and database it is committed to deep-clones the
+/// Requires/Provides payloads.
 #[derive(Debug, Clone, Default)]
 pub struct Solution {
     /// Packages to newly install, in closure-discovery order.
@@ -239,17 +237,15 @@ impl Solution {
         self.installs.len() + self.upgrades.len()
     }
 
-    /// Convert into a checked-later [`TransactionSet`]. Shared packages
-    /// are cloned out of their `Arc`s here — the single point where a
-    /// cache-shared solution pays for ownership.
+    /// Convert into a checked-later [`TransactionSet`]. The transaction
+    /// (and the database it commits to) shares the solution's packages.
     pub fn into_transaction(self) -> TransactionSet {
-        let unwrap = |p: Arc<Package>| Arc::try_unwrap(p).unwrap_or_else(|a| (*a).clone());
         let mut tx = TransactionSet::new();
         for p in self.upgrades {
-            tx.add_upgrade(unwrap(p));
+            tx.add_upgrade(p);
         }
         for p in self.installs {
-            tx.add_install(unwrap(p));
+            tx.add_install(p);
         }
         tx
     }
@@ -257,10 +253,10 @@ impl Solution {
 
 /// In-progress closure state shared by the install and update walks.
 struct Walk<'a> {
-    installs: Vec<&'a Package>,
-    upgrades: Vec<&'a Package>,
+    installs: Vec<&'a Arc<Package>>,
+    upgrades: Vec<&'a Arc<Package>>,
     chosen: HashSet<&'a str>, // names already in solution
-    queue: VecDeque<&'a Package>,
+    queue: VecDeque<&'a Arc<Package>>,
 }
 
 impl<'a> Walk<'a> {
@@ -273,26 +269,17 @@ impl<'a> Walk<'a> {
         }
     }
 
-    fn enqueue(&mut self, p: &'a Package) {
+    fn enqueue(&mut self, p: &'a Arc<Package>) {
         if self.chosen.insert(p.name()) {
             self.queue.push_back(p);
         }
     }
 
-    fn into_solution(self, db: &RpmDb) -> Solution {
+    fn into_solution(self) -> Solution {
         debug_assert!(self.queue.is_empty());
-        let _ = db;
         Solution {
-            installs: self
-                .installs
-                .into_iter()
-                .map(|p| Arc::new(p.clone()))
-                .collect(),
-            upgrades: self
-                .upgrades
-                .into_iter()
-                .map(|p| Arc::new(p.clone()))
-                .collect(),
+            installs: self.installs.into_iter().map(Arc::clone).collect(),
+            upgrades: self.upgrades.into_iter().map(Arc::clone).collect(),
         }
     }
 }
@@ -300,7 +287,7 @@ impl<'a> Walk<'a> {
 /// A solver view over a repository set.
 pub struct Solver<'a> {
     /// (repo, package) pairs surviving priority filtering.
-    candidates: Vec<(&'a Repository, &'a Package)>,
+    candidates: Vec<(&'a Repository, &'a Arc<Package>)>,
     config: &'a YumConfig,
 }
 
@@ -332,8 +319,8 @@ impl<'a> Solver<'a> {
     /// plugin is active) → arch preference → EVR → name.
     fn better(
         &self,
-        (ra, pa): (&'a Repository, &'a Package),
-        (rb, pb): (&'a Repository, &'a Package),
+        (ra, pa): (&'a Repository, &'a Arc<Package>),
+        (rb, pb): (&'a Repository, &'a Arc<Package>),
     ) -> std::cmp::Ordering {
         let prio = if self.config.plugin_priorities {
             rb.priority.cmp(&ra.priority) // lower priority value = better
@@ -352,21 +339,25 @@ impl<'a> Solver<'a> {
     fn visible(
         &self,
         arch: Option<Arch>,
-    ) -> impl Iterator<Item = (&'a Repository, &'a Package)> + '_ {
+    ) -> impl Iterator<Item = (&'a Repository, &'a Arc<Package>)> + '_ {
         self.candidates
             .iter()
             .filter(move |(_, p)| arch.is_none_or(|a| p.arch().installable_on(a)))
             .copied()
     }
 
-    fn best_provider_filtered(&self, req: &Dependency, arch: Option<Arch>) -> Option<&'a Package> {
+    fn best_provider_filtered(
+        &self,
+        req: &Dependency,
+        arch: Option<Arch>,
+    ) -> Option<&'a Arc<Package>> {
         self.visible(arch)
             .filter(|(_, p)| p.satisfies(req))
             .max_by(|a, b| self.better(*a, *b))
             .map(|(_, p)| p)
     }
 
-    fn best_by_name_filtered(&self, name: &str, arch: Option<Arch>) -> Option<&'a Package> {
+    fn best_by_name_filtered(&self, name: &str, arch: Option<Arch>) -> Option<&'a Arc<Package>> {
         self.visible(arch)
             .filter(|(_, p)| p.name() == name)
             .max_by(|a, b| self.better(*a, *b))
@@ -376,22 +367,22 @@ impl<'a> Solver<'a> {
 
     /// Best visible candidate satisfying `req`.
     pub fn best_provider(&self, req: &Dependency) -> Option<&'a Package> {
-        self.best_provider_filtered(req, None)
+        self.best_provider_filtered(req, None).map(|p| &**p)
     }
 
     /// Best visible candidate *by package name* (for direct requests and
     /// update targets). A name request matches real names first; if no
     /// package has that name, yum falls back to `whatprovides`.
     pub fn best_by_name(&self, name: &str) -> Option<&'a Package> {
-        self.best_by_name_filtered(name, None)
+        self.best_by_name_filtered(name, None).map(|p| &**p)
     }
 
     /// Resolve a typed [`SolveRequest`] against `db`.
     ///
-    /// The worklist and in-progress solution hold `&Package` borrows of
-    /// the repository candidates — packages (whose Requires/Provides
-    /// vectors make cloning expensive) are copied exactly once, into the
-    /// returned [`Solution`]'s `Arc`s.
+    /// The worklist and in-progress solution borrow the repository
+    /// candidates, and the returned [`Solution`] shares their `Arc`s:
+    /// no package (whose Requires/Provides vectors make cloning
+    /// expensive) is copied.
     pub fn resolve(&self, db: &RpmDb, request: &SolveRequest) -> Result<Solution, SolveError> {
         xcbc_sim::self_profiler().time(xcbc_sim::SECTION_DEPSOLVE, || {
             let req = request.normalized();
@@ -401,7 +392,7 @@ impl<'a> Solver<'a> {
                 SolveKind::Update | SolveKind::UpdateAll => self.seed_update(db, &req, &mut walk),
             }
             self.drain(db, &mut walk, req.arch)?;
-            Ok(walk.into_solution(db))
+            Ok(walk.into_solution())
         })
     }
 
@@ -500,27 +491,6 @@ impl<'a> Solver<'a> {
         }
         Ok(())
     }
-
-    /// Resolve `yum install <names...>` — compatibility wrapper over
-    /// [`Solver::resolve`] with [`SolveRequest::install`].
-    pub fn resolve_install(&self, db: &RpmDb, names: &[&str]) -> Result<Solution, SolveError> {
-        self.resolve(db, &SolveRequest::install(names.iter().copied()))
-    }
-
-    /// Resolve `yum update [names...]` — compatibility wrapper over
-    /// [`Solver::resolve`] with [`SolveRequest::update`] /
-    /// [`SolveRequest::update_all`].
-    pub fn resolve_update(
-        &self,
-        db: &RpmDb,
-        names: Option<&[&str]>,
-    ) -> Result<Solution, SolveError> {
-        let req = match names {
-            Some(ns) => SolveRequest::update(ns.iter().copied()),
-            None => SolveRequest::update_all(),
-        };
-        self.resolve(db, &req)
-    }
 }
 
 #[cfg(test)]
@@ -552,7 +522,9 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let sol = solver.resolve_install(&db, &["trinity"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["trinity"]))
+            .unwrap();
         assert_eq!(sol.installs.len(), 3);
     }
 
@@ -568,7 +540,9 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("openmpi", "1.6.5", "1").build());
-        let sol = solver.resolve_install(&db, &["gromacs"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["gromacs"]))
+            .unwrap();
         assert_eq!(sol.installs.len(), 1);
         assert_eq!(sol.installs[0].name(), "gromacs");
     }
@@ -581,7 +555,9 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let err = solver.resolve_install(&db, &["meep"]).unwrap_err();
+        let err = solver
+            .resolve(&db, &SolveRequest::install(["meep"]))
+            .unwrap_err();
         match err {
             SolveError::NothingProvides { what, needed_by } => {
                 assert_eq!(what, "libctl");
@@ -686,7 +662,9 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let sol = solver.resolve_install(&db, &["app"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["app"]))
+            .unwrap();
         let names: Vec<_> = sol.installs.iter().map(|p| p.name()).collect();
         assert!(
             names.contains(&"openmpi"),
@@ -707,7 +685,7 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("R", "3.0.2", "1").build());
-        let sol = solver.resolve_update(&db, None).unwrap();
+        let sol = solver.resolve(&db, &SolveRequest::update_all()).unwrap();
         assert_eq!(sol.upgrades.len(), 1);
         assert_eq!(sol.installs.len(), 1);
         assert_eq!(sol.installs[0].name(), "libRmath");
@@ -722,7 +700,7 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("pbs", "2.3.16", "1").build());
-        let sol = solver.resolve_update(&db, None).unwrap();
+        let sol = solver.resolve(&db, &SolveRequest::update_all()).unwrap();
         assert_eq!(sol.installs.len(), 1);
         assert_eq!(sol.installs[0].name(), "torque");
 
@@ -731,7 +709,7 @@ mod tests {
             ..config()
         };
         let solver2 = Solver::new(&repos, &cfg_no);
-        let sol2 = solver2.resolve_update(&db, None).unwrap();
+        let sol2 = solver2.resolve(&db, &SolveRequest::update_all()).unwrap();
         assert!(sol2.is_empty());
     }
 
@@ -742,7 +720,9 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("gcc", "4.4.7", "17").build());
-        let sol = solver.resolve_install(&db, &["gcc"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["gcc"]))
+            .unwrap();
         assert!(sol.is_empty());
     }
 
@@ -764,32 +744,10 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let sol = solver.resolve_install(&db, &["top"]).unwrap();
-        assert_eq!(sol.installs.len(), 4, "base must appear exactly once");
-    }
-
-    #[test]
-    fn typed_request_matches_wrapper() {
-        let repos = one_repo(vec![
-            PackageBuilder::new("trinity", "r2013", "1")
-                .requires_simple("bowtie")
-                .build(),
-            PackageBuilder::new("bowtie", "1.0.0", "1").build(),
-        ]);
-        let cfg = config();
-        let solver = Solver::new(&repos, &cfg);
-        let db = RpmDb::new();
-        let via_wrapper = solver.resolve_install(&db, &["trinity"]).unwrap();
-        let via_request = solver
-            .resolve(&db, &SolveRequest::install(["trinity"]))
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["top"]))
             .unwrap();
-        let names = |s: &Solution| {
-            s.installs
-                .iter()
-                .map(|p| p.nevra.to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(names(&via_wrapper), names(&via_request));
+        assert_eq!(sol.installs.len(), 4, "base must appear exactly once");
     }
 
     #[test]

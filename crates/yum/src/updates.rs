@@ -60,6 +60,7 @@ pub fn check_update(repos: &[Repository], config: &YumConfig, db: &RpmDb) -> Vec
     // best candidate per name
     let mut best: HashMap<&str, (&Repository, &xcbc_rpm::Package)> = HashMap::new();
     for (repo, p) in candidates {
+        let p: &xcbc_rpm::Package = p;
         if !p.arch().installable_on(config.host_arch) {
             continue;
         }

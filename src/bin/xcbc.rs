@@ -533,6 +533,14 @@ fn mon(scenario: &str, faults: Option<&str>, format: MonFormat) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The value after `flag`, parsed: a missing or malformed value is an
+/// error naming the flag. Shared by the strict `soak` and `svc` parsers.
+fn value<T: std::str::FromStr>(flag: &str, text: Option<&String>) -> Result<T, String> {
+    let text = text.ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got {text:?}"))
+}
+
 /// `xcbc soak`: run seeded random scenarios through the whole stack and
 /// check every cross-crate invariant. Exit code is the CI gate; on
 /// violation the report ends with the exact command that replays the
@@ -540,12 +548,6 @@ fn mon(scenario: &str, faults: Option<&str>, format: MonFormat) -> ExitCode {
 fn soak_cmd(args: &[String]) -> ExitCode {
     use xcbc::check::{invariants_for, soak, SoakConfig};
     use xcbc::fault::Mutation;
-
-    fn value<T: std::str::FromStr>(flag: &str, text: Option<&String>) -> Result<T, String> {
-        let text = text.ok_or_else(|| format!("{flag} needs a value"))?;
-        text.parse()
-            .map_err(|_| format!("{flag} expects a non-negative integer, got {text:?}"))
-    }
 
     let mut config = SoakConfig::default();
     let mut seed = None;
@@ -603,21 +605,43 @@ fn svc_cmd(args: &[String]) -> ExitCode {
     use xcbc::sim::MetricRegistry;
     use xcbc::svc::{replay, serve, Disposition, SvcWorkload};
 
-    fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
+    fn positive(flag: &str, text: Option<&String>) -> Result<usize, String> {
+        match value(flag, text)? {
+            0 => Err(format!("{flag} must be at least 1")),
+            v => Ok(v),
+        }
     }
 
-    let workload = SvcWorkload {
-        tenants: flag_value(args, "--tenants").unwrap_or(3),
-        requests: flag_value(args, "--requests").unwrap_or(32),
-        seed: flag_value(args, "--seed").unwrap_or(0),
+    let mut workload = SvcWorkload {
+        tenants: 3,
+        requests: 32,
+        seed: 0,
         ..SvcWorkload::default()
     };
-    let mut config = workload.config(flag_value(args, "--workers").unwrap_or(4));
-    if let Some(shards) = flag_value(args, "--shards") {
+    let (mut workers, mut shards) = (4, None);
+    let (mut journal, mut prom) = (None::<String>, false);
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        let parsed = match flag.as_str() {
+            "--prom" => {
+                prom = true;
+                Ok(())
+            }
+            "--tenants" => positive(flag, rest.next()).map(|v| workload.tenants = v),
+            "--workers" => positive(flag, rest.next()).map(|v| workers = v),
+            "--shards" => positive(flag, rest.next()).map(|v| shards = Some(v)),
+            "--requests" => value(flag, rest.next()).map(|v| workload.requests = v),
+            "--seed" => value(flag, rest.next()).map(|v| workload.seed = v),
+            "--journal" => value(flag, rest.next()).map(|v| journal = Some(v)),
+            other => Err(format!("unknown flag {other:?} (try `xcbc help`)")),
+        };
+        if let Err(e) = parsed {
+            eprintln!("xcbc svc: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut config = workload.config(workers);
+    if let Some(shards) = shards {
         config.shards = shards;
     }
 
@@ -648,14 +672,14 @@ fn svc_cmd(args: &[String]) -> ExitCode {
     println!();
     print!("{}", report.summary());
 
-    if args.iter().any(|a| a == "--prom") {
+    if prom {
         let mut registry = MetricRegistry::new();
         report.register_metrics(&mut registry);
         println!();
         print!("{}", registry.render_prometheus());
     }
 
-    if let Some(path) = flag_value::<String>(args, "--journal") {
+    if let Some(path) = journal {
         if let Err(e) = std::fs::write(&path, &report.journal_text) {
             eprintln!("xcbc svc: cannot write journal {path}: {e}");
             return ExitCode::FAILURE;

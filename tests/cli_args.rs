@@ -118,3 +118,28 @@ fn linpack_rejects_a_non_positive_or_non_numeric_n() {
         );
     }
 }
+
+#[test]
+fn svc_rejects_unknown_flags_and_malformed_values() {
+    assert_rejected(&xcbc(&["svc", "--bogus"]), &["unknown flag", "\"--bogus\""]);
+    assert_rejected(
+        &xcbc(&["svc", "--tenants=3"]),
+        &["unknown flag", "--tenants=3"],
+    );
+    assert_rejected(
+        &xcbc(&["svc", "--tenants", "abc"]),
+        &["--tenants", "\"abc\""],
+    );
+    assert_rejected(&xcbc(&["svc", "--seed", "-1"]), &["--seed", "\"-1\""]);
+    assert_rejected(&xcbc(&["svc", "--requests"]), &["--requests needs a value"]);
+}
+
+#[test]
+fn svc_rejects_a_zero_tenant_worker_or_shard_count() {
+    for flag in ["--tenants", "--workers", "--shards"] {
+        assert_rejected(
+            &xcbc(&["svc", flag, "0"]),
+            &[&format!("{flag} must be at least 1")],
+        );
+    }
+}
