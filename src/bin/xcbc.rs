@@ -2,38 +2,43 @@
 //!
 //! ```text
 //! xcbc tables              regenerate every paper table + figures
-//! xcbc deploy <target>     simulate a deployment (littlefe | limulus | both)
-//!       [--faults "<plan>"]  inject faults, e.g. "seed=42; node.boot key=compute-0-2"
+//! xcbc deploy [target]     simulate a deployment (littlefe | limulus | both,
+//!       [--faults "<plan>"]  default both); --faults injects faults, e.g.
+//!                            "seed=42; node.boot key=compute-0-2"
 //!                            (littlefe path only: limulus rejects --faults)
-//! xcbc lab <student>       run the training curriculum and print the grade sheet
+//! xcbc lab [student]       run the training curriculum and print the grade sheet
 //! xcbc linpack [n]         run a real HPL point on this machine (n > 0, default 512)
 //! xcbc fleet               deploy the Table 3 fleet concurrently
 //!       [--threads N]        worker threads (default 4)
-//!       [--jsonl]            emit the merged fleet trace as JSONL
-//!       [--table]            just print the static Table 3 registry
+//!       [--jsonl|--table]    emit the merged fleet trace as JSONL, or just
+//!                            print the static Table 3 registry
 //! xcbc compat              demo the compatibility checker on a bare cluster
-//! xcbc trace <scenario>    merged event trace of a whole deployment day
+//! xcbc trace [scenario]    merged event trace of a whole deployment day
 //!       [--faults "<plan>"]  on one simulated timebase (scenario: littlefe)
 //!       [--jsonl]            emit the raw deterministic JSONL log instead
-//! xcbc trace analyze <scenario>  causal analysis of the same trace: the
+//! xcbc trace analyze [scenario]  causal analysis of the same trace: the
 //!       [--faults "<plan>"]  critical path bounding the simulated makespan
 //!       [--folded|--top N]   plus ASCII flame lanes — or folded stacks /
 //!                            the top-N self-time frames
-//! xcbc mon <scenario>      gmond/gmetad telemetry dashboard over the same
+//! xcbc mon [scenario]      gmond/gmetad telemetry dashboard over the same
 //!       [--faults "<plan>"]  deployment day: sparkline rings, alerts,
-//!       [--prom|--xml|--jsonl]  span-latency table — or machine exposition
-//!       [--self]             (scenario: littlefe | elastic); --self prints
-//!                            the engine's own wall-clock hot-path profile
-//! xcbc soak --seeds N      chaos-soak: run N seeded random scenarios through
-//!       [--seed S]           the whole stack and check every cross-crate
+//!       [--prom|--xml|--jsonl|--self]  span-latency table — or machine
+//!                            exposition (scenario: littlefe | elastic);
+//!                            --self prints the engine's own wall-clock
+//!                            hot-path profile
+//! xcbc soak                chaos-soak: run seeded random scenarios through
+//!       [--seeds N] [--seed S]  the whole stack and check every cross-crate
 //!       [--faults]           invariant; violations shrink to a minimal seed
 //!       [--no-shrink]        with an exact repro command. --sites/--fault-specs/
-//!       [--mutation NAME]    --jobs/--updates bound (and replay) scenario size;
-//!                            --mutation plants a named defect (self-test):
-//!                            campaign.drop-job | campaign.skip-skew |
-//!                            elastic.drop-job | elastic.skip-scale-up |
-//!                            svc.drop-journal-entry | svc.leak-quota |
-//!                            soak.no-timeouts. Unknown flags exit 1
+//!       [--sites N] [--fault-specs N]  --jobs/--updates bound (and replay)
+//!       [--jobs N] [--updates N]  scenario size; --mutation plants a named
+//!       [--mutation NAME]    defect (self-test): campaign.drop-job |
+//!                            campaign.skip-skew | elastic.drop-job |
+//!                            elastic.skip-scale-up | svc.drop-journal-entry |
+//!                            svc.leak-quota | soak.no-timeouts
+//! xcbc campaign            drained, canaried rolling update of a live fleet
+//!       [--nodes N] [--canary N] [--waves N] [--threads N]
+//!       [--rollback] [--resume] [--faults "<plan>"] [--jsonl]
 //! xcbc elastic             elastic fleet demo: the power-aware autoscaler
 //!       [--min N] [--max N]  grows a bursty fleet from its floor to its
 //!       [--ticks N]          ceiling and back, burst sites join mid-run
@@ -44,8 +49,9 @@
 //!       [--workers N]        deploys and monitoring reads over sharded
 //!       [--requests N]       tenant-salted caches; prints the run summary,
 //!       [--seed S]           verifies the journal by single-threaded
-//!       [--journal FILE]     replay, and (with --journal) writes the
-//!       [--prom]             journal for `xcbcd --replay`
+//!       [--shards N]         replay, and (with --journal) writes the
+//!       [--journal FILE]     journal for `xcbcd --replay`
+//!       [--prom]
 //! xcbc exp                 sweep the open-loop workload engine over a
 //!       [--spec S]           frontend x policy x load x seed grid on a
 //!       [--policies a,b]     worker pool; per-variant JSONL, aggregated
@@ -55,11 +61,20 @@
 //!       [--jobs N]           re-runs at any --workers count.
 //!       [--nodes N] [--cores N] [--workers N] [--out DIR] [--name NAME]
 //! ```
+//!
+//! Every command is strict: an unknown flag, a stray argument, a flag
+//! missing its value or a malformed value exits 1 with a message before
+//! anything runs. Counts (`--tenants`, `--workers`, `--shards`, `--nodes`,
+//! `--cores`, `--seeds` on exp, `--min`) must be at least 1, and at most
+//! one output selector may be given. On every command but `soak` (where
+//! it is a switch) `--faults` takes a plan; on trace, trace analyze, mon,
+//! campaign and elastic a bare `--faults` means the default seed-42 plan.
 
 use std::collections::BTreeMap;
 use std::env;
 use std::process::ExitCode;
 
+use xcbc::cli::{svc_args, Args};
 use xcbc::cluster::default_alert_rules;
 use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified};
 use xcbc::core::deploy::{
@@ -68,7 +83,7 @@ use xcbc::core::deploy::{
 use xcbc::core::fleet::{Fleet, FleetSite};
 use xcbc::core::mon::monitor_run;
 use xcbc::core::report;
-use xcbc::core::scenario::littlefe_day_one;
+use xcbc::core::scenario::{littlefe_day_one, DayOneRun};
 use xcbc::core::sites::{deployed_sites, AdoptionPath};
 use xcbc::core::training::{littlefe_curriculum, LabSession};
 use xcbc::core::XnitSetupMethod;
@@ -77,116 +92,155 @@ use xcbc::rocks::{InstallErrorKind, ResilienceConfig};
 use xcbc::sim::{events_to_jsonl, MetricsSink, SimTime, TraceKind, TraceSink};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
+    let argv: Vec<String> = env::args().skip(1).collect();
+    let (cmd, rest) = match argv.as_slice() {
+        [] => ("help", &argv[..]),
+        [trace, analyze, rest @ ..] if trace == "trace" && analyze == "analyze" => {
+            ("trace analyze", rest)
+        }
+        [cmd, rest @ ..] => (cmd.as_str(), rest),
+    };
+    match run(cmd, Args::new("xcbc help", rest.to_vec())) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("xcbc {cmd}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Read `cmd`'s arguments, rejecting any it does not take, then run it.
+fn run(cmd: &str, mut args: Args) -> Result<ExitCode, String> {
     match cmd {
-        "tables" => tables(),
+        "tables" => {
+            args.finish()?;
+            Ok(tables())
+        }
         "deploy" => {
-            let target = match args.get(1).map(String::as_str) {
-                None | Some("--faults") => "both",
-                Some(t) => t,
-            };
-            let faults = args
-                .iter()
-                .position(|a| a == "--faults")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            deploy(target, faults)
+            let faults = args.value::<String>("--faults")?;
+            let target = args.positional().unwrap_or_else(|| "both".into());
+            args.finish()?;
+            deploy(&target, faults.as_deref())
         }
-        "lab" => lab(args.get(1).map(String::as_str).unwrap_or("student")),
-        "linpack" => match args.get(1).map(|s| (s, s.parse::<usize>())) {
-            None => linpack(512),
-            Some((_, Ok(n))) if n > 0 => linpack(n),
-            Some((text, _)) => {
-                eprintln!("xcbc linpack: N must be a positive integer, got {text:?}");
-                ExitCode::FAILURE
-            }
-        },
+        "lab" => {
+            let student = args.positional().unwrap_or_else(|| "student".into());
+            args.finish()?;
+            Ok(lab(&student))
+        }
+        "linpack" => {
+            let n = match args.positional() {
+                None => 512,
+                Some(text) => text
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("N must be a positive integer, got {text:?}"))?,
+            };
+            args.finish()?;
+            Ok(linpack(n))
+        }
         "fleet" => {
-            if args.iter().any(|a| a == "--table") {
+            args.exclusive(&["--jsonl", "--table"])?;
+            let jsonl = args.flag("--jsonl");
+            let table = args.flag("--table");
+            let threads = args.value("--threads")?.unwrap_or(4);
+            args.finish()?;
+            if table {
                 print!("{}", report::render_table3());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            let threads = args
-                .iter()
-                .position(|a| a == "--threads")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(4);
-            let jsonl = args.iter().any(|a| a == "--jsonl");
-            fleet_deploy(threads, jsonl)
+            Ok(fleet_deploy(threads, jsonl))
         }
-        "compat" => compat(),
+        "compat" => {
+            args.finish()?;
+            Ok(compat())
+        }
         "trace" => {
-            if args.get(1).map(String::as_str) == Some("analyze") {
-                let scenario = match args.get(2).map(String::as_str) {
-                    Some(s) if !s.starts_with("--") => s,
-                    _ => "littlefe",
-                };
-                let faults = args
-                    .iter()
-                    .position(|a| a == "--faults")
-                    .and_then(|i| args.get(i + 1))
-                    .map(String::as_str)
-                    .filter(|s| !s.starts_with("--"));
-                let folded = args.iter().any(|a| a == "--folded");
-                let top = args
-                    .iter()
-                    .position(|a| a == "--top")
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|s| s.parse().ok());
-                return trace_analyze(scenario, faults, folded, top);
-            }
-            let scenario = match args.get(1).map(String::as_str) {
-                None | Some("--faults") | Some("--jsonl") => "littlefe",
-                Some(s) => s,
-            };
-            let faults = args
-                .iter()
-                .position(|a| a == "--faults")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            let jsonl = args.iter().any(|a| a == "--jsonl");
-            trace(scenario, faults, jsonl)
+            let plan = fault_plan(&mut args)?;
+            let jsonl = args.flag("--jsonl");
+            let scenario = scenario(&mut args, &["littlefe"])?;
+            args.finish()?;
+            trace(&scenario, &plan, jsonl)
+        }
+        "trace analyze" => {
+            args.exclusive(&["--folded", "--top"])?;
+            let plan = fault_plan(&mut args)?;
+            let folded = args.flag("--folded");
+            let top = args.value("--top")?;
+            let scenario = scenario(&mut args, &["littlefe"])?;
+            args.finish()?;
+            trace_analyze(&scenario, &plan, folded, top)
         }
         "mon" => {
-            let scenario = match args.get(1).map(String::as_str) {
-                Some(s) if !s.starts_with("--") => s,
-                _ => "littlefe",
-            };
-            let faults = args
-                .iter()
-                .position(|a| a == "--faults")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            let format = if args.iter().any(|a| a == "--prom") {
-                MonFormat::Prometheus
-            } else if args.iter().any(|a| a == "--xml") {
-                MonFormat::GangliaXml
-            } else if args.iter().any(|a| a == "--jsonl") {
-                MonFormat::Jsonl
-            } else if args.iter().any(|a| a == "--self") {
-                MonFormat::SelfProfile
-            } else {
-                MonFormat::Dashboard
-            };
-            mon(scenario, faults, format)
+            let formats = [
+                ("--prom", MonFormat::Prometheus),
+                ("--xml", MonFormat::GangliaXml),
+                ("--jsonl", MonFormat::Jsonl),
+                ("--self", MonFormat::SelfProfile),
+            ];
+            args.exclusive(&formats.map(|(flag, _)| flag))?;
+            let plan = fault_plan(&mut args)?;
+            let format = formats
+                .into_iter()
+                .find(|(flag, _)| args.flag(flag))
+                .map_or(MonFormat::Dashboard, |(_, format)| format);
+            let scenario = scenario(&mut args, &["littlefe", "elastic"])?;
+            args.finish()?;
+            mon(&scenario, &plan, format)
         }
-        "soak" => soak_cmd(&args),
-        "campaign" => campaign_cmd(&args),
-        "elastic" => elastic_cmd(&args),
-        "exp" => exp_cmd(&args),
-        "svc" => svc_cmd(&args),
+        "soak" => soak_cmd(args),
+        "campaign" => campaign_cmd(args),
+        "elastic" => elastic_cmd(args),
+        "exp" => exp_cmd(args),
+        "svc" => svc_cmd(args),
         "help" | "--help" | "-h" => {
+            args.finish()?;
             eprintln!(
-                "usage: xcbc <tables|deploy [littlefe|limulus|both] [--faults \"<plan>\"]|lab [name]|linpack [n]|fleet [--threads N] [--jsonl] [--table]|compat|trace [littlefe] [--faults \"<plan>\"] [--jsonl]|trace analyze [littlefe] [--faults \"<plan>\"] [--folded|--top N]|mon [littlefe|elastic] [--faults \"<plan>\"] [--prom|--xml|--jsonl|--self]|soak [--seeds N] [--seed S] [--faults] [--no-shrink] [--sites N] [--fault-specs N] [--jobs N] [--updates N] [--mutation campaign.drop-job|campaign.skip-skew|elastic.drop-job|elastic.skip-scale-up|svc.drop-journal-entry|svc.leak-quota|soak.no-timeouts]|campaign [--nodes N] [--canary N] [--waves N] [--threads N] [--rollback] [--resume] [--faults \"<plan>\"] [--jsonl]|elastic [--min N] [--max N] [--ticks N] [--faults \"<plan>\"] [--resume] [--jsonl]|exp [--spec teaching-lab|campus-research|heavy-tail] [--policies fifo,easy,maui] [--rms torque,slurm,sge] [--loads 1.0,2.0] [--seeds N] [--jobs N] [--nodes N] [--cores N] [--workers N] [--out DIR] [--name NAME]|svc [--tenants N] [--workers N] [--requests N] [--seed S] [--shards N] [--journal FILE] [--prom]>"
+                "usage: xcbc <tables|deploy [littlefe|limulus|both] [--faults \"<plan>\"]|lab [name]|linpack [n]|fleet [--threads N] [--jsonl|--table]|compat|trace [littlefe] [--faults \"<plan>\"] [--jsonl]|trace analyze [littlefe] [--faults \"<plan>\"] [--folded|--top N]|mon [littlefe|elastic] [--faults \"<plan>\"] [--prom|--xml|--jsonl|--self]|soak [--seeds N] [--seed S] [--faults] [--no-shrink] [--sites N] [--fault-specs N] [--jobs N] [--updates N] [--mutation campaign.drop-job|campaign.skip-skew|elastic.drop-job|elastic.skip-scale-up|svc.drop-journal-entry|svc.leak-quota|soak.no-timeouts]|campaign [--nodes N] [--canary N] [--waves N] [--threads N] [--rollback] [--resume] [--faults \"<plan>\"] [--jsonl]|elastic [--min N] [--max N] [--ticks N] [--faults \"<plan>\"] [--resume] [--jsonl]|exp [--spec teaching-lab|campus-research|heavy-tail] [--policies fifo,easy,maui] [--rms torque,slurm,sge] [--loads 1.0,2.0] [--seeds N] [--jobs N] [--nodes N] [--cores N] [--workers N] [--out DIR] [--name NAME]|svc [--tenants N] [--workers N] [--requests N] [--seed S] [--shards N] [--journal FILE] [--prom]>\n\
+                 Every command rejects an unknown flag or a stray argument. On trace, trace analyze, mon, campaign and elastic a bare --faults means the default seed-42 plan."
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         other => {
             eprintln!("xcbc: unknown command {other:?} (try `xcbc help`)");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
+    }
+}
+
+/// Exit 0 when `ok`, else 1.
+fn status(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The optional scenario positional, defaulting to the first `known` one.
+fn scenario(args: &mut Args, known: &[&str]) -> Result<String, String> {
+    let scenario = args.positional().unwrap_or_else(|| known[0].to_string());
+    if known.contains(&scenario.as_str()) {
+        return Ok(scenario);
+    }
+    let known: Vec<String> = known.iter().map(|k| format!("`{k}`")).collect();
+    Err(format!(
+        "unknown scenario {scenario:?} (try {})",
+        known.join(" or ")
+    ))
+}
+
+fn parse_plan(dsl: &str) -> Result<FaultPlan, String> {
+    FaultPlan::parse(dsl).map_err(|e| format!("bad fault plan: {e}"))
+}
+
+/// `--faults "<plan>"` on trace, trace analyze, mon, campaign and
+/// elastic: absent or bare, the default seed-42 plan.
+fn fault_plan(args: &mut Args) -> Result<FaultPlan, String> {
+    args.bare("--faults");
+    match args.value::<String>("--faults")? {
+        Some(dsl) => parse_plan(&dsl),
+        None => Ok(FaultPlan::new(42)),
     }
 }
 
@@ -220,11 +274,7 @@ fn fleet_deploy(threads: usize, jsonl: bool) -> ExitCode {
     } else {
         print!("{}", report.render());
     }
-    if report.all_succeeded() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    status(report.all_succeeded())
 }
 
 fn tables() -> ExitCode {
@@ -241,28 +291,30 @@ fn tables() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn deploy(target: &str, faults: Option<&str>) -> ExitCode {
-    if target == "limulus" && faults.is_some() {
-        eprintln!("xcbc deploy: --faults applies only to the littlefe from-scratch path");
-        return ExitCode::FAILURE;
+fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, String> {
+    if !["littlefe", "limulus", "both"].contains(&target) {
+        return Err(format!("unknown target {target:?}"));
     }
-    if target == "littlefe" || target == "both" {
-        match faults {
-            Some(dsl) => {
-                if deploy_littlefe_with_faults(dsl) == ExitCode::FAILURE {
-                    return ExitCode::FAILURE;
+    if target == "limulus" && faults.is_some() {
+        return Err("--faults applies only to the littlefe from-scratch path".into());
+    }
+    if target != "limulus" {
+        match faults.map(parse_plan).transpose()? {
+            Some(plan) => {
+                if deploy_littlefe_with_faults(&plan) == ExitCode::FAILURE {
+                    return Ok(ExitCode::FAILURE);
                 }
             }
             None => match deploy_from_scratch(&littlefe_modified()) {
                 Ok(r) => println!("{}", r.render_row()),
                 Err(e) => {
                     eprintln!("littlefe deploy failed: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
         }
     }
-    if target == "limulus" || target == "both" {
+    if target != "littlefe" {
         let existing: BTreeMap<_, _> = limulus_hpc200()
             .nodes
             .iter()
@@ -272,29 +324,18 @@ fn deploy(target: &str, faults: Option<&str>) -> ExitCode {
             Ok(r) => println!("{}", r.render_row()),
             Err(e) => {
                 eprintln!("limulus overlay failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    if !["littlefe", "limulus", "both"].contains(&target) {
-        eprintln!("xcbc deploy: unknown target {target:?}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// From-scratch LittleFe build under an injected fault plan. A power
 /// loss aborts with a checkpoint; we resume from it the way an
 /// administrator re-running the installer would, until the deployment
 /// lands (possibly degraded, with a post-mortem).
-fn deploy_littlefe_with_faults(dsl: &str) -> ExitCode {
-    let plan = match FaultPlan::parse(dsl) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("xcbc deploy: bad fault plan: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn deploy_littlefe_with_faults(plan: &FaultPlan) -> ExitCode {
     let cluster = littlefe_modified();
     let mut checkpoint = InstallCheckpoint::new();
     // each power loss strictly grows the committed set, so this
@@ -302,7 +343,7 @@ fn deploy_littlefe_with_faults(dsl: &str) -> ExitCode {
     for _ in 0..=cluster.nodes.len() {
         match deploy_from_scratch_resilient(
             &cluster,
-            &plan,
+            plan,
             &ResilienceConfig::default(),
             checkpoint,
         ) {
@@ -331,11 +372,7 @@ fn lab(student: &str) -> ExitCode {
     let mut session = LabSession::new(student, littlefe_modified());
     session.run(&littlefe_curriculum());
     print!("{}", session.render());
-    if session.grade() == 1.0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    status(session.grade() == 1.0)
 }
 
 fn linpack(n: usize) -> ExitCode {
@@ -350,22 +387,7 @@ fn linpack(n: usize) -> ExitCode {
         seed: 42,
     });
     println!("{}", r.render());
-    if r.passed {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Parse a `--faults` plan (default seed 42) or report why it's bad.
-fn parse_plan(command: &str, faults: Option<&str>) -> Result<FaultPlan, ExitCode> {
-    faults
-        .map(FaultPlan::parse)
-        .unwrap_or_else(|| Ok(FaultPlan::new(42)))
-        .map_err(|e| {
-            eprintln!("xcbc {command}: bad fault plan: {e}");
-            ExitCode::FAILURE
-        })
+    status(r.passed)
 }
 
 /// One virtual day-one on a LittleFe, end to end, on a single timebase
@@ -373,26 +395,11 @@ fn parse_plan(command: &str, faults: Option<&str>) -> Result<FaultPlan, ExitCode
 /// the fault plan, production PXE boot, shared-cache depsolves, opening
 /// workload. For a fixed plan seed the log replays byte-identically
 /// (`--jsonl` emits the raw log).
-fn trace(scenario: &str, faults: Option<&str>, jsonl: bool) -> ExitCode {
-    if scenario != "littlefe" {
-        eprintln!("xcbc trace: unknown scenario {scenario:?} (try `littlefe`)");
-        return ExitCode::FAILURE;
-    }
-    let plan = match parse_plan("trace", faults) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let run = match littlefe_day_one(&plan) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xcbc trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+fn trace(scenario: &str, plan: &FaultPlan, jsonl: bool) -> Result<ExitCode, String> {
+    let run = littlefe_day_one(plan)?;
     if jsonl {
         print!("{}", events_to_jsonl(&run.events));
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let mut metrics = MetricsSink::new();
     for e in &run.events {
@@ -427,7 +434,7 @@ fn trace(scenario: &str, faults: Option<&str>, jsonl: bool) -> ExitCode {
         run.events.len(),
         run.end().since(SimTime::ZERO).to_string()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Causal analysis of the same deterministic day-one trace `xcbc trace`
@@ -437,33 +444,19 @@ fn trace(scenario: &str, faults: Option<&str>, jsonl: bool) -> ExitCode {
 /// tooling. `--top N` lists the N frames with the largest self time.
 fn trace_analyze(
     scenario: &str,
-    faults: Option<&str>,
+    plan: &FaultPlan,
     folded: bool,
     top: Option<usize>,
-) -> ExitCode {
-    if scenario != "littlefe" {
-        eprintln!("xcbc trace analyze: unknown scenario {scenario:?} (try `littlefe`)");
-        return ExitCode::FAILURE;
-    }
-    let plan = match parse_plan("trace analyze", faults) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let run = match littlefe_day_one(&plan) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xcbc trace analyze: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+) -> Result<ExitCode, String> {
+    let run = littlefe_day_one(plan)?;
     let analysis = xcbc::sim::analyze(&run.events);
     if folded {
         print!("{}", analysis.folded());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     if let Some(n) = top {
         print!("{}", analysis.top(n));
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     println!(
         "== xcbc trace analyze: {scenario} (fault plan seed {}) ==",
@@ -472,10 +465,11 @@ fn trace_analyze(
     print!("{}", analysis.render());
     println!();
     print!("{}", analysis.flame());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Output formats for `xcbc mon`.
+#[derive(Clone, Copy)]
 enum MonFormat {
     Dashboard,
     Prometheus,
@@ -500,27 +494,18 @@ fn render_self_profile() -> String {
     )
 }
 
-/// Replay the deployment day through the telemetry pipeline — gmond
-/// samples derived from the trace, gmetad aggregation, RRD rings,
-/// threshold/heartbeat alerts — and render the result.
-fn mon(scenario: &str, faults: Option<&str>, format: MonFormat) -> ExitCode {
-    if scenario == "elastic" {
-        return mon_elastic(faults, format);
-    }
-    if scenario != "littlefe" {
-        eprintln!("xcbc mon: unknown scenario {scenario:?} (try `littlefe` or `elastic`)");
-        return ExitCode::FAILURE;
-    }
-    let plan = match parse_plan("mon", faults) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let run = match littlefe_day_one(&plan) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xcbc mon: {e}");
-            return ExitCode::FAILURE;
+/// Replay the deployment day (or the elastic demo fleet) through the
+/// telemetry pipeline — gmond samples derived from the trace, gmetad
+/// aggregation, RRD rings, threshold/heartbeat alerts — and render the
+/// result.
+fn mon(scenario: &str, plan: &FaultPlan, format: MonFormat) -> Result<ExitCode, String> {
+    let run = if scenario == "elastic" {
+        match elastic_day(plan) {
+            Ok(run) => run,
+            Err(code) => return Ok(code),
         }
+    } else {
+        littlefe_day_one(plan)?
     };
     let report = monitor_run(&run, default_alert_rules());
     match format {
@@ -530,120 +515,65 @@ fn mon(scenario: &str, faults: Option<&str>, format: MonFormat) -> ExitCode {
         MonFormat::Jsonl => print!("{}", report.jsonl()),
         MonFormat::SelfProfile => print!("{}", render_self_profile()),
     }
-    ExitCode::SUCCESS
-}
-
-/// The value after `flag`, parsed: a missing or malformed value is an
-/// error naming the flag. Shared by the strict `soak` and `svc` parsers.
-fn value<T: std::str::FromStr>(flag: &str, text: Option<&String>) -> Result<T, String> {
-    let text = text.ok_or_else(|| format!("{flag} needs a value"))?;
-    text.parse()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got {text:?}"))
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `xcbc soak`: run seeded random scenarios through the whole stack and
 /// check every cross-crate invariant. Exit code is the CI gate; on
 /// violation the report ends with the exact command that replays the
 /// (shrunk) failure deterministically.
-fn soak_cmd(args: &[String]) -> ExitCode {
+fn soak_cmd(mut args: Args) -> Result<ExitCode, String> {
     use xcbc::check::{invariants_for, soak, SoakConfig};
     use xcbc::fault::Mutation;
 
-    let mut config = SoakConfig::default();
-    let mut seed = None;
-    let mut rest = args.iter().skip(1);
-    while let Some(flag) = rest.next() {
-        let parsed = match flag.as_str() {
-            "--faults" => {
-                config.faults = true;
-                Ok(())
-            }
-            "--no-shrink" => {
-                config.shrink = false;
-                Ok(())
-            }
-            "--seeds" => value(flag, rest.next()).map(|v| config.seeds = v),
-            "--seed" => value(flag, rest.next()).map(|v| seed = Some(v)),
-            "--sites" => value(flag, rest.next()).map(|v| config.limits.sites = v),
-            "--fault-specs" => value(flag, rest.next()).map(|v| config.limits.fault_specs = v),
-            "--jobs" => value(flag, rest.next()).map(|v| config.limits.jobs = v),
-            "--updates" => value(flag, rest.next()).map(|v| config.limits.updates = v),
-            "--mutation" => value::<String>(flag, rest.next()).and_then(|name| {
-                config.limits.mutation = Some(Mutation::parse(&name).ok_or_else(|| {
-                    format!(
-                        "unknown --mutation {name:?} (expected one of {})",
-                        Mutation::ALL.map(Mutation::as_str).join(", ")
-                    )
-                })?);
-                Ok(())
-            }),
-            other => Err(format!("unknown flag {other:?} (try `xcbc help`)")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("xcbc soak: {e}");
-            return ExitCode::FAILURE;
+    let mut config = SoakConfig {
+        faults: args.flag("--faults"),
+        shrink: !args.flag("--no-shrink"),
+        ..SoakConfig::default()
+    };
+    let limits = &mut config.limits;
+    for (flag, limit) in [
+        ("--sites", &mut limits.sites),
+        ("--fault-specs", &mut limits.fault_specs),
+        ("--jobs", &mut limits.jobs),
+        ("--updates", &mut limits.updates),
+    ] {
+        if let Some(n) = args.value(flag)? {
+            *limit = n;
         }
     }
-    if let Some(seed) = seed {
+    if let Some(name) = args.value::<String>("--mutation")? {
+        limits.mutation = Some(Mutation::parse(&name).ok_or_else(|| {
+            format!(
+                "unknown --mutation {name:?} (expected one of {})",
+                Mutation::ALL.map(Mutation::as_str).join(", ")
+            )
+        })?);
+    }
+    if let Some(n) = args.value("--seeds")? {
+        config.seeds = n;
+    }
+    if let Some(seed) = args.value("--seed")? {
         config.start_seed = seed;
         config.seeds = 1;
     }
+    args.finish()?;
 
     let report = soak(&config, &invariants_for(config.limits.mutation));
     print!("{}", report.render());
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(status(report.passed()))
 }
 
 /// `xcbc svc`: serve a seeded synthetic multi-tenant stream through the
 /// xcbcd engine and verify its own journal by single-threaded replay —
 /// the one-command demonstration of the service's determinism contract.
-fn svc_cmd(args: &[String]) -> ExitCode {
+fn svc_cmd(mut args: Args) -> Result<ExitCode, String> {
     use xcbc::sim::MetricRegistry;
-    use xcbc::svc::{replay, serve, Disposition, SvcWorkload};
+    use xcbc::svc::{replay, serve, Disposition};
 
-    fn positive(flag: &str, text: Option<&String>) -> Result<usize, String> {
-        match value(flag, text)? {
-            0 => Err(format!("{flag} must be at least 1")),
-            v => Ok(v),
-        }
-    }
-
-    let mut workload = SvcWorkload {
-        tenants: 3,
-        requests: 32,
-        seed: 0,
-        ..SvcWorkload::default()
-    };
-    let (mut workers, mut shards) = (4, None);
-    let (mut journal, mut prom) = (None::<String>, false);
-    let mut rest = args.iter().skip(1);
-    while let Some(flag) = rest.next() {
-        let parsed = match flag.as_str() {
-            "--prom" => {
-                prom = true;
-                Ok(())
-            }
-            "--tenants" => positive(flag, rest.next()).map(|v| workload.tenants = v),
-            "--workers" => positive(flag, rest.next()).map(|v| workers = v),
-            "--shards" => positive(flag, rest.next()).map(|v| shards = Some(v)),
-            "--requests" => value(flag, rest.next()).map(|v| workload.requests = v),
-            "--seed" => value(flag, rest.next()).map(|v| workload.seed = v),
-            "--journal" => value(flag, rest.next()).map(|v| journal = Some(v)),
-            other => Err(format!("unknown flag {other:?} (try `xcbc help`)")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("xcbc svc: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut config = workload.config(workers);
-    if let Some(shards) = shards {
-        config.shards = shards;
-    }
+    let (workload, config, journal) = svc_args(&mut args)?;
+    let prom = args.flag("--prom");
+    args.finish()?;
 
     let requests = workload.generate();
     let report = serve(&requests, &config);
@@ -680,27 +610,15 @@ fn svc_cmd(args: &[String]) -> ExitCode {
     }
 
     if let Some(path) = journal {
-        if let Err(e) = std::fs::write(&path, &report.journal_text) {
-            eprintln!("xcbc svc: cannot write journal {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, &report.journal_text)
+            .map_err(|e| format!("cannot write journal {path}: {e}"))?;
         println!("journal: {} entries written to {path}", report.accepted);
     }
 
-    match replay(&report.journal_text) {
-        Ok(verdict) => {
-            print!("{}", verdict.render());
-            if verdict.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("xcbc svc: journal does not parse: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let verdict =
+        replay(&report.journal_text).map_err(|e| format!("journal does not parse: {e}"))?;
+    print!("{}", verdict.render());
+    Ok(status(verdict.is_clean()))
 }
 
 /// `xcbc campaign`: roll a package update across a live fleet in
@@ -709,7 +627,7 @@ fn svc_cmd(args: &[String]) -> ExitCode {
 /// campaign resumes from the last completed wave — exactly the way an
 /// administrator re-running the tool after a machine-room power blip
 /// would — and the stitched trace matches an uninterrupted run.
-fn campaign_cmd(args: &[String]) -> ExitCode {
+fn campaign_cmd(mut args: Args) -> Result<ExitCode, String> {
     use xcbc::core::campaign::{
         run_campaign, CampaignConfig, CampaignError, CampaignTarget, CanaryAction,
     };
@@ -718,36 +636,22 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
     use xcbc::sched::{JobRequest, ResourceManager, Slurm};
     use xcbc::yum::{SolveCache, SolveRequest, YumConfig};
 
-    fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    }
-
-    let faults = args
-        .iter()
-        .position(|a| a == "--faults")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let plan = match parse_plan("campaign", faults) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let nodes: usize = flag_value(args, "--nodes").unwrap_or(8);
+    let plan = fault_plan(&mut args)?;
+    let nodes = args.count("--nodes")?.unwrap_or(8);
     let config = CampaignConfig {
-        canary: flag_value(args, "--canary").unwrap_or(1),
-        waves: flag_value(args, "--waves").unwrap_or(3),
-        threads: flag_value(args, "--threads").unwrap_or(1),
-        on_canary_failure: if args.iter().any(|a| a == "--rollback") {
+        canary: args.value("--canary")?.unwrap_or(1),
+        waves: args.value("--waves")?.unwrap_or(3),
+        threads: args.value("--threads")?.unwrap_or(1),
+        on_canary_failure: if args.flag("--rollback") {
             CanaryAction::Rollback
         } else {
             CanaryAction::Halt
         },
         ..CampaignConfig::default()
     };
-    let auto_resume = args.iter().any(|a| a == "--resume");
-    let jsonl = args.iter().any(|a| a == "--jsonl");
+    let auto_resume = args.flag("--resume");
+    let jsonl = args.flag("--jsonl");
+    args.finish()?;
 
     // A Limulus-style fleet: factory images under SLURM, with a small
     // opening workload so the drains have something to wait on.
@@ -776,16 +680,11 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
     let mut stitched = String::new();
     // each resume completes at least one wave, so `waves` bounds the loop
     for _ in 0..=config.waves {
-        let resume_cp = match &checkpoint_text {
-            Some(text) => match CampaignCheckpoint::parse(text) {
-                Ok(cp) => Some(cp),
-                Err(e) => {
-                    eprintln!("xcbc campaign: bad checkpoint: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
+        let resume_cp = checkpoint_text
+            .as_deref()
+            .map(CampaignCheckpoint::parse)
+            .transpose()
+            .map_err(|e| format!("bad checkpoint: {e}"))?;
         match run_campaign(
             &target,
             &mut dbs,
@@ -805,7 +704,7 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
                     }
                     print!("{}", report.render());
                 }
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             Err(CampaignError::Aborted {
                 wave,
@@ -827,7 +726,7 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
                         eprint!("{}", flight.render_tail());
                     }
                     eprintln!("(re-run with --resume to continue from it)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 if !jsonl {
                     println!(
@@ -837,14 +736,10 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
                 }
                 checkpoint_text = Some(checkpoint.to_text());
             }
-            Err(e) => {
-                eprintln!("xcbc campaign: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return Err(e.to_string()),
         }
     }
-    eprintln!("xcbc campaign: gave up after repeated aborts");
-    ExitCode::FAILURE
+    Err("gave up after repeated aborts".into())
 }
 
 /// The demo fleet `xcbc elastic` (and `xcbc mon elastic`) runs: an
@@ -985,37 +880,20 @@ fn run_elastic_demo(
 /// solve cache. A scheduled `elastic.scale-up` fault aborts with the
 /// checkpoint printed; with `--resume` the run continues from it and
 /// the stitched trace matches an uninterrupted run byte for byte.
-fn elastic_cmd(args: &[String]) -> ExitCode {
+fn elastic_cmd(mut args: Args) -> Result<ExitCode, String> {
     use xcbc::core::elastic::ElasticConfig;
 
-    fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    }
-
-    let faults = args
-        .iter()
-        .position(|a| a == "--faults")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let plan = match parse_plan("elastic", faults) {
-        Ok(p) => p,
-        Err(code) => return code,
+    let plan = fault_plan(&mut args)?;
+    let defaults = ElasticConfig::default();
+    let config = ElasticConfig {
+        min_nodes: args.count("--min")?.unwrap_or(defaults.min_nodes),
+        max_nodes: args.value("--max")?.unwrap_or(defaults.max_nodes),
+        ticks: args.value("--ticks")?.unwrap_or(defaults.ticks),
+        ..defaults
     };
-    let mut config = ElasticConfig::default();
-    if let Some(n) = flag_value(args, "--min") {
-        config.min_nodes = n;
-    }
-    if let Some(n) = flag_value(args, "--max") {
-        config.max_nodes = n;
-    }
-    if let Some(n) = flag_value(args, "--ticks") {
-        config.ticks = n;
-    }
-    let auto_resume = args.iter().any(|a| a == "--resume");
-    let jsonl = args.iter().any(|a| a == "--jsonl");
+    let auto_resume = args.flag("--resume");
+    let jsonl = args.flag("--jsonl");
+    args.finish()?;
 
     match run_elastic_demo(&config, &plan, auto_resume, !jsonl) {
         Ok((report, stitched, _, _)) => {
@@ -1027,32 +905,24 @@ fn elastic_cmd(args: &[String]) -> ExitCode {
                 }
                 print!("{}", report.render());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Err(code) => code,
+        Err(code) => Ok(code),
     }
 }
 
-/// `xcbc mon elastic`: replay the elastic demo fleet through the same
-/// gmond/gmetad telemetry pipeline as the deployment day — the power
+/// The elastic demo fleet as a run `xcbc mon elastic` can replay through
+/// the same gmond/gmetad pipeline as the deployment day — the power
 /// sequencer's boot spans and power-off marks ride the trace, so scale
 /// events show up on the dashboard next to the autoscaler's queue-depth
 /// counters.
-fn mon_elastic(faults: Option<&str>, format: MonFormat) -> ExitCode {
+fn elastic_day(plan: &FaultPlan) -> Result<DayOneRun, ExitCode> {
     use xcbc::core::elastic::{node_name, ElasticConfig};
-    use xcbc::core::scenario::DayOneRun;
     use xcbc::sched::{ResourceManager, SimMetrics};
 
-    let plan = match parse_plan("mon", faults) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
     let config = ElasticConfig::default();
-    let (_, events, rm, cache) = match run_elastic_demo(&config, &plan, true, false) {
-        Ok(demo) => demo,
-        Err(code) => return code,
-    };
-    let run = DayOneRun {
+    let (_, events, rm, cache) = run_elastic_demo(&config, plan, true, false)?;
+    Ok(DayOneRun {
         scenario: "elastic".into(),
         seed: plan.seed,
         frontend: "elastic-head".into(),
@@ -1061,16 +931,7 @@ fn mon_elastic(faults: Option<&str>, format: MonFormat) -> ExitCode {
         quarantined: Vec::new(),
         solve_cache: cache,
         sched_metrics: SimMetrics::from_sim(rm.sim()),
-    };
-    let report = monitor_run(&run, default_alert_rules());
-    match format {
-        MonFormat::Dashboard => print!("{}", report.dashboard()),
-        MonFormat::Prometheus => print!("{}", report.prometheus()),
-        MonFormat::GangliaXml => print!("{}", report.ganglia_xml()),
-        MonFormat::Jsonl => print!("{}", report.jsonl()),
-        MonFormat::SelfProfile => print!("{}", render_self_profile()),
-    }
-    ExitCode::SUCCESS
+    })
 }
 
 fn compat() -> ExitCode {
@@ -1096,84 +957,63 @@ fn compat() -> ExitCode {
 /// the aggregated CSV and the utilization/wait curves land under
 /// `<out>/exp-NNN/`; the same grid produces byte-identical artifacts at
 /// any `--workers` count.
-fn exp_cmd(args: &[String]) -> ExitCode {
+fn exp_cmd(mut args: Args) -> Result<ExitCode, String> {
     use std::fs;
     use std::path::Path;
     use xcbc::sched::{run_grid, ExpGrid, RmKind, SchedPolicy, WorkloadSpec};
 
-    fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    }
-
-    let spec_name =
-        flag_value::<String>(args, "--spec").unwrap_or_else(|| "teaching-lab".to_string());
+    let spec_name = args
+        .value::<String>("--spec")?
+        .unwrap_or_else(|| "teaching-lab".to_string());
     let spec = match spec_name.as_str() {
         "teaching-lab" => WorkloadSpec::teaching_lab(),
         "campus-research" => WorkloadSpec::campus_research(),
         "heavy-tail" => WorkloadSpec::heavy_tail(),
         other => {
-            eprintln!(
-                "xcbc exp: unknown --spec {other:?} \
+            return Err(format!(
+                "unknown --spec {other:?} \
                  (expected teaching-lab, campus-research or heavy-tail)"
-            );
-            return ExitCode::FAILURE;
+            ))
         }
     };
-    let name = flag_value::<String>(args, "--name").unwrap_or(spec_name);
+    let name = args.value::<String>("--name")?.unwrap_or(spec_name);
     let mut grid = ExpGrid::new(&name).spec(spec);
 
-    if let Some(list) = flag_value::<String>(args, "--policies") {
-        let mut policies = Vec::new();
-        for part in list.split(',') {
-            match SchedPolicy::parse(part) {
-                Ok(p) => policies.push(p),
-                Err(e) => {
-                    eprintln!("xcbc exp: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        grid = grid.policies(policies);
+    if let Some(list) = args.value::<String>("--policies")? {
+        grid = grid.policies(
+            list.split(',')
+                .map(SchedPolicy::parse)
+                .collect::<Result<_, _>>()?,
+        );
     }
-    if let Some(list) = flag_value::<String>(args, "--rms") {
-        let mut rms = Vec::new();
-        for part in list.split(',') {
-            match RmKind::parse(part) {
-                Ok(r) => rms.push(r),
-                Err(e) => {
-                    eprintln!("xcbc exp: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        grid = grid.rms(rms);
+    if let Some(list) = args.value::<String>("--rms")? {
+        grid = grid.rms(
+            list.split(',')
+                .map(RmKind::parse)
+                .collect::<Result<_, _>>()?,
+        );
     }
-    if let Some(list) = flag_value::<String>(args, "--loads") {
-        let mut loads = Vec::new();
-        for part in list.split(',') {
-            match part.trim().parse::<f64>() {
-                Ok(l) if l > 0.0 => loads.push(l),
-                _ => {
-                    eprintln!("xcbc exp: bad load {part:?} (want a positive number)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        grid = grid.loads(loads);
+    if let Some(list) = args.value::<String>("--loads")? {
+        let load = |part: &str| match part.trim().parse::<f64>() {
+            Ok(l) if l > 0.0 => Ok(l),
+            _ => Err(format!("bad load {part:?} (want a positive number)")),
+        };
+        grid = grid.loads(list.split(',').map(load).collect::<Result<_, _>>()?);
     }
-    let seed_count = flag_value::<u64>(args, "--seeds").unwrap_or(2).max(1);
+    let seed_count: u64 = args.count("--seeds")?.unwrap_or(2);
     grid = grid.seeds((0..seed_count).collect());
-    if let Some(jobs) = flag_value::<usize>(args, "--jobs") {
+    if let Some(jobs) = args.value("--jobs")? {
         grid = grid.jobs_per_run(jobs);
     }
-    let nodes = flag_value::<usize>(args, "--nodes").unwrap_or(8).max(1);
-    let cores = flag_value::<u32>(args, "--cores").unwrap_or(4).max(1);
-    grid = grid.cluster(nodes, cores);
-    let workers = flag_value::<usize>(args, "--workers").unwrap_or(4).max(1);
-    let out_root = flag_value::<String>(args, "--out").unwrap_or_else(|| "results".to_string());
+    grid = grid.cluster(
+        args.count("--nodes")?.unwrap_or(8),
+        args.count("--cores")?.unwrap_or(4),
+    );
+    let workers = args.count("--workers")?.unwrap_or(4);
+    let out_root = args
+        .value::<String>("--out")?
+        .unwrap_or_else(|| "results".to_string());
+    args.finish()?;
 
     let report = run_grid(&grid, workers);
 
@@ -1203,10 +1043,7 @@ fn exp_cmd(args: &[String]) -> ExitCode {
         }
         Ok(())
     };
-    if let Err(e) = io() {
-        eprintln!("xcbc exp: cannot write {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
+    io().map_err(|e| format!("cannot write {}: {e}", dir.display()))?;
 
     print!("{}", report.grid.render());
     println!(
@@ -1219,5 +1056,5 @@ fn exp_cmd(args: &[String]) -> ExitCode {
     print!("{}", report.aggregate_csv());
     println!();
     print!("{}", report.curves());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -3,7 +3,7 @@
 //! journal and verify it.
 //!
 //! ```text
-//! xcbcd --tenants N --workers N --requests N [--seed S] [--shards N]
+//! xcbcd [--tenants N] [--workers N] [--requests N] [--seed S] [--shards N]
 //!       [--journal FILE]     serve a seeded synthetic stream; print the
 //!                            run summary and (optionally) write the
 //!                            journal. The journal is byte-identical at
@@ -15,73 +15,59 @@
 //!                            and the cache-counter totals. Exit status
 //!                            is the verdict.
 //! ```
+//!
+//! The flags are `xcbc svc`'s and just as strict: an unknown flag, a
+//! stray argument, a missing or malformed value, or a zero
+//! `--tenants`/`--workers`/`--shards` exits 1 with a message.
 
 use std::env;
 use std::process::ExitCode;
 
-use xcbc::svc::{replay, serve, SvcWorkload};
-
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-}
+use xcbc::cli::{svc_args, Args};
+use xcbc::svc::{replay, serve};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    match run(Args::new("xcbcd --help", env::args().skip(1))) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("xcbcd: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    if args.flag("--help") || args.flag("-h") {
         eprintln!(
             "usage: xcbcd [--tenants N] [--workers N] [--requests N] [--seed S] \
              [--shards N] [--journal FILE] | xcbcd --replay FILE"
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    if let Some(path) = flag_value::<String>(&args, "--replay") {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("xcbcd: cannot read journal {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match replay(&text) {
-            Ok(verdict) => {
-                print!("{}", verdict.render());
-                if verdict.is_clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("xcbcd: journal does not parse: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if let Some(path) = args.value::<String>("--replay")? {
+        args.finish()?;
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read journal {path}: {e}"))?;
+        let verdict = replay(&text).map_err(|e| format!("journal does not parse: {e}"))?;
+        print!("{}", verdict.render());
+        return Ok(if verdict.is_clean() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        });
     }
 
-    let workload = SvcWorkload {
-        tenants: flag_value(&args, "--tenants").unwrap_or(3),
-        requests: flag_value(&args, "--requests").unwrap_or(32),
-        seed: flag_value(&args, "--seed").unwrap_or(0),
-        ..SvcWorkload::default()
-    };
-    let mut config = workload.config(flag_value(&args, "--workers").unwrap_or(4));
-    if let Some(shards) = flag_value(&args, "--shards") {
-        config.shards = shards;
-    }
+    let (workload, config, journal) = svc_args(&mut args)?;
+    args.finish()?;
 
     let report = serve(&workload.generate(), &config);
     print!("{}", report.summary());
 
-    match flag_value::<String>(&args, "--journal") {
+    match journal {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &report.journal_text) {
-                eprintln!("xcbcd: cannot write journal {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(&path, &report.journal_text)
+                .map_err(|e| format!("cannot write journal {path}: {e}"))?;
             println!("journal: {} entries written to {path}", report.accepted);
         }
         None => {
@@ -90,5 +76,5 @@ fn main() -> ExitCode {
             print!("{}", report.journal_text);
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

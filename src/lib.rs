@@ -21,6 +21,8 @@
 //!   caches, and deterministic-replay request journals
 //! * [`check`] — the deterministic chaos-soak harness: seeded scenario
 //!   generation, cross-crate invariant checking, seed shrinking
+//! * [`cli`] — the strict argument reader the `xcbc` and `xcbcd`
+//!   binaries share
 
 pub use xcbc_check as check;
 pub use xcbc_cluster as cluster;
@@ -34,3 +36,5 @@ pub use xcbc_sched as sched;
 pub use xcbc_sim as sim;
 pub use xcbc_svc as svc;
 pub use xcbc_yum as yum;
+
+pub mod cli;
