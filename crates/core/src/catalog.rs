@@ -9,6 +9,7 @@
 
 use std::sync::OnceLock;
 use xcbc_rpm::{Package, PackageBuilder, PackageGroup};
+use xcbc_sim::Fnv64;
 
 /// One catalog row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -995,12 +996,7 @@ pub static CATALOG: &[CatalogEntry] = &[
 
 /// Deterministic size for a package (1–160 MB, stable per name).
 fn size_mb_for(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    1 + h % 160
+    1 + Fnv64::new().write(name.as_bytes()).finish() % 160
 }
 
 /// Build the full catalog as installable [`Package`]s (release `1.el6`,

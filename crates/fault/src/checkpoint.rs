@@ -12,10 +12,15 @@
 //! monotone: recording an earlier stage for a node never regresses it.
 //! The text format round-trips via [`InstallCheckpoint::to_text`] /
 //! [`InstallCheckpoint::parse`], standing in for the state file a real
-//! frontend would keep under `/var/lib/`.
+//! frontend would keep under `/var/lib/`. All three checkpoints here are
+//! read with the shared line-record codec in [`crate::record`].
 
+use crate::record::{records, RecordError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+/// The format name a [`RecordError`] from these parsers carries.
+const FORMAT: &str = "checkpoint";
 
 /// How far a node got through provisioning, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,22 +62,6 @@ impl fmt::Display for NodeStage {
         f.write_str(self.as_str())
     }
 }
-
-/// Errors from [`InstallCheckpoint::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct CheckpointParseError {
-    pub line: usize,
-    pub message: String,
-}
-
-impl fmt::Display for CheckpointParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "checkpoint line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for CheckpointParseError {}
 
 /// Durable record of install progress for one cluster.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -181,52 +170,33 @@ impl InstallCheckpoint {
         out
     }
 
-    /// Parse the [`to_text`](Self::to_text) format. Blank lines and
-    /// `#` comments are ignored.
-    pub fn parse(text: &str) -> Result<InstallCheckpoint, CheckpointParseError> {
+    /// Parse the [`to_text`](Self::to_text) format. Blank lines and `#`
+    /// comments are ignored; unknown *trailing fields* on recognized
+    /// directives are tolerated (forward compatibility), but unknown
+    /// directives fail with a typed [`RecordError`].
+    pub fn parse(text: &str) -> Result<InstallCheckpoint, RecordError> {
         let mut cp = InstallCheckpoint::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |message: String| CheckpointParseError {
-                line: idx + 1,
-                message,
-            };
-            let mut words = line.splitn(3, ' ');
-            match words.next() {
-                Some("frontend") => {
-                    if words.next() != Some("committed") {
-                        return Err(err(format!("expected `frontend committed`, got `{line}`")));
+        for mut r in records(FORMAT, text) {
+            match r.tag {
+                "frontend" => {
+                    if r.word("frontend state")? != "committed" {
+                        return Err(r.error("expected `frontend committed`"));
                     }
                     cp.frontend_committed = true;
                 }
-                Some("node") => {
-                    let name = words
-                        .next()
-                        .ok_or_else(|| err("missing node name".into()))?;
-                    // Forward compatibility: only the first token after the
-                    // name is the stage; later writers may append fields.
-                    let stage_s = words
-                        .next()
-                        .and_then(|rest| rest.split_whitespace().next())
-                        .ok_or_else(|| err("missing node stage".into()))?;
+                "node" => {
+                    let name = r.word("node name")?;
+                    let stage_s = r.word("node stage")?;
                     let stage = NodeStage::parse(stage_s)
-                        .ok_or_else(|| err(format!("unknown stage `{stage_s}`")))?;
+                        .ok_or_else(|| r.error(format!("unknown stage `{stage_s}`")))?;
                     cp.record(name, stage);
                 }
-                Some("quarantine") => {
-                    let name = words
-                        .next()
-                        .ok_or_else(|| err("missing node name".into()))?;
-                    let reason = words.next().unwrap_or("").to_string();
-                    cp.quarantined.insert(name.to_string(), reason);
+                "quarantine" => {
+                    let name = r.word("node name")?;
+                    cp.quarantined
+                        .insert(name.to_string(), r.rest().to_string());
                 }
-                Some(other) => {
-                    return Err(err(format!("unknown directive `{other}`")));
-                }
-                None => unreachable!("splitn yields at least one item"),
+                other => return Err(r.error(format!("unknown directive `{other}`"))),
             }
         }
         Ok(cp)
@@ -337,53 +307,28 @@ impl CampaignCheckpoint {
     /// Parse the [`to_text`](Self::to_text) format. Blank lines and `#`
     /// comments are ignored; unknown *trailing fields* on recognized
     /// directives are tolerated (forward compatibility), but unknown
-    /// directives fail with a typed [`CheckpointParseError`].
-    pub fn parse(text: &str) -> Result<CampaignCheckpoint, CheckpointParseError> {
+    /// directives fail with a typed [`RecordError`], as does a file with
+    /// no `campaign` digest line.
+    pub fn parse(text: &str) -> Result<CampaignCheckpoint, RecordError> {
         let mut cp = CampaignCheckpoint::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        for mut r in records(FORMAT, text) {
+            match r.tag {
+                "campaign" => cp.digest = r.word("campaign digest")?.to_string(),
+                "waves-completed" => {
+                    cp.waves_completed = cp.waves_completed.max(r.parse("wave count")?);
+                }
+                "updated" => {
+                    cp.updated.insert(r.word("node name")?.to_string());
+                }
+                "failed" => {
+                    let name = r.word("node name")?;
+                    cp.failed.insert(name.to_string(), r.rest().to_string());
+                }
+                other => return Err(r.error(format!("unknown directive `{other}`"))),
             }
-            let err = |message: String| CheckpointParseError {
-                line: idx + 1,
-                message,
-            };
-            let mut words = line.splitn(3, ' ');
-            match words.next() {
-                Some("campaign") => {
-                    cp.digest = words
-                        .next()
-                        .ok_or_else(|| err("missing campaign digest".into()))?
-                        .to_string();
-                }
-                Some("waves-completed") => {
-                    let n = words
-                        .next()
-                        .ok_or_else(|| err("missing wave count".into()))?;
-                    cp.waves_completed = cp.waves_completed.max(
-                        n.parse()
-                            .map_err(|_| err(format!("bad wave count `{n}`")))?,
-                    );
-                }
-                Some("updated") => {
-                    let name = words
-                        .next()
-                        .ok_or_else(|| err("missing node name".into()))?;
-                    cp.updated.insert(name.to_string());
-                }
-                Some("failed") => {
-                    let name = words
-                        .next()
-                        .ok_or_else(|| err("missing node name".into()))?;
-                    let reason = words.next().unwrap_or("").to_string();
-                    cp.failed.insert(name.to_string(), reason);
-                }
-                Some(other) => {
-                    return Err(err(format!("unknown directive `{other}`")));
-                }
-                None => unreachable!("splitn yields at least one item"),
-            }
+        }
+        if cp.digest.is_empty() {
+            return Err(RecordError::at_end(FORMAT, text, "missing `campaign` line"));
         }
         Ok(cp)
     }
@@ -450,40 +395,21 @@ impl ElasticCheckpoint {
     /// Parse the [`to_text`](Self::to_text) format. Blank lines and `#`
     /// comments are ignored; unknown *trailing fields* on recognized
     /// directives are tolerated (forward compatibility), but unknown
-    /// directives fail with a typed [`CheckpointParseError`].
-    pub fn parse(text: &str) -> Result<ElasticCheckpoint, CheckpointParseError> {
+    /// directives fail with a typed [`RecordError`], as does a file with
+    /// no `elastic` digest line.
+    pub fn parse(text: &str) -> Result<ElasticCheckpoint, RecordError> {
         let mut cp = ElasticCheckpoint::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        for mut r in records(FORMAT, text) {
+            match r.tag {
+                "elastic" => cp.digest = r.word("elastic digest")?.to_string(),
+                "ticks-completed" => {
+                    cp.ticks_completed = cp.ticks_completed.max(r.parse("tick count")?);
+                }
+                other => return Err(r.error(format!("unknown directive `{other}`"))),
             }
-            let err = |message: String| CheckpointParseError {
-                line: idx + 1,
-                message,
-            };
-            let mut words = line.splitn(3, ' ');
-            match words.next() {
-                Some("elastic") => {
-                    cp.digest = words
-                        .next()
-                        .ok_or_else(|| err("missing elastic digest".into()))?
-                        .to_string();
-                }
-                Some("ticks-completed") => {
-                    let n = words
-                        .next()
-                        .ok_or_else(|| err("missing tick count".into()))?;
-                    cp.ticks_completed = cp.ticks_completed.max(
-                        n.parse()
-                            .map_err(|_| err(format!("bad tick count `{n}`")))?,
-                    );
-                }
-                Some(other) => {
-                    return Err(err(format!("unknown directive `{other}`")));
-                }
-                None => unreachable!("splitn yields at least one item"),
-            }
+        }
+        if cp.digest.is_empty() {
+            return Err(RecordError::at_end(FORMAT, text, "missing `elastic` line"));
         }
         Ok(cp)
     }
@@ -684,6 +610,20 @@ mod tests {
         .unwrap();
         assert_eq!(cp.digest(), "abc123");
         assert_eq!(cp.ticks_completed(), 3);
+    }
+
+    #[test]
+    fn campaign_and_elastic_need_their_digest_line() {
+        let err = CampaignCheckpoint::parse("# campaign abc\nwaves-completed 1\n").unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "missing `campaign` line")
+        );
+        let err = ElasticCheckpoint::parse("").unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (1, "missing `elastic` line")
+        );
     }
 
     #[test]

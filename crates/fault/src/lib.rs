@@ -7,7 +7,7 @@
 //! fetches, RPM scriptlets — that production cluster management treats as
 //! retryable, resumable operations.
 //!
-//! This crate provides the four pieces the provisioning pipeline shares:
+//! This crate provides the five pieces the provisioning pipeline shares:
 //!
 //! * [`FaultPlan`] / [`FaultInjector`] — a *deterministic, seeded*
 //!   schedule of faults at named [`InjectionPoint`]s. A failure scenario
@@ -19,6 +19,9 @@
 //!   (discovered → kickstarted → packages-committed) that survives a
 //!   mid-install power loss so a re-run resumes instead of rewiping
 //!   healthy nodes.
+//! * [`record`] — the line-record codec every checkpoint here and the
+//!   `xcbcd` journal are read with: one tag per line, typed fields, and
+//!   one line-numbered [`RecordError`].
 //! * [`PostMortem`] — the report section a degraded deployment emits:
 //!   faults injected, retries spent, nodes quarantined, time lost to
 //!   backoff.
@@ -26,14 +29,14 @@
 pub mod checkpoint;
 pub mod plan;
 pub mod postmortem;
+pub mod record;
 pub mod retry;
 
-pub use checkpoint::{
-    CampaignCheckpoint, CheckpointParseError, ElasticCheckpoint, InstallCheckpoint, NodeStage,
-};
+pub use checkpoint::{CampaignCheckpoint, ElasticCheckpoint, InstallCheckpoint, NodeStage};
 pub use plan::{
     key_matches, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow,
     InjectionPoint, Mutation, PlanParseError,
 };
 pub use postmortem::PostMortem;
+pub use record::RecordError;
 pub use retry::{retry_with, RetryOutcome, RetryPolicy};

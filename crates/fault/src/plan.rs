@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
+use xcbc_sim::Fnv64;
 
 /// Named places in the provisioning pipeline where faults can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -507,12 +508,7 @@ pub struct FaultInjector {
 }
 
 fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    Fnv64::new().write(s.as_bytes()).finish()
 }
 
 impl FaultInjector {

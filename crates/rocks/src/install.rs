@@ -19,7 +19,7 @@ use xcbc_fault::{
     RetryPolicy,
 };
 use xcbc_rpm::{Package, RpmDb, TransactionError, TransactionSet};
-use xcbc_sim::{SimTime, SpanRecorder, TraceEvent};
+use xcbc_sim::{Fnv64, SimTime, SpanRecorder, TraceEvent};
 
 /// `source` tag carried by every trace event this module records.
 pub const TRACE_SOURCE: &str = "rocks.install";
@@ -862,11 +862,7 @@ impl ClusterInstall {
 /// Deterministic MAC derived from a hostname (simulation stand-in for
 /// real hardware addresses).
 fn synth_mac(hostname: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in hostname.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = Fnv64::new().write(hostname.as_bytes()).finish();
     format!(
         "02:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
         (h >> 32) as u8,

@@ -10,10 +10,10 @@
 //! instead of once per lookup.
 
 use crate::dep::Dependency;
-use crate::fnv::Fnv64;
 use crate::package::Package;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
+use xcbc_sim::Fnv64;
 
 /// An installed package plus install-time metadata.
 ///

@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use std::fmt;
+use xcbc_sim::Fnv64;
 
 /// A continuous distribution over positive reals (seconds, widths).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -308,47 +309,6 @@ pub fn sample_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
         .iter()
         .rposition(|w| w.is_finite() && *w > 0.0)
         .unwrap_or(0)
-}
-
-/// FNV-1a, the same digest the yum solve cache keys on — kept local so
-/// the scheduler crate stays dependency-free.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(0xcbf29ce484222325)
-    }
-}
-
-impl Fnv64 {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-        self
-    }
-
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        self.write_bytes(s.as_bytes()).write_bytes(&[0xff])
-    }
-
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes())
-    }
-
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
-        self.write_u64(v.to_bits())
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -9,12 +9,11 @@
 //! `results/exp-NNN/var-*` layout stores; all floats are printed with
 //! fixed precision so re-runs diff clean.
 
-use crate::dist::Fnv64;
 use crate::metrics::SimMetrics;
 use crate::policy::SchedPolicy;
 use crate::rm::RmKind;
 use crate::workload::WorkloadSpec;
-use xcbc_sim::pool;
+use xcbc_sim::{pool, Fnv64};
 
 /// One experiment: a workload crossed with policy/frontend/load axes,
 /// replicated over seeds. Normalized and digestable like the workload

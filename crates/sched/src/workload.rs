@@ -14,10 +14,11 @@
 //! the stream: the experiment harness in [`crate::exp`] leans on that
 //! for worker-count-invariant sweeps.
 
-use crate::dist::{Dist, Fnv64};
+use crate::dist::Dist;
 use crate::job::JobRequest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xcbc_sim::Fnv64;
 
 /// How wide generated jobs are.
 #[derive(Debug, Clone, PartialEq)]

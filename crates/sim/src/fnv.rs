@@ -1,6 +1,8 @@
 //! 64-bit FNV-1a, the one digest every layer's content identities use:
-//! the installed-package database digest here, and the repository,
-//! config and request fingerprints the solve cache keys on.
+//! the installed-package database digest, the repository, config and
+//! request fingerprints the solve cache keys on, the scheduler's
+//! workload and sweep digests, fault-plan draws, synthetic MACs and
+//! catalog package sizes.
 
 /// 64-bit FNV-1a — tiny, dependency-free, and stable across platforms.
 /// Not cryptographic; collisions merely cause a (correct-by-replay)
@@ -40,6 +42,11 @@ impl Fnv64 {
     /// Absorb a little-endian u64.
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
         self.write(&v.to_le_bytes())
+    }
+
+    /// Absorb an f64 by its bit pattern.
+    pub fn write_f64(&mut self, v: f64) -> &mut Self {
+        self.write_u64(v.to_bits())
     }
 
     /// The digest so far.

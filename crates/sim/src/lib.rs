@@ -23,7 +23,9 @@
 //!   the observability spine: per-source span latency histograms with
 //!   fixed log-spaced buckets and a registry that gmetad, the scheduler
 //!   metrics, and the depsolve cache all export into, rendered as
-//!   byte-deterministic Prometheus exposition text.
+//!   byte-deterministic Prometheus exposition text;
+//! * [`Fnv64`] — the 64-bit FNV-1a digest every layer's content
+//!   identities and seeded draws use.
 //!
 //! Everything is deterministic by construction: no wall clock, no
 //! hash-order iteration, FIFO tie-breaking at equal timestamps. Two
@@ -34,6 +36,7 @@
 
 pub mod analyze;
 mod clock;
+mod fnv;
 mod metrics;
 pub mod pool;
 mod queue;
@@ -46,6 +49,7 @@ pub use analyze::{
     analyze, Analysis, CriticalPath, Frame, Lane, PathSegment, ANALYZE_TRACE_SOURCE,
 };
 pub use clock::SimClock;
+pub use fnv::Fnv64;
 pub use metrics::{
     format_prom_f64, HistogramSink, LatencyHistogram, MetricRegistry, HISTOGRAM_BUCKETS_S,
 };

@@ -107,21 +107,11 @@ impl QuotaTable {
             _ => Err(format!("incomplete quota line {line:?}")),
         }
     }
-
-    /// Parse a whole table (one line per tenant, blank lines ignored).
-    pub fn parse(text: &str) -> Result<QuotaTable, String> {
-        let mut table = QuotaTable::new();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let (tenant, quota) = Self::parse_line(line)?;
-            table.set(tenant, quota);
-        }
-        Ok(table)
-    }
 }
 
 impl fmt::Display for QuotaTable {
     /// One `tenant=<name> rate=<r> burst=<b>` line per tenant, in name
-    /// order; [`QuotaTable::parse`] round-trips it.
+    /// order; [`QuotaTable::parse_line`] reads each line back.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (tenant, quota) in &self.quotas {
             writeln!(
@@ -250,14 +240,18 @@ mod tests {
     fn quota_table_round_trips() {
         let t = table(&[("campus-a", 3, 6), ("campus-b", 1, 2), ("idle", 0, 0)]);
         let text = t.to_string();
-        let parsed = QuotaTable::parse(&text).unwrap();
+        let mut parsed = QuotaTable::new();
+        for line in text.lines() {
+            let (tenant, quota) = QuotaTable::parse_line(line).unwrap();
+            parsed.set(tenant, quota);
+        }
         assert_eq!(parsed, t);
         assert_eq!(parsed.to_string(), text);
         assert_eq!(parsed.get("campus-a"), TenantQuota::new(3, 6));
         assert_eq!(parsed.get("nobody"), TenantQuota::new(0, 0));
-        assert!(QuotaTable::parse("tenant=x rate=1").is_err());
-        assert!(QuotaTable::parse("tenant=x rate=1 burst=zzz").is_err());
-        assert!(QuotaTable::parse("tenant=x rate=1 burst=2 color=red").is_err());
+        assert!(QuotaTable::parse_line("tenant=x rate=1").is_err());
+        assert!(QuotaTable::parse_line("tenant=x rate=1 burst=zzz").is_err());
+        assert!(QuotaTable::parse_line("tenant=x rate=1 burst=2 color=red").is_err());
     }
 
     #[test]

@@ -68,7 +68,9 @@ impl SvcOp {
         }
     }
 
-    /// Parse the canonical text form back into an op.
+    /// Parse the canonical text form back into an op. A solve comes back
+    /// normalized, as [`render`](SvcOp::render) writes it, so
+    /// `parse(render(parse(t))) == parse(t)`.
     pub fn parse(text: &str) -> Result<SvcOp, String> {
         match text.trim() {
             "deploy" => return Ok(SvcOp::Deploy),
@@ -81,17 +83,14 @@ impl SvcOp {
             .trim()
             .strip_prefix("solve ")
             .ok_or_else(|| format!("unrecognized op: {text:?}"))?;
-        if let Some(targets) = rest.strip_prefix("install:") {
-            Ok(SvcOp::Solve(SolveRequest::install(
-                targets.split(',').filter(|t| !t.is_empty()),
-            )))
+        let req = if let Some(targets) = rest.strip_prefix("install:") {
+            SolveRequest::install(targets.split(',').filter(|t| !t.is_empty()))
         } else if let Some(targets) = rest.strip_prefix("update:") {
-            Ok(SvcOp::Solve(SolveRequest::update(
-                targets.split(',').filter(|t| !t.is_empty()),
-            )))
+            SolveRequest::update(targets.split(',').filter(|t| !t.is_empty()))
         } else {
-            Err(format!("unrecognized solve op: {text:?}"))
-        }
+            return Err(format!("unrecognized solve op: {text:?}"));
+        };
+        Ok(SvcOp::Solve(req.normalized()))
     }
 }
 

@@ -16,8 +16,19 @@
 //! produce byte-identical journals (the CI quick-gate diffs them), so
 //! nothing scheduling-dependent — wall clock, worker ids, interleaving
 //! — may appear in it.
+//!
+//! The text is read with the line-record codec the checkpoints use
+//! ([`xcbc_fault::record`]): `#` comments and blank lines are skipped,
+//! and a bad line is a [`RecordError`] naming its line. Parsing checks
+//! what the file carries — every entry's digest column against its op,
+//! every quota line, a shard count within [`MAX_SHARDS`] — so a
+//! tampered journal fails to parse instead of replaying clean.
 
+use crate::admission::QuotaTable;
 use crate::api::SvcOp;
+use crate::service::MAX_SHARDS;
+use std::str::FromStr;
+use xcbc_fault::record::{records, Record, RecordError};
 use xcbc_yum::CacheStats;
 
 /// One accepted request, as journaled at admission.
@@ -43,8 +54,8 @@ pub struct Journal {
     pub seed: u64,
     /// Cache shard count the run used.
     pub shards: usize,
-    /// The quota table, rendered line-by-line in the header
-    /// (round-trips through [`QuotaTable::parse`](crate::QuotaTable::parse)).
+    /// The quota table, rendered line-by-line in the header (each line
+    /// passes [`QuotaTable::parse_line`]).
     pub quota_lines: Vec<String>,
     /// Accepted requests in sequence order.
     pub entries: Vec<JournalEntry>,
@@ -54,24 +65,10 @@ pub struct Journal {
     pub cache_totals: (u64, u64, usize),
 }
 
-/// Parse failure, with the offending line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "journal line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for JournalError {}
-
 const MAGIC: &str = "xcbcd-journal v1";
+
+/// The format name a [`RecordError`] from [`Journal::parse`] carries.
+const FORMAT: &str = "journal";
 
 impl Journal {
     /// Render the canonical text form. Byte-deterministic: a pure
@@ -107,66 +104,50 @@ impl Journal {
     }
 
     /// Parse the text form back ([`render`](Self::render) round-trips).
-    pub fn parse(text: &str) -> Result<Journal, JournalError> {
-        let err = |line: usize, message: String| JournalError { line, message };
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first == MAGIC => {}
-            other => {
-                return Err(err(
-                    1,
-                    format!("expected {MAGIC:?}, got {:?}", other.map(|(_, l)| l)),
-                ))
-            }
+    pub fn parse(text: &str) -> Result<Journal, RecordError> {
+        let mut lines = records(FORMAT, text);
+        let mut first = lines
+            .next()
+            .ok_or_else(|| RecordError::at_end(FORMAT, text, format!("expected {MAGIC:?}")))?;
+        if MAGIC.split_once(' ') != Some((first.tag, first.rest())) {
+            return Err(first.error(format!("expected {MAGIC:?}")));
         }
         let mut journal = Journal::default();
         let mut saw_end = false;
         let mut saw_cache = false;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match tag {
+        for mut r in lines {
+            match r.tag {
                 "seed" => {
-                    journal.seed = rest
-                        .parse()
-                        .map_err(|e| err(lineno, format!("seed: {e}")))?;
+                    journal.seed = r.parse("seed")?;
+                    r.end()?;
                 }
                 "shards" => {
-                    journal.shards = rest
-                        .parse()
-                        .map_err(|e| err(lineno, format!("shards: {e}")))?;
+                    journal.shards = r.parse("shards")?;
+                    r.end()?;
+                    if !(1..=MAX_SHARDS).contains(&journal.shards) {
+                        return Err(r.error(format!(
+                            "shard count {} is outside 1..={MAX_SHARDS}",
+                            journal.shards
+                        )));
+                    }
                 }
-                "quota" => journal.quota_lines.push(rest.to_string()),
+                "quota" => {
+                    let line = r.rest();
+                    QuotaTable::parse_line(line).map_err(|e| r.error(e))?;
+                    journal.quota_lines.push(line.to_string());
+                }
                 "entry" => {
-                    let mut fields = rest.splitn(4, ' ');
-                    let seq: u64 = fields
-                        .next()
-                        .ok_or_else(|| err(lineno, "entry: missing seq".into()))?
-                        .parse()
-                        .map_err(|e| err(lineno, format!("entry seq: {e}")))?;
-                    let tenant = fields
-                        .next()
-                        .ok_or_else(|| err(lineno, "entry: missing tenant".into()))?
-                        .to_string();
-                    let digest: u64 = fields
-                        .next()
-                        .ok_or_else(|| err(lineno, "entry: missing digest".into()))?
-                        .parse()
-                        .map_err(|e| err(lineno, format!("entry digest: {e}")))?;
-                    let tail = fields
-                        .next()
-                        .ok_or_else(|| err(lineno, "entry: missing seed/op".into()))?;
-                    let (seed_text, op_text) = tail
-                        .split_once(' ')
-                        .ok_or_else(|| err(lineno, "entry: missing op".into()))?;
-                    let seed: u64 = seed_text
-                        .parse()
-                        .map_err(|e| err(lineno, format!("entry seed: {e}")))?;
-                    let op = SvcOp::parse(op_text).map_err(|e| err(lineno, e))?;
+                    let seq = r.parse("seq")?;
+                    let tenant = r.word("tenant")?.to_string();
+                    let digest = r.parse("digest")?;
+                    let seed = r.parse("seed")?;
+                    let op = SvcOp::parse(r.rest()).map_err(|e| r.error(e))?;
+                    let expected = op.digest();
+                    if digest != expected {
+                        return Err(r.error(format!(
+                            "entry digest {digest} does not match its op (digest {expected})"
+                        )));
+                    }
                     journal.entries.push(JournalEntry {
                         seq,
                         tenant,
@@ -177,56 +158,44 @@ impl Journal {
                 }
                 "end" => {
                     saw_end = true;
-                    let declared: usize = rest
-                        .strip_prefix("entries ")
-                        .and_then(|n| n.parse().ok())
-                        .ok_or_else(|| err(lineno, format!("malformed end line {line:?}")))?;
+                    let declared: usize = keyed(&mut r, "entries")?;
+                    r.end()?;
                     if declared != journal.entries.len() {
-                        return Err(err(
-                            lineno,
-                            format!(
-                                "end declares {declared} entries, journal carries {}",
-                                journal.entries.len()
-                            ),
-                        ));
+                        return Err(r.error(format!(
+                            "end declares {declared} entries, journal carries {}",
+                            journal.entries.len()
+                        )));
                     }
                 }
                 "response" => {
-                    let (seq, digest) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| err(lineno, format!("malformed response line {line:?}")))?;
-                    journal.response_digests.push((
-                        seq.parse()
-                            .map_err(|e| err(lineno, format!("response seq: {e}")))?,
-                        digest
-                            .parse()
-                            .map_err(|e| err(lineno, format!("response digest: {e}")))?,
-                    ));
+                    let seq = r.parse("response seq")?;
+                    let digest = r.parse("response digest")?;
+                    r.end()?;
+                    journal.response_digests.push((seq, digest));
                 }
                 "cache" => {
                     saw_cache = true;
-                    let fields: Vec<&str> = rest.split(' ').collect();
-                    match fields.as_slice() {
-                        ["hits", h, "misses", m, "entries", n] => {
-                            journal.cache_totals = (
-                                h.parse()
-                                    .map_err(|e| err(lineno, format!("cache hits: {e}")))?,
-                                m.parse()
-                                    .map_err(|e| err(lineno, format!("cache misses: {e}")))?,
-                                n.parse()
-                                    .map_err(|e| err(lineno, format!("cache entries: {e}")))?,
-                            );
-                        }
-                        _ => return Err(err(lineno, format!("malformed cache line {line:?}"))),
-                    }
+                    let hits = keyed(&mut r, "hits")?;
+                    let misses = keyed(&mut r, "misses")?;
+                    let entries = keyed(&mut r, "entries")?;
+                    r.end()?;
+                    journal.cache_totals = (hits, misses, entries);
                 }
-                other => return Err(err(lineno, format!("unknown journal tag {other:?}"))),
+                other => return Err(r.error(format!("unknown journal tag {other:?}"))),
             }
         }
+        if journal.shards == 0 {
+            return Err(RecordError::at_end(
+                FORMAT,
+                text,
+                "journal has no shards line",
+            ));
+        }
         if !saw_end || !saw_cache {
-            return Err(err(
-                text.lines().count(),
-                "journal is truncated (missing end/cache footer)".into(),
+            return Err(RecordError::at_end(
+                FORMAT,
+                text,
+                "journal is truncated (missing end/cache footer)",
             ));
         }
         Ok(journal)
@@ -236,6 +205,15 @@ impl Journal {
     pub fn set_cache_totals(&mut self, stats: &CacheStats) {
         self.cache_totals = (stats.hits, stats.misses, stats.entries);
     }
+}
+
+/// The `key value` pair next in `r`, e.g. `hits 3` in a cache record.
+fn keyed<T: FromStr>(r: &mut Record, key: &str) -> Result<T, RecordError> {
+    let word = r.word(key)?;
+    if word != key {
+        return Err(r.error(format!("expected `{key}`, got `{word}`")));
+    }
+    r.parse(key)
 }
 
 #[cfg(test)]
@@ -293,5 +271,14 @@ mod tests {
         let lied = text.replace("end entries 2", "end entries 3");
         let e = Journal::parse(&lied).unwrap_err();
         assert!(e.message.contains("declares 3"), "{e}");
+    }
+
+    #[test]
+    fn comments_blank_lines_and_indentation_carry_no_data() {
+        let text = sample().render();
+        let annotated = format!("# served by xcbcd\n{}\n  # footer follows\n", text)
+            .replace("seed 42", "  seed 42  ")
+            .replace("end entries", "\nend entries");
+        assert_eq!(Journal::parse(&annotated).unwrap(), sample());
     }
 }

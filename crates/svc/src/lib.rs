@@ -44,6 +44,6 @@ pub mod workload;
 
 pub use admission::{AdmissionController, QuotaTable, TenantQuota};
 pub use api::{body_digest, Disposition, RejectReason, SvcOp, SvcRequest, SvcResponse};
-pub use journal::{Journal, JournalEntry, JournalError};
-pub use service::{replay, serve, ReplayReport, SvcConfig, SvcReport};
+pub use journal::{Journal, JournalEntry};
+pub use service::{replay, serve, ReplayReport, SvcConfig, SvcReport, MAX_SHARDS};
 pub use workload::{tenant_names, SvcWorkload};

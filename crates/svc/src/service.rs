@@ -27,16 +27,21 @@
 
 use crate::admission::{AdmissionController, QuotaTable};
 use crate::api::{body_digest, Disposition, RejectReason, SvcOp, SvcRequest, SvcResponse};
-use crate::journal::{Journal, JournalEntry, JournalError};
+use crate::journal::{Journal, JournalEntry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use xcbc_core::deploy::deploy_xnit_overlay_salted;
 use xcbc_core::deploy::limulus_factory_image;
 use xcbc_core::xnit::{xnit_repository, XnitSetupMethod};
-use xcbc_fault::Mutation;
+use xcbc_fault::{Mutation, RecordError};
 use xcbc_rpm::RpmDb;
 use xcbc_sim::{pool, self_profiler, MetricRegistry, SECTION_SVC_SERVE};
 use xcbc_yum::{CacheStats, Repository, ShardedSolveCache, SolveRequest, YumConfig};
+
+/// The largest cache shard count a run may use. The cache builds every
+/// shard up front, so the command line and the journal reader refuse
+/// more; nothing needs more than a handful.
+pub const MAX_SHARDS: usize = 1024;
 
 /// How the service is shaped for one run.
 #[derive(Debug, Clone)]
@@ -531,9 +536,9 @@ impl ReplayReport {
 /// footer: every response body must digest to what the original run
 /// recorded, and the final cache-counter totals must match. This is
 /// `xcbcd --replay LOG`.
-pub fn replay(journal_text: &str) -> Result<ReplayReport, JournalError> {
+pub fn replay(journal_text: &str) -> Result<ReplayReport, RecordError> {
     let journal = Journal::parse(journal_text)?;
-    let bank = ShardedSolveCache::new(journal.shards.max(1));
+    let bank = ShardedSolveCache::new(journal.shards);
     let repos = tenant_repos();
     let yum_config = YumConfig::default();
     let mut ledger = Ledger::default();

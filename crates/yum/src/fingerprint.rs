@@ -22,7 +22,7 @@ use crate::repo::Repository;
 use crate::YumConfig;
 use xcbc_rpm::RpmDb;
 
-pub use xcbc_rpm::Fnv64;
+pub use xcbc_sim::Fnv64;
 
 /// Fingerprint of one repository's solver-visible identity: id,
 /// revision, enabledness, and priority. The revision counter stands in

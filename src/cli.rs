@@ -14,7 +14,7 @@
 
 use std::str::FromStr;
 
-use xcbc_svc::{SvcConfig, SvcWorkload};
+use xcbc_svc::{SvcConfig, SvcWorkload, MAX_SHARDS};
 
 /// The arguments after the command name, taken as a command reads them.
 pub struct Args {
@@ -132,8 +132,9 @@ impl Args {
 }
 
 /// The flags `xcbc svc` and `xcbcd` share: `--tenants N --workers N
-/// --shards N` (each at least 1), `--requests N`, `--seed S`, and
-/// `--journal FILE` (returned last).
+/// --shards N` (each at least 1, and `--shards` at most
+/// [`MAX_SHARDS`]), `--requests N`, `--seed S`, and `--journal FILE`
+/// (returned last).
 pub fn svc_args(args: &mut Args) -> Result<(SvcWorkload, SvcConfig, Option<String>), String> {
     let workload = SvcWorkload {
         tenants: args.count("--tenants")?.unwrap_or(3),
@@ -143,6 +144,9 @@ pub fn svc_args(args: &mut Args) -> Result<(SvcWorkload, SvcConfig, Option<Strin
     };
     let mut config = workload.config(args.count("--workers")?.unwrap_or(4));
     if let Some(shards) = args.count("--shards")? {
+        if shards > MAX_SHARDS {
+            return Err(format!("--shards must be at most {MAX_SHARDS}"));
+        }
         config.shards = shards;
     }
     Ok((workload, config, args.value("--journal")?))

@@ -214,6 +214,16 @@ fn every_command_rejects_bad_input() {
         (XCBCD, "--workers 0", &["--workers must be at least 1"]),
         (XCBCD, "--tenants abc", &["--tenants", "\"abc\""]),
         (XCBCD, "--shards 0", &["--shards must be at least 1"]),
+        (
+            XCBCD,
+            "--shards 100000000000",
+            &["--shards must be at most 1024"],
+        ),
+        (
+            XCBC,
+            "svc --shards 100000000000",
+            &["--shards must be at most 1024"],
+        ),
         (XCBCD, "--bogus", &["unknown flag", "\"--bogus\""]),
         (XCBCD, "--replay", &["--replay needs a value"]),
     ];

@@ -1,0 +1,157 @@
+//! One never-panic property for every line-record format: the install,
+//! campaign and elastic checkpoints and the `xcbcd` journal.
+//!
+//! - Random valid values round-trip byte for byte through their writer
+//!   and `parse`.
+//! - Random character edits of the written text never make `parse`
+//!   panic, nor `replay` for the journal. A bad edit is an error.
+//! - Any edited text that parses is a fixpoint:
+//!   `parse(render(parse(t))) == parse(t)`.
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::sync::OnceLock;
+use xcbc::fault::{CampaignCheckpoint, ElasticCheckpoint, InstallCheckpoint, NodeStage};
+use xcbc::svc::{replay, serve, Journal, SvcWorkload};
+
+/// The characters an edit inserts or replaces with.
+const EDIT_CHARS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCZ \n#=:,";
+
+/// `(kind, position, char)` draws: 0 replaces, 1 inserts, 2 deletes.
+fn edits() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    proptest::collection::vec((0u8..3, 0usize..1 << 16, 0..EDIT_CHARS.len()), 1..4)
+}
+
+/// Apply `edits` to `text`. Every format here writes ASCII, and edits
+/// only add ASCII, so any byte position is a char boundary.
+fn apply(text: &str, edits: &[(u8, usize, usize)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(kind, pos, ch) in edits {
+        let c = EDIT_CHARS[ch];
+        match kind {
+            0 if !bytes.is_empty() => {
+                let at = pos % bytes.len();
+                bytes[at] = c;
+            }
+            2 if !bytes.is_empty() => {
+                bytes.remove(pos % bytes.len());
+            }
+            _ => bytes.insert(pos % (bytes.len() + 1), c),
+        }
+    }
+    String::from_utf8(bytes).expect("edits keep the text ASCII")
+}
+
+/// Node names, digests and free-text reasons as the writers emit them.
+const NAME: &str = "[a-z][a-z0-9-]{0,8}";
+const DIGEST: &str = "[0-9a-f]{16}";
+const REASON: &str = "[a-z.:][a-z.: ]{0,16}[a-z]";
+
+/// Round trip, and the fixpoint of each edited text that parses.
+fn check_format<T: PartialEq + std::fmt::Debug, E: std::fmt::Display>(
+    value: &T,
+    render: impl Fn(&T) -> String,
+    parse: impl Fn(&str) -> Result<T, E>,
+    edits: &[(u8, usize, usize)],
+) -> Result<(), TestCaseError> {
+    let text = render(value);
+    let parsed = parse(&text).map_err(|e| TestCaseError::fail(format!("{e} in {text:?}")))?;
+    prop_assert_eq!(&parsed, value);
+    prop_assert_eq!(render(&parsed), text.clone());
+    let edited = apply(&text, edits);
+    if let Ok(once) = parse(&edited) {
+        let again = parse(&render(&once));
+        prop_assert!(
+            again.as_ref().ok() == Some(&once),
+            "not a fixpoint: {edited:?}"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn install_checkpoint_round_trips_and_survives_edits(
+        frontend in 0u8..2,
+        nodes in proptest::collection::vec((NAME, 0..NodeStage::ALL.len()), 0..6),
+        quarantined in proptest::collection::vec((NAME, REASON), 0..3),
+        edits in edits(),
+    ) {
+        let mut cp = InstallCheckpoint::new();
+        if frontend == 1 {
+            cp.mark_frontend_committed();
+        }
+        for (name, stage) in &nodes {
+            cp.record(name, NodeStage::ALL[*stage]);
+        }
+        for (name, reason) in &quarantined {
+            cp.quarantine(name, reason);
+        }
+        check_format(&cp, InstallCheckpoint::to_text, InstallCheckpoint::parse, &edits)?;
+    }
+
+    #[test]
+    fn campaign_checkpoint_round_trips_and_survives_edits(
+        digest in DIGEST,
+        waves in 0usize..12,
+        updated in proptest::collection::vec(NAME, 0..6),
+        failed in proptest::collection::vec((NAME, REASON), 0..3),
+        edits in edits(),
+    ) {
+        let mut cp = CampaignCheckpoint::new(&digest);
+        if waves > 0 {
+            cp.mark_wave_completed(waves - 1);
+        }
+        for name in &updated {
+            cp.record_updated(name);
+        }
+        for (name, reason) in &failed {
+            cp.record_failed(name, reason);
+        }
+        check_format(&cp, CampaignCheckpoint::to_text, CampaignCheckpoint::parse, &edits)?;
+    }
+
+    #[test]
+    fn elastic_checkpoint_round_trips_and_survives_edits(
+        digest in DIGEST,
+        ticks in 0usize..40,
+        edits in edits(),
+    ) {
+        let mut cp = ElasticCheckpoint::new(&digest);
+        if ticks > 0 {
+            cp.mark_tick_completed(ticks - 1);
+        }
+        check_format(&cp, ElasticCheckpoint::to_text, ElasticCheckpoint::parse, &edits)?;
+    }
+}
+
+/// A small served stream's journal: every tag, a few solves and a
+/// deploy, cheap enough to replay once per case.
+fn served_journal() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let workload = SvcWorkload {
+            tenants: 2,
+            requests: 8,
+            seed: 11,
+            ..SvcWorkload::default()
+        };
+        serve(&workload.generate(), &workload.config(2)).journal_text
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn journal_round_trips_and_survives_edits(edits in edits()) {
+        let text = served_journal();
+        let journal = Journal::parse(text).expect("served journal parses");
+        check_format(&journal, Journal::render, Journal::parse, &edits)?;
+        // replay verifies what parse accepted; it may report mismatches
+        // or refuse the file, but it must not panic
+        let _ = replay(&apply(text, &edits));
+    }
+}

@@ -51,3 +51,70 @@ fn seed7_golden_journal_replays_clean() {
     assert!(verdict.is_clean(), "{}", verdict.render());
     assert_eq!(verdict.responses.len(), 22);
 }
+
+/// Single-line edits of the golden journal that must not replay: each
+/// `(line, from, to, reported, needle)` rewrites `from` to `to` on line
+/// `line` and expects a parse error on line `reported` whose message
+/// contains `needle`. None of them may replay as "ok".
+#[test]
+fn tampered_golden_journal_is_refused() {
+    let rows: &[(usize, &str, &str, usize, &str)] = &[
+        (
+            8,
+            "entry 1 campus-a 15624733544272274768",
+            "entry 1 campus-a 1",
+            8,
+            "digest 1 does not match",
+        ),
+        (
+            10,
+            "solve install:torque,abyss",
+            "solve install:torque",
+            10,
+            "does not match its op",
+        ),
+        (
+            5,
+            "quota tenant=campus-b rate=2 burst=4",
+            "quota lol what",
+            5,
+            "malformed quota field",
+        ),
+        (3, "shards 4", "shards 0", 3, "outside 1..=1024"),
+        (3, "shards 4", "shards 100000000000", 3, "outside 1..=1024"),
+        (3, "shards 4", "", 52, "no shards line"),
+        (29, "end entries 22", "end entries 21", 29, "declares 21"),
+        (
+            30,
+            "response 0 14838321224971531163",
+            "response 0 14838321224971531163 7",
+            30,
+            "unexpected `7`",
+        ),
+        (
+            52,
+            "cache hits 1 misses 15 entries 15",
+            "cache hits 1 misses 15 total 15",
+            52,
+            "expected `entries`",
+        ),
+    ];
+    for &(line, from, to, reported, needle) in rows {
+        let golden_line = GOLDEN.lines().nth(line - 1).unwrap();
+        assert!(golden_line.contains(from), "line {line} is {golden_line:?}");
+        let edited: String = GOLDEN
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i + 1 == line { l.replace(from, to) } else { l.to_string() } + "\n")
+            .collect();
+        let err = match replay(&edited) {
+            Ok(verdict) => panic!("{from:?} -> {to:?} replayed: {}", verdict.render()),
+            Err(e) => e.to_string(),
+        };
+        let prefix = format!("journal line {reported}: ");
+        assert!(
+            err.starts_with(&prefix) && err.contains(needle),
+            "{from:?} -> {to:?}: {err}"
+        );
+    }
+}
