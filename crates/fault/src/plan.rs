@@ -395,7 +395,8 @@ impl FaultPlan {
     /// ```
     ///
     /// Clauses are `;`-separated. `seed=N` sets the seed (default 0).
-    /// `rate <point> <p>` adds a random rate. Any other clause starts
+    /// `rate <point> <p>` adds a random rate; `p` must be a number in
+    /// `[0, 1]` and end the clause. Any other clause starts
     /// with an injection-point name followed by optional `key=`, `on=`
     /// (default `always`), and `kind=` (default per point) fields.
     pub fn parse(text: &str) -> Result<FaultPlan, PlanParseError> {
@@ -422,9 +423,15 @@ impl FaultPlan {
                     .ok_or_else(|| err("rate needs an injection point"))?;
                 let p: f64 = words
                     .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| err("rate needs a probability"))?;
-                plan = plan.with_rate(point, p);
+                    .ok_or_else(|| err("rate needs a probability"))?
+                    .parse()
+                    .ok()
+                    .filter(|p| (0.0..=1.0).contains(p))
+                    .ok_or_else(|| err("rate probability must be a number in [0, 1]"))?;
+                if words.next().is_some() {
+                    return Err(err("unexpected text after the rate probability"));
+                }
+                plan.rates.push((point, p));
                 continue;
             }
             let point =
@@ -695,6 +702,34 @@ mod tests {
         assert!(FaultPlan::parse("mirror.fetch kind=gremlins").is_err());
         assert!(FaultPlan::parse("seed=minus-one").is_err());
         assert!(FaultPlan::parse("rate mirror.fetch").is_err());
+    }
+
+    #[test]
+    fn rate_probability_is_strict() {
+        for (text, message) in [
+            ("rate mirror.fetch nan", "in [0, 1]"),
+            ("rate mirror.fetch inf", "in [0, 1]"),
+            ("rate mirror.fetch 7", "in [0, 1]"),
+            ("rate mirror.fetch -3", "in [0, 1]"),
+            ("rate mirror.fetch half", "in [0, 1]"),
+            ("rate mirror.fetch 0.5 junk", "unexpected text"),
+        ] {
+            let e = FaultPlan::parse(text).expect_err(text);
+            assert_eq!(e.clause, text);
+            assert!(e.message.contains(message), "{text}: {e}");
+        }
+        // both ends of the interval are valid probabilities
+        let plan = FaultPlan::parse("rate mirror.fetch 0; rate node.boot 1").unwrap();
+        assert_eq!(
+            plan.rates,
+            vec![
+                (InjectionPoint::MirrorFetch, 0.0),
+                (InjectionPoint::NodeBoot, 1.0)
+            ]
+        );
+        // the builder still clamps
+        let built = FaultPlan::new(0).with_rate(InjectionPoint::MirrorFetch, 7.0);
+        assert_eq!(built.rates, vec![(InjectionPoint::MirrorFetch, 1.0)]);
     }
 
     #[test]

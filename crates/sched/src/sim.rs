@@ -64,6 +64,30 @@ impl Reservation {
     }
 }
 
+/// A queued job as the scheduling pass reads it: the id plus the
+/// request fields that placement and the backfill test use, copied at
+/// enqueue time so a pass scans the queue without a job-table lookup
+/// per candidate. A request never changes after submission, so the
+/// copy cannot go stale.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct QueueEntry {
+    id: JobId,
+    nodes: u32,
+    ppn: u32,
+    walltime_s: f64,
+}
+
+impl QueueEntry {
+    fn of(job: &Job) -> QueueEntry {
+        QueueEntry {
+            id: job.id,
+            nodes: job.request.nodes,
+            ppn: job.request.ppn,
+            walltime_s: job.request.walltime_s,
+        }
+    }
+}
+
 /// The simulator.
 #[derive(Debug)]
 pub struct ClusterSim {
@@ -78,8 +102,8 @@ pub struct ClusterSim {
     /// Structured trace of submits, job spans, and reservations.
     bus: EventBus,
     jobs: BTreeMap<JobId, Job>,
-    /// Queued job ids in arrival order.
-    queue: Vec<JobId>,
+    /// Queued jobs in arrival order.
+    queue: Vec<QueueEntry>,
     /// Running job ids. An index, not state: kept in lockstep with
     /// `jobs[*].state` so per-event work (backfill shadow time, drain
     /// queries) scans the ≤ nodes×cores running jobs instead of every
@@ -330,7 +354,7 @@ impl ClusterSim {
         if let Some(job) = self.jobs.get_mut(&id) {
             if job.state == JobState::Queued {
                 job.state = JobState::Cancelled;
-                self.queue.retain(|&q| q != id);
+                self.queue.retain(|q| q.id != id);
                 self.held.remove(&id);
                 return true;
             }
@@ -379,7 +403,7 @@ impl ClusterSim {
     }
 
     pub fn queued(&self) -> Vec<&Job> {
-        self.queue.iter().map(|id| &self.jobs[id]).collect()
+        self.queue.iter().map(|q| &self.jobs[&q.id]).collect()
     }
 
     pub fn running(&self) -> Vec<&Job> {
@@ -514,7 +538,7 @@ impl ClusterSim {
     pub fn queue_depth(&self) -> usize {
         self.queue
             .iter()
-            .filter(|id| !self.held.contains(id))
+            .filter(|q| !self.held.contains(&q.id))
             .count()
     }
 
@@ -541,19 +565,19 @@ impl ClusterSim {
         assert!(node < self.free.len(), "node out of range");
         let victims = self.running_on(node);
         for &id in &victims {
-            let (placement, ppn, name) = {
+            let (placement, entry, name) = {
                 let job = self.jobs.get_mut(&id).expect("job exists");
                 job.state = JobState::Queued;
                 (
                     std::mem::take(&mut job.placement),
-                    job.request.ppn,
+                    QueueEntry::of(job),
                     job.request.name.clone(),
                 )
             };
             self.running_ids.remove(&id);
             *self.incarnations.entry(id).or_insert(0) += 1;
             for n in placement {
-                self.free[n] += ppn;
+                self.free[n] += entry.ppn;
             }
             let now = self.clock.now();
             if self.tracing {
@@ -562,7 +586,7 @@ impl ClusterSim {
                         .with_field("node", node),
                 );
             }
-            self.queue.push(id);
+            self.queue.push(entry);
         }
         if !victims.is_empty() {
             self.try_start_jobs();
@@ -577,38 +601,33 @@ impl ClusterSim {
 
     // ----- placement -----
 
-    /// Find a placement for `nodes × ppn` in the given free vector,
-    /// skipping offline nodes.
-    fn find_placement(
-        free: &[u32],
-        offline: &BTreeSet<usize>,
-        nodes: u32,
-        ppn: u32,
-    ) -> Option<Vec<usize>> {
-        let mut picked = Vec::with_capacity(nodes as usize);
+    /// Could `nodes × ppn` be placed in the given free vector, skipping
+    /// offline nodes?
+    fn placeable(free: &[u32], offline: &BTreeSet<usize>, nodes: u32, ppn: u32) -> bool {
+        let mut found = 0;
         for (i, &f) in free.iter().enumerate() {
             if f >= ppn && !offline.contains(&i) {
-                picked.push(i);
-                if picked.len() == nodes as usize {
-                    return Some(picked);
+                found += 1;
+                if found == nodes {
+                    return true;
                 }
             }
         }
-        None
+        false
     }
 
-    fn fits_now(&self, req: &JobRequest) -> Option<Vec<usize>> {
+    fn fits_now(&self, job: &QueueEntry) -> Option<Vec<usize>> {
         let job_start = self.now();
-        let job_end = job_start + req.walltime_s;
-        let mut picked = Vec::with_capacity(req.nodes as usize);
+        let job_end = job_start + job.walltime_s;
+        let mut picked = Vec::with_capacity(job.nodes as usize);
         for (i, &f) in self.free.iter().enumerate() {
             let reserved = self
                 .reservations
                 .iter()
                 .any(|r| r.blocks(i, job_start, job_end));
-            if f >= req.ppn && !reserved && !self.offline.contains(&i) {
+            if f >= job.ppn && !reserved && !self.offline.contains(&i) {
                 picked.push(i);
-                if picked.len() == req.nodes as usize {
+                if picked.len() == job.nodes as usize {
                     return Some(picked);
                 }
             }
@@ -616,11 +635,9 @@ impl ClusterSim {
         None
     }
 
-    fn start_job(&mut self, id: JobId) {
-        let placement = {
-            let job = &self.jobs[&id];
-            self.fits_now(&job.request).expect("caller checked fit")
-        };
+    /// Start job `id` on `placement` (a [`ClusterSim::fits_now`]
+    /// answer). The caller removes it from `queue`.
+    fn start_job(&mut self, id: JobId, placement: Vec<usize>) {
         let now_s = self.now();
         let job = self.jobs.get_mut(&id).expect("job exists");
         for &n in &placement {
@@ -630,7 +647,6 @@ impl ClusterSim {
         job.state = JobState::Running { start_s: now_s };
         let end = now_s + job.request.effective_runtime();
         self.running_ids.insert(id);
-        self.queue.retain(|&q| q != id);
         let inc = self.incarnations.get(&id).copied().unwrap_or(0);
         self.push_event(end, EventKind::End(id, inc));
     }
@@ -658,28 +674,24 @@ impl ClusterSim {
                 }
             };
             let core_secs = job.request.cores() as f64 * (now_s - start_s);
-            let (ppn, placement, user) = (
-                job.request.ppn,
-                job.placement.clone(),
-                job.request.user.clone(),
-            );
+            let ppn = job.request.ppn;
             if self.tracing {
-                let placed: Vec<String> = placement.iter().map(|n| n.to_string()).collect();
+                let placed: Vec<String> = job.placement.iter().map(|n| n.to_string()).collect();
                 let span = TraceEvent::span(
                     start_s,
                     TRACE_SOURCE,
                     format!("job {}", job.request.name),
                     now_s - start_s,
                 )
-                .with_field("user", user.clone())
+                .with_field("user", job.request.user.clone())
                 .with_field("cores", job.request.cores())
                 .with_field("state", if timed_out { "timed-out" } else { "completed" })
                 .with_field("placement", placed.join(","));
                 self.bus.emit(span);
             }
             self.used_core_seconds += core_secs;
-            *self.usage.entry(user).or_insert(0.0) += core_secs;
-            for n in placement {
+            *self.usage.entry(job.request.user.clone()).or_insert(0.0) += core_secs;
+            for &n in &job.placement {
                 self.free[n] += ppn;
             }
         }
@@ -688,12 +700,12 @@ impl ClusterSim {
     // ----- scheduling -----
 
     /// Queue order the policy wants.
-    fn policy_order(&self) -> Vec<JobId> {
-        let eligible: Vec<JobId> = self
+    fn policy_order(&self) -> Vec<QueueEntry> {
+        let eligible: Vec<QueueEntry> = self
             .queue
             .iter()
             .copied()
-            .filter(|id| !self.held.contains(id))
+            .filter(|q| !self.held.contains(&q.id))
             .collect();
         match self.policy {
             SchedPolicy::Fifo | SchedPolicy::EasyBackfill => eligible,
@@ -706,12 +718,12 @@ impl ClusterSim {
                 // on every comparison. The comparator is a total order
                 // (total_cmp + id tie-break), so the resulting order is
                 // identical to sorting with inline evaluation.
-                let mut keyed: Vec<(f64, JobId)> = eligible
+                let mut keyed: Vec<(f64, QueueEntry)> = eligible
                     .into_iter()
-                    .map(|id| (self.maui_priority(id, queue_weight, fairshare_weight), id))
+                    .map(|q| (self.maui_priority(q.id, queue_weight, fairshare_weight), q))
                     .collect();
-                keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                keyed.into_iter().map(|(_, id)| id).collect()
+                keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
+                keyed.into_iter().map(|(_, q)| q).collect()
             }
         }
     }
@@ -722,74 +734,89 @@ impl ClusterSim {
         wait * qw - self.user_usage(&job.request.user) * fw
     }
 
-    /// Earliest time the head job could start, per the running jobs'
-    /// *walltime-based* planned ends (the scheduler cannot see actual
-    /// runtimes).
-    fn shadow_time(&self, head: &JobRequest) -> f64 {
+    /// Earliest time a `nodes × ppn` head job could start, per the
+    /// running jobs' *walltime-based* planned ends (the scheduler cannot
+    /// see actual runtimes). Releases are replayed in planned-end order,
+    /// ties in ascending id order (a stable sort of the id-ordered
+    /// running set), and the first one after which the head fits wins.
+    /// Reservations are not consulted.
+    fn shadow_time(&self, nodes: u32, ppn: u32) -> f64 {
         let mut free = self.free.clone();
-        // (planned_end, ppn, placement)
-        let mut releases: Vec<(f64, u32, Vec<usize>)> = self
+        let mut releases: Vec<(f64, &Job)> = self
             .running_ids
             .iter()
             .filter_map(|id| {
                 let j = &self.jobs[id];
                 match j.state {
-                    JobState::Running { start_s } => Some((
-                        start_s + j.request.walltime_s,
-                        j.request.ppn,
-                        j.placement.clone(),
-                    )),
+                    JobState::Running { start_s } => Some((start_s + j.request.walltime_s, j)),
                     _ => None,
                 }
             })
             .collect();
         releases.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (t, ppn, placement) in releases {
-            for n in placement {
-                free[n] += ppn;
+        for (t, j) in releases {
+            for &n in &j.placement {
+                free[n] += j.request.ppn;
             }
-            if Self::find_placement(&free, &self.offline, head.nodes, head.ppn).is_some() {
+            if Self::placeable(&free, &self.offline, nodes, ppn) {
                 return t;
             }
         }
         f64::INFINITY // should not happen if the job fits the machine
     }
 
-    /// Start every job the policy allows right now.
+    /// Start every job the policy allows right now, in one pass over
+    /// the policy order.
+    ///
+    /// Within a pass `now`, fairshare usage, holds and reservations are
+    /// fixed, and free cores only go down. So the order is computed
+    /// once, and heads start while they fit. The first blocked head
+    /// stays blocked, and its shadow time is computed once and only
+    /// ever lowered (see below). Each later candidate is tested once,
+    /// since one that fails could not pass later in the same pass.
+    /// The result is exactly that of restarting the pass after every
+    /// start (DESIGN.md, "Scheduler pass").
     fn try_start_jobs(&mut self) {
-        loop {
-            let order = self.policy_order();
-            if order.is_empty() {
-                return;
-            }
-            // Start the head if it fits (then recompute ordering, since
-            // placement and fairshare state changed).
-            let head = order[0];
-            if self.fits_now(&self.jobs[&head].request).is_some() {
-                self.start_job(head);
-                continue;
-            }
-
-            // Head blocked: backfill if the policy allows.
-            if !self.policy.backfills() {
-                return;
-            }
-            let head_req = self.jobs[&order[0]].request.clone();
-            let shadow = self.shadow_time(&head_req);
-            let mut backfilled = false;
-            for &id in order.iter().skip(1) {
-                let req = self.jobs[&id].request.clone();
-                let fits = self.fits_now(&req).is_some();
-                let ends_before_shadow = self.now() + req.walltime_s <= shadow;
-                if fits && ends_before_shadow {
-                    self.start_job(id);
-                    backfilled = true;
+        let order = self.policy_order();
+        let mut started = Vec::new();
+        let mut blocked = None;
+        for (i, q) in order.iter().enumerate() {
+            match self.fits_now(q) {
+                Some(placement) => {
+                    self.start_job(q.id, placement);
+                    started.push(q.id);
+                }
+                None => {
+                    blocked = Some(i);
                     break;
                 }
             }
-            if !backfilled {
-                return;
+        }
+        if let Some(i) = blocked.filter(|_| self.policy.backfills()) {
+            let head = order[i];
+            let mut shadow = self.shadow_time(head.nodes, head.ppn);
+            let now = self.now();
+            for q in &order[i + 1..] {
+                // the cheap shadow bound first: most candidates fail it
+                let end = now + q.walltime_s;
+                if end <= shadow {
+                    if let Some(placement) = self.fits_now(q) {
+                        // A backfill ends by the shadow, so its release
+                        // moves the shadow only for a head that a
+                        // reservation, not a lack of cores, keeps out:
+                        // that head fits once this job's cores return.
+                        if Self::placeable(&self.free, &self.offline, head.nodes, head.ppn) {
+                            shadow = end;
+                        }
+                        self.start_job(q.id, placement);
+                        started.push(q.id);
+                    }
+                }
             }
+        }
+        if !started.is_empty() {
+            started.sort_unstable();
+            self.queue.retain(|q| started.binary_search(&q.id).is_err());
         }
     }
 
@@ -808,8 +835,9 @@ impl ClusterSim {
             self.clock.advance_to(scheduled.t);
             match scheduled.event {
                 EventKind::Submit(id) => {
-                    if self.jobs[&id].state == JobState::Queued {
-                        self.queue.push(id);
+                    let job = &self.jobs[&id];
+                    if job.state == JobState::Queued {
+                        self.queue.push(QueueEntry::of(job));
                     }
                 }
                 EventKind::End(id, inc) => self.finish_job(id, inc),
@@ -835,6 +863,8 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn req(name: &str, nodes: u32, ppn: u32, wall: f64, run: f64) -> JobRequest {
         JobRequest::new(name, nodes, ppn, wall, run)
@@ -1057,6 +1087,9 @@ mod tests {
         assert!(!sim.hold(id), "running job cannot be held");
         assert!(!sim.hold(999));
         assert!(!sim.release(id));
+        // ids start at 1, so id 0 is unknown
+        assert!(sim.job(0).is_none());
+        assert!(!sim.hold(0) && !sim.cancel(0) && !sim.kill(0));
     }
 
     #[test]
@@ -1321,5 +1354,80 @@ mod tests {
         assert_eq!(sim.free.iter().sum::<u32>(), 16);
         // utilization numerator sane
         assert!(sim.used_core_seconds() > 0.0);
+    }
+
+    /// A pass starts everything it can: one more pass right after it
+    /// starts nothing.
+    fn assert_fixpoint(sim: &mut ClusterSim) -> Result<(), TestCaseError> {
+        let (queue, running) = (sim.queue.clone(), sim.running_ids.clone());
+        sim.try_start_jobs();
+        prop_assert_eq!(&sim.queue, &queue, "second pass at t={}", sim.now());
+        prop_assert_eq!(&sim.running_ids, &running, "second pass at t={}", sim.now());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random workloads under every policy, with holds,
+        /// reservations and offline spells: after every event step the
+        /// pass has reached a fixpoint.
+        #[test]
+        fn one_pass_leaves_nothing_to_start(
+            policy in 0usize..3,
+            jobs in proptest::collection::vec(
+                (1u32..=4, 1u32..=2, 1u32..12, 2u32..13, 0u32..600),
+                1..40,
+            ),
+            reservations in proptest::collection::vec((0usize..4, 0u32..800, 1u32..300), 0..3),
+            holds in proptest::collection::vec(0u64..40, 0..4),
+            offline in proptest::collection::vec((0usize..4, 0u32..800), 0..3),
+        ) {
+            let policy = [
+                SchedPolicy::Fifo,
+                SchedPolicy::EasyBackfill,
+                SchedPolicy::maui_default(),
+            ][policy];
+            let mut sim = ClusterSim::new(4, 2, policy);
+            for (i, &(nodes, ppn, wall, frac, at)) in jobs.iter().enumerate() {
+                // coarse walltimes: many equal planned ends
+                let wall = wall as f64 * 50.0;
+                let run = wall * frac as f64 / 10.0;
+                let job = req(&format!("j{i}"), nodes, ppn, wall, run).by(["a", "b"][i % 2]);
+                sim.submit_at(at as f64, job);
+            }
+            for &(node, start, len) in &reservations {
+                sim.add_reservation("r", vec![node], start as f64, (start + len) as f64);
+            }
+            for &h in &holds {
+                sim.hold(1 + h % jobs.len() as u64);
+            }
+            // offline spells of 200 s while the holds stand, then
+            // everything back so the run drains
+            while let Some(t) = sim.events.peek_time().filter(|t| t.as_secs_f64() <= 1000.0) {
+                sim.run_until(t);
+                assert_fixpoint(&mut sim)?;
+                for &(node, at) in &offline {
+                    let (from, to) = (at as f64, at as f64 + 200.0);
+                    if (from..to).contains(&sim.now()) {
+                        sim.set_offline(node);
+                    } else if sim.now() >= to && sim.set_online(node) {
+                        assert_fixpoint(&mut sim)?;
+                    }
+                }
+            }
+            for &h in &holds {
+                sim.release(1 + h % jobs.len() as u64);
+                assert_fixpoint(&mut sim)?;
+            }
+            for node in 0..4 {
+                sim.set_online(node);
+            }
+            while let Some(t) = sim.events.peek_time() {
+                sim.run_until(t);
+                assert_fixpoint(&mut sim)?;
+            }
+            prop_assert_eq!(sim.completed().len(), jobs.len());
+        }
     }
 }

@@ -36,6 +36,21 @@ fn tiny_soak(extra: &[&str]) -> Output {
     xcbc(&args)
 }
 
+/// `argv` split at whitespace, except that a '…' span is one argument
+/// (without its quotes), as a shell would pass a fault plan.
+fn split_argv(argv: &str) -> Vec<&str> {
+    argv.split('\'')
+        .enumerate()
+        .flat_map(|(i, part)| {
+            if i % 2 == 1 {
+                vec![part]
+            } else {
+                part.split_whitespace().collect()
+            }
+        })
+        .collect()
+}
+
 /// Exit 1, nothing on stdout (no scenario ran), and a stderr naming
 /// every `needles` entry.
 fn assert_rejected(out: &Output, needles: &[&str]) {
@@ -226,13 +241,33 @@ fn every_command_rejects_bad_input() {
         ),
         (XCBCD, "--bogus", &["unknown flag", "\"--bogus\""]),
         (XCBCD, "--replay", &["--replay needs a value"]),
+        (
+            XCBC,
+            "deploy littlefe --faults 'rate mirror.fetch nan'",
+            &["'rate mirror.fetch nan'", "must be a number in [0, 1]"],
+        ),
+        (
+            XCBC,
+            "deploy littlefe --faults 'rate mirror.fetch 7'",
+            &["'rate mirror.fetch 7'", "must be a number in [0, 1]"],
+        ),
+        (
+            XCBC,
+            "deploy littlefe --faults 'rate mirror.fetch -3'",
+            &["'rate mirror.fetch -3'", "must be a number in [0, 1]"],
+        ),
+        (
+            XCBC,
+            "deploy littlefe --faults 'rate mirror.fetch 0.5 junk'",
+            &["'rate mirror.fetch 0.5 junk'", "unexpected text"],
+        ),
     ];
     // were an exp row ever accepted, its sweep must not land in results/
     let out_dir = std::env::temp_dir().join("xcbc-cli-args");
     for (bin, argv, needles) in rows {
         println!("{bin} {argv}");
         let mut cmd = Command::new(bin);
-        cmd.args(argv.split_whitespace());
+        cmd.args(split_argv(argv));
         if argv.starts_with("exp ") {
             cmd.arg("--out").arg(&out_dir);
         }

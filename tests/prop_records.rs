@@ -1,5 +1,6 @@
 //! One never-panic property for every line-record format: the install,
-//! campaign and elastic checkpoints and the `xcbcd` journal.
+//! campaign and elastic checkpoints, the `xcbcd` journal, and the
+//! `--faults` plan DSL.
 //!
 //! - Random valid values round-trip byte for byte through their writer
 //!   and `parse`.
@@ -11,11 +12,14 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::OnceLock;
-use xcbc::fault::{CampaignCheckpoint, ElasticCheckpoint, InstallCheckpoint, NodeStage};
+use xcbc::fault::{
+    CampaignCheckpoint, ElasticCheckpoint, FaultKind, FaultPlan, FaultWindow, InjectionPoint,
+    InstallCheckpoint, NodeStage,
+};
 use xcbc::svc::{replay, serve, Journal, SvcWorkload};
 
 /// The characters an edit inserts or replaces with.
-const EDIT_CHARS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCZ \n#=:,";
+const EDIT_CHARS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCZ \n#=:,;.*-";
 
 /// `(kind, position, char)` draws: 0 replaces, 1 inserts, 2 deletes.
 fn edits() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
@@ -153,5 +157,55 @@ proptest! {
         // replay verifies what parse accepted; it may report mismatches
         // or refuse the file, but it must not panic
         let _ = replay(&apply(text, &edits));
+    }
+}
+
+/// Fault kinds by their rendered names.
+const KINDS: [&str; 5] = [
+    "transient",
+    "timeout",
+    "hang",
+    "scriptlet-error",
+    "power-loss",
+];
+
+/// A window from a `(variant, a, b)` draw.
+fn window(variant: u8, a: u64, b: u64) -> FaultWindow {
+    match variant {
+        0 => FaultWindow::Always,
+        1 => FaultWindow::Nth(a),
+        2 => FaultWindow::FirstN(a),
+        _ => FaultWindow::Range {
+            start: a,
+            end: a + 1 + b,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fault_plan_round_trips_and_survives_edits(
+        seed in any::<u64>(),
+        specs in proptest::collection::vec(
+            (0..InjectionPoint::ALL.len(), 0u8..2, "[a-z*][a-z0-9.*-]{0,8}", (0u8..4, 0u64..50, 0u64..50), 0..KINDS.len()),
+            0..4,
+        ),
+        rates in proptest::collection::vec((0..InjectionPoint::ALL.len(), 0u8..4, 0.0f64..1.0), 0..3),
+        edits in edits(),
+    ) {
+        let mut plan = FaultPlan::new(seed);
+        for (point, keyed, key, (variant, a, b), kind) in &specs {
+            let kind = FaultKind::parse(KINDS[*kind]).expect("known kind");
+            let key = (*keyed == 1).then_some(key.as_str());
+            plan = plan.fail_at(InjectionPoint::ALL[*point], key, window(*variant, *a, *b), kind);
+        }
+        for &(point, end, p) in &rates {
+            // the interval's closed ends as well as its inside
+            let p = [0.0, 1.0].get(end as usize).copied().unwrap_or(p);
+            plan = plan.with_rate(InjectionPoint::ALL[point], p);
+        }
+        check_format(&plan, FaultPlan::render, FaultPlan::parse, &edits)?;
     }
 }
