@@ -26,7 +26,7 @@ fn main() {
     }
 
     println!("\nFrom-scratch timeline (LittleFe):");
-    print!("{}", scratch.timeline.render());
+    print!("{}", scratch.timeline().render());
 
     println!("\nWhy the Limulus cannot take the from-scratch path:");
     match deploy_from_scratch(&limulus_hpc200()) {

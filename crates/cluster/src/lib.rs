@@ -38,7 +38,7 @@ pub mod thermal;
 pub mod topology;
 
 pub use acceptance::{check_cluster, check_node, summarize, AcceptanceCheck};
-pub use boot::{timeline_from_recorder, BootPhase, Timeline};
+pub use boot::{BootPhase, Timeline};
 pub use cost::{Bom, BomLine, CloudOffering, TcoComparison};
 pub use failure::{sample_failures, DegradedCluster, FailedComponent, Failure};
 pub use flops::{gpu_peak_gflops, rpeak_gflops_cpu};

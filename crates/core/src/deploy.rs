@@ -13,7 +13,7 @@ use crate::roll::xsede_roll;
 use crate::xnit::{enable_xnit, XnitSetupMethod};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use xcbc_cluster::{timeline_from_recorder, ClusterSpec, DegradedCluster, Timeline};
+use xcbc_cluster::{ClusterSpec, DegradedCluster, Timeline};
 use xcbc_fault::{FaultPlan, InstallCheckpoint, PostMortem};
 use xcbc_rocks::{standard_rolls, ClusterInstall, InstallError, ResilienceConfig};
 use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb};
@@ -40,9 +40,6 @@ pub struct DeploymentReport {
     pub path: DeploymentPath,
     /// Administrator-visible steps, in order.
     pub admin_steps: Vec<String>,
-    /// Wall-clock estimate of the whole deployment (a view over
-    /// [`trace`](DeploymentReport::trace)).
-    pub timeline: Timeline,
     /// Every span the deployment recorded on the shared simulation
     /// timebase; deterministic for a fixed cluster and fault-plan seed.
     pub trace: Vec<TraceEvent>,
@@ -54,8 +51,10 @@ pub struct DeploymentReport {
     pub compat: CompatReport,
     /// Per-node package databases after deployment.
     pub node_dbs: BTreeMap<String, RpmDb>,
-    /// Resilience telemetry, when the deployment ran under fault
-    /// injection (faults, retries, backoff, quarantines).
+    /// Resilience telemetry (faults, retries, backoff, quarantines) of
+    /// a from-scratch deployment, which always runs under a fault plan;
+    /// a plain [`deploy_from_scratch`] carries a clean one. `None` on
+    /// the overlay path.
     pub post_mortem: Option<PostMortem>,
     /// The cluster minus quarantined nodes, when any were quarantined.
     pub degraded: Option<DegradedCluster>,
@@ -97,45 +96,15 @@ pub fn limulus_factory_image() -> RpmDb {
     db
 }
 
-/// Deploy from scratch: Rocks + XSEDE roll on bare metal.
+/// Deploy from scratch: Rocks + XSEDE roll on bare metal, with no
+/// faults — [`deploy_from_scratch_resilient`] under an empty plan.
 pub fn deploy_from_scratch(cluster: &ClusterSpec) -> Result<DeploymentReport, InstallError> {
-    let mut rolls = standard_rolls();
-    rolls.push(xsede_roll());
-    let install = ClusterInstall::new(cluster.clone(), rolls);
-    let report = install.run()?;
-
-    let compute = report
-        .node_dbs
-        .iter()
-        .find(|(name, _)| name.starts_with("compute-"))
-        .map(|(_, db)| db)
-        .or_else(|| report.node_dbs.values().next())
-        .expect("install produced at least one node");
-    let compat = check_compatibility(compute);
-
-    let admin_steps = vec![
-        "burn Rocks 6.1.1 + XSEDE roll install media".to_string(),
-        "boot frontend from media, answer installer screens".to_string(),
-        "select rolls: base kernel os web-server + xsede".to_string(),
-        "wait for frontend install".to_string(),
-        "run insert-ethers, power nodes on in order".to_string(),
-        "wait for compute PXE installs".to_string(),
-        "verify with cluster-fork + qsub test job".to_string(),
-    ];
-
-    Ok(DeploymentReport {
-        path: DeploymentPath::FromScratch,
-        admin_steps,
-        nodes_reinstalled: report.node_dbs.len(),
-        preexisting_preserved: false, // bare metal wipes everything
-        compat,
-        timeline: report.timeline,
-        trace: report.trace,
-        node_dbs: report.node_dbs,
-        post_mortem: None,
-        degraded: None,
-        checkpoint: None,
-    })
+    deploy_from_scratch_resilient(
+        cluster,
+        &FaultPlan::new(0),
+        &ResilienceConfig::default(),
+        InstallCheckpoint::new(),
+    )
 }
 
 /// Deploy from scratch under a fault plan: same Rocks + XSEDE roll
@@ -218,7 +187,6 @@ pub fn deploy_from_scratch_resilient(
         nodes_reinstalled: resilient.report.node_dbs.len(),
         preexisting_preserved: false, // bare metal wipes everything
         compat,
-        timeline: resilient.report.timeline,
         trace: resilient.report.trace,
         node_dbs: resilient.report.node_dbs,
         post_mortem: Some(post_mortem),
@@ -328,7 +296,6 @@ pub fn deploy_xnit_overlay_salted(
         nodes_reinstalled: 0,
         preexisting_preserved: preserved,
         compat,
-        timeline: timeline_from_recorder(&rec),
         trace: rec.into_events(),
         node_dbs,
         post_mortem: None,
@@ -348,6 +315,12 @@ impl DeploymentReport {
         events_to_jsonl(&self.trace)
     }
 
+    /// Wall-clock estimate of the whole deployment (a view over
+    /// [`trace`](DeploymentReport::trace)).
+    pub fn timeline(&self) -> Timeline {
+        Timeline::from_spans(&self.trace)
+    }
+
     /// Render the comparison row for this path.
     pub fn render_row(&self) -> String {
         format!(
@@ -357,7 +330,7 @@ impl DeploymentReport {
                 DeploymentPath::XnitOverlay(m) => format!("XNIT overlay ({m:?})"),
             },
             self.admin_steps.len(),
-            self.timeline.total_seconds(),
+            self.timeline().total_seconds(),
             self.nodes_reinstalled,
             self.preexisting_preserved,
             self.compat.score * 100.0
@@ -409,7 +382,9 @@ mod tests {
             !report.preexisting_preserved,
             "bare metal wipes the previous system"
         );
-        assert!(report.timeline.total_seconds() > 0.0);
+        assert!(report.timeline().total_seconds() > 0.0);
+        assert!(report.post_mortem.as_ref().unwrap().is_clean());
+        assert!(report.degraded.is_none());
     }
 
     #[test]
@@ -449,7 +424,7 @@ mod tests {
         let second = deploy_xnit_overlay(&first.node_dbs, XnitSetupMethod::RepoRpm).unwrap();
         assert!(second.compat.is_compatible());
         // nothing left to install: wall time is just repo setup + probes
-        assert!(second.timeline.total_seconds() < first.timeline.total_seconds());
+        assert!(second.timeline().total_seconds() < first.timeline().total_seconds());
     }
 
     #[test]
@@ -459,7 +434,7 @@ mod tests {
         // a from-scratch build of the same scale
         let scratch = deploy_from_scratch(&littlefe_modified()).unwrap();
         let overlay = deploy_xnit_overlay(&limulus_dbs(), XnitSetupMethod::RepoRpm).unwrap();
-        assert!(overlay.timeline.total_seconds() < scratch.timeline.total_seconds());
+        assert!(overlay.timeline().total_seconds() < scratch.timeline().total_seconds());
         assert!(overlay.nodes_reinstalled < scratch.nodes_reinstalled);
     }
 
@@ -504,23 +479,6 @@ mod tests {
         // the cache never changes *what* is deployed
         assert_eq!(a.node_dbs, b.node_dbs);
         assert_eq!(a.trace_jsonl(), b.trace_jsonl());
-    }
-
-    #[test]
-    fn resilient_clean_plan_matches_plain_deploy() {
-        let plain = deploy_from_scratch(&littlefe_modified()).unwrap();
-        let resilient = deploy_from_scratch_resilient(
-            &littlefe_modified(),
-            &FaultPlan::new(42),
-            &ResilienceConfig::default(),
-            InstallCheckpoint::new(),
-        )
-        .unwrap();
-        assert_eq!(resilient.node_dbs, plain.node_dbs);
-        assert!((resilient.timeline.total_seconds() - plain.timeline.total_seconds()).abs() < 1e-6);
-        assert!(resilient.post_mortem.as_ref().unwrap().is_clean());
-        assert!(resilient.degraded.is_none());
-        assert!(resilient.compat.is_compatible());
     }
 
     #[test]
@@ -597,13 +555,13 @@ mod tests {
     #[test]
     fn deployment_timeline_agrees_with_trace() {
         let report = deploy_from_scratch(&littlefe_modified()).unwrap();
-        assert_eq!(Timeline::from_spans(&report.trace), report.timeline);
+        assert_eq!(report.timeline().len(), report.trace.len());
         let overlay = deploy_xnit_overlay(&limulus_dbs(), XnitSetupMethod::RepoRpm).unwrap();
         assert!(overlay
             .trace
             .iter()
             .all(|e| e.source == OVERLAY_TRACE_SOURCE));
-        assert_eq!(Timeline::from_spans(&overlay.trace), overlay.timeline);
+        assert_eq!(overlay.timeline().len(), overlay.trace.len());
         assert!(overlay.trace_jsonl().lines().count() == overlay.trace.len());
     }
 

@@ -220,7 +220,7 @@ impl FleetReport {
         self.sites
             .iter()
             .filter_map(|s| s.result.as_ref().ok())
-            .map(|r| r.timeline.total_seconds())
+            .map(|r| r.timeline().total_seconds())
             .sum()
     }
 
@@ -243,7 +243,7 @@ impl FleetReport {
             let secs = site
                 .result
                 .as_ref()
-                .map(|r| r.timeline.total_seconds())
+                .map(|r| r.timeline().total_seconds())
                 .unwrap_or(0.0);
             let mut lightest = 0;
             for (i, load) in loads.iter().enumerate().skip(1) {

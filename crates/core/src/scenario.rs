@@ -140,8 +140,7 @@ pub fn littlefe_day_one(plan: &FaultPlan) -> Result<DayOneRun, String> {
     let t_boot = elapsed(&events);
     events.extend(
         boot_node("compute-0-0", payload, None)
-            .timeline
-            .to_spans("cluster.boot")
+            .trace
             .iter()
             .map(|e| e.shifted(t_boot).with_field("node", "compute-0-0")),
     );

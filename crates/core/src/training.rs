@@ -138,15 +138,16 @@ impl LabSession {
             }
             LessonStep::InstallXcbc => match deploy_from_scratch(&self.cluster) {
                 Ok(report) => {
+                    let detail = format!(
+                        "installed in {:.0} simulated seconds",
+                        report.timeline().total_seconds()
+                    );
                     self.discovered_nodes = report.node_dbs.len().saturating_sub(1);
                     self.node_dbs = Some(report.node_dbs);
                     StepOutcome {
                         step,
                         passed: true,
-                        detail: format!(
-                            "installed in {:.0} simulated seconds",
-                            report.timeline.total_seconds()
-                        ),
+                        detail,
                     }
                 }
                 Err(e) => StepOutcome {

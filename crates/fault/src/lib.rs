@@ -14,7 +14,7 @@
 //!   is a value you can store, print, and replay; never an RNG accident.
 //! * [`RetryPolicy`] / [`retry_with`] — exponential backoff with seeded
 //!   jitter, bounded attempts, and a wall-clock budget. Backoff delays
-//!   are returned so callers can charge them to an install `Timeline`.
+//!   are returned so callers can record them as install trace spans.
 //! * [`InstallCheckpoint`] — per-node provisioning progress
 //!   (discovered → kickstarted → packages-committed) that survives a
 //!   mid-install power loss so a re-run resumes instead of rewiping

@@ -4,8 +4,8 @@
 //! retryable: yum walks its mirror list with per-mirror retries, and
 //! insert-ethers happily waits through several DHCP timeouts. The
 //! simulation mirrors that, and — because everything here is virtual
-//! time — backoff "delays" are numbers the caller charges to the install
-//! `Timeline` rather than actual sleeps.
+//! time — backoff "delays" are numbers the caller records as install
+//! trace spans rather than actual sleeps.
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -5,7 +5,14 @@
 //! module runs the whole "all at once, from scratch" flow on a simulated
 //! cluster: installability checks, frontend install, insert-ethers
 //! discovery, per-node kickstart, package installation into per-node RPM
-//! databases, and a wall-clock [`Timeline`].
+//! databases, and a `rocks.install` span trace (viewed as a wall-clock
+//! [`Timeline`]).
+//!
+//! There is one install path, [`ClusterInstall::run_resilient`]: it runs
+//! under a fault plan with retries, quarantine and checkpoints. A plain
+//! [`ClusterInstall::run`] is that install under an empty plan from a
+//! fresh checkpoint, so a clean run records exactly the spans, package
+//! sets and errors of a faulted run whose faults never fire.
 
 use crate::database::RocksDb;
 use crate::graph::{Appliance, KickstartGraph};
@@ -13,10 +20,10 @@ use crate::insert_ethers::{DhcpRequest, InsertEthers};
 use crate::kickstart::{self, KickstartError};
 use crate::roll::Roll;
 use std::collections::BTreeMap;
-use xcbc_cluster::{timeline_from_recorder, ClusterSpec, NodeRole, Timeline};
+use xcbc_cluster::{ClusterSpec, NodeRole, Timeline};
 use xcbc_fault::{
-    retry_with, FaultInjector, FaultKind, InjectionPoint, InstallCheckpoint, NodeStage, PostMortem,
-    RetryPolicy,
+    retry_with, FaultInjector, FaultKind, FaultPlan, InjectionPoint, InstallCheckpoint, NodeStage,
+    PostMortem, RetryPolicy,
 };
 use xcbc_rpm::{Package, RpmDb, TransactionError, TransactionSet};
 use xcbc_sim::{Fnv64, SimTime, SpanRecorder, TraceEvent};
@@ -36,20 +43,6 @@ pub struct InstallProgress {
     pub aborted_on: Option<String>,
     /// Full per-node stage checkpoint at abort time.
     pub checkpoint: InstallCheckpoint,
-}
-
-impl InstallProgress {
-    fn from_checkpoint(checkpoint: &InstallCheckpoint, aborted_on: Option<&str>) -> Self {
-        InstallProgress {
-            completed: checkpoint
-                .committed_nodes()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            aborted_on: aborted_on.map(str::to_string),
-            checkpoint: checkpoint.clone(),
-        }
-    }
 }
 
 /// Why an install could not proceed.
@@ -92,8 +85,17 @@ impl InstallError {
         }
     }
 
-    fn with_progress(mut self, progress: InstallProgress) -> Self {
-        self.progress = Box::new(progress);
+    /// Attach the progress recorded in `checkpoint`, aborted on `node`.
+    fn at(mut self, checkpoint: &InstallCheckpoint, node: &str) -> Self {
+        self.progress = Box::new(InstallProgress {
+            completed: checkpoint
+                .committed_nodes()
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+            aborted_on: Some(node.to_string()),
+            checkpoint: checkpoint.clone(),
+        });
         self
     }
 
@@ -145,12 +147,8 @@ pub struct InstallReport {
     pub rocks_db: RocksDb,
     /// Per-host installed-package databases.
     pub node_dbs: BTreeMap<String, RpmDb>,
-    /// Wall-clock timeline of the whole build (a view over [`trace`]).
-    ///
-    /// [`trace`]: InstallReport::trace
-    pub timeline: Timeline,
     /// Every span the install recorded, tagged [`TRACE_SOURCE`] on the
-    /// shared simulation timebase; the `timeline` is derived from it.
+    /// shared simulation timebase.
     pub trace: Vec<TraceEvent>,
     /// Names of the rolls that were installed.
     pub rolls_installed: Vec<String>,
@@ -160,6 +158,12 @@ impl InstallReport {
     /// Packages installed on a given host.
     pub fn package_count(&self, host: &str) -> usize {
         self.node_dbs.get(host).map(RpmDb::len).unwrap_or(0)
+    }
+
+    /// Wall-clock timeline of the whole build (a view over
+    /// [`trace`](InstallReport::trace)).
+    pub fn timeline(&self) -> Timeline {
+        Timeline::from_spans(&self.trace)
     }
 }
 
@@ -298,119 +302,17 @@ impl ClusterInstall {
         map
     }
 
-    /// Run the install.
+    /// Run the install with no faults: [`run_resilient`] under an
+    /// empty fault plan, from a fresh checkpoint.
+    ///
+    /// [`run_resilient`]: ClusterInstall::run_resilient
     pub fn run(&self) -> Result<InstallReport, InstallError> {
-        let (ok, reasons) = self.cluster.rocks_installable();
-        if !ok {
-            return Err(InstallError::new(InstallErrorKind::NotInstallable(reasons)));
-        }
-        let catalog = self.roll_packages();
-        let mut rec = SpanRecorder::new(TRACE_SOURCE);
-        let mut node_dbs: BTreeMap<String, RpmDb> = BTreeMap::new();
-        let mut checkpoint = InstallCheckpoint::new();
-
-        // --- frontend install ---
-        let fe = self.cluster.frontend().expect("checked above");
-        let fe_ks = kickstart::generate(&self.graph, fe, Appliance::Frontend)
-            .map_err(InstallError::from)
-            .map_err(|e| {
-                let p = InstallProgress::from_checkpoint(&checkpoint, Some(&fe.hostname));
-                e.with_progress(p)
-            })?;
-        let fe_db = self
-            .install_packages(&fe.hostname, &fe_ks.packages, &catalog)
-            .map_err(|e| {
-                let p = InstallProgress::from_checkpoint(&checkpoint, Some(&fe.hostname));
-                e.with_progress(p)
-            })?;
-        let fe_payload: u64 = fe_db.installed_size_bytes();
-        rec.record(
-            "frontend: installer screens & roll selection",
-            FRONTEND_SCREENS_S,
-        );
-        rec.with_field("node", fe.hostname.clone());
-        rec.record(
-            "frontend: package installation",
-            fe_payload as f64 / (INSTALL_MBPS * 1024.0 * 1024.0),
-        );
-        rec.with_field("node", fe.hostname.clone())
-            .with_field("bytes", fe_payload);
-        rec.record(
-            "frontend: post-install (db, dhcpd, central tree)",
-            FRONTEND_POST_S,
-        );
-        rec.with_field("node", fe.hostname.clone());
-        node_dbs.insert(fe.hostname.clone(), fe_db);
-        checkpoint.mark_frontend_committed();
-        checkpoint.record(&fe.hostname, NodeStage::PackagesCommitted);
-
-        // --- insert-ethers discovery + compute installs (parallel) ---
-        let mut rocks_db = RocksDb::new(&fe.hostname);
-        rocks_db
-            .add_frontend(&synth_mac(&fe.hostname), fe.cores())
-            .expect("fresh database");
-        {
-            let mut session = InsertEthers::start(&mut rocks_db, Appliance::Compute, 0);
-            for n in self
-                .cluster
-                .nodes
-                .iter()
-                .filter(|n| n.role == NodeRole::Compute)
-            {
-                session
-                    .on_dhcp(&DhcpRequest {
-                        mac: synth_mac(&n.hostname),
-                        cpus: n.cores(),
-                    })
-                    .expect("unique synthetic MACs");
-                checkpoint.record(&n.hostname, NodeStage::Discovered);
-            }
-        }
-
-        let computes: Vec<_> = self
-            .cluster
-            .nodes
-            .iter()
-            .filter(|n| n.role == NodeRole::Compute)
-            .collect();
-        let mut first = true;
-        for n in &computes {
-            let ks = kickstart::generate(&self.graph, n, Appliance::Compute)
-                .map_err(InstallError::from)
-                .map_err(|e| {
-                    let p = InstallProgress::from_checkpoint(&checkpoint, Some(&n.hostname));
-                    e.with_progress(p)
-                })?;
-            checkpoint.record(&n.hostname, NodeStage::Kickstarted);
-            let db = self
-                .install_packages(&n.hostname, &ks.packages, &catalog)
-                .map_err(|e| {
-                    let p = InstallProgress::from_checkpoint(&checkpoint, Some(&n.hostname));
-                    e.with_progress(p)
-                })?;
-            let payload = db.installed_size_bytes();
-            let secs = NODE_PXE_S + payload as f64 / (INSTALL_MBPS * 1024.0 * 1024.0);
-            let label = format!("{}: pxe + kickstart install", n.hostname);
-            if first {
-                rec.record(label, secs);
-                first = false;
-            } else {
-                // computes install concurrently from the frontend tree
-                rec.record_parallel(label, secs);
-            }
-            rec.with_field("node", n.hostname.clone())
-                .with_field("bytes", payload);
-            node_dbs.insert(n.hostname.clone(), db);
-            checkpoint.record(&n.hostname, NodeStage::PackagesCommitted);
-        }
-
-        Ok(InstallReport {
-            rocks_db,
-            node_dbs,
-            timeline: timeline_from_recorder(&rec),
-            trace: rec.into_events(),
-            rolls_installed: self.rolls.iter().map(|r| r.name.clone()).collect(),
-        })
+        self.run_resilient(
+            &mut FaultPlan::new(0).injector(),
+            &ResilienceConfig::default(),
+            InstallCheckpoint::new(),
+        )
+        .map(|resilient| resilient.report)
     }
 
     fn build_transaction(
@@ -450,9 +352,8 @@ impl ClusterInstall {
     }
 
     /// Run the install under fault injection, with retry/backoff,
-    /// checkpointing, and graceful degradation.
-    ///
-    /// Differences from [`run`](Self::run):
+    /// checkpointing, and graceful degradation. Every error carries the
+    /// [`InstallProgress`] made before it.
     ///
     /// * Faults from `injector` fire at `dhcp.discover`, `node.boot`,
     ///   `kickstart.generate`, `rpm.scriptlet`, and `power.loss`; each
@@ -495,15 +396,13 @@ impl ClusterInstall {
         // --- frontend ---
         let fe = self.cluster.frontend().expect("checked above");
         let fe_ks = kickstart::generate(&self.graph, fe, Appliance::Frontend)
-            .map_err(InstallError::from)
-            .map_err(|e| {
-                let p = InstallProgress::from_checkpoint(&checkpoint, Some(&fe.hostname));
-                e.with_progress(p)
-            })?;
+            .map_err(|e| InstallError::from(e).at(&checkpoint, &fe.hostname))?;
         if checkpoint.is_committed(&fe.hostname) {
             // Resume: the frontend survived the abort; rebuild its view
             // of the package set without charging install time.
-            let fe_db = self.install_packages(&fe.hostname, &fe_ks.packages, &catalog)?;
+            let fe_db = self
+                .install_packages(&fe.hostname, &fe_ks.packages, &catalog)
+                .map_err(|e| e.at(&checkpoint, &fe.hostname))?;
             node_dbs.insert(fe.hostname.clone(), fe_db);
             pm.record_resumed(&fe.hostname);
             pm.record_moment(
@@ -511,25 +410,27 @@ impl ClusterInstall {
                 format!("resumed {} from checkpoint", fe.hostname),
             );
         } else {
-            let fe_db = match self.install_packages_resilient(
-                &fe.hostname,
-                &fe_ks.packages,
-                &catalog,
-                injector,
-                &config.transaction_retry,
-                &mut rec,
-                &mut pm,
-            )? {
+            let fe_db = match self
+                .install_packages_resilient(
+                    &fe.hostname,
+                    &fe_ks.packages,
+                    &catalog,
+                    injector,
+                    &config.transaction_retry,
+                    &mut rec,
+                    &mut pm,
+                )
+                .map_err(|e| e.at(&checkpoint, &fe.hostname))?
+            {
                 Ok(db) => db,
                 Err(error) => {
                     // No frontend, no cluster: transaction failure that
                     // survives all retries is fatal, not quarantinable.
-                    let p = InstallProgress::from_checkpoint(&checkpoint, Some(&fe.hostname));
                     return Err(InstallError::new(InstallErrorKind::Transaction {
                         node: fe.hostname.clone(),
                         error,
                     })
-                    .with_progress(p));
+                    .at(&checkpoint, &fe.hostname));
                 }
             };
             let fe_payload: u64 = fe_db.installed_size_bytes();
@@ -556,8 +457,9 @@ impl ClusterInstall {
                 .should_fault(InjectionPoint::PowerLoss, &fe.hostname)
                 .is_some()
             {
-                let p = InstallProgress::from_checkpoint(&checkpoint, Some(&fe.hostname));
-                return Err(InstallError::new(InstallErrorKind::PowerLoss).with_progress(p));
+                return Err(
+                    InstallError::new(InstallErrorKind::PowerLoss).at(&checkpoint, &fe.hostname)
+                );
             }
         }
 
@@ -653,8 +555,10 @@ impl ClusterInstall {
                 // Resume: committed nodes are not rewiped; rebuild their
                 // package view without charging install time.
                 let ks = kickstart::generate(&self.graph, n, Appliance::Compute)
-                    .map_err(InstallError::from)?;
-                let db = self.install_packages(&n.hostname, &ks.packages, &catalog)?;
+                    .map_err(|e| InstallError::from(e).at(&checkpoint, &n.hostname))?;
+                let db = self
+                    .install_packages(&n.hostname, &ks.packages, &catalog)
+                    .map_err(|e| e.at(&checkpoint, &n.hostname))?;
                 node_dbs.insert(n.hostname.clone(), db);
                 pm.record_resumed(&n.hostname);
                 pm.record_moment(
@@ -711,11 +615,7 @@ impl ClusterInstall {
             // Generate its kickstart (genuine graph errors are fatal;
             // injected generation faults are retried).
             let ks = kickstart::generate(&self.graph, n, Appliance::Compute)
-                .map_err(InstallError::from)
-                .map_err(|e| {
-                    let p = InstallProgress::from_checkpoint(&checkpoint, Some(&n.hostname));
-                    e.with_progress(p)
-                })?;
+                .map_err(|e| InstallError::from(e).at(&checkpoint, &n.hostname))?;
             let mut rng = injector.rng_for(&format!("ks.{}", n.hostname));
             let gen = retry_with(&config.kickstart_retry, &mut rng, |_| {
                 match injector.should_fault(InjectionPoint::KickstartGenerate, &n.hostname) {
@@ -750,15 +650,18 @@ impl ClusterInstall {
             checkpoint.record(&n.hostname, NodeStage::Kickstarted);
 
             // Install its packages (scriptlet faults roll back and retry).
-            let db = match self.install_packages_resilient(
-                &n.hostname,
-                &ks.packages,
-                &catalog,
-                injector,
-                &config.transaction_retry,
-                &mut rec,
-                &mut pm,
-            )? {
+            let db = match self
+                .install_packages_resilient(
+                    &n.hostname,
+                    &ks.packages,
+                    &catalog,
+                    injector,
+                    &config.transaction_retry,
+                    &mut rec,
+                    &mut pm,
+                )
+                .map_err(|e| e.at(&checkpoint, &n.hostname))?
+            {
                 Ok(db) => db,
                 Err(TransactionError::ScriptletFailed { .. }) => {
                     quarantine_node(
@@ -773,12 +676,11 @@ impl ClusterInstall {
                     continue;
                 }
                 Err(error) => {
-                    let p = InstallProgress::from_checkpoint(&checkpoint, Some(&n.hostname));
                     return Err(InstallError::new(InstallErrorKind::Transaction {
                         node: n.hostname.clone(),
                         error,
                     })
-                    .with_progress(p));
+                    .at(&checkpoint, &n.hostname));
                 }
             };
             let payload = db.installed_size_bytes();
@@ -788,6 +690,7 @@ impl ClusterInstall {
                 rec.record(label, secs);
                 first = false;
             } else {
+                // computes install concurrently from the frontend tree
                 rec.record_parallel(label, secs);
             }
             rec.with_field("node", n.hostname.clone())
@@ -798,8 +701,9 @@ impl ClusterInstall {
                 .should_fault(InjectionPoint::PowerLoss, &n.hostname)
                 .is_some()
             {
-                let p = InstallProgress::from_checkpoint(&checkpoint, Some(&n.hostname));
-                return Err(InstallError::new(InstallErrorKind::PowerLoss).with_progress(p));
+                return Err(
+                    InstallError::new(InstallErrorKind::PowerLoss).at(&checkpoint, &n.hostname)
+                );
             }
         }
 
@@ -808,7 +712,6 @@ impl ClusterInstall {
             report: InstallReport {
                 rocks_db,
                 node_dbs,
-                timeline: timeline_from_recorder(&rec),
                 trace: rec.into_events(),
                 rolls_installed: self.rolls.iter().map(|r| r.name.clone()).collect(),
             },
@@ -920,7 +823,8 @@ mod tests {
     fn timeline_has_frontend_then_parallel_computes() {
         let install = ClusterInstall::new(littlefe_modified(), required_rolls());
         let report = install.run().unwrap();
-        let phases = report.timeline.phases();
+        let timeline = report.timeline();
+        let phases = timeline.phases();
         assert!(phases[0].label.contains("frontend"));
         // the five compute installs share a start time
         let compute_phases: Vec<_> = phases
@@ -935,7 +839,7 @@ mod tests {
         );
         // total time is dominated by frontend + one compute wave
         assert!(
-            report.timeline.total_seconds() < 3.0 * 3600.0,
+            timeline.total_seconds() < 3.0 * 3600.0,
             "a LittleFe builds in an afternoon"
         );
     }
@@ -946,11 +850,10 @@ mod tests {
         let report = install.run().unwrap();
         assert!(!report.trace.is_empty());
         assert!(report.trace.iter().all(|e| e.source == TRACE_SOURCE));
-        let rebuilt = Timeline::from_spans(&report.trace);
-        assert_eq!(
-            rebuilt, report.timeline,
-            "timeline must be a pure view over the trace"
-        );
+        let timeline = report.timeline();
+        assert_eq!(timeline.len(), report.trace.len(), "one phase per span");
+        let last_end = report.trace.iter().map(TraceEvent::end).max().unwrap();
+        assert_eq!(timeline.end_time(), last_end);
     }
 
     #[test]
@@ -990,7 +893,6 @@ mod tests {
             .trace
             .iter()
             .any(|e| e.label.contains("hung boots")));
-        assert_eq!(Timeline::from_spans(&res.report.trace), res.report.timeline);
     }
 
     #[test]
@@ -1018,31 +920,21 @@ mod tests {
             }
             other => panic!("expected MissingPackage, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn resilient_clean_plan_matches_plain_run() {
-        use xcbc_fault::FaultPlan;
-        let install = ClusterInstall::new(littlefe_modified(), standard_rolls());
-        let plain = install.run().unwrap();
-        let mut inj = FaultPlan::new(1).injector();
-        let res = install
+        // the fault-aware path reports where it stopped, like every
+        // other abort: nothing committed, stopped on the frontend
+        let err = install
             .run_resilient(
-                &mut inj,
+                &mut xcbc_fault::FaultPlan::new(9).injector(),
                 &ResilienceConfig::default(),
                 InstallCheckpoint::new(),
             )
-            .unwrap();
-        assert!(res.fully_provisioned());
-        assert!(res.post_mortem.is_clean());
-        assert_eq!(res.report.node_dbs.len(), plain.node_dbs.len());
-        for (host, db) in &plain.node_dbs {
-            assert_eq!(&res.report.node_dbs[host], db, "{host} package set differs");
-        }
-        assert!(
-            (res.report.timeline.total_seconds() - plain.timeline.total_seconds()).abs() < 1e-6,
-            "no faults means no extra time"
-        );
+            .unwrap_err();
+        assert!(matches!(err.kind, InstallErrorKind::MissingPackage { .. }));
+        assert_eq!(err.progress.aborted_on.as_deref(), Some("littlefe"));
+        assert!(err.completed_nodes().is_empty());
+        assert!(err
+            .to_string()
+            .ends_with("[0 node(s) committed, aborted on littlefe]"));
     }
 
     #[test]
@@ -1071,10 +963,10 @@ mod tests {
             "5 dhcp + 5 boot retries"
         );
         assert!(res.post_mortem.backoff_s > 0.0);
-        assert!(res.report.timeline.backoff_seconds() > 0.0);
+        assert!(res.report.timeline().backoff_time() > xcbc_sim::SimDuration::ZERO);
         // faults cost real install time too (timeouts + hung boots)
         let plain = install.run().unwrap();
-        assert!(res.report.timeline.total_seconds() > plain.timeline.total_seconds());
+        assert!(res.report.timeline().end_time() > plain.timeline().end_time());
     }
 
     #[test]
@@ -1193,10 +1085,9 @@ mod tests {
         // Resumed nodes are not re-timed: no pxe+install phase for them.
         let resumed_labels: Vec<_> = resumed
             .report
-            .timeline
-            .phases()
+            .trace
             .iter()
-            .map(|p| p.label.as_str())
+            .map(|e| e.label.as_str())
             .collect();
         assert!(
             !resumed_labels.iter().any(|l| l.starts_with("compute-0-1:")),

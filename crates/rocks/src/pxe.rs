@@ -3,10 +3,11 @@
 //! `insert-ethers` only works because every Rocks compute node network-
 //! boots: DHCP → TFTP (pxelinux) → installer kernel → kickstart fetch →
 //! anaconda → local boot. This module walks that state machine with
-//! per-stage failure injection, producing the timelines the install
-//! workflow accounts and the diagnostics a training lab teaches.
+//! per-stage failure injection, recording the `cluster.boot` spans the
+//! install workflow accounts and the diagnostics a training lab teaches.
 
 use xcbc_cluster::Timeline;
+use xcbc_sim::{SpanRecorder, TraceEvent};
 
 /// Stages of the chain, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -61,12 +62,18 @@ pub struct PxeOutcome {
     pub hostname: String,
     /// Stage reached; `None` in `failed_at` means full success.
     pub failed_at: Option<PxeStage>,
-    pub timeline: Timeline,
+    /// One `cluster.boot` span per stage walked, the failed one last.
+    pub trace: Vec<TraceEvent>,
 }
 
 impl PxeOutcome {
     pub fn succeeded(&self) -> bool {
         self.failed_at.is_none()
+    }
+
+    /// The boot's stages as a timeline (a view over [`trace`](Self::trace)).
+    pub fn timeline(&self) -> Timeline {
+        Timeline::from_spans(&self.trace)
     }
 }
 
@@ -74,7 +81,7 @@ impl PxeOutcome {
 /// stage (at 20 MB/s, as the install workflow assumes); `fails_at`
 /// injects a failure at one stage.
 pub fn boot_node(hostname: &str, payload_bytes: u64, fails_at: Option<PxeStage>) -> PxeOutcome {
-    let mut timeline = Timeline::new();
+    let mut rec = SpanRecorder::new("cluster.boot");
     for stage in PxeStage::ALL {
         let secs = if stage == PxeStage::Anaconda {
             payload_bytes as f64 / (20.0 * 1024.0 * 1024.0)
@@ -83,7 +90,7 @@ pub fn boot_node(hostname: &str, payload_bytes: u64, fails_at: Option<PxeStage>)
         };
         if fails_at == Some(stage) {
             // a failed stage burns its timeout (3x nominal, min 30 s)
-            timeline.push(
+            rec.record(
                 format!(
                     "{hostname}: {:?} FAILED — {}",
                     stage,
@@ -94,15 +101,15 @@ pub fn boot_node(hostname: &str, payload_bytes: u64, fails_at: Option<PxeStage>)
             return PxeOutcome {
                 hostname: hostname.to_string(),
                 failed_at: Some(stage),
-                timeline,
+                trace: rec.into_events(),
             };
         }
-        timeline.push(format!("{hostname}: {stage:?}"), secs);
+        rec.record(format!("{hostname}: {stage:?}"), secs);
     }
     PxeOutcome {
         hostname: hostname.to_string(),
         failed_at: None,
-        timeline,
+        trace: rec.into_events(),
     }
 }
 
@@ -117,15 +124,16 @@ pub fn diagnose(symptom: &str) -> Option<PxeStage> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcbc_sim::SimDuration;
 
     #[test]
     fn clean_boot_walks_all_stages() {
         let out = boot_node("compute-0-0", 500 << 20, None);
         assert!(out.succeeded());
-        assert_eq!(out.timeline.len(), 6);
+        assert_eq!(out.trace.len(), 6);
         // anaconda dominates: 500 MB / 20 MBps = 25 s plus fixed stages
         assert!(
-            (out.timeline.total_seconds() - (5.0 + 10.0 + 30.0 + 5.0 + 25.0 + 60.0)).abs() < 1e-9
+            (out.timeline().total_seconds() - (5.0 + 10.0 + 30.0 + 5.0 + 25.0 + 60.0)).abs() < 1e-9
         );
     }
 
@@ -134,14 +142,14 @@ mod tests {
         let out = boot_node("compute-0-1", 500 << 20, Some(PxeStage::Dhcp));
         assert!(!out.succeeded());
         assert_eq!(out.failed_at, Some(PxeStage::Dhcp));
-        assert_eq!(out.timeline.len(), 1, "nothing after the failed stage");
-        assert!(out.timeline.phases()[0].label.contains("PXE-E51"));
+        assert_eq!(out.trace.len(), 1, "nothing after the failed stage");
+        assert!(out.trace[0].label.contains("PXE-E51"));
     }
 
     #[test]
     fn late_failure_includes_earlier_stages() {
         let out = boot_node("compute-0-2", 100 << 20, Some(PxeStage::Anaconda));
-        assert_eq!(out.timeline.len(), 5, "4 good stages + the failure");
+        assert_eq!(out.trace.len(), 5, "4 good stages + the failure");
         assert_eq!(out.failed_at, Some(PxeStage::Anaconda));
     }
 
@@ -159,9 +167,9 @@ mod tests {
         let ok = boot_node("n", 0, None);
         let failed = boot_node("n", 0, Some(PxeStage::Tftp));
         // failed TFTP costs 30s (3 × 10); success costs 10s at that stage
-        let tftp_ok = ok.timeline.phases()[1].duration_s();
-        let tftp_bad = failed.timeline.phases().last().unwrap().duration_s();
-        assert_eq!(tftp_ok, 10.0);
-        assert_eq!(tftp_bad, 30.0);
+        let tftp_ok = ok.trace[1].duration();
+        let tftp_bad = failed.trace.last().unwrap().duration();
+        assert_eq!(tftp_ok, SimDuration::from_secs(10));
+        assert_eq!(tftp_bad, SimDuration::from_secs(30));
     }
 }

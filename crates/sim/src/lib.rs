@@ -16,9 +16,9 @@
 //! * [`TraceEvent`] / [`EventBus`] — structured, timestamped spans,
 //!   marks, and counters fanned out to pluggable [`TraceSink`]s
 //!   ([`RingBufferSink`], [`JsonlSink`], [`MetricsSink`]);
-//! * [`SpanRecorder`] — span recording with the classic boot-timeline
-//!   placement rules, so `cluster::Timeline` can become a pure view
-//!   over the trace log;
+//! * [`SpanRecorder`] — the one way spans get placed (sequential,
+//!   parallel, backoff); `cluster::Timeline` is a read-only view over
+//!   what it records;
 //! * [`MetricRegistry`] / [`LatencyHistogram`] / [`HistogramSink`] —
 //!   the observability spine: per-source span latency histograms with
 //!   fixed log-spaced buckets and a registry that gmetad, the scheduler

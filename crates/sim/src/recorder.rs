@@ -1,15 +1,16 @@
-//! Span recording with the same placement discipline as the classic
-//! boot `Timeline`.
+//! Span recording: the one way spans on the shared timebase get
+//! placed. `cluster::Timeline` is a read-only view over what a
+//! recorder produced.
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{EventBus, TraceEvent, TraceKind};
+use crate::trace::TraceEvent;
 
 /// Label prefix marking a span as retry backoff, so traces can account
 /// for time lost to the resilience layer separately from real work.
-/// (`cluster::boot` re-exports this so existing imports keep working.)
+/// (`cluster::boot` re-exports it next to `Timeline`.)
 pub const BACKOFF_PREFIX: &str = "backoff: ";
 
-/// Records spans with the classic `Timeline` placement rules:
+/// Records spans under three placement rules:
 ///
 /// * [`record`](SpanRecorder::record) starts a span when all previous
 ///   work has finished (the max end over recorded spans);
@@ -19,11 +20,8 @@ pub const BACKOFF_PREFIX: &str = "backoff: ";
 ///   the [`BACKOFF_PREFIX`] label, dropping zero durations so clean
 ///   runs leave no backoff spans behind.
 ///
-/// A `Timeline` built from the recorded events (see
-/// `Timeline::from_spans` in `xcbc-cluster`) is phase-for-phase
-/// identical to one built with the old `push`/`push_parallel` calls —
-/// that is what lets the boot timeline become a pure view over the
-/// trace log without changing a single rendered report.
+/// `Timeline::from_spans` in `xcbc-cluster` turns the recorded events
+/// into phases, one per span, at the start the recorder gave it.
 #[derive(Debug)]
 pub struct SpanRecorder {
     source: String,
@@ -85,13 +83,6 @@ impl SpanRecorder {
         self
     }
 
-    /// Append an event verbatim — for marks/counters interleaved with
-    /// recorded spans, or spans placed by some other rule.
-    pub fn record_event(&mut self, event: TraceEvent) -> &mut Self {
-        self.events.push(event);
-        self
-    }
-
     /// Attach a structured field to the most recently recorded event
     /// (e.g. the node a span ran on, or the bytes it transferred).
     /// No-op when nothing has been recorded yet.
@@ -115,24 +106,6 @@ impl SpanRecorder {
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events
     }
-
-    /// Total span time lost to backoff.
-    pub fn backoff_time(&self) -> SimDuration {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(e.kind, TraceKind::Span { .. }) && e.label.starts_with(BACKOFF_PREFIX)
-            })
-            .map(TraceEvent::duration)
-            .sum()
-    }
-
-    /// Emit every recorded event onto `bus`, in order.
-    pub fn flush_to(&self, bus: &mut EventBus) {
-        for ev in &self.events {
-            bus.emit(ev.clone());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +113,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sequential_spans_accumulate_like_timeline_push() {
+    fn sequential_spans_accumulate() {
         let mut r = SpanRecorder::new("test");
         r.record("bios", 30.0)
             .record("pxe", 10.0)
@@ -150,7 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spans_share_start_like_push_parallel() {
+    fn parallel_spans_share_start() {
         let mut r = SpanRecorder::new("test");
         r.record("frontend install", 1800.0);
         r.record("compute-0-0 install", 600.0);
@@ -174,27 +147,16 @@ mod tests {
         r.record_backoff("nothing", 0.0);
         r.record_backoff("negative", -3.0);
         assert_eq!(r.events().len(), 1);
-        assert_eq!(r.backoff_time(), SimDuration::ZERO);
     }
 
     #[test]
-    fn backoff_spans_are_labelled_and_totalled() {
+    fn backoff_spans_are_labelled_and_sequential() {
         let mut r = SpanRecorder::new("test");
         r.record("frontend install", 600.0);
         r.record_backoff("mirror.fetch retry", 6.0);
         r.record_backoff("dhcp.discover retry", 4.0);
-        assert_eq!(r.backoff_time(), SimDuration::from_secs(10));
-        assert!(r.events()[1].label.starts_with(BACKOFF_PREFIX));
+        assert_eq!(r.events()[1].label, "backoff: mirror.fetch retry");
+        assert_eq!(r.events()[2].t, SimTime::from_secs(606));
         assert_eq!(r.cursor(), SimTime::from_secs(610));
-    }
-
-    #[test]
-    fn flush_forwards_in_order() {
-        let mut r = SpanRecorder::new("test");
-        r.record("a", 1.0).record("b", 2.0);
-        let mut bus = EventBus::new();
-        r.flush_to(&mut bus);
-        assert_eq!(bus.events().len(), 2);
-        assert_eq!(bus.events()[1].label, "b");
     }
 }

@@ -5,8 +5,14 @@
 //! JSON implementation: objects, arrays, strings (with escapes), integer
 //! and float numbers, booleans, and null. Key order is preserved on both
 //! sides, which keeps `to_json` output byte-stable for a given document.
+//! The parser recurses once per nesting level, so it refuses documents
+//! nested deeper than [`MAX_DEPTH`] instead of overflowing the stack.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts (repo
+/// metadata needs three levels).
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +51,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -170,6 +177,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -215,8 +224,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
@@ -224,6 +233,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -436,6 +460,20 @@ mod tests {
         assert!(e.offset > 0);
         assert!(JsonValue::parse("[1, 2").is_err());
         assert!(JsonValue::parse("[] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
+        let e = JsonValue::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting deeper than 128 levels"));
+        // a million unclosed levels used to abort the process
+        let e = JsonValue::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).is_err());
     }
 
     #[test]

@@ -49,8 +49,7 @@ pub use groups::{group_install, PackageGroupDef};
 pub use history::{HistoryEntry, YumHistory};
 pub use metadata::{MetadataError, PrimaryRecord, RepoMetadata};
 pub use mirror::{
-    FetchOptions, FetchReport, Mirror, MirrorList, MirrorOutcome, ResilientFetch, TracedFetch,
-    MIN_BANDWIDTH_MBPS,
+    FetchOptions, FetchReport, Mirror, MirrorList, MirrorOutcome, MIN_BANDWIDTH_MBPS,
 };
 pub use notifier::{NotificationReport, UpdateNotifier, UpdatePolicy};
 pub use priorities::apply_priorities;

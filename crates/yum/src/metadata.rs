@@ -262,6 +262,14 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_json_error() {
+        match RepoMetadata::from_json(&"[".repeat(1_000_000)) {
+            Err(MetadataError::Json(e)) => assert!(e.message.contains("nesting")),
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn diff_detects_new_and_upgraded() {
         let mut r = repo();
         let old_md = r.metadata();

@@ -99,7 +99,7 @@ impl MirrorList {
     /// `fetch <url>` span. When every mirror fails a pass, the pass is
     /// retried under the options' [`RetryPolicy`] and the backoff is
     /// reported separately (plus one [`BACKOFF_PREFIX`] span) so
-    /// callers can charge it to an install `Timeline`.
+    /// callers can charge it to an install trace.
     ///
     /// The failure model depends on what the options carry:
     /// - with an injector ([`FetchOptions::inject`]): faults scheduled
@@ -297,8 +297,7 @@ impl<'a> FetchOptions<'a> {
 }
 
 /// What [`MirrorList::fetch_with`] reports: the fetch outcome, the
-/// retry accounting, and the trace spans — everything the three legacy
-/// entry points used to return, in one place.
+/// retry accounting, and the trace spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchReport {
     /// Which mirror served, which failed, and the transfer seconds.
@@ -313,63 +312,6 @@ pub struct FetchReport {
 
 impl FetchReport {
     /// Did any mirror serve the fetch?
-    pub fn succeeded(&self) -> bool {
-        self.outcome.succeeded()
-    }
-
-    /// Total virtual seconds: transfer/timeout time plus backoff.
-    pub fn total_seconds(&self) -> f64 {
-        self.outcome.seconds + self.backoff_s
-    }
-
-    /// Retries beyond the first pass.
-    pub fn retries(&self) -> u32 {
-        self.attempts.saturating_sub(1)
-    }
-
-    /// The legacy [`ResilientFetch`] view (drops the spans).
-    pub fn into_resilient(self) -> ResilientFetch {
-        ResilientFetch {
-            outcome: self.outcome,
-            attempts: self.attempts,
-            backoff_s: self.backoff_s,
-        }
-    }
-
-    /// The legacy [`TracedFetch`] view.
-    pub fn into_traced(self) -> TracedFetch {
-        TracedFetch {
-            fetch: ResilientFetch {
-                outcome: self.outcome,
-                attempts: self.attempts,
-                backoff_s: self.backoff_s,
-            },
-            events: self.events,
-        }
-    }
-}
-
-/// A fetch result plus its per-attempt trace spans (the
-/// [`FetchReport::into_traced`] view).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedFetch {
-    pub fetch: ResilientFetch,
-    /// Spans for every mirror attempt and any backoff, in time order.
-    pub events: Vec<TraceEvent>,
-}
-
-/// A fetch result plus the retry/backoff accounting the resilience
-/// layer owes the timeline (the [`FetchReport::into_resilient`] view).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientFetch {
-    pub outcome: MirrorOutcome,
-    /// Full passes over the mirror list (1 = no retry needed).
-    pub attempts: u32,
-    /// Backoff seconds charged between passes.
-    pub backoff_s: f64,
-}
-
-impl ResilientFetch {
     pub fn succeeded(&self) -> bool {
         self.outcome.succeeded()
     }
@@ -613,28 +555,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    /// The `into_resilient`/`into_traced` views are pure projections of
-    /// one `fetch_with` report: same outcome, same accounting, same
-    /// spans.
-    #[test]
-    fn report_views_are_consistent_projections() {
-        let plan = || {
-            xcbc_fault::FaultPlan::new(21).with_rate(xcbc_fault::InjectionPoint::MirrorFetch, 0.5)
-        };
-        let mut inj = plan().injector();
-        let report = list().fetch_with(
-            FetchOptions::new(10 << 20)
-                .retry(xcbc_fault::RetryPolicy::default())
-                .inject(&mut inj),
-        );
-        let resilient = report.clone().into_resilient();
-        let traced = report.clone().into_traced();
-        assert_eq!(traced.fetch, resilient);
-        assert_eq!(traced.events, report.events);
-        assert_eq!(resilient.outcome, report.outcome);
-        assert_eq!(resilient.attempts, report.attempts);
-        assert_eq!(resilient.backoff_s, report.backoff_s);
     }
 }

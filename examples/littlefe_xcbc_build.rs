@@ -39,7 +39,7 @@ fn main() {
     rolls.push(xsede_roll());
     let install = ClusterInstall::new(cluster.clone(), rolls);
     let report = install.run().expect("diskful LittleFe installs");
-    println!("{}", report.timeline.render());
+    println!("{}", report.timeline().render());
 
     // 3. The cluster database insert-ethers built.
     println!("== 3. cluster database ==");

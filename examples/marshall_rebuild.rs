@@ -91,7 +91,7 @@ fn main() {
     println!(
         "  {} nodes reinstalled; wall-clock {:.1} hours of install time",
         report.nodes_reinstalled,
-        report.timeline.total_seconds() / 3600.0
+        report.timeline().total_seconds() / 3600.0
     );
     println!(
         "  XSEDE compatibility after rebuild: {:.1}%",

@@ -22,7 +22,7 @@ fn main() {
     println!(
         "  {} nodes installed in {:.0} simulated seconds; XSEDE compatibility {:.1}%",
         report.nodes_reinstalled,
-        report.timeline.total_seconds(),
+        report.timeline().total_seconds(),
         report.compat.score * 100.0
     );
 

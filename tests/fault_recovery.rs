@@ -63,10 +63,9 @@ fn power_loss_then_resume_matches_fault_free_deploy() {
     for host in &committed {
         assert!(
             !report
-                .timeline
-                .phases()
+                .trace
                 .iter()
-                .any(|p| p.label.starts_with(&format!("{host}:"))),
+                .any(|e| e.label.starts_with(&format!("{host}:"))),
             "{host} was reinstalled on resume"
         );
     }
@@ -100,7 +99,7 @@ proptest! {
             .expect("rate faults quarantine, they never abort");
             (
                 report.render(),
-                report.timeline.render(),
+                report.timeline().render(),
                 report.checkpoint.as_ref().unwrap().to_text(),
                 report.node_dbs.clone(),
             )

@@ -1,13 +1,16 @@
-//! One never-panic property for every line-record format: the install,
-//! campaign and elastic checkpoints, the `xcbcd` journal, and the
-//! `--faults` plan DSL.
+//! One never-panic property for every text format a user can hand the
+//! tools: the install, campaign and elastic checkpoints, the `xcbcd`
+//! journal, the `--faults` plan DSL, `.repo` INI files and repo
+//! metadata JSON.
 //!
 //! - Random valid values round-trip byte for byte through their writer
 //!   and `parse`.
 //! - Random character edits of the written text never make `parse`
 //!   panic, nor `replay` for the journal. A bad edit is an error.
 //! - Any edited text that parses is a fixpoint:
-//!   `parse(render(parse(t))) == parse(t)`.
+//!   `parse(render(parse(t))) == parse(t)`. (A `.repo` section may omit
+//!   its priority, which renders as the default, so there the fixpoint
+//!   is the rendered text.)
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -16,22 +19,29 @@ use xcbc::fault::{
     CampaignCheckpoint, ElasticCheckpoint, FaultKind, FaultPlan, FaultWindow, InjectionPoint,
     InstallCheckpoint, NodeStage,
 };
+use xcbc::rpm::Arch;
 use xcbc::svc::{replay, serve, Journal, SvcWorkload};
+use xcbc::yum::{parse_repo_file, render_repo_file, PrimaryRecord, RepoConfig, RepoMetadata};
 
 /// The characters an edit inserts or replaces with.
 const EDIT_CHARS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCZ \n#=:,;.*-";
+/// Edit characters for `.repo` files: INI structure and values.
+const INI_CHARS: &[u8] = b"019abcxyz \t\n#;=[]./:";
+/// Edit characters for JSON: structure, escapes, numbers, literals.
+const JSON_CHARS: &[u8] = b"0129aeflnrstu.-+ \n\t{}[]\":,\\";
 
 /// `(kind, position, char)` draws: 0 replaces, 1 inserts, 2 deletes.
 fn edits() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
     proptest::collection::vec((0u8..3, 0usize..1 << 16, 0..EDIT_CHARS.len()), 1..4)
 }
 
-/// Apply `edits` to `text`. Every format here writes ASCII, and edits
-/// only add ASCII, so any byte position is a char boundary.
-fn apply(text: &str, edits: &[(u8, usize, usize)]) -> String {
+/// Apply `edits` to `text`, drawing characters from `alphabet`. Every
+/// format here writes ASCII, and edits only add ASCII, so any byte
+/// position is a char boundary.
+fn apply(text: &str, edits: &[(u8, usize, usize)], alphabet: &[u8]) -> String {
     let mut bytes = text.as_bytes().to_vec();
     for &(kind, pos, ch) in edits {
-        let c = EDIT_CHARS[ch];
+        let c = alphabet[ch % alphabet.len()];
         match kind {
             0 if !bytes.is_empty() => {
                 let at = pos % bytes.len();
@@ -62,7 +72,7 @@ fn check_format<T: PartialEq + std::fmt::Debug, E: std::fmt::Display>(
     let parsed = parse(&text).map_err(|e| TestCaseError::fail(format!("{e} in {text:?}")))?;
     prop_assert_eq!(&parsed, value);
     prop_assert_eq!(render(&parsed), text.clone());
-    let edited = apply(&text, edits);
+    let edited = apply(&text, edits, EDIT_CHARS);
     if let Ok(once) = parse(&edited) {
         let again = parse(&render(&once));
         prop_assert!(
@@ -156,7 +166,7 @@ proptest! {
         check_format(&journal, Journal::render, Journal::parse, &edits)?;
         // replay verifies what parse accepted; it may report mismatches
         // or refuse the file, but it must not panic
-        let _ = replay(&apply(text, &edits));
+        let _ = replay(&apply(text, &edits, EDIT_CHARS));
     }
 }
 
@@ -207,5 +217,102 @@ proptest! {
             plan = plan.with_rate(InjectionPoint::ALL[point], p);
         }
         check_format(&plan, FaultPlan::render, FaultPlan::parse, &edits)?;
+    }
+}
+
+/// `.repo` text for `configs`, one section each.
+fn render_repos(configs: &[RepoConfig]) -> String {
+    configs
+        .iter()
+        .map(|c| render_repo_file(&c.clone().into_repository()))
+        .collect()
+}
+
+const ARCHES: [Arch; 5] = [
+    Arch::X86_64,
+    Arch::I686,
+    Arch::Noarch,
+    Arch::Src,
+    Arch::Armv7,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn repo_file_round_trips_and_survives_edits(
+        sections in proptest::collection::vec(
+            (NAME, "[A-Za-z][A-Za-z0-9 ().-]{0,12}[a-z]", "http://[a-z.]{1,12}/[a-z/]{0,8}", 0u8..4, 0u32..200),
+            1..4,
+        ),
+        edits in edits(),
+    ) {
+        let configs: Vec<RepoConfig> = sections
+            .iter()
+            .map(|(id, name, url, flags, priority)| RepoConfig {
+                id: id.clone(),
+                name: name.clone(),
+                baseurl: url.clone(),
+                enabled: flags & 1 == 1,
+                gpgcheck: flags & 2 == 2,
+                priority: Some(*priority),
+            })
+            .collect();
+        let text = render_repos(&configs);
+        let parsed = parse_repo_file(&text).map_err(|e| TestCaseError::fail(format!("{e} in {text:?}")))?;
+        prop_assert_eq!(&parsed, &configs);
+        let edited = apply(&text, &edits, INI_CHARS);
+        if let Ok(once) = parse_repo_file(&edited) {
+            let rendered = render_repos(&once);
+            let again = parse_repo_file(&rendered).map(|c| render_repos(&c));
+            prop_assert!(again.as_ref().ok() == Some(&rendered), "not a fixpoint: {edited:?}");
+        }
+    }
+
+    #[test]
+    fn repo_metadata_round_trips_and_survives_edits(
+        repo_id in NAME,
+        revision in 0u64..1000,
+        records in proptest::collection::vec(
+            (
+                (NAME, 0u32..3, "[0-9]{1,2}\\.[0-9]{1,2}", "[0-9]\\.el6", 0..ARCHES.len()),
+                ("[A-Za-z ]{0,12}", 0u64..1 << 40),
+                (proptest::collection::vec(NAME, 0..3), proptest::collection::vec(NAME, 0..3)),
+            ),
+            0..3,
+        ),
+        edits in edits(),
+    ) {
+        let primary: Vec<PrimaryRecord> = records
+            .iter()
+            .map(|((name, epoch, version, release, arch), (summary, size), (provides, requires))| PrimaryRecord {
+                name: name.clone(),
+                epoch: *epoch,
+                version: version.clone(),
+                release: release.clone(),
+                arch: ARCHES[*arch],
+                summary: summary.clone(),
+                size_bytes: *size,
+                provides: provides.clone(),
+                requires: requires.clone(),
+                location: format!("Packages/{name}.rpm"),
+            })
+            .collect();
+        let md = RepoMetadata {
+            repo_id,
+            revision,
+            package_count: primary.len(),
+            total_size_bytes: primary.iter().map(|r| r.size_bytes).sum(),
+            primary,
+        };
+        let text = md.to_json();
+        let parsed = RepoMetadata::from_json(&text).map_err(|e| TestCaseError::fail(format!("{e} in {text:?}")))?;
+        prop_assert_eq!(&parsed, &md);
+        prop_assert_eq!(parsed.to_json(), text.clone());
+        let edited = apply(&text, &edits, JSON_CHARS);
+        if let Ok(once) = RepoMetadata::from_json(&edited) {
+            let again = RepoMetadata::from_json(&once.to_json());
+            prop_assert!(again.as_ref().ok() == Some(&once), "not a fixpoint: {edited:?}");
+        }
     }
 }
