@@ -8,6 +8,7 @@
 
 use crate::roll::Roll;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use xcbc_rpm::{Evr, Package};
 
 /// The frontend's install tree.
@@ -16,7 +17,7 @@ pub struct Distribution {
     /// Rolls incorporated, by name → version.
     rolls: BTreeMap<String, String>,
     /// name → best package available in the tree.
-    packages: BTreeMap<String, Package>,
+    packages: BTreeMap<String, Arc<Package>>,
     /// Times the tree has been rebuilt (each rebuild is admin effort).
     pub rebuild_count: u32,
 }
@@ -61,7 +62,7 @@ impl Distribution {
 
     /// Everything in the tree.
     pub fn packages(&self) -> impl Iterator<Item = &Package> {
-        self.packages.values()
+        self.packages.values().map(|p| &**p)
     }
 
     /// Total tree size in bytes.

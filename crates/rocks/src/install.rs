@@ -20,6 +20,7 @@ use crate::insert_ethers::{DhcpRequest, InsertEthers};
 use crate::kickstart::{self, KickstartError};
 use crate::roll::Roll;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use xcbc_cluster::{ClusterSpec, NodeRole, Timeline};
 use xcbc_fault::{
     retry_with, FaultInjector, FaultKind, FaultPlan, InjectionPoint, InstallCheckpoint, NodeStage,
@@ -292,7 +293,7 @@ impl ClusterInstall {
     }
 
     /// All packages across the selected rolls.
-    fn roll_packages(&self) -> BTreeMap<&str, &Package> {
+    fn roll_packages(&self) -> BTreeMap<&str, &Arc<Package>> {
         let mut map = BTreeMap::new();
         for roll in &self.rolls {
             for p in &roll.packages {
@@ -319,7 +320,7 @@ impl ClusterInstall {
         &self,
         node: &str,
         names: &[String],
-        catalog: &BTreeMap<&str, &Package>,
+        catalog: &BTreeMap<&str, &Arc<Package>>,
     ) -> Result<TransactionSet, InstallError> {
         let mut tx = TransactionSet::new();
         for name in names {
@@ -329,7 +330,7 @@ impl ClusterInstall {
                     package: name.clone(),
                 })
             })?;
-            tx.add_install((*pkg).clone());
+            tx.add_install(Arc::clone(pkg));
         }
         Ok(tx)
     }
@@ -338,7 +339,7 @@ impl ClusterInstall {
         &self,
         node: &str,
         names: &[String],
-        catalog: &BTreeMap<&str, &Package>,
+        catalog: &BTreeMap<&str, &Arc<Package>>,
     ) -> Result<RpmDb, InstallError> {
         let tx = self.build_transaction(node, names, catalog)?;
         let mut db = RpmDb::new();
@@ -732,7 +733,7 @@ impl ClusterInstall {
         &self,
         node: &str,
         names: &[String],
-        catalog: &BTreeMap<&str, &Package>,
+        catalog: &BTreeMap<&str, &Arc<Package>>,
         injector: &mut FaultInjector,
         policy: &RetryPolicy,
         rec: &mut SpanRecorder,

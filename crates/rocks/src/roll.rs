@@ -6,6 +6,7 @@
 //! this type.
 
 use crate::graph::GraphNode;
+use std::sync::Arc;
 use xcbc_rpm::{Package, PackageBuilder, PackageGroup};
 
 /// A Rocks Roll.
@@ -18,7 +19,8 @@ pub struct Roll {
     pub required: bool,
     /// One-line description (the Table 1 "Specific packages" column).
     pub description: String,
-    pub packages: Vec<Package>,
+    /// Shared with every node transaction that installs them.
+    pub packages: Vec<Arc<Package>>,
     /// Kickstart graph fragments this roll contributes.
     pub graph_nodes: Vec<GraphNode>,
 }
@@ -37,7 +39,7 @@ impl Roll {
     }
 
     pub fn with_packages(mut self, pkgs: Vec<Package>) -> Self {
-        self.packages = pkgs;
+        self.packages = pkgs.into_iter().map(Arc::new).collect();
         self
     }
 

@@ -1,17 +1,19 @@
 //! The installed-package database (`/var/lib/rpm` equivalent).
 //!
-//! Holds the set of installed packages on one host, indexed for the three
+//! Holds the set of installed packages on one host for the three
 //! queries everything else needs: by name, by capability
 //! (`whatprovides`), and by file path. Also implements `rpm -V`-style
 //! verification of database consistency.
 //!
-//! The database also carries its own content digest ([`RpmDb::digest`]),
-//! memoized so the solve cache can key on it once per database state
-//! instead of once per lookup.
+//! The store is one vector sorted by name, so a clone copies one
+//! pointer per instance. The file index and the content digest
+//! ([`RpmDb::digest`]) are derived from it on first use and dropped by
+//! every change, so installs pay nothing per file and the solve cache
+//! keys on the digest once per database state.
 
 use crate::dep::Dependency;
 use crate::package::Package;
-use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use xcbc_sim::Fnv64;
 
@@ -29,20 +31,22 @@ pub struct InstalledPackage {
 /// Per-host installed-package database.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RpmDb {
-    /// name → instances (multiple only for multilib/kernel-style installs).
-    by_name: BTreeMap<String, Vec<InstalledPackage>>,
-    /// file path → owning package names.
-    file_index: HashMap<String, Vec<String>>,
+    /// Every installed instance, sorted by name and in install order
+    /// within a name (several only for multilib/kernel-style installs).
+    packages: Vec<InstalledPackage>,
     next_tid: u64,
-    digest: DigestMemo,
+    digest: Memo<u64>,
+    /// `(instance, file)` positions sorted by path, then instance.
+    files: Memo<Vec<(usize, usize)>>,
 }
 
-/// The memoized [`RpmDb::digest`]. It is derived state, so `==` ignores
-/// it; a clone copies a warm value along with the contents it digests.
+/// A value derived from the database contents on first use. `==`
+/// ignores it; a clone copies a warm value along with the contents it
+/// was derived from.
 #[derive(Debug, Clone, Default)]
-struct DigestMemo(OnceLock<u64>);
+struct Memo<T>(OnceLock<T>);
 
-impl PartialEq for DigestMemo {
+impl<T> PartialEq for Memo<T> {
     fn eq(&self, _: &Self) -> bool {
         true
     }
@@ -92,21 +96,28 @@ impl RpmDb {
 
     /// Number of installed packages.
     pub fn len(&self) -> usize {
-        self.by_name.values().map(Vec::len).sum()
+        self.packages.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
+        self.packages.is_empty()
     }
 
-    /// Iterate over every installed package.
+    /// Iterate over every installed package, in name order.
     pub fn iter(&self) -> impl Iterator<Item = &InstalledPackage> {
-        self.by_name.values().flatten()
+        self.packages.iter()
     }
 
-    /// All instances installed under `name`.
+    /// Positions of the instances installed under `name`.
+    fn range(&self, name: &str) -> Range<usize> {
+        let start = self.packages.partition_point(|ip| ip.package.name() < name);
+        let len = self.packages[start..].partition_point(|ip| ip.package.name() == name);
+        start..start + len
+    }
+
+    /// All instances installed under `name`, in install order.
     pub fn get(&self, name: &str) -> &[InstalledPackage] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
+        &self.packages[self.range(name)]
     }
 
     /// The newest installed instance of `name`, if any.
@@ -117,31 +128,69 @@ impl RpmDb {
     }
 
     pub fn is_installed(&self, name: &str) -> bool {
-        self.by_name.contains_key(name)
+        !self.get(name).is_empty()
+    }
+
+    fn path(&self, (instance, file): (usize, usize)) -> &str {
+        &self.packages[instance].package.files[file]
+    }
+
+    fn file_index(&self) -> &[(usize, usize)] {
+        self.files.0.get_or_init(|| {
+            let mut index: Vec<(usize, usize)> = self
+                .packages
+                .iter()
+                .enumerate()
+                .flat_map(|(i, ip)| (0..ip.package.files.len()).map(move |f| (i, f)))
+                .collect();
+            // Stable, so each path's owners stay in database order.
+            index.sort_by(|&a, &b| self.path(a).cmp(self.path(b)));
+            index.dedup_by(|a, b| a.0 == b.0 && self.path(*a) == self.path(*b));
+            index
+        })
+    }
+
+    /// Installed instances that own `path`, in database order.
+    pub(crate) fn file_owners<'a, 'q: 'a>(
+        &'q self,
+        path: &'a str,
+    ) -> impl Iterator<Item = &'q InstalledPackage> + 'a {
+        let index = self.file_index();
+        let start = index.partition_point(|&e| self.path(e) < path);
+        index[start..]
+            .iter()
+            .take_while(move |&&e| self.path(e) == path)
+            .map(|&(i, _)| &self.packages[i])
+    }
+
+    /// Installed instances satisfying `req`, in database order, without
+    /// collecting them.
+    pub(crate) fn providers<'a, 'q: 'a>(
+        &'q self,
+        req: &'a Dependency,
+    ) -> impl Iterator<Item = &'q InstalledPackage> + 'a {
+        let file_dep = req.is_file_dep();
+        let owners = file_dep
+            .then(|| self.file_owners(&req.name))
+            .into_iter()
+            .flatten();
+        let scanned = if file_dep {
+            &[][..]
+        } else {
+            &self.packages[..]
+        };
+        owners.chain(scanned.iter().filter(move |ip| ip.package.satisfies(req)))
     }
 
     /// `rpm -q --whatprovides`: installed packages satisfying `req`
-    /// (capability or file dependency).
+    /// (capability or file dependency), in name order.
     pub fn whatprovides(&self, req: &Dependency) -> Vec<&InstalledPackage> {
-        if req.is_file_dep() {
-            return self
-                .file_index
-                .get(&req.name)
-                .map(|owners| {
-                    owners
-                        .iter()
-                        .flat_map(|n| self.get(n))
-                        .filter(|ip| ip.package.files.iter().any(|f| f == &req.name))
-                        .collect()
-                })
-                .unwrap_or_default();
-        }
-        self.iter().filter(|ip| ip.package.satisfies(req)).collect()
+        self.providers(req).collect()
     }
 
     /// Is `req` satisfied by anything installed?
     pub fn provides(&self, req: &Dependency) -> bool {
-        !self.whatprovides(req).is_empty()
+        self.providers(req).next().is_some()
     }
 
     /// `rpm -q --whatrequires`: installed packages whose Requires are
@@ -178,72 +227,51 @@ impl RpmDb {
         })
     }
 
+    /// Drop the values derived from the old contents.
+    fn changed(&mut self) {
+        self.digest = Memo::default();
+        self.files = Memo::default();
+    }
+
     /// Low-level install (no dependency checking — that is the
     /// transaction layer's job). Returns the transaction id.
     pub fn install(&mut self, package: impl Into<Arc<Package>>) -> u64 {
         let package = package.into();
-        self.digest = DigestMemo::default();
+        self.changed();
         self.next_tid += 1;
-        let tid = self.next_tid;
-        for f in &package.files {
-            let owners = self.file_index.entry(f.clone()).or_default();
-            if !owners.contains(&package.nevra.name) {
-                owners.push(package.nevra.name.clone());
-            }
-        }
-        self.by_name
-            .entry(package.nevra.name.clone())
-            .or_default()
-            .push(InstalledPackage {
+        let at = self
+            .packages
+            .partition_point(|ip| ip.package.name() <= package.name());
+        self.packages.insert(
+            at,
+            InstalledPackage {
                 package,
-                install_tid: tid,
-            });
-        tid
+                install_tid: self.next_tid,
+            },
+        );
+        self.next_tid
     }
 
     /// Low-level erase of every instance of `name`. Returns the erased
     /// packages (empty if the name was not installed).
     pub fn erase(&mut self, name: &str) -> Vec<InstalledPackage> {
-        let removed = self.by_name.remove(name).unwrap_or_default();
-        if !removed.is_empty() {
-            self.digest = DigestMemo::default();
+        let range = self.range(name);
+        if range.is_empty() {
+            return Vec::new();
         }
-        for ip in &removed {
-            for f in &ip.package.files {
-                if let Some(owners) = self.file_index.get_mut(f) {
-                    owners.retain(|n| n != name);
-                    if owners.is_empty() {
-                        self.file_index.remove(f);
-                    }
-                }
-            }
-        }
-        removed
+        self.changed();
+        self.packages.drain(range).collect()
     }
 
     /// Erase only the instance matching an exact EVR (used by upgrades that
     /// replace one multilib sibling).
     pub fn erase_exact(&mut self, name: &str, evr: &crate::evr::Evr) -> Option<InstalledPackage> {
-        let list = self.by_name.get_mut(name)?;
-        let idx = list.iter().position(|ip| &ip.package.nevra.evr == evr)?;
-        let removed = list.remove(idx);
-        self.digest = DigestMemo::default();
-        let now_empty = list.is_empty();
-        if now_empty {
-            self.by_name.remove(name);
-        }
-        for f in &removed.package.files {
-            let still_owned = self.get(name).iter().any(|ip| ip.package.files.contains(f));
-            if !still_owned {
-                if let Some(owners) = self.file_index.get_mut(f) {
-                    owners.retain(|n| n != name);
-                    if owners.is_empty() {
-                        self.file_index.remove(f);
-                    }
-                }
-            }
-        }
-        Some(removed)
+        let range = self.range(name);
+        let idx = self.packages[range.clone()]
+            .iter()
+            .position(|ip| &ip.package.nevra.evr == evr)?;
+        self.changed();
+        Some(self.packages.remove(range.start + idx))
     }
 
     /// Total installed size in bytes (drives the kickstart disk-space
@@ -253,7 +281,9 @@ impl RpmDb {
     }
 
     /// Verify database consistency: every Requires satisfied, no Conflicts
-    /// between installed packages, no duplicate file ownership.
+    /// between installed packages, no duplicate file ownership. File
+    /// conflicts come last, sorted by path, each naming its owners in
+    /// install order.
     pub fn verify(&self) -> Vec<VerifyProblem> {
         let mut problems = Vec::new();
         for ip in self.iter() {
@@ -266,7 +296,7 @@ impl RpmDb {
                 }
             }
             for conflict in &ip.package.conflicts {
-                for victim in self.whatprovides(conflict) {
+                for victim in self.providers(conflict) {
                     if victim.package.name() != ip.package.name() {
                         problems.push(VerifyProblem::Conflict {
                             package: ip.package.nevra.to_string(),
@@ -276,20 +306,33 @@ impl RpmDb {
                 }
             }
         }
-        for (path, owners) in &self.file_index {
-            if owners.len() > 1 {
-                problems.push(VerifyProblem::FileConflict {
-                    path: path.clone(),
-                    packages: owners.clone(),
-                });
+        let index = self.file_index();
+        for owners in index.chunk_by(|&a, &b| self.path(a) == self.path(b)) {
+            let name = |&(i, _): &(usize, usize)| self.packages[i].package.name();
+            if owners.iter().all(|o| name(o) == name(&owners[0])) {
+                continue;
             }
+            let mut owners = owners.to_vec();
+            owners.sort_by_key(|&(i, _)| self.packages[i].install_tid);
+            let mut packages: Vec<String> = Vec::new();
+            for o in &owners {
+                if !packages.iter().any(|p| p == name(o)) {
+                    packages.push(name(o).to_string());
+                }
+            }
+            problems.push(VerifyProblem::FileConflict {
+                path: self.path(owners[0]).to_string(),
+                packages,
+            });
         }
         problems
     }
 
     /// Names of all installed packages, sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.by_name.keys().map(String::as_str).collect()
+        let mut names: Vec<&str> = self.iter().map(|ip| ip.package.name()).collect();
+        names.dedup();
+        names
     }
 }
 
@@ -432,6 +475,44 @@ mod tests {
         assert!(problems
             .iter()
             .any(|p| matches!(p, VerifyProblem::FileConflict { .. })));
+    }
+
+    #[test]
+    fn verify_lists_file_conflicts_by_path_with_owners_in_install_order() {
+        let db = db_with(vec![
+            PackageBuilder::new("zeta", "1", "1")
+                .files(["/usr/bin/qsub", "/etc/pbs.conf", "/usr/bin/qstat"])
+                .build(),
+            PackageBuilder::new("alpha", "1", "1")
+                .files(["/usr/bin/qstat", "/usr/bin/qsub", "/var/spool/pbs"])
+                .build(),
+            PackageBuilder::new("mid", "1", "1")
+                .files(["/var/spool/pbs", "/usr/bin/qsub", "/etc/pbs.conf"])
+                .build(),
+        ]);
+        let conflicts: Vec<(String, Vec<String>)> = db
+            .verify()
+            .into_iter()
+            .map(|p| match p {
+                VerifyProblem::FileConflict { path, packages } => (path, packages),
+                other => panic!("unexpected problem {other}"),
+            })
+            .collect();
+        let owners = |path: &str, names: &[&str]| {
+            (
+                path.to_string(),
+                names.iter().map(|n| n.to_string()).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(
+            conflicts,
+            vec![
+                owners("/etc/pbs.conf", &["zeta", "mid"]),
+                owners("/usr/bin/qstat", &["zeta", "alpha"]),
+                owners("/usr/bin/qsub", &["zeta", "alpha", "mid"]),
+                owners("/var/spool/pbs", &["alpha", "mid"]),
+            ]
+        );
     }
 
     #[test]

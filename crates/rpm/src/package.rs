@@ -2,7 +2,7 @@
 //! sees it — NEVRA identity, dependency headers, file list and metadata.
 
 use crate::arch::Arch;
-use crate::dep::Dependency;
+use crate::dep::{ranges_overlap, DepFlag, Dependency};
 use crate::evr::Evr;
 use crate::scriptlet::Scriptlet;
 use std::fmt;
@@ -117,7 +117,7 @@ impl Package {
         let mut out = Vec::with_capacity(self.provides.len() + 1);
         out.push(Dependency::versioned(
             self.nevra.name.clone(),
-            crate::dep::DepFlag::Eq,
+            DepFlag::Eq,
             self.nevra.evr.clone(),
         ));
         out.extend(self.provides.iter().cloned());
@@ -125,23 +125,29 @@ impl Package {
     }
 
     /// Does this package satisfy `req`, via self-provide, explicit
-    /// Provides, or file ownership?
+    /// Provides, or file ownership? Matches in place, without
+    /// materialising [`all_provides`](Self::all_provides).
     pub fn satisfies(&self, req: &Dependency) -> bool {
         if req.is_file_dep() {
             return self.files.iter().any(|f| f == &req.name);
         }
-        self.all_provides().iter().any(|p| p.satisfies(req))
+        let self_provide = self.nevra.name == req.name
+            && ranges_overlap(
+                DepFlag::Eq,
+                Some(&self.nevra.evr),
+                req.flag,
+                req.evr.as_ref(),
+            );
+        self_provide || self.provides.iter().any(|p| p.satisfies(req))
     }
 
     /// Does this package obsolete the installed package `other`?
     /// (Obsoletes match against the *name* of the target, per RPM.)
     pub fn obsoletes_package(&self, other: &Package) -> bool {
-        let target = Dependency::versioned(
-            other.nevra.name.clone(),
-            crate::dep::DepFlag::Eq,
-            other.nevra.evr.clone(),
-        );
-        self.obsoletes.iter().any(|o| target.satisfies(o))
+        self.obsoletes.iter().any(|o| {
+            o.name == other.nevra.name
+                && ranges_overlap(DepFlag::Eq, Some(&other.nevra.evr), o.flag, o.evr.as_ref())
+        })
     }
 
     /// Is this package a strictly newer build of the same (name, arch)?
@@ -162,7 +168,6 @@ impl fmt::Display for Package {
 mod tests {
     use super::*;
     use crate::builder::PackageBuilder;
-    use crate::dep::DepFlag;
 
     #[test]
     fn self_provide_is_automatic() {

@@ -11,7 +11,8 @@ use crate::db::RpmDb;
 use crate::dep::Dependency;
 use crate::package::Package;
 use crate::scriptlet::ScriptletTrace;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use xcbc_fault::{FaultInjector, InjectionPoint};
@@ -187,41 +188,26 @@ impl TransactionSet {
         &self.elements
     }
 
-    fn incoming(&self) -> Vec<&Package> {
-        self.elements
-            .iter()
-            .filter_map(|e| match e {
-                TransactionElement::Install(p) | TransactionElement::Upgrade(p) => Some(&**p),
-                TransactionElement::Erase(_) => None,
-            })
-            .collect()
-    }
-
-    fn erased_names(&self) -> HashSet<&str> {
-        self.elements
-            .iter()
-            .filter_map(|e| match e {
-                TransactionElement::Erase(n) => Some(n.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Names that will be *removed* from the db by this transaction
     /// (explicit erases + upgrade victims + obsoleted packages).
-    fn removed_names(&self, db: &RpmDb) -> HashSet<String> {
-        let mut removed: HashSet<String> =
-            self.erased_names().iter().map(|s| s.to_string()).collect();
+    fn removed_names<'a>(&'a self, db: &'a RpmDb) -> HashSet<&'a str> {
+        let mut removed = HashSet::new();
         for e in &self.elements {
-            if let TransactionElement::Upgrade(p) = e {
-                if db.is_installed(p.name()) {
-                    removed.insert(p.name().to_string());
+            match e {
+                TransactionElement::Erase(n) => {
+                    removed.insert(n.as_str());
                 }
-                for ip in db.iter() {
-                    if p.obsoletes_package(&ip.package) {
-                        removed.insert(ip.package.name().to_string());
+                TransactionElement::Upgrade(p) => {
+                    if db.is_installed(p.name()) {
+                        removed.insert(p.name());
+                    }
+                    for ip in db.iter() {
+                        if p.obsoletes_package(&ip.package) {
+                            removed.insert(ip.package.name());
+                        }
                     }
                 }
+                TransactionElement::Install(_) => {}
             }
         }
         removed
@@ -229,21 +215,27 @@ impl TransactionSet {
 
     /// Is `req` satisfied in the post-transaction world: by an incoming
     /// package, or by an installed package that is not being removed?
-    fn satisfied_post(&self, db: &RpmDb, req: &Dependency, removed: &HashSet<String>) -> bool {
-        if self.incoming().iter().any(|p| p.satisfies(req)) {
-            return true;
-        }
-        db.whatprovides(req)
-            .iter()
-            .any(|ip| !removed.contains(ip.package.name()))
+    fn satisfied_post(
+        index: &ProvideIndex<'_>,
+        db: &RpmDb,
+        req: &Dependency,
+        removed: &HashSet<&str>,
+    ) -> bool {
+        index.satisfying(req).next().is_some()
+            || db
+                .providers(req)
+                .any(|ip| !removed.contains(ip.package.name()))
     }
 
     /// Run RPM's pre-flight checks. An empty vector means the transaction
     /// is sound and [`run`](Self::run) will succeed.
     pub fn check(&self, db: &RpmDb) -> Vec<TransactionProblem> {
+        self.check_indexed(&ProvideIndex::new(&self.elements), db)
+    }
+
+    fn check_indexed(&self, index: &ProvideIndex<'_>, db: &RpmDb) -> Vec<TransactionProblem> {
         let mut problems = Vec::new();
         let removed = self.removed_names(db);
-        let incoming = self.incoming();
 
         for e in &self.elements {
             match e {
@@ -279,7 +271,7 @@ impl TransactionSet {
                         for req in &dependent.package.requires {
                             let only_from_erased =
                                 db.get(name).iter().any(|ip| ip.package.satisfies(req))
-                                    && !self.satisfied_post(db, req, &removed);
+                                    && !Self::satisfied_post(index, db, req, &removed);
                             if only_from_erased {
                                 problems.push(TransactionProblem::BreaksDependents {
                                     erased: name.clone(),
@@ -294,9 +286,9 @@ impl TransactionSet {
         }
 
         // Requires of incoming packages.
-        for p in &incoming {
+        for &(_, p) in &index.incoming {
             for req in &p.requires {
-                if !self.satisfied_post(db, req, &removed) {
+                if !Self::satisfied_post(index, db, req, &removed) {
                     problems.push(TransactionProblem::UnresolvedRequire {
                         package: p.nevra.to_string(),
                         require: req.to_string(),
@@ -306,9 +298,9 @@ impl TransactionSet {
         }
 
         // Conflicts: incoming vs (surviving installed + other incoming).
-        for p in &incoming {
+        for &(_, p) in &index.incoming {
             for conflict in &p.conflicts {
-                for ip in db.whatprovides(conflict) {
+                for ip in db.providers(conflict) {
                     if !removed.contains(ip.package.name()) && ip.package.name() != p.name() {
                         problems.push(TransactionProblem::Conflict {
                             package: p.nevra.to_string(),
@@ -316,8 +308,8 @@ impl TransactionSet {
                         });
                     }
                 }
-                for other in &incoming {
-                    if other.name() != p.name() && other.satisfies(conflict) {
+                for other in index.satisfying(conflict).map(|o| index.incoming[o].1) {
+                    if other.name() != p.name() {
                         problems.push(TransactionProblem::Conflict {
                             package: p.nevra.to_string(),
                             with: other.nevra.to_string(),
@@ -340,36 +332,36 @@ impl TransactionSet {
             }
         }
 
-        // File conflicts among the post-transaction set.
-        let mut owners: BTreeMap<&str, &Package> = BTreeMap::new();
-        for p in &incoming {
+        // File conflicts among the post-transaction set: each path's first
+        // incoming owner against the later ones, then the surviving
+        // installed owners.
+        for &(_, p) in &index.incoming {
             for f in &p.files {
-                if let Some(other) = owners.get(f.as_str()) {
-                    if other.name() != p.name() {
-                        problems.push(TransactionProblem::FileConflict {
-                            path: f.clone(),
-                            a: other.nevra.to_string(),
-                            b: p.nevra.to_string(),
-                        });
-                    }
-                } else {
-                    owners.insert(f, p);
+                let first = index
+                    .candidates(f)
+                    .map(|o| index.incoming[o].1)
+                    .find(|o| o.files.contains(f))
+                    .expect("the package itself owns the path");
+                if first.name() != p.name() {
+                    problems.push(TransactionProblem::FileConflict {
+                        path: f.clone(),
+                        a: first.nevra.to_string(),
+                        b: p.nevra.to_string(),
+                    });
                 }
             }
         }
-        for p in &incoming {
+        for &(_, p) in &index.incoming {
             for f in &p.files {
-                for ip in db.iter() {
+                for ip in db.file_owners(f) {
                     if removed.contains(ip.package.name()) || ip.package.name() == p.name() {
                         continue;
                     }
-                    if ip.package.files.contains(f) {
-                        problems.push(TransactionProblem::FileConflict {
-                            path: f.clone(),
-                            a: ip.package.nevra.to_string(),
-                            b: p.nevra.to_string(),
-                        });
-                    }
+                    problems.push(TransactionProblem::FileConflict {
+                        path: f.clone(),
+                        a: ip.package.nevra.to_string(),
+                        b: p.nevra.to_string(),
+                    });
                 }
             }
         }
@@ -382,37 +374,50 @@ impl TransactionSet {
     /// way RPM falls back on presentation order for dependency loops).
     /// Erases run last, in reverse-dependency order.
     pub fn order(&self) -> Vec<TransactionElement> {
-        let incoming = self.incoming();
+        self.order_indexed(&ProvideIndex::new(&self.elements))
+            .into_iter()
+            .map(|ei| self.elements[ei].clone())
+            .collect()
+    }
+
+    /// [`order`](Self::order) as element indices.
+    fn order_indexed(&self, index: &ProvideIndex<'_>) -> Vec<usize> {
+        let incoming = &index.incoming;
         let n = incoming.len();
         // edge u -> v  means "u must install before v" (v requires u).
         let mut before: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg = vec![0usize; n];
-        for (vi, v) in incoming.iter().enumerate() {
+        for (vi, &(_, v)) in incoming.iter().enumerate() {
             for req in &v.requires {
-                for (ui, u) in incoming.iter().enumerate() {
-                    if ui != vi && u.satisfies(req) {
+                for ui in index.satisfying(req) {
+                    if ui != vi {
                         before[ui].push(vi);
                         indeg[vi] += 1;
                     }
                 }
             }
         }
-        // Deterministic Kahn: pick the ready node with the smallest name.
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order: Vec<usize> = Vec::with_capacity(n);
+        // Deterministic Kahn: pick the ready node with the smallest name;
+        // among equal names, the one readied last.
+        let name = |i: usize| incoming[i].1.name();
+        let mut ready: BinaryHeap<(Reverse<&str>, usize, usize)> = (0..n)
+            .filter(|&i| indeg[i] == 0)
+            .enumerate()
+            .map(|(seq, i)| (Reverse(name(i)), seq, i))
+            .collect();
+        let mut readied = ready.len();
+        let mut order: Vec<usize> = Vec::with_capacity(self.elements.len());
         let mut done = vec![false; n];
         while order.len() < n {
-            ready.sort_by(|&a, &b| incoming[b].name().cmp(incoming[a].name()));
             let next = match ready.pop() {
-                Some(i) => i,
+                Some((_, _, i)) => i,
                 None => {
                     // Cycle: break it at the not-yet-done node with the
                     // smallest name.
-                    let i = (0..n)
+                    (0..n)
                         .filter(|&i| !done[i])
-                        .min_by(|&a, &b| incoming[a].name().cmp(incoming[b].name()))
-                        .expect("cycle-break candidate exists");
-                    i
+                        .min_by(|&a, &b| name(a).cmp(name(b)))
+                        .expect("cycle-break candidate exists")
                 }
             };
             if done[next] {
@@ -424,48 +429,31 @@ impl TransactionSet {
                 if indeg[v] > 0 {
                     indeg[v] -= 1;
                     if indeg[v] == 0 && !done[v] {
-                        ready.push(v);
+                        ready.push((Reverse(name(v)), readied, v));
+                        readied += 1;
                     }
                 }
             }
         }
 
-        let mut out: Vec<TransactionElement> = Vec::with_capacity(self.elements.len());
-        // Map ordered incoming packages back to their original elements.
-        let mut used = vec![false; self.elements.len()];
-        for &idx in &order {
-            let target = incoming[idx];
-            for (ei, e) in self.elements.iter().enumerate() {
-                if used[ei] {
-                    continue;
-                }
-                match e {
-                    TransactionElement::Install(p) | TransactionElement::Upgrade(p)
-                        if std::ptr::eq(&**p, target) =>
-                    {
-                        used[ei] = true;
-                        out.push(e.clone());
-                        break;
-                    }
-                    _ => {}
-                }
-            }
+        for pos in &mut order {
+            *pos = incoming[*pos].0;
         }
-        for (ei, e) in self.elements.iter().enumerate() {
-            if !used[ei] {
-                if let TransactionElement::Erase(_) = e {
-                    out.push(e.clone());
-                }
-            }
-        }
-        out
+        order.extend(
+            self.elements
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| matches!(e, TransactionElement::Erase(_)))
+                .map(|(ei, _)| ei),
+        );
+        order
     }
 
     /// Check, order, and execute the transaction against `db`.
     pub fn run(&self, db: &mut RpmDb) -> Result<TransactionReport, TransactionError> {
-        self.preflight(db)?;
+        let order = self.preflight(db)?;
         Ok(self
-            .execute(db, &mut |_| false)
+            .execute(db, &order, &mut |_| false)
             .expect("ungated execution cannot fail"))
     }
 
@@ -480,9 +468,9 @@ impl TransactionSet {
         db: &mut RpmDb,
         injector: &mut FaultInjector,
     ) -> Result<TransactionReport, TransactionError> {
-        self.preflight(db)?;
+        let order = self.preflight(db)?;
         let snapshot = db.clone();
-        self.execute(db, &mut |p| {
+        self.execute(db, &order, &mut |p| {
             injector
                 .should_fault(InjectionPoint::RpmScriptlet, p.name())
                 .is_some()
@@ -490,32 +478,35 @@ impl TransactionSet {
         .inspect_err(|_| *db = snapshot)
     }
 
-    fn preflight(&self, db: &RpmDb) -> Result<(), TransactionError> {
+    /// Check the set against `db` and, if it is sound, return its
+    /// execution order as element indices. Both passes share one
+    /// provides index.
+    fn preflight(&self, db: &RpmDb) -> Result<Vec<usize>, TransactionError> {
         if self.is_empty() {
             return Err(TransactionError::Empty);
         }
-        let problems = self.check(db);
+        let index = ProvideIndex::new(&self.elements);
+        let problems = self.check_indexed(&index, db);
         if !problems.is_empty() {
             return Err(TransactionError::CheckFailed(problems));
         }
-        Ok(())
+        Ok(self.order_indexed(&index))
     }
 
     /// The execution loop shared by [`run`](Self::run) and
-    /// [`run_injected`](Self::run_injected). `scriptlet_fails` is
-    /// consulted once per install-side element, before its scriptlets
-    /// run; a `true` aborts with [`TransactionError::ScriptletFailed`]
-    /// (the caller owns rollback).
+    /// [`run_injected`](Self::run_injected), over the elements at
+    /// `order`. `scriptlet_fails` is consulted once per install-side
+    /// element, before its scriptlets run; a `true` aborts with
+    /// [`TransactionError::ScriptletFailed`] (the caller owns rollback).
     fn execute(
         &self,
         db: &mut RpmDb,
+        order: &[usize],
         scriptlet_fails: &mut dyn FnMut(&Package) -> bool,
     ) -> Result<TransactionReport, TransactionError> {
         let mut report = TransactionReport::default();
-        let ordered = self.order();
-        let mut queue: VecDeque<TransactionElement> = ordered.into_iter().collect();
-        while let Some(e) = queue.pop_front() {
-            if let TransactionElement::Install(p) | TransactionElement::Upgrade(p) = &e {
+        for e in order.iter().map(|&ei| &self.elements[ei]) {
+            if let TransactionElement::Install(p) | TransactionElement::Upgrade(p) = e {
                 if scriptlet_fails(p) {
                     return Err(TransactionError::ScriptletFailed {
                         package: p.nevra.to_string(),
@@ -526,10 +517,10 @@ impl TransactionSet {
             report.executed.push(e.label());
             match e {
                 TransactionElement::Install(p) => {
-                    run_scriptlets(&p, true, &mut report);
+                    run_scriptlets(p, true, &mut report);
                     report.size_delta_bytes += p.size_bytes as i64;
                     report.installed.push(p.nevra.to_string());
-                    db.install(p);
+                    db.install(Arc::clone(p));
                 }
                 TransactionElement::Upgrade(p) => {
                     // Erase obsoleted + older same-name instances first.
@@ -543,7 +534,7 @@ impl TransactionSet {
                         }
                     }
                     victims.dedup();
-                    run_scriptlets(&p, true, &mut report);
+                    run_scriptlets(p, true, &mut report);
                     for v in victims {
                         for old in db.erase(&v) {
                             report.size_delta_bytes -= old.package.size_bytes as i64;
@@ -552,10 +543,10 @@ impl TransactionSet {
                     }
                     report.size_delta_bytes += p.size_bytes as i64;
                     report.upgraded.push(p.nevra.to_string());
-                    db.install(p);
+                    db.install(Arc::clone(p));
                 }
                 TransactionElement::Erase(name) => {
-                    for old in db.erase(&name) {
+                    for old in db.erase(name) {
                         report.size_delta_bytes -= old.package.size_bytes as i64;
                         run_scriptlets(&old.package, false, &mut report);
                         report.erased.push(old.package.nevra.to_string());
@@ -564,6 +555,57 @@ impl TransactionSet {
             }
         }
         Ok(report)
+    }
+}
+
+/// The install-side packages of one transaction set, indexed once by
+/// every name they can answer to: the package name, each Provides name
+/// and each owned path. Lookups return candidates that
+/// [`Package::satisfies`] then confirms, so `check` and `order` cost one
+/// index build plus one lookup per Requires instead of a scan of the
+/// whole set.
+struct ProvideIndex<'a> {
+    /// Install-side packages in element order, each with its element
+    /// index; a package's position here is its index position.
+    incoming: Vec<(usize, &'a Package)>,
+    /// `(name, position)` pairs sorted by name, then position.
+    keys: Vec<(&'a str, usize)>,
+}
+
+impl<'a> ProvideIndex<'a> {
+    fn new(elements: &'a [TransactionElement]) -> Self {
+        let incoming: Vec<(usize, &Package)> = elements
+            .iter()
+            .enumerate()
+            .filter_map(|(ei, e)| match e {
+                TransactionElement::Install(p) | TransactionElement::Upgrade(p) => Some((ei, &**p)),
+                TransactionElement::Erase(_) => None,
+            })
+            .collect();
+        let mut keys: Vec<(&str, usize)> = Vec::new();
+        for (pos, &(_, p)) in incoming.iter().enumerate() {
+            keys.push((p.name(), pos));
+            keys.extend(p.provides.iter().map(|d| (d.name.as_str(), pos)));
+            keys.extend(p.files.iter().map(|f| (f.as_str(), pos)));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        ProvideIndex { incoming, keys }
+    }
+
+    /// Positions of the packages indexed under `name`, ascending.
+    fn candidates<'s>(&'s self, name: &'s str) -> impl Iterator<Item = usize> + 's {
+        let start = self.keys.partition_point(|&(k, _)| k < name);
+        self.keys[start..]
+            .iter()
+            .take_while(move |&&(k, _)| k == name)
+            .map(|&(_, pos)| pos)
+    }
+
+    /// Positions of the packages satisfying `req`, ascending.
+    fn satisfying<'s>(&'s self, req: &'s Dependency) -> impl Iterator<Item = usize> + 's {
+        self.candidates(&req.name)
+            .filter(move |&pos| self.incoming[pos].1.satisfies(req))
     }
 }
 
@@ -733,6 +775,55 @@ mod tests {
         let mut db = RpmDb::new();
         tx.run(&mut db).unwrap();
         assert!(db.is_installed("x") && db.is_installed("y"));
+    }
+
+    #[test]
+    fn order_tie_break_is_pinned() {
+        use crate::arch::Arch;
+        // Two builds of `foo` become ready together once `base` installs,
+        // and `cyc-a`/`cyc-b` form a loop that only cycle breaking ends.
+        let mut tx = TransactionSet::new();
+        tx.add_install(
+            PackageBuilder::new("foo", "1", "1")
+                .requires_simple("base")
+                .build(),
+        );
+        tx.add_install(
+            PackageBuilder::new("foo", "1", "1")
+                .arch(Arch::I686)
+                .requires_simple("base")
+                .build(),
+        );
+        tx.add_install(
+            PackageBuilder::new("cyc-b", "1", "1")
+                .requires_simple("cyc-a")
+                .build(),
+        );
+        tx.add_install(PackageBuilder::new("zed", "1", "1").build());
+        tx.add_install(
+            PackageBuilder::new("cyc-a", "1", "1")
+                .requires_simple("cyc-b")
+                .requires_simple("foo")
+                .build(),
+        );
+        tx.add_erase("old");
+        tx.add_install(PackageBuilder::new("base", "1", "1").build());
+        let labels: Vec<String> = tx.order().iter().map(|e| e.label()).collect();
+        // Smallest name first; between the two `foo` builds, the one
+        // readied last (i686, the later element) first; the loop is
+        // entered at its smallest name.
+        assert_eq!(
+            labels,
+            [
+                "install base-1-1.x86_64",
+                "install foo-1-1.i686",
+                "install foo-1-1.x86_64",
+                "install zed-1-1.x86_64",
+                "install cyc-a-1-1.x86_64",
+                "install cyc-b-1-1.x86_64",
+                "erase old",
+            ]
+        );
     }
 
     #[test]
