@@ -52,11 +52,6 @@ impl Bom {
     pub fn usd_per_gflops_rounded(&self, gflops: f64) -> u32 {
         (self.total_usd() / gflops).round() as u32
     }
-
-    /// Exact dollars per GFLOPS.
-    pub fn usd_per_gflops(&self, gflops: f64) -> f64 {
-        self.total_usd() / gflops
-    }
 }
 
 /// The modified LittleFe's parts list (§5.1 components; totals to the
@@ -148,14 +143,6 @@ impl TcoComparison {
             crossover_months: crossover,
         }
     }
-
-    /// Cumulative cost of each option at month `m`.
-    pub fn at_month(&self, m: u32) -> (f64, f64) {
-        (
-            self.cluster_capex_usd + self.cluster_opex_usd_per_month * m as f64,
-            self.cloud_usd_per_month * m as f64,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -210,8 +197,8 @@ mod tests {
         );
         let m = tco.crossover_months.expect("cluster must win eventually");
         assert!(m <= 12, "crossover at month {m}");
-        let (cluster, cloud) = tco.at_month(m);
-        assert!(cluster <= cloud);
+        let cluster = tco.cluster_capex_usd + tco.cluster_opex_usd_per_month * m as f64;
+        assert!(cluster <= tco.cloud_usd_per_month * m as f64);
     }
 
     #[test]
@@ -237,6 +224,6 @@ mod tests {
         assert_eq!(l.total(), 60.0);
         let bom = Bom::new("s").line("a", 1.5, 2).line("b", 7.0, 1);
         assert_eq!(bom.total_usd(), 10.0);
-        assert!((bom.usd_per_gflops(5.0) - 2.0).abs() < 1e-12);
+        assert_eq!(bom.usd_per_gflops_rounded(5.0), 2);
     }
 }

@@ -131,24 +131,6 @@ impl DegradedCluster {
             .iter()
             .any(|f| f.component == FailedComponent::Nic)
     }
-
-    /// Is the frontend alive (cluster manageable at all)?
-    pub fn frontend_alive(&self) -> bool {
-        match self.spec.frontend() {
-            None => false,
-            Some(fe) => !self.offline_nodes().contains(&fe.hostname.as_str()),
-        }
-    }
-
-    /// A disk failure on a Rocks cluster means that node must be
-    /// reinstalled after the swap — list them.
-    pub fn needs_reinstall(&self) -> Vec<&str> {
-        self.failures
-            .iter()
-            .filter(|f| f.component == FailedComponent::Disk)
-            .map(|f| f.hostname.as_str())
-            .collect()
-    }
 }
 
 /// Sample failures over `hours` of operation given a per-component
@@ -205,7 +187,6 @@ mod tests {
             !degraded.can_run_full_linpack(),
             "no 12-core Linpack possible"
         );
-        assert!(degraded.frontend_alive(), "cluster still manageable");
         // 5 of 6 nodes: 5/6 of Rpeak still available
         assert!((degraded.degraded_rpeak_gflops() - full_rpeak * 5.0 / 6.0).abs() < 1e-9);
     }
@@ -241,39 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn frontend_death_detected() {
-        let degraded = DegradedCluster::new(
-            littlefe_modified(),
-            vec![Failure {
-                hostname: "littlefe".into(),
-                component: FailedComponent::Psu,
-            }],
-        );
-        assert!(!degraded.frontend_alive());
-    }
-
-    #[test]
-    fn disk_failures_trigger_reinstalls() {
-        let degraded = DegradedCluster::new(
-            littlefe_modified(),
-            vec![
-                Failure {
-                    hostname: "compute-0-0".into(),
-                    component: FailedComponent::Disk,
-                },
-                Failure {
-                    hostname: "compute-0-2".into(),
-                    component: FailedComponent::Disk,
-                },
-            ],
-        );
-        assert_eq!(
-            degraded.needs_reinstall(),
-            vec!["compute-0-0", "compute-0-2"]
-        );
-    }
-
-    #[test]
     fn sampling_respects_hardware_presence() {
         // Limulus blades are diskless: no disk failures possible there
         let spec = crate::specs::limulus_hpc200();
@@ -303,7 +251,6 @@ mod tests {
             !degraded.can_run_full_linpack(),
             "NIC quarantine breaks the all-node run"
         );
-        assert!(degraded.frontend_alive());
     }
 
     #[test]
@@ -313,7 +260,7 @@ mod tests {
             littlefe_modified(),
             vec![("compute-0-2", FaultKind::ScriptletError)],
         );
-        assert_eq!(degraded.needs_reinstall(), vec!["compute-0-2"]);
+        assert_eq!(degraded.failures[0].component, FailedComponent::Disk);
         assert!(degraded.offline_nodes().is_empty());
     }
 

@@ -22,7 +22,6 @@
 //! assert!((limulus.rpeak_gflops() - 793.6).abs() < 0.1);
 //! ```
 
-pub mod acceptance;
 pub mod boot;
 pub mod cost;
 pub mod failure;
@@ -37,7 +36,6 @@ pub mod telemetry;
 pub mod thermal;
 pub mod topology;
 
-pub use acceptance::{check_cluster, check_node, summarize, AcceptanceCheck};
 pub use boot::{BootPhase, Timeline};
 pub use cost::{Bom, BomLine, CloudOffering, TcoComparison};
 pub use failure::{sample_failures, DegradedCluster, FailedComponent, Failure};
@@ -54,8 +52,6 @@ pub use power::{
 };
 pub use render::{render_limulus, render_littlefe_front, render_littlefe_rear};
 pub use specs::{limulus_hpc200, littlefe_modified, littlefe_v4};
-pub use telemetry::{
-    AnalysisSummary, ServiceState, TelemetryConfig, TelemetrySink, MEMBERSHIP_TRACE_SOURCE,
-};
+pub use telemetry::{AnalysisSummary, TelemetryConfig, TelemetrySink, MEMBERSHIP_TRACE_SOURCE};
 pub use thermal::{check_node_thermals, ThermalIssue};
 pub use topology::{ClusterSpec, NetworkSpec};

@@ -282,17 +282,6 @@ impl Default for RrdConfig {
     }
 }
 
-impl RrdConfig {
-    /// A raw-only config (no consolidation tiers) with the given ring
-    /// capacity — what `ClusterMonitor::new(capacity)` used to mean.
-    pub fn raw_only(capacity: usize) -> RrdConfig {
-        RrdConfig {
-            raw_capacity: capacity,
-            tiers: Vec::new(),
-        }
-    }
-}
-
 /// One metric's retained history: the raw ring plus consolidation
 /// tiers.
 #[derive(Debug, Clone)]
@@ -537,20 +526,6 @@ impl ClusterMonitor {
         } else {
             Some(vals.iter().sum::<f64>() / vals.len() as f64)
         }
-    }
-
-    /// Nodes whose latest sample of `kind` exceeds `threshold`.
-    pub fn hotspots(&self, kind: MetricKind, threshold: f64) -> Vec<String> {
-        let g = self.read();
-        g.values()
-            .filter(|n| {
-                n.ring(kind)
-                    .latest()
-                    .map(|s| s.value > threshold)
-                    .unwrap_or(false)
-            })
-            .map(|n| n.hostname.clone())
-            .collect()
     }
 
     /// Heartbeat check: registered nodes that have never reported, or
@@ -1093,12 +1068,11 @@ mod tests {
     }
 
     #[test]
-    fn cluster_mean_and_hotspots() {
+    fn cluster_mean_over_reporting_nodes() {
         let m = ClusterMonitor::new(8);
         m.publish("a", MetricKind::CpuPercent, 1.0, 90.0);
         m.publish("b", MetricKind::CpuPercent, 1.0, 10.0);
         assert_eq!(m.cluster_mean(MetricKind::CpuPercent).unwrap(), 50.0);
-        assert_eq!(m.hotspots(MetricKind::CpuPercent, 80.0), vec!["a"]);
         assert!(m.cluster_mean(MetricKind::LoadOne).is_none());
     }
 

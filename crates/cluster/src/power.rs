@@ -408,18 +408,6 @@ impl PowerSequencer {
         }
     }
 
-    /// True when `node` is powered (on or still booting).
-    pub fn is_powered(&self, node: usize) -> bool {
-        self.ready[node].is_some()
-    }
-
-    /// Nodes fully [`PowerState::On`] as of `t`.
-    pub fn on_count(&self, t: SimTime) -> usize {
-        (0..self.ready.len())
-            .filter(|&i| self.state(t, i) == PowerState::On)
-            .count()
-    }
-
     /// Nodes powered (on or booting).
     pub fn powered_count(&self) -> usize {
         self.ready.iter().filter(|r| r.is_some()).count()
@@ -573,8 +561,6 @@ mod tests {
         assert_eq!(ready, SimTime::from_secs(190));
         assert_eq!(seq.state(SimTime::from_secs(150), 0), PowerState::Booting);
         assert_eq!(seq.state(SimTime::from_secs(190), 0), PowerState::On);
-        assert_eq!(seq.on_count(SimTime::from_secs(150)), 0);
-        assert_eq!(seq.on_count(SimTime::from_secs(200)), 1);
         assert_eq!(seq.powered_count(), 1);
         // idempotent: re-powering keeps the original ready time
         assert_eq!(seq.power_on(SimTime::from_secs(160), 0), ready);

@@ -39,34 +39,6 @@ use xcbc_sim::{
 /// sequencer.
 pub const MEMBERSHIP_TRACE_SOURCE: &str = "fleet.membership";
 
-/// Where a node stands in a rolling update campaign, as seen by the
-/// monitoring plane. Driven by `campaign`-source trace marks
-/// (`drain <host>` / `update <host>` / `online <host>` / `fail <host>`),
-/// so dashboards can show service state next to load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServiceState {
-    /// Accepting jobs; not part of an active wave.
-    #[default]
-    InService,
-    /// Taken out of the scheduler; waiting for running jobs to clear.
-    Draining,
-    /// Drained and applying the target package set.
-    Updating,
-    /// The campaign gave up on this node (retry budget exhausted).
-    Failed,
-}
-
-impl ServiceState {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ServiceState::InService => "in-service",
-            ServiceState::Draining => "draining",
-            ServiceState::Updating => "updating",
-            ServiceState::Failed => "failed",
-        }
-    }
-}
-
 /// Derived CPU percent while an install span runs.
 pub const INSTALL_CPU: f64 = 88.0;
 /// Derived memory percent while an install span runs.
@@ -156,9 +128,6 @@ pub struct TelemetrySink {
     monitor: ClusterMonitor,
     engine: AlertEngine,
     config: TelemetryConfig,
-    /// Campaign service state per host; hosts never touched by a
-    /// campaign stay [`ServiceState::InService`].
-    service: BTreeMap<String, ServiceState>,
     /// Power state per host, driven by `cluster.power` boot spans and
     /// power-off marks; hosts never power-managed stay [`PowerState::On`].
     power: BTreeMap<String, PowerState>,
@@ -186,7 +155,6 @@ impl TelemetrySink {
             monitor,
             engine: AlertEngine::with_rules(rules),
             config,
-            service: BTreeMap::new(),
             power: BTreeMap::new(),
             analysis: None,
             scratch: Vec::new(),
@@ -200,25 +168,10 @@ impl TelemetrySink {
         self.analysis.as_ref()
     }
 
-    /// The campaign service state of `host`.
-    pub fn service_state(&self, host: &str) -> ServiceState {
-        self.service.get(host).copied().unwrap_or_default()
-    }
-
-    /// Hosts whose service state a campaign has touched, sorted by name.
-    pub fn service_states(&self) -> impl Iterator<Item = (&str, ServiceState)> {
-        self.service.iter().map(|(h, s)| (h.as_str(), *s))
-    }
-
     /// The power state of `host` as last reported on the trace. Hosts
     /// never touched by power management are assumed on.
     pub fn power_state(&self, host: &str) -> PowerState {
         self.power.get(host).copied().unwrap_or(PowerState::On)
-    }
-
-    /// Hosts whose power state the trace has touched, sorted by name.
-    pub fn power_states(&self) -> impl Iterator<Item = (&str, PowerState)> {
-        self.power.iter().map(|(h, s)| (h.as_str(), *s))
     }
 
     /// The gmetad this sink publishes into.
@@ -373,25 +326,15 @@ impl TelemetrySink {
     /// the exact same op sequence.
     fn derive(&mut self, event: &TraceEvent, ops: &mut Vec<TelemetryOp>) {
         if event.source == "campaign" {
+            // a node the campaign gave up on (retry budget exhausted)
+            // raises an alert on the monitoring plane
             if let TraceKind::Mark = event.kind {
-                if let Some((verb, host)) = event.label.split_once(' ') {
-                    let state = match verb {
-                        "drain" => Some(ServiceState::Draining),
-                        "update" => Some(ServiceState::Updating),
-                        "online" => Some(ServiceState::InService),
-                        "fail" => Some(ServiceState::Failed),
-                        _ => None,
-                    };
-                    if let Some(state) = state {
-                        self.service.insert(host.to_string(), state);
-                        if state == ServiceState::Failed {
-                            ops.push(TelemetryOp::Raise {
-                                t: event.t,
-                                rule: "campaign-node-failed",
-                                host: host.to_string(),
-                            });
-                        }
-                    }
+                if let Some(host) = event.label.strip_prefix("fail ") {
+                    ops.push(TelemetryOp::Raise {
+                        t: event.t,
+                        rule: "campaign-node-failed",
+                        host: host.to_string(),
+                    });
                 }
             }
             return;
@@ -409,12 +352,6 @@ impl TelemetrySink {
                             sample(ops, &shared, MetricKind::CpuPercent, event.t, 0.0);
                             sample(ops, &shared, MetricKind::LoadOne, event.t, 0.0);
                             self.power.insert(host.to_string(), PowerState::On);
-                            self.service
-                                .insert(host.to_string(), ServiceState::InService);
-                        }
-                        "drain" => {
-                            self.service
-                                .insert(host.to_string(), ServiceState::Draining);
                         }
                         "leave" => {
                             self.power.insert(host.to_string(), PowerState::Off);
@@ -710,34 +647,25 @@ mod tests {
     }
 
     #[test]
-    fn campaign_marks_drive_service_state() {
+    fn campaign_fail_mark_raises_alert() {
+        let failed = |s: &TelemetrySink| -> Vec<String> {
+            s.alerts()
+                .iter()
+                .filter(|a| a.rule == "campaign-node-failed")
+                .map(|a| a.host.clone())
+                .collect()
+        };
         let mut s = sink();
-        assert_eq!(s.service_state("compute-0-0"), ServiceState::InService);
+        // other campaign verbs, unknown verbs and non-campaign marks
+        // raise nothing
         s.record(&TraceEvent::mark(10.0, "campaign", "drain compute-0-0"));
-        assert_eq!(s.service_state("compute-0-0"), ServiceState::Draining);
         s.record(&TraceEvent::mark(20.0, "campaign", "update compute-0-0"));
-        assert_eq!(s.service_state("compute-0-0"), ServiceState::Updating);
         s.record(&TraceEvent::mark(30.0, "campaign", "online compute-0-0"));
-        assert_eq!(s.service_state("compute-0-0"), ServiceState::InService);
+        s.record(&TraceEvent::mark(35.0, "campaign", "ponder compute-0-0"));
+        s.record(&TraceEvent::mark(35.0, "sched", "fail compute-0-0"));
+        assert!(failed(&s).is_empty());
         s.record(&TraceEvent::mark(40.0, "campaign", "fail compute-0-1"));
-        assert_eq!(s.service_state("compute-0-1"), ServiceState::Failed);
-        let states: Vec<_> = s.service_states().collect();
-        assert_eq!(
-            states,
-            vec![
-                ("compute-0-0", ServiceState::InService),
-                ("compute-0-1", ServiceState::Failed),
-            ]
-        );
-        // a failed node raises a campaign alert on the monitoring plane
-        assert!(s
-            .alerts()
-            .iter()
-            .any(|a| a.rule == "campaign-node-failed" && a.host == "compute-0-1"));
-        // unknown campaign verbs and non-campaign marks are ignored
-        s.record(&TraceEvent::mark(50.0, "campaign", "ponder compute-0-0"));
-        s.record(&TraceEvent::mark(50.0, "sched", "drain compute-0-0"));
-        assert_eq!(s.service_state("compute-0-0"), ServiceState::InService);
+        assert_eq!(failed(&s), ["compute-0-1"]);
     }
 
     #[test]
@@ -763,8 +691,6 @@ mod tests {
                 .with_field("node", 1u64),
         );
         assert_eq!(s.power_state("compute-0-1"), PowerState::Off);
-        let states: Vec<_> = s.power_states().collect();
-        assert_eq!(states, vec![("compute-0-1", PowerState::Off)]);
         // aggregate events (no `node` field) carry no per-host state
         s.record(
             &TraceEvent::span(600.0, POWER_TRACE_SOURCE, "boot 2 nodes", 90.0)

@@ -126,10 +126,6 @@ impl GffsNamespace {
             .max_by_key(|(prefix, _, _)| prefix.len())
             .map(|(prefix, ep, local)| (ep.clone(), format!("{local}{}", &global[prefix.len()..])))
     }
-
-    pub fn mount_count(&self) -> usize {
-        self.mounts.len()
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +220,6 @@ mod tests {
         assert_eq!(ep, "campus#littlefe-scratch");
         assert_eq!(local, "/scratch/tmp.bin");
         assert!(ns.resolve("/unmapped/path").is_none());
-        assert_eq!(ns.mount_count(), 2);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use xcbc_fault::{CampaignCheckpoint, FaultPlan, InjectionPoint, Mutation};
 use xcbc_rpm::{RpmDb, TransactionError};
-use xcbc_sched::{JobRequest, ResourceManager};
+use xcbc_sched::ResourceManager;
 use xcbc_sim::{pool, TraceEvent};
 use xcbc_yum::{solve_across_skew, Fnv64, Repository, SolveCache, SolveRequest, YumConfig};
 
@@ -41,25 +41,6 @@ pub struct CampaignTarget {
     pub repos: Vec<Repository>,
     pub config: YumConfig,
     pub request: SolveRequest,
-}
-
-/// Keep the long-running spine of an open-loop `(arrival_s, request)`
-/// stream — e.g. from `xcbc_sched::WorkloadSpec::stream` — as a
-/// campaign's background workload: only jobs running at least
-/// `min_runtime_s` survive, and each keeps walltime headroom of at
-/// least 4× its runtime so a drain requeue never pushes it past the
-/// limit mid-campaign.
-pub fn background_workload(
-    jobs: impl IntoIterator<Item = (f64, JobRequest)>,
-    min_runtime_s: f64,
-) -> Vec<JobRequest> {
-    jobs.into_iter()
-        .filter(|(_, req)| req.runtime_s >= min_runtime_s)
-        .map(|(_, mut req)| {
-            req.walltime_s = req.walltime_s.max(4.0 * req.runtime_s);
-            req
-        })
-        .collect()
 }
 
 /// What to do when the canary wave's health check fails.
@@ -719,11 +700,17 @@ mod tests {
     #[test]
     fn generated_stream_supplies_background_workload() {
         let stream = xcbc_sched::WorkloadSpec::campus_research().generate(5, 2, 2, 30);
-        let workload = background_workload(stream, 1500.0);
+        // keep the long-running spine, with walltime headroom so a drain
+        // requeue never pushes a job past its limit mid-campaign
+        let workload: Vec<JobRequest> = stream
+            .into_iter()
+            .filter(|(_, req)| req.runtime_s >= 1500.0)
+            .map(|(_, mut req)| {
+                req.walltime_s = req.walltime_s.max(4.0 * req.runtime_s);
+                req
+            })
+            .collect();
         assert!(!workload.is_empty());
-        assert!(workload
-            .iter()
-            .all(|j| j.runtime_s >= 1500.0 && j.walltime_s >= 4.0 * j.runtime_s));
 
         let target = target();
         let mut dbs = fleet(3);

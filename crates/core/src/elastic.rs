@@ -114,14 +114,6 @@ impl FleetMembership {
         self.state(name) == Some(MemberState::Active)
     }
 
-    /// Members currently active.
-    pub fn active_count(&self) -> usize {
-        self.members
-            .values()
-            .filter(|s| **s == MemberState::Active)
-            .count()
-    }
-
     /// All members ever seen, with their current state, in name order.
     pub fn members(&self) -> impl Iterator<Item = (&str, MemberState)> {
         self.members.iter().map(|(n, s)| (n.as_str(), *s))
@@ -341,27 +333,6 @@ pub struct ElasticWorld {
     pub workload: Vec<(usize, JobRequest)>,
     /// Sites joining (and possibly leaving) mid-run.
     pub burst_sites: Vec<BurstSite>,
-}
-
-impl ElasticWorld {
-    /// Bucket an open-loop `(arrival_s, request)` stream — e.g. from
-    /// `xcbc_sched::WorkloadSpec::stream` — onto autoscaler ticks: each
-    /// arrival lands on the tick containing its arrival time, clamped
-    /// to the workload horizon so late arrivals still run before the
-    /// settle phase. This is how generated workloads drive the fleet.
-    pub fn from_stream(
-        jobs: impl IntoIterator<Item = (f64, JobRequest)>,
-        tick_s: f64,
-        horizon_ticks: usize,
-    ) -> ElasticWorld {
-        assert!(tick_s > 0.0 && horizon_ticks > 0);
-        let mut world = ElasticWorld::default();
-        for (t, req) in jobs {
-            let tick = ((t.max(0.0) / tick_s) as usize).min(horizon_ticks - 1);
-            world.workload.push((tick, req));
-        }
-        world
-    }
 }
 
 /// Engine shape and safety knobs.
@@ -1105,7 +1076,12 @@ mod tests {
         assert_eq!(rm.metrics().jobs_finished, 6);
         // power ledger agrees with the scheduler
         assert_eq!(state.seq.powered_count(), report.final_nodes);
-        assert!(state.membership.active_count() == report.final_nodes);
+        let active = state
+            .membership
+            .members()
+            .filter(|(_, s)| *s == MemberState::Active)
+            .count();
+        assert_eq!(active, report.final_nodes);
     }
 
     #[test]
@@ -1116,7 +1092,15 @@ mod tests {
         // stays satisfiable even after a full scale-down.
         let jobs = xcbc_sched::WorkloadSpec::teaching_lab().generate(11, 1, 2, 12);
         let n = jobs.len();
-        let world = ElasticWorld::from_stream(jobs, config.tick_s, config.ticks);
+        // each arrival lands on the tick containing it, clamped to the
+        // workload horizon
+        let world = ElasticWorld {
+            workload: jobs
+                .into_iter()
+                .map(|(t, req)| (((t / config.tick_s) as usize).min(config.ticks - 1), req))
+                .collect(),
+            ..ElasticWorld::default()
+        };
         assert_eq!(world.workload.len(), n);
         assert!(world.workload.iter().all(|(tick, _)| *tick < config.ticks));
         let (r, _state, mut rm) = run_once(&world, &FaultPlan::new(3), &config);

@@ -41,7 +41,6 @@ pub mod catalog;
 pub mod community;
 pub mod compat;
 pub mod deploy;
-pub mod docs;
 pub mod elastic;
 pub mod fleet;
 pub mod mon;
@@ -62,7 +61,6 @@ pub use catalog::{xcbc_catalog, xsede_reference, CatalogEntry};
 pub use community::{RequestPipeline, RequestState, RequesterGroup, SoftwareRequest};
 pub use compat::{check_compatibility, CompatIssue, CompatReport};
 pub use deploy::{DeploymentPath, DeploymentReport};
-pub use docs::{render_kb_barebones_software, render_kb_yum_repository};
 pub use elastic::{
     elastic_digest, run_elastic, Autoscaler, BurstSite, ElasticConfig, ElasticError, ElasticReport,
     ElasticState, ElasticVerdict, ElasticWorld, FleetMembership, MemberState, MetricSample,

@@ -182,13 +182,6 @@ pub fn xsede_roll() -> Roll {
         .with_graph_nodes(vec![sci, compilers, misc, sched, tools])
 }
 
-impl RollRelease {
-    /// Number of packages added in this release.
-    pub fn addition_count(&self) -> usize {
-        self.additions.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,11 +192,11 @@ mod tests {
     fn release_history_matches_paper_counts() {
         let v8 = &XSEDE_ROLL_RELEASES[1];
         assert_eq!(v8.version, "0.0.8");
-        assert_eq!(v8.addition_count(), 27, "paper: 27 packages added in 0.0.8");
+        assert_eq!(v8.additions.len(), 27, "paper: 27 packages added in 0.0.8");
         assert_eq!(v8.base_os, "CentOS 6.5");
         let v9 = &XSEDE_ROLL_RELEASES[2];
         assert_eq!(v9.version, "0.0.9");
-        assert_eq!(v9.addition_count(), 41, "paper: 41 additions in 0.0.9");
+        assert_eq!(v9.additions.len(), 41, "paper: 41 additions in 0.0.9");
         assert_eq!(v9.date, "2014-11");
     }
 

@@ -51,16 +51,6 @@ impl UpdateStrategy {
             UpdateStrategy::StagedTest => 3.0,
         }
     }
-
-    /// Does an update that breaks something reach production untested?
-    pub fn unvetted_in_production(&self) -> bool {
-        matches!(self, UpdateStrategy::AutomaticYum)
-    }
-
-    /// Requires per-node reinstalls?
-    pub fn reinstalls_nodes(&self) -> bool {
-        matches!(self, UpdateStrategy::UpdateRoll)
-    }
 }
 
 /// Outcome of simulating many update cycles under one strategy.
@@ -212,7 +202,6 @@ mod tests {
                 > simulate_updates(UpdateStrategy::StagedTest, CYCLES, BREAK_PROB, 3)
                     .admin_steps_total
         );
-        assert!(UpdateStrategy::UpdateRoll.reinstalls_nodes());
         assert!(roll.mean_staleness_days > 7.0, "roll rebuilds lag the repo");
     }
 
@@ -225,8 +214,6 @@ mod tests {
 
     #[test]
     fn strategy_axes() {
-        assert!(UpdateStrategy::AutomaticYum.unvetted_in_production());
-        assert!(!UpdateStrategy::StagedTest.unvetted_in_production());
         assert_eq!(UpdateStrategy::AutomaticYum.admin_steps(), 0);
         assert!(
             UpdateStrategy::UpdateRoll.admin_steps() > UpdateStrategy::StagedTest.admin_steps()

@@ -136,10 +136,6 @@ impl InstallCheckpoint {
             .map(|(n, r)| (n.as_str(), r.as_str()))
     }
 
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.len()
-    }
-
     /// All tracked nodes and their stages, sorted by name.
     pub fn nodes(&self) -> impl Iterator<Item = (&str, NodeStage)> {
         self.stages.iter().map(|(n, st)| (n.as_str(), *st))
@@ -253,10 +249,6 @@ impl CampaignCheckpoint {
         self.updated.insert(node.to_string());
     }
 
-    pub fn is_updated(&self, node: &str) -> bool {
-        self.updated.contains(node)
-    }
-
     /// Names of all updated nodes, sorted.
     pub fn updated_nodes(&self) -> impl Iterator<Item = &str> {
         self.updated.iter().map(String::as_str)
@@ -265,10 +257,6 @@ impl CampaignCheckpoint {
     /// Give up on `node`, recording why.
     pub fn record_failed(&mut self, node: &str, reason: &str) {
         self.failed.insert(node.to_string(), reason.to_string());
-    }
-
-    pub fn is_failed(&self, node: &str) -> bool {
-        self.failed.contains_key(node)
     }
 
     /// Failed nodes with reasons, sorted by name.
@@ -457,7 +445,6 @@ mod tests {
         let mut cp = InstallCheckpoint::new();
         cp.quarantine("compute-0-3", "node.boot: retry budget exhausted");
         assert!(cp.is_quarantined("compute-0-3"));
-        assert_eq!(cp.quarantined_count(), 1);
         let q: Vec<_> = cp.quarantined().collect();
         assert_eq!(
             q,
@@ -531,8 +518,6 @@ mod tests {
         assert_eq!(parsed, cp);
         assert_eq!(parsed.digest(), "4f2a9c01d3e8b576");
         assert_eq!(parsed.waves_completed(), 2);
-        assert!(parsed.is_updated("compute-0-1"));
-        assert!(parsed.is_failed("compute-0-3"));
         assert_eq!(parsed.failed_count(), 1);
     }
 
@@ -557,7 +542,7 @@ mod tests {
         .unwrap();
         assert_eq!(cp.digest(), "abc123");
         assert_eq!(cp.waves_completed(), 1);
-        assert!(cp.is_updated("compute-0-0"));
+        assert!(cp.updated_nodes().eq(["compute-0-0"]));
         let failed: Vec<_> = cp.failed().collect();
         assert_eq!(failed, vec![("compute-0-2", "canary: health check failed")]);
     }

@@ -34,8 +34,8 @@ pub mod retry;
 
 pub use checkpoint::{CampaignCheckpoint, ElasticCheckpoint, InstallCheckpoint, NodeStage};
 pub use plan::{
-    key_matches, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow,
-    InjectionPoint, Mutation, PlanParseError,
+    FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow, InjectionPoint,
+    Mutation, PlanParseError,
 };
 pub use postmortem::PostMortem;
 pub use record::RecordError;

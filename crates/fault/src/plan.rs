@@ -282,7 +282,7 @@ pub struct FaultSpec {
 
 /// Does `key` satisfy `filter` under the anchored-wildcard rules
 /// documented on [`FaultSpec::key`]?
-pub fn key_matches(filter: &str, key: &str) -> bool {
+fn key_matches(filter: &str, key: &str) -> bool {
     match (filter.strip_prefix('*'), filter.strip_suffix('*')) {
         // "*foo*" (also handles the degenerate "*" → contains "")
         (Some(rest), Some(_)) => {

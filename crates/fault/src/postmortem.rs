@@ -57,10 +57,6 @@ impl PostMortem {
         self.backoff_s += backoff_s;
     }
 
-    pub fn record_fault(&mut self, event: FaultEvent) {
-        self.faults.push(event);
-    }
-
     pub fn record_quarantine(&mut self, node: &str, reason: &str) {
         self.quarantined
             .push((node.to_string(), reason.to_string()));
@@ -87,22 +83,6 @@ impl PostMortem {
         self.flight_tail = tail.into_iter().collect();
         self.flight_seen = seen;
         self.flight_dropped = dropped;
-    }
-
-    /// Merge another post-mortem (e.g. from a sub-phase) into this one.
-    pub fn absorb(&mut self, other: PostMortem) {
-        self.faults.extend(other.faults);
-        self.retries_spent += other.retries_spent;
-        self.backoff_s += other.backoff_s;
-        self.quarantined.extend(other.quarantined);
-        self.resumed_nodes.extend(other.resumed_nodes);
-        self.moments.extend(other.moments);
-        // the latest sub-phase's tail wins: it is closest to the failure
-        if !other.flight_tail.is_empty() {
-            self.flight_tail = other.flight_tail;
-            self.flight_seen = other.flight_seen;
-            self.flight_dropped = other.flight_dropped;
-        }
     }
 
     /// True when the run saw no faults, retries, or quarantines — the
@@ -205,7 +185,7 @@ mod tests {
     #[test]
     fn render_mentions_everything() {
         let mut pm = PostMortem::new(Some(42));
-        pm.record_fault(sample_event());
+        pm.faults.push(sample_event());
         pm.charge_retries(1, 2.2);
         pm.record_quarantine("compute-0-3", "node.boot: retry budget exhausted");
         pm.record_resumed("compute-0-0");
@@ -223,10 +203,10 @@ mod tests {
     #[test]
     fn render_is_deterministic() {
         let mut a = PostMortem::new(Some(3));
-        a.record_fault(sample_event());
+        a.faults.push(sample_event());
         a.charge_retries(2, 4.0);
         let mut b = PostMortem::new(Some(3));
-        b.record_fault(sample_event());
+        b.faults.push(sample_event());
         b.charge_retries(2, 4.0);
         assert_eq!(a.render(), b.render());
     }
@@ -251,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_tail_renders_and_survives_absorb() {
+    fn flight_tail_renders() {
         let mut pm = PostMortem::new(Some(4));
         pm.record_quarantine("compute-0-1", "hang");
         pm.record_flight_tail(
@@ -265,28 +245,5 @@ mod tests {
         let text = pm.render();
         assert!(text.contains("flight recorder   : last 2 of 10 event(s) (8 dropped)"));
         assert!(text.contains("  | {\"t_ns\":2"));
-
-        let mut main = PostMortem::new(Some(4));
-        main.absorb(pm);
-        assert_eq!(main.flight_tail.len(), 2);
-        assert_eq!(main.flight_seen, 10);
-        // absorbing a tail-less report keeps the existing tail
-        main.absorb(PostMortem::new(Some(4)));
-        assert_eq!(main.flight_dropped, 8);
-    }
-
-    #[test]
-    fn absorb_merges_sub_reports() {
-        let mut main = PostMortem::new(Some(5));
-        main.charge_retries(1, 2.0);
-        let mut sub = PostMortem::new(Some(5));
-        sub.record_fault(sample_event());
-        sub.charge_retries(2, 3.0);
-        sub.record_quarantine("compute-0-1", "hang");
-        main.absorb(sub);
-        assert_eq!(main.retries_spent, 3);
-        assert_eq!(main.faults.len(), 1);
-        assert_eq!(main.quarantined.len(), 1);
-        assert!((main.backoff_s - 5.0).abs() < 1e-9);
     }
 }

@@ -23,7 +23,6 @@
 //! assert!(result.gflops > 0.0);
 //! ```
 
-pub mod dgemm;
 pub mod hpl;
 pub mod lu;
 pub mod matrix;
@@ -38,4 +37,4 @@ pub use model::{EfficiencyModel, PAPER_LIMULUS_RMAX_GF, PAPER_LITTLEFE_RMAX_EST_
 pub use stream::{
     pingpong_bandwidth_mb_s, pingpong_seconds, run_stream, StreamKernel, StreamResult,
 };
-pub use tuning::{max_problem_size, sweep_block_size, TuningPoint};
+pub use tuning::{sweep_block_size, TuningPoint};

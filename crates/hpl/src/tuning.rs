@@ -43,12 +43,6 @@ pub fn sweep_block_size(
     (points, best)
 }
 
-/// Largest problem size that fits in `ram_bytes` at `fill` fraction
-/// (HPL's rule of thumb is ~80–90 % of memory).
-pub fn max_problem_size(ram_bytes: u64, fill: f64) -> usize {
-    crate::model::EfficiencyModel::memory_bound_n(ram_bytes, fill)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,13 +63,6 @@ mod tests {
             .max_by(|a, b| a.gflops.total_cmp(&b.gflops))
             .unwrap();
         assert_eq!(best, max.nb);
-    }
-
-    #[test]
-    fn problem_size_rule_of_thumb() {
-        // 4 GB at 80% → ~20k
-        let n = max_problem_size(4 << 30, 0.8);
-        assert!((18_000..22_000).contains(&n), "{n}");
     }
 
     #[test]

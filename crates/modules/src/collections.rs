@@ -1,12 +1,11 @@
-//! Module collections (`module save` / `module restore`) and
-//! `module show` — the workflow bits users carry between clusters.
+//! Module collections (`module save` / `module restore`) — the workflow
+//! bits users carry between clusters.
 //!
 //! The paper's portability argument ("A user's knowledge of software,
 //! system commands, etc., becomes portable from one cluster built with
 //! XCBC to another") is strongest when a user can save their module set
 //! on a campus cluster and restore it on an XSEDE machine.
 
-use crate::modulefile::Modulefile;
 use crate::system::{ModuleError, ModuleSystem};
 use std::collections::BTreeMap;
 
@@ -64,38 +63,10 @@ impl CollectionStore {
     }
 }
 
-/// `module show <name>`: render what loading would do.
-pub fn module_show(m: &Modulefile) -> String {
-    let mut out = format!(
-        "-------------------------------------------------------------------\n{}:\n\n",
-        m.key()
-    );
-    if !m.whatis.is_empty() {
-        out.push_str(&format!("module-whatis\t{}\n", m.whatis));
-    }
-    for c in &m.conflicts {
-        out.push_str(&format!("conflict\t{c}\n"));
-    }
-    for p in &m.prereqs {
-        out.push_str(&format!("prereq\t\t{p}\n"));
-    }
-    for a in &m.actions {
-        match a {
-            crate::modulefile::ModuleAction::PrependPath { var, value } => {
-                out.push_str(&format!("prepend-path\t{var}\t{value}\n"))
-            }
-            crate::modulefile::ModuleAction::Setenv { var, value } => {
-                out.push_str(&format!("setenv\t\t{var}\t{value}\n"))
-            }
-        }
-    }
-    out.push_str("-------------------------------------------------------------------\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modulefile::Modulefile;
 
     fn campus_cluster() -> ModuleSystem {
         let mut s = ModuleSystem::new();
@@ -154,22 +125,5 @@ mod tests {
         let mut s = campus_cluster();
         assert!(store.restore("nope", &mut s).is_err());
         assert!(store.list().is_empty());
-    }
-
-    #[test]
-    fn show_renders_all_parts() {
-        let m = Modulefile::new("openmpi", "1.6.5")
-            .whatis("Open MPI")
-            .prepend_path("PATH", "/usr/lib64/openmpi/bin")
-            .setenv("MPI_HOME", "/usr/lib64/openmpi")
-            .conflict("mpich2")
-            .prereq("gcc");
-        let text = module_show(&m);
-        assert!(text.contains("openmpi/1.6.5"));
-        assert!(text.contains("module-whatis\tOpen MPI"));
-        assert!(text.contains("conflict\tmpich2"));
-        assert!(text.contains("prereq\t\tgcc"));
-        assert!(text.contains("prepend-path\tPATH"));
-        assert!(text.contains("setenv\t\tMPI_HOME"));
     }
 }

@@ -24,7 +24,7 @@ pub mod env;
 pub mod modulefile;
 pub mod system;
 
-pub use collections::{module_show, Collection, CollectionStore};
+pub use collections::{Collection, CollectionStore};
 pub use env::Environment;
 pub use modulefile::{ModuleAction, Modulefile};
 pub use system::{generate_from_rpmdb, ModuleError, ModuleSystem};

@@ -14,8 +14,6 @@ use xcbc_rpm::{Evr, Package};
 /// The frontend's install tree.
 #[derive(Debug, Clone, Default)]
 pub struct Distribution {
-    /// Rolls incorporated, by name → version.
-    rolls: BTreeMap<String, String>,
     /// name → best package available in the tree.
     packages: BTreeMap<String, Arc<Package>>,
     /// Times the tree has been rebuilt (each rebuild is admin effort).
@@ -31,7 +29,6 @@ impl Distribution {
     /// incorporate a roll and rebuild. Newer EVRs win (an *update roll*
     /// shadows the original packages).
     pub fn add_roll_and_rebuild(&mut self, roll: &Roll) {
-        self.rolls.insert(roll.name.clone(), roll.version.clone());
         for p in &roll.packages {
             match self.packages.get(p.name()) {
                 Some(existing) if existing.nevra.evr >= p.nevra.evr => {}
@@ -41,14 +38,6 @@ impl Distribution {
             }
         }
         self.rebuild_count += 1;
-    }
-
-    pub fn has_roll(&self, name: &str) -> bool {
-        self.rolls.contains_key(name)
-    }
-
-    pub fn roll_count(&self) -> usize {
-        self.rolls.len()
     }
 
     pub fn package_count(&self) -> usize {
@@ -110,8 +99,7 @@ mod tests {
     #[test]
     fn incorporates_all_rolls() {
         let d = base_distro();
-        assert_eq!(d.roll_count(), standard_rolls().len());
-        assert!(d.has_roll("base"));
+        assert_eq!(d.rebuild_count as usize, standard_rolls().len());
         assert!(d.package_count() > 20);
         assert!(d.size_bytes() > 0);
     }

@@ -99,11 +99,6 @@ impl InstallError {
         });
         self
     }
-
-    /// Nodes whose package sets had committed before the abort.
-    pub fn completed_nodes(&self) -> &[String] {
-        &self.progress.completed
-    }
 }
 
 impl std::fmt::Display for InstallError {
@@ -218,12 +213,6 @@ pub struct ResilientReport {
     /// Nodes pulled from the install, with the fault kind that
     /// exhausted their retry budget.
     pub quarantined: Vec<(String, FaultKind)>,
-}
-
-impl ResilientReport {
-    pub fn fully_provisioned(&self) -> bool {
-        self.quarantined.is_empty()
-    }
 }
 
 /// Pull `node` from the install, recording the reason everywhere it
@@ -932,7 +921,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err.kind, InstallErrorKind::MissingPackage { .. }));
         assert_eq!(err.progress.aborted_on.as_deref(), Some("littlefe"));
-        assert!(err.completed_nodes().is_empty());
+        assert!(err.progress.completed.is_empty());
         assert!(err
             .to_string()
             .ends_with("[0 node(s) committed, aborted on littlefe]"));
@@ -955,7 +944,7 @@ mod tests {
             )
             .unwrap();
         assert!(
-            res.fully_provisioned(),
+            res.quarantined.is_empty(),
             "single transient faults must not quarantine"
         );
         assert_eq!(res.report.node_dbs.len(), 6);
@@ -1020,7 +1009,7 @@ mod tests {
             )
             .unwrap();
         assert!(
-            res.fully_provisioned(),
+            res.quarantined.is_empty(),
             "2 scriptlet faults fit in the 3-attempt budget"
         );
         assert!(res.post_mortem.retries_spent >= 2);
@@ -1055,7 +1044,7 @@ mod tests {
         assert!(cp.is_committed("littlefe"));
         assert!(cp.is_committed("compute-0-1"));
         assert!(!cp.is_committed("compute-0-4"));
-        assert!(err.completed_nodes().contains(&"compute-0-1".to_string()));
+        assert!(err.progress.completed.contains(&"compute-0-1".to_string()));
 
         // The checkpoint round-trips through its state-file form.
         let cp = InstallCheckpoint::parse(&cp.to_text()).unwrap();
@@ -1066,7 +1055,7 @@ mod tests {
         let resumed = install
             .run_resilient(&mut inj2, &ResilienceConfig::default(), cp)
             .unwrap();
-        assert!(resumed.fully_provisioned());
+        assert!(resumed.quarantined.is_empty());
         assert!(
             resumed
                 .post_mortem

@@ -25,10 +25,8 @@ pub mod graph;
 pub mod insert_ethers;
 pub mod install;
 pub mod kickstart;
-pub mod netconfig;
 pub mod pxe;
 pub mod roll;
-pub mod service411;
 
 pub use attrs::{AttrScope, AttrStore};
 pub use cluster_fork::{cluster_fork, ForkReport, ForkResult};
@@ -42,7 +40,5 @@ pub use install::{
     ResilienceConfig, ResilientReport, TRACE_SOURCE,
 };
 pub use kickstart::{KickstartError, KickstartProfile, Partition};
-pub use netconfig::{generate_etc_hosts, validate_nics, NetworkDef, NetworkTable};
-pub use pxe::{boot_node, diagnose, PxeOutcome, PxeStage};
+pub use pxe::{boot_node, PxeOutcome, PxeStage};
 pub use roll::{standard_rolls, Roll};
-pub use service411::{add_user_lab, Client411, Master411, SyncedFile};

@@ -113,14 +113,6 @@ pub fn boot_node(hostname: &str, payload_bytes: u64, fails_at: Option<PxeStage>)
     }
 }
 
-/// Triage helper for the curriculum: from the observed symptom, which
-/// stage failed?
-pub fn diagnose(symptom: &str) -> Option<PxeStage> {
-    PxeStage::ALL
-        .into_iter()
-        .find(|s| symptom.contains(s.failure_symptom()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,15 +143,6 @@ mod tests {
         let out = boot_node("compute-0-2", 100 << 20, Some(PxeStage::Anaconda));
         assert_eq!(out.trace.len(), 5, "4 good stages + the failure");
         assert_eq!(out.failed_at, Some(PxeStage::Anaconda));
-    }
-
-    #[test]
-    fn diagnose_maps_symptoms_back() {
-        for stage in PxeStage::ALL {
-            let symptom = format!("console shows: {}", stage.failure_symptom());
-            assert_eq!(diagnose(&symptom), Some(stage));
-        }
-        assert_eq!(diagnose("node is fine"), None);
     }
 
     #[test]

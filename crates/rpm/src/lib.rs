@@ -39,9 +39,7 @@ pub mod db;
 pub mod dep;
 pub mod evr;
 pub mod package;
-pub mod query;
 pub mod scriptlet;
-pub mod spec;
 pub mod transaction;
 
 pub use arch::Arch;
@@ -50,11 +48,8 @@ pub use db::{InstalledPackage, RpmDb, VerifyProblem};
 pub use dep::{DepFlag, Dependency};
 pub use evr::{rpmvercmp, Evr};
 pub use package::{Nevra, Package, PackageGroup};
-pub use query::{query_all, query_file_owner, query_files, query_format, query_info};
 pub use scriptlet::{Scriptlet, ScriptletPhase, ScriptletTrace};
-pub use spec::{parse_spec, SpecError};
 pub use transaction::{
-    upgrade_all, TransactionElement, TransactionError, TransactionProblem, TransactionReport,
-    TransactionSet,
+    TransactionElement, TransactionError, TransactionProblem, TransactionReport, TransactionSet,
 };
 pub use xcbc_sim::Fnv64;

@@ -149,13 +149,6 @@ impl Package {
                 && ranges_overlap(DepFlag::Eq, Some(&other.nevra.evr), o.flag, o.evr.as_ref())
         })
     }
-
-    /// Is this package a strictly newer build of the same (name, arch)?
-    pub fn is_upgrade_of(&self, other: &Package) -> bool {
-        self.nevra.name == other.nevra.name
-            && self.nevra.arch == other.nevra.arch
-            && self.nevra.evr > other.nevra.evr
-    }
 }
 
 impl fmt::Display for Package {
@@ -212,15 +205,6 @@ mod tests {
         assert!(newer.obsoletes_package(&old_named));
         assert!(newer.obsoletes_package(&pbs_old));
         assert!(!newer.obsoletes_package(&pbs_new));
-    }
-
-    #[test]
-    fn upgrade_relation() {
-        let old = PackageBuilder::new("R", "3.0.2", "1.el6").build();
-        let new = PackageBuilder::new("R", "3.1.0", "1.el6").build();
-        assert!(new.is_upgrade_of(&old));
-        assert!(!old.is_upgrade_of(&new));
-        assert!(!new.is_upgrade_of(&new));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::dep::Dependency;
 use crate::package::Package;
 use crate::scriptlet::ScriptletTrace;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use xcbc_fault::{FaultInjector, InjectionPoint};
@@ -622,31 +622,6 @@ fn run_scriptlets(p: &Package, install_side: bool, report: &mut TransactionRepor
     }
 }
 
-/// Convenience: build an upgrade transaction that takes `db` from its
-/// current contents to the newest EVR available in `candidates` for every
-/// installed name (the core of `yum update`).
-pub fn upgrade_all<'a>(
-    db: &RpmDb,
-    candidates: impl IntoIterator<Item = &'a Package>,
-) -> TransactionSet {
-    let mut best: BTreeMap<&str, &Package> = BTreeMap::new();
-    for c in candidates {
-        if let Some(installed) = db.newest(c.name()) {
-            if c.nevra.evr > installed.package.nevra.evr {
-                let slot = best.entry(c.name()).or_insert(c);
-                if c.nevra.evr > slot.nevra.evr {
-                    *slot = c;
-                }
-            }
-        }
-    }
-    let mut tx = TransactionSet::new();
-    for (_, p) in best {
-        tx.add_upgrade(p.clone());
-    }
-    tx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1019,22 +994,6 @@ mod tests {
         assert!(ps
             .iter()
             .any(|p| matches!(p, TransactionProblem::NotInstalled { .. })));
-    }
-
-    #[test]
-    fn upgrade_all_builds_minimal_set() {
-        let mut db = RpmDb::new();
-        db.install(PackageBuilder::new("R", "3.0.2", "1").build());
-        db.install(PackageBuilder::new("gcc", "4.4.7", "17").build());
-        let candidates = [
-            PackageBuilder::new("R", "3.1.0", "1").build(),
-            PackageBuilder::new("R", "3.1.1", "1").build(),
-            PackageBuilder::new("gcc", "4.4.7", "17").build(), // same, skipped
-            PackageBuilder::new("newpkg", "1.0", "1").build(), // not installed, skipped
-        ];
-        let tx = upgrade_all(&db, candidates.iter());
-        assert_eq!(tx.len(), 1);
-        assert_eq!(tx.elements()[0].label(), "upgrade R-3.1.1-1.x86_64");
     }
 
     #[test]

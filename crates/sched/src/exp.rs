@@ -193,12 +193,6 @@ impl ExpGrid {
         points
     }
 
-    /// Total runs in the grid.
-    pub fn run_count(&self) -> usize {
-        let g = self.normalized();
-        g.rms.len() * g.policies.len() * g.loads.len() * g.seeds.len()
-    }
-
     /// Human-readable grid description (stored as `grid.txt` in the
     /// experiment directory).
     pub fn render(&self) -> String {
@@ -539,7 +533,6 @@ mod tests {
     fn points_cover_the_product() {
         let g = tiny_grid();
         let points = g.points();
-        assert_eq!(points.len(), g.run_count());
         assert_eq!(points.len(), 2 * 2 * 2 * 2);
         // variants change slowest over seeds
         assert_eq!(points[0].variant, 0);

@@ -59,29 +59,12 @@ impl SgeCell {
         Ok(id.to_string())
     }
 
-    /// `qmod -d <queue>@<node>`: disable the queue instance on a node.
-    pub fn qmod_disable(&mut self, node: usize) -> bool {
-        self.sim.set_offline(node)
-    }
-
-    /// `qmod -e <queue>@<node>`: re-enable it.
-    pub fn qmod_enable(&mut self, node: usize) -> bool {
-        self.sim.set_online(node)
-    }
-
     /// `qconf -ae <node>`: add an execution host to the cell. Returns
     /// the new node's index; slot-shape math sees the new capacity.
     pub fn qconf_add_exec(&mut self) -> usize {
         let node = self.sim.add_node();
         self.nodes += 1;
         node
-    }
-
-    /// `qconf -de <node>`: permanently remove a drained execution host.
-    /// The husk keeps its index, so the cell's slot ceiling is not
-    /// shrunk retroactively for queued requests.
-    pub fn qconf_delete_exec(&mut self, node: usize) -> bool {
-        self.sim.retire_node(node)
     }
 
     /// `qstat` (SGE flavor).
@@ -188,17 +171,14 @@ mod tests {
     }
 
     #[test]
-    fn qmod_disable_and_enable() {
+    fn disabled_host_takes_no_jobs() {
         let mut cell = SgeCell::new(2, 2);
-        assert!(cell.qmod_disable(0));
+        assert!(cell.offline_node(0));
         cell.qsub_pe("steered", 2, 10.0, 5.0).unwrap();
         ResourceManager::drain(&mut cell);
         assert_eq!(cell.sim().running_on(0), vec![]);
-        assert!(cell.qmod_enable(0));
-        // the uniform trait entry points route to the same state
-        assert!(cell.offline_node(1));
+        assert!(cell.online_node(0));
         assert!(cell.node_idle(1));
-        assert!(cell.online_node(1));
     }
 
     #[test]
@@ -210,9 +190,9 @@ mod tests {
         // the trait entry point keeps slot math in step too
         assert_eq!(ResourceManager::add_node(&mut cell), 2);
         assert_eq!(cell.shape_for_slots(6), Some((3, 2)));
-        assert!(cell.qmod_disable(2));
-        assert!(cell.qconf_delete_exec(2));
-        assert!(!cell.qmod_enable(2), "deleted host stays out");
+        assert!(cell.offline_node(2));
+        assert!(cell.retire_node(2));
+        assert!(!cell.online_node(2), "deleted host stays out");
     }
 
     #[test]

@@ -167,23 +167,12 @@ impl ClusterSim {
         self.events_processed
     }
 
-    /// Builder form of [`ClusterSim::set_tracing`].
-    pub fn with_tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
     /// Turn structured trace emission on or off. Scheduling decisions
     /// and metrics are identical either way; off skips all per-event
     /// string formatting, which is what lets a run sustain ~10^6
     /// events in seconds (see the `million_events` bench).
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
-    }
-
-    /// Is structured trace emission enabled?
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracing
     }
 
     /// `qhold`: keep a queued job from starting. Returns false for
@@ -205,11 +194,6 @@ impl ClusterSim {
             self.try_start_jobs();
         }
         released
-    }
-
-    /// Is the job currently held?
-    pub fn is_held(&self, id: JobId) -> bool {
-        self.held.contains(&id)
     }
 
     /// Add a maintenance/advance reservation over node indices
@@ -270,18 +254,6 @@ impl ClusterSim {
     /// Current simulation time in seconds (compatibility accessor).
     pub fn now(&self) -> f64 {
         self.clock.now().as_secs_f64()
-    }
-
-    /// Current simulation time on the shared integer-nanosecond clock.
-    pub fn now_sim(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    /// The structured trace recorded so far: a `Mark` per submission, a
-    /// `Span` per finished job (at its start time), a `Span` per
-    /// reservation window.
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        self.bus.events()
     }
 
     /// Drain the recorded trace (for merging into a scenario-wide log).
@@ -516,21 +488,6 @@ impl ClusterSim {
             ));
         }
         true
-    }
-
-    /// Has the node been permanently retired?
-    pub fn is_retired(&self, node: usize) -> bool {
-        self.retired.contains(&node)
-    }
-
-    /// Retired node indices, ascending.
-    pub fn retired_nodes(&self) -> Vec<usize> {
-        self.retired.iter().copied().collect()
-    }
-
-    /// Nodes currently in service (neither offline nor retired).
-    pub fn active_node_count(&self) -> usize {
-        self.free.len() - self.offline.len()
     }
 
     /// Jobs sitting in the queue and eligible to run (not held) — the
@@ -1068,7 +1025,6 @@ mod tests {
         let victim = sim.submit_at(1.0, req("victim", 1, 1, 10.0, 5.0));
         sim.run_until(2.0);
         assert!(sim.hold(victim));
-        assert!(sim.is_held(victim));
         sim.run_until(60.0); // machine free at t=50, but victim held
         assert!(sim.job(victim).unwrap().wait_s().is_none());
         assert!(sim.release(victim));
@@ -1114,7 +1070,7 @@ mod tests {
         sim.run_until(2.0);
         sim.hold(victim);
         assert!(sim.cancel(victim));
-        assert!(!sim.is_held(victim));
+        assert!(!sim.release(victim), "cancel already dropped the hold");
     }
 
     #[test]
@@ -1124,7 +1080,7 @@ mod tests {
         sim.add_reservation("maintenance", vec![1], 500.0, 600.0);
         sim.submit_at(0.0, req("a", 1, 2, 100.0, 80.0));
         sim.run_to_completion();
-        let events = sim.trace_events();
+        let events = sim.take_trace();
         assert!(events
             .iter()
             .any(|e| e.label == "reservation: maintenance"
@@ -1147,8 +1103,8 @@ mod tests {
         sim.submit_at(0.0, req("first", 1, 1, 100.0, 100.0));
         sim.submit_at(1.0, req("second", 1, 1, 50.0, 50.0));
         sim.run_to_completion();
-        let second = sim
-            .trace_events()
+        let trace = sim.take_trace();
+        let second = trace
             .iter()
             .find(|e| e.label == "job second")
             .expect("span");
@@ -1205,18 +1161,12 @@ mod tests {
             job.state
         );
         // exactly one job span, charged for the full restarted run only
-        let spans: Vec<_> = sim
-            .trace_events()
-            .iter()
-            .filter(|e| e.label == "job evicted")
-            .collect();
+        let trace = sim.take_trace();
+        let spans: Vec<_> = trace.iter().filter(|e| e.label == "job evicted").collect();
         assert_eq!(spans.len(), 1);
         assert_eq!(sim.used_core_seconds(), 2.0 * 50.0);
         // requeue left a mark in the trace
-        assert!(sim
-            .trace_events()
-            .iter()
-            .any(|e| e.label == "requeue evicted"));
+        assert!(trace.iter().any(|e| e.label == "requeue evicted"));
     }
 
     #[test]
@@ -1247,11 +1197,10 @@ mod tests {
         assert_eq!(sim.queue_depth(), 1);
         assert_eq!(sim.add_node(), 1);
         assert_eq!(sim.node_count(), 2);
-        assert_eq!(sim.active_node_count(), 2);
         assert_eq!(sim.queue_depth(), 0, "queued job starts on the new node");
         sim.run_to_completion();
         assert_eq!(sim.job(waiting).unwrap().placement, vec![1]);
-        assert!(sim.trace_events().iter().any(|e| e.label == "add node 1"));
+        assert!(sim.take_trace().iter().any(|e| e.label == "add node 1"));
     }
 
     #[test]
@@ -1260,17 +1209,11 @@ mod tests {
         sim.set_offline(1);
         assert!(sim.retire_node(1));
         assert!(!sim.retire_node(1), "double retire is a no-op");
-        assert!(sim.is_retired(1));
-        assert_eq!(sim.retired_nodes(), vec![1]);
-        assert_eq!(sim.active_node_count(), 1);
         assert!(!sim.set_online(1), "retired nodes stay out of service");
         let j = sim.submit_at(0.0, req("steered", 1, 2, 10.0, 5.0));
         sim.run_to_completion();
         assert_eq!(sim.job(j).unwrap().placement, vec![0]);
-        assert!(sim
-            .trace_events()
-            .iter()
-            .any(|e| e.label == "retire node 1"));
+        assert!(sim.take_trace().iter().any(|e| e.label == "retire node 1"));
     }
 
     #[test]

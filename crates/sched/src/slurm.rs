@@ -60,28 +60,6 @@ impl Slurm {
             .map(|n| self.sim.cancel(n))
             .unwrap_or(false)
     }
-
-    /// `scontrol update nodename=<node> state=drain`.
-    pub fn scontrol_drain(&mut self, node: usize) -> bool {
-        self.sim.set_offline(node)
-    }
-
-    /// `scontrol update nodename=<node> state=resume`.
-    pub fn scontrol_resume(&mut self, node: usize) -> bool {
-        self.sim.set_online(node)
-    }
-
-    /// `scontrol create nodename=<node>` (dynamic nodes, SLURM ≥ 20.11):
-    /// add a node to the partition. Returns the new node's index.
-    pub fn scontrol_create_node(&mut self) -> usize {
-        self.sim.add_node()
-    }
-
-    /// `scontrol delete nodename=<node>`: permanently remove a drained
-    /// node.
-    pub fn scontrol_delete_node(&mut self, node: usize) -> bool {
-        self.sim.retire_node(node)
-    }
 }
 
 impl ResourceManager for Slurm {
@@ -161,29 +139,29 @@ mod tests {
     }
 
     #[test]
-    fn scontrol_drain_and_resume() {
+    fn drained_node_takes_no_jobs() {
         let mut s = Slurm::new("compute", 2, 2);
-        assert!(s.scontrol_drain(0));
+        assert!(s.offline_node(0));
         s.sbatch(JobRequest::new("steered", 1, 2, 10.0, 5.0));
         s.drain();
         assert_eq!(s.sim().running_on(0), vec![]);
-        assert!(s.scontrol_resume(0));
+        assert!(s.online_node(0));
         assert!(!s.sim().is_offline(0));
     }
 
     #[test]
-    fn scontrol_dynamic_nodes() {
+    fn dynamic_nodes() {
         let mut s = Slurm::new("compute", 1, 2);
         s.sbatch(JobRequest::new("running", 1, 2, 100.0, 100.0));
         s.sbatch(JobRequest::new("waiting", 1, 2, 50.0, 50.0));
         s.advance_to(1.0);
         assert_eq!(s.queue_depth(), 1);
-        assert_eq!(s.scontrol_create_node(), 1);
+        assert_eq!(s.add_node(), 1);
         assert_eq!(s.queue_depth(), 0);
         s.drain();
-        assert!(s.scontrol_drain(1));
-        assert!(s.scontrol_delete_node(1));
-        assert!(!s.scontrol_resume(1), "deleted node stays out");
+        assert!(s.offline_node(1));
+        assert!(s.retire_node(1));
+        assert!(!s.online_node(1), "deleted node stays out");
     }
 
     #[test]

@@ -22,14 +22,6 @@ impl TorqueServer {
         }
     }
 
-    /// Torque alone (pbs_sched FIFO) — what you get before Maui is set up.
-    pub fn fifo_only(server_name: &str, nodes: usize, cores_per_node: u32) -> Self {
-        TorqueServer {
-            sim: ClusterSim::new(nodes, cores_per_node, SchedPolicy::Fifo),
-            server_name: server_name.to_string(),
-        }
-    }
-
     /// `qsub -l nodes=N:ppn=P,walltime=W`.
     pub fn qsub(&mut self, req: JobRequest) -> String {
         let id = self.sim.submit(req);
@@ -75,28 +67,6 @@ impl TorqueServer {
             ));
         }
         out
-    }
-
-    /// `pbsnodes -o <node>`: mark a node offline (drain).
-    pub fn pbsnodes_offline(&mut self, node: usize) -> bool {
-        self.sim.set_offline(node)
-    }
-
-    /// `pbsnodes -c <node>`: clear the offline state.
-    pub fn pbsnodes_clear(&mut self, node: usize) -> bool {
-        self.sim.set_online(node)
-    }
-
-    /// `qmgr -c "create node compute-0-N"`: add a node to the server's
-    /// node list (elastic scale-up). Returns the new node's index.
-    pub fn qmgr_create_node(&mut self) -> usize {
-        self.sim.add_node()
-    }
-
-    /// `qmgr -c "delete node compute-0-N"`: permanently remove a
-    /// drained node.
-    pub fn qmgr_delete_node(&mut self, node: usize) -> bool {
-        self.sim.retire_node(node)
     }
 
     /// `qdel <id>`.
@@ -196,7 +166,11 @@ mod tests {
                 )
             })
             .collect();
-        let mut fifo = TorqueServer::fifo_only("c", 6, 2);
+        // Torque alone (pbs_sched FIFO), before Maui is set up
+        let mut fifo = TorqueServer {
+            sim: ClusterSim::new(6, 2, SchedPolicy::Fifo),
+            server_name: "c".to_string(),
+        };
         let m_fifo = run_workload(&mut fifo, workload.clone());
         let mut maui = TorqueServer::with_maui("c", 6, 2);
         let m_maui = run_workload(&mut maui, workload);
@@ -214,25 +188,26 @@ mod tests {
     }
 
     #[test]
-    fn pbsnodes_offline_drains_node() {
+    fn pbsnodes_shows_offline_node() {
         let mut t = TorqueServer::with_maui("littlefe", 2, 2);
-        assert!(t.pbsnodes_offline(1));
+        assert!(t.offline_node(1));
         assert_eq!(t.pbsnodes().matches("state = offline").count(), 1);
         t.qsub(JobRequest::new("steered", 1, 2, 10.0, 5.0));
         t.drain();
         assert_eq!(t.sim().running_on(1), vec![]);
-        assert!(t.pbsnodes_clear(1));
+        assert!(t.online_node(1));
         assert_eq!(t.pbsnodes().matches("state = free").count(), 2);
     }
 
     #[test]
-    fn qmgr_node_lifecycle() {
+    fn pbsnodes_tracks_added_and_retired_nodes() {
         let mut t = TorqueServer::with_maui("littlefe", 1, 2);
-        assert_eq!(t.qmgr_create_node(), 1);
+        assert_eq!(t.add_node(), 1);
         assert_eq!(t.pbsnodes().matches("state = free").count(), 2);
-        assert!(t.pbsnodes_offline(1));
-        assert!(t.qmgr_delete_node(1));
-        assert!(!t.pbsnodes_clear(1), "deleted node stays offline");
+        assert!(t.offline_node(1));
+        assert!(t.retire_node(1));
+        assert!(!t.online_node(1), "retired node stays offline");
+        assert_eq!(t.pbsnodes().matches("state = offline").count(), 1);
         assert_eq!(t.queue_depth(), 0);
     }
 

@@ -1,6 +1,6 @@
 //! The virtual clock every layer reads.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A monotonic virtual clock.
 ///
@@ -39,12 +39,6 @@ impl SimClock {
         }
         self.now
     }
-
-    /// Advance by `d` and return the new current time.
-    pub fn advance_by(&mut self, d: SimDuration) -> SimTime {
-        self.now += d;
-        self.now
-    }
 }
 
 #[cfg(test)]
@@ -59,8 +53,6 @@ mod tests {
         // moving backwards is a no-op
         c.advance_to(SimTime::from_secs(3));
         assert_eq!(c.now(), SimTime::from_secs(10));
-        c.advance_by(SimDuration::from_secs(5));
-        assert_eq!(c.now(), SimTime::from_secs(15));
     }
 
     #[test]

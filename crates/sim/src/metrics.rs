@@ -330,29 +330,6 @@ impl MetricRegistry {
         );
     }
 
-    /// Add `delta` to a counter series (registering it at zero first if
-    /// absent).
-    pub fn add_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], delta: u64) {
-        let family = self.family(name, help, "counter");
-        let entry = family
-            .series
-            .entry(render_labels(labels))
-            .or_insert(SeriesValue::Counter(0));
-        if let SeriesValue::Counter(v) = entry {
-            *v += delta;
-        }
-    }
-
-    /// Number of registered families.
-    pub fn family_count(&self) -> usize {
-        self.families.len()
-    }
-
-    /// Total number of registered series across families.
-    pub fn series_count(&self) -> usize {
-        self.families.values().map(|f| f.series.len()).sum()
-    }
-
     /// Look up a counter value (exact label set, caller's label order).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         match self
@@ -519,19 +496,16 @@ mod tests {
     }
 
     #[test]
-    fn registry_families_sorted_and_counted() {
+    fn registry_families_sorted() {
         let mut reg = MetricRegistry::new();
         reg.set_gauge("zzz", "last", &[], 1.0);
         reg.set_gauge("aaa", "first", &[], 2.0);
-        reg.add_counter("mid_total", "counts", &[("k", "v")], 2);
-        reg.add_counter("mid_total", "counts", &[("k", "v")], 3);
+        reg.set_counter("mid_total", "counts", &[("k", "v")], 5);
         let text = reg.render_prometheus();
         assert!(text.find("aaa").unwrap() < text.find("mid_total").unwrap());
         assert!(text.find("mid_total").unwrap() < text.find("zzz").unwrap());
         assert_eq!(reg.counter_value("mid_total", &[("k", "v")]), Some(5));
         assert_eq!(reg.gauge_value("aaa", &[]), Some(2.0));
-        assert_eq!(reg.family_count(), 3);
-        assert_eq!(reg.series_count(), 3);
     }
 
     #[test]

@@ -692,18 +692,6 @@ impl EventBus {
         self.log.push(event);
     }
 
-    /// Emit a batch of events: one
-    /// [`accept_batch`](TraceSink::accept_batch) call per sink instead
-    /// of one dynamic dispatch per event per sink, then append the
-    /// batch to the log. Observationally identical to emitting the
-    /// events one by one.
-    pub fn emit_batch(&mut self, events: Vec<TraceEvent>) {
-        for sink in &mut self.sinks {
-            sink.accept_batch(&events);
-        }
-        self.log.extend(events);
-    }
-
     /// Convenience: emit a span.
     pub fn span(
         &mut self,
@@ -910,25 +898,6 @@ mod tests {
         assert_eq!(ring.dropped(), 1);
         let first = ring.events().next().unwrap();
         assert!(matches!(first.kind, TraceKind::Counter { value: 1 }));
-    }
-
-    #[test]
-    fn emit_batch_matches_per_event_emission() {
-        let events: Vec<TraceEvent> = (0..5u64)
-            .map(|i| TraceEvent::span(i as f64, "a", format!("e{i}"), 1.0))
-            .collect();
-
-        let mut one = EventBus::new();
-        one.attach(Box::new(JsonlSink::new()));
-        for e in events.clone() {
-            one.emit(e);
-        }
-        let mut batch = EventBus::new();
-        batch.attach(Box::new(JsonlSink::new()));
-        batch.emit_batch(events);
-
-        assert_eq!(one.to_jsonl(), batch.to_jsonl());
-        assert_eq!(one.len(), batch.len());
     }
 
     #[test]

@@ -383,13 +383,7 @@ impl SvcReport {
 
     /// Bank-wide cache totals.
     pub fn cache_totals(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.shard_stats {
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-        }
-        total
+        self.shard_stats.iter().copied().sum()
     }
 
     /// The accepted responses keyed by journal sequence number.
@@ -502,13 +496,7 @@ impl ReplayReport {
 
     /// Bank-wide cache totals of the replay.
     pub fn cache_totals(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.shard_stats {
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-        }
-        total
+        self.shard_stats.iter().copied().sum()
     }
 
     /// One-line verdict plus mismatches, for `xcbcd --replay`.
@@ -583,15 +571,7 @@ pub fn replay(journal_text: &str) -> Result<ReplayReport, RecordError> {
             }
         }
     }
-    let totals = {
-        let mut total = CacheStats::default();
-        for s in bank.shard_stats() {
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-        }
-        total
-    };
+    let totals = bank.stats();
     let recorded = journal.cache_totals;
     if (totals.hits, totals.misses, totals.entries) != recorded {
         mismatches.push(format!(

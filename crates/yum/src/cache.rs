@@ -54,15 +54,6 @@ impl MetadataCache {
     pub fn clean(&mut self) {
         self.entries.clear();
     }
-
-    /// Is the cached copy (if any) behind the repository's revision?
-    /// This is the staleness window the notify tooling closes.
-    pub fn is_behind(&self, repo: &Repository) -> bool {
-        match self.entries.get(&repo.id) {
-            None => true,
-            Some((_, md)) => md.revision < repo.revision,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,18 +97,15 @@ mod tests {
     }
 
     #[test]
-    fn staleness_window_visible() {
+    fn refresh_picks_up_new_revision() {
         let mut r = repo();
         let mut cache = MetadataCache::new(3600.0);
         cache.get(&r, 0.0);
-        assert!(!cache.is_behind(&r));
-        // upstream publishes an update; cache is now behind until refresh
+        // upstream publishes an update; the next refresh carries it
         r.add_package(PackageBuilder::new("gromacs", "4.6.7", "1").build());
-        assert!(cache.is_behind(&r));
         let (md, fetched) = cache.get(&r, 4000.0);
         assert!(fetched);
         assert_eq!(md.revision, r.revision);
-        assert!(!cache.is_behind(&r));
     }
 
     #[test]

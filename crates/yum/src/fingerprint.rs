@@ -27,7 +27,7 @@ pub use xcbc_sim::Fnv64;
 /// Fingerprint of one repository's solver-visible identity: id,
 /// revision, enabledness, and priority. The revision counter stands in
 /// for the package payload (it bumps on every mutation).
-pub fn repo_fingerprint(repo: &Repository) -> u64 {
+fn repo_fingerprint(repo: &Repository) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(&repo.id)
         .write_u64(repo.revision)

@@ -7,7 +7,7 @@
 //! hand-written `/etc/yum.repos.d/xsede.repo` plus `yum-plugin-priorities`),
 //! a dependency solver with best-candidate selection, repository
 //! priorities, `yum check-update`/`yum update` semantics, update
-//! notification policies, mirror failover, and transaction history.
+//! notification policies, and mirror failover.
 //!
 //! ```
 //! use xcbc_rpm::{PackageBuilder, RpmDb};
@@ -26,10 +26,8 @@
 //! ```
 
 pub mod cache;
-pub mod deplist;
 pub mod fingerprint;
 pub mod groups;
-pub mod history;
 pub mod json;
 pub mod metadata;
 pub mod mirror;
@@ -43,10 +41,8 @@ pub mod solver;
 pub mod updates;
 
 pub use cache::MetadataCache;
-pub use deplist::{deplist, render_deplist, DepListEntry};
-pub use fingerprint::{db_fingerprint, repo_fingerprint, repos_fingerprint, Fnv64};
+pub use fingerprint::{db_fingerprint, repos_fingerprint, Fnv64};
 pub use groups::{group_install, PackageGroupDef};
-pub use history::{HistoryEntry, YumHistory};
 pub use metadata::{MetadataError, PrimaryRecord, RepoMetadata};
 pub use mirror::{
     FetchOptions, FetchReport, Mirror, MirrorList, MirrorOutcome, MIN_BANDWIDTH_MBPS,
@@ -93,7 +89,6 @@ impl Default for YumConfig {
 pub struct Yum {
     config: YumConfig,
     repositories: Vec<Repository>,
-    history: YumHistory,
     solve_cache: Option<Arc<SolveCache>>,
     cache_salt: u64,
 }
@@ -109,7 +104,6 @@ impl Yum {
         Yum {
             config,
             repositories: Vec::new(),
-            history: YumHistory::new(),
             solve_cache: None,
             cache_salt: 0,
         }
@@ -159,13 +153,6 @@ impl Yum {
         }
     }
 
-    /// Remove a repository by id; returns true if it existed.
-    pub fn remove_repository(&mut self, id: &str) -> bool {
-        let before = self.repositories.len();
-        self.repositories.retain(|r| r.id != id);
-        self.repositories.len() != before
-    }
-
     pub fn repositories(&self) -> &[Repository] {
         &self.repositories
     }
@@ -176,10 +163,6 @@ impl Yum {
 
     pub fn repository_mut(&mut self, id: &str) -> Option<&mut Repository> {
         self.repositories.iter_mut().find(|r| r.id == id)
-    }
-
-    pub fn history(&self) -> &YumHistory {
-        &self.history
     }
 
     /// Build a solver view over the enabled repositories (with priorities
@@ -217,10 +200,7 @@ impl Yum {
             return Ok(TransactionReport::default());
         }
         let tx = (*solution).clone().into_transaction();
-        let report = tx.run(db).map_err(SolveError::Transaction)?;
-        self.history
-            .record(&format!("install {}", names.join(" ")), &report);
-        Ok(report)
+        tx.run(db).map_err(SolveError::Transaction)
     }
 
     /// `yum check-update`: list available updates without applying them.
@@ -244,18 +224,14 @@ impl Yum {
             return Ok(TransactionReport::default());
         }
         let tx: TransactionSet = (*solution).clone().into_transaction();
-        let report = tx.run(db).map_err(SolveError::Transaction)?;
-        self.history.record("update", &report);
-        Ok(report)
+        tx.run(db).map_err(SolveError::Transaction)
     }
 
     /// `yum erase <name>`.
     pub fn erase(&mut self, db: &mut RpmDb, name: &str) -> Result<TransactionReport, SolveError> {
         let mut tx = TransactionSet::new();
         tx.add_erase(name);
-        let report = tx.run(db).map_err(SolveError::Transaction)?;
-        self.history.record(&format!("erase {name}"), &report);
-        Ok(report)
+        tx.run(db).map_err(SolveError::Transaction)
     }
 }
 
@@ -331,15 +307,5 @@ mod tests {
         yum.add_repository(empty);
         assert_eq!(yum.repositories().len(), 1);
         assert_eq!(yum.repository("xsede").unwrap().package_count(), 0);
-    }
-
-    #[test]
-    fn history_records_operations() {
-        let mut yum = xnit_like_yum();
-        let mut db = RpmDb::new();
-        yum.install(&mut db, &["R"]).unwrap();
-        yum.erase(&mut db, "R").unwrap();
-        assert_eq!(yum.history().entries().len(), 2);
-        assert!(yum.history().entries()[0].command.contains("install"));
     }
 }

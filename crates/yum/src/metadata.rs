@@ -186,29 +186,6 @@ impl RepoMetadata {
             primary,
         })
     }
-
-    /// Names of packages added or upgraded in `newer` relative to `self`
-    /// — the diff the paper's notification tooling reports.
-    pub fn diff_new_or_upgraded(&self, newer: &RepoMetadata) -> Vec<String> {
-        let mut out = Vec::new();
-        for rec in &newer.primary {
-            let best_old = self
-                .primary
-                .iter()
-                .filter(|r| r.name == rec.name)
-                .max_by(|a, b| a.evr().cmp(&b.evr()));
-            match best_old {
-                None => out.push(format!("{} {} (new)", rec.name, rec.evr())),
-                Some(old) if rec.evr() > old.evr() => {
-                    out.push(format!("{} {} -> {}", rec.name, old.evr(), rec.evr()))
-                }
-                Some(_) => {}
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -267,28 +244,5 @@ mod tests {
             Err(MetadataError::Json(e)) => assert!(e.message.contains("nesting")),
             other => panic!("expected a nesting error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn diff_detects_new_and_upgraded() {
-        let mut r = repo();
-        let old_md = r.metadata();
-        r.add_package(PackageBuilder::new("gromacs", "5.0", "1.el6").build());
-        r.add_package(PackageBuilder::new("lammps", "2014.06.28", "1").build());
-        let new_md = r.metadata();
-        let diff = old_md.diff_new_or_upgraded(&new_md);
-        assert_eq!(diff.len(), 2);
-        assert!(diff
-            .iter()
-            .any(|d| d.starts_with("gromacs 4.6.5-2.el6 -> 5.0")));
-        assert!(diff
-            .iter()
-            .any(|d| d.contains("lammps") && d.contains("(new)")));
-    }
-
-    #[test]
-    fn diff_empty_when_unchanged() {
-        let md = repo().metadata();
-        assert!(md.diff_new_or_upgraded(&md).is_empty());
     }
 }

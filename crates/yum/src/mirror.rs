@@ -209,11 +209,6 @@ impl MirrorList {
             events,
         }
     }
-
-    /// Deterministic best-case fetch (first healthy mirror, no sampling).
-    pub fn fetch_seconds_best_case(&self, bytes: u64) -> Option<f64> {
-        self.mirrors.first().map(|m| m.fetch_seconds(bytes))
-    }
 }
 
 /// Everything a mirror fetch can be configured with — how many bytes,

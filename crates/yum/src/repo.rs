@@ -75,17 +75,6 @@ impl Repository {
         }
     }
 
-    /// Remove every package with this name; returns how many were dropped.
-    pub fn remove_package(&mut self, name: &str) -> usize {
-        let before = self.packages.len();
-        self.packages.retain(|p| p.name() != name);
-        let dropped = before - self.packages.len();
-        if dropped > 0 {
-            self.revision += 1;
-        }
-        dropped
-    }
-
     pub fn package_count(&self) -> usize {
         self.packages.len()
     }
@@ -185,10 +174,6 @@ mod tests {
         let rev = r.revision;
         r.add_package(PackageBuilder::new("hdf5", "1.8.9", "1").build());
         assert_eq!(r.revision, rev + 1);
-        assert_eq!(r.remove_package("hdf5"), 1);
-        assert_eq!(r.revision, rev + 2);
-        assert_eq!(r.remove_package("hdf5"), 0);
-        assert_eq!(r.revision, rev + 2, "no-op removal must not bump revision");
     }
 
     #[test]

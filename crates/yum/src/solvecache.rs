@@ -58,6 +58,18 @@ impl CacheStats {
     }
 }
 
+/// Field-wise totals, e.g. a sharded bank's per-shard counters summed
+/// into one bank-wide figure.
+impl std::iter::Sum for CacheStats {
+    fn sum<I: Iterator<Item = CacheStats>>(iter: I) -> CacheStats {
+        iter.fold(CacheStats::default(), |total, s| CacheStats {
+            hits: total.hits + s.hits,
+            misses: total.misses + s.misses,
+            entries: total.entries + s.entries,
+        })
+    }
+}
+
 type Snapshot = Arc<HashMap<u64, Arc<Solution>>>;
 
 /// The concurrent solve cache. Cheap to share: wrap it in an [`Arc`]
@@ -265,11 +277,6 @@ impl ShardedSolveCache {
         }
     }
 
-    /// Number of shards in the bank.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The canonical non-zero salt for a tenant name (FNV-1a over the
     /// name, with the zero value remapped since salt 0 means unsalted).
     pub fn tenant_salt(tenant: &str) -> u64 {
@@ -333,14 +340,7 @@ impl ShardedSolveCache {
 
     /// Bank-wide aggregate of the per-shard counters.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.shards {
-            let stats = s.stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.entries += stats.entries;
-        }
-        total
+        self.shards.iter().map(|s| s.stats()).sum()
     }
 
     /// Export per-shard counters as `xcbc_svc_*` families (one series

@@ -13,14 +13,13 @@
 //! and [`Solver::resolve`] is the one entry point.
 
 use crate::fingerprint::Fnv64;
-use crate::groups::PackageGroupDef;
 use crate::priorities::apply_priorities;
 use crate::repo::Repository;
 use crate::YumConfig;
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use xcbc_rpm::{Arch, Dependency, Package, RpmDb, TransactionError, TransactionSet};
+use xcbc_rpm::{Dependency, Package, RpmDb, TransactionError, TransactionSet};
 
 /// Why a resolution failed.
 #[derive(Debug)]
@@ -76,8 +75,7 @@ impl SolveKind {
     }
 }
 
-/// A typed depsolve request: what operation, against which targets,
-/// under which architecture filter.
+/// A typed depsolve request: what operation, against which targets.
 ///
 /// One builder the install and update paths share, which also gives
 /// the solve cache a canonical value to normalize into a key
@@ -94,7 +92,6 @@ impl SolveKind {
 pub struct SolveRequest {
     kind: SolveKind,
     targets: Vec<String>,
-    arch: Option<Arch>,
 }
 
 impl SolveRequest {
@@ -107,7 +104,6 @@ impl SolveRequest {
         SolveRequest {
             kind: SolveKind::Install,
             targets: targets.into_iter().map(Into::into).collect(),
-            arch: None,
         }
     }
 
@@ -120,7 +116,6 @@ impl SolveRequest {
         SolveRequest {
             kind: SolveKind::Update,
             targets: targets.into_iter().map(Into::into).collect(),
-            arch: None,
         }
     }
 
@@ -129,32 +124,12 @@ impl SolveRequest {
         SolveRequest {
             kind: SolveKind::UpdateAll,
             targets: Vec::new(),
-            arch: None,
         }
     }
 
     /// Append one more target (builder style).
     pub fn with_target(mut self, name: impl Into<String>) -> SolveRequest {
         self.targets.push(name.into());
-        self
-    }
-
-    /// Append a comps-style group's install set (mandatory + default,
-    /// plus optional packages when `with_optional` is set) — the typed
-    /// equivalent of `yum groupinstall`.
-    pub fn with_group(mut self, group: &PackageGroupDef, with_optional: bool) -> SolveRequest {
-        self.targets
-            .extend(group.install_set().iter().map(|s| s.to_string()));
-        if with_optional {
-            self.targets.extend(group.optional.iter().cloned());
-        }
-        self
-    }
-
-    /// Restrict candidates to packages installable on `arch` (defaults
-    /// to the engine's configured host architecture).
-    pub fn with_arch(mut self, arch: Arch) -> SolveRequest {
-        self.arch = Some(arch);
         self
     }
 
@@ -166,11 +141,6 @@ impl SolveRequest {
     /// The requested target names, in request order.
     pub fn targets(&self) -> &[String] {
         &self.targets
-    }
-
-    /// The architecture filter, if any.
-    pub fn arch(&self) -> Option<Arch> {
-        self.arch
     }
 
     /// The canonical form the solve cache keys on: duplicate targets
@@ -191,7 +161,6 @@ impl SolveRequest {
         SolveRequest {
             kind: self.kind,
             targets,
-            arch: self.arch,
         }
     }
 
@@ -201,10 +170,9 @@ impl SolveRequest {
         let norm = self.normalized();
         let mut h = Fnv64::new();
         h.write_u64(norm.kind.tag());
-        match norm.arch {
-            Some(a) => h.write_str(a.as_str()),
-            None => h.write_u64(0),
-        };
+        // a zero word where requests once carried an arch filter, so
+        // cache keys and journal digests keep their values
+        h.write_u64(0);
         for t in &norm.targets {
             h.write_str(t);
         }
@@ -310,11 +278,6 @@ impl<'a> Solver<'a> {
         Solver { candidates, config }
     }
 
-    /// Number of visible candidates after priority/arch filtering.
-    pub fn candidate_count(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Candidate ordering: priority (lower number wins, only when the
     /// plugin is active) → arch preference → EVR → name.
     fn better(
@@ -336,45 +299,31 @@ impl<'a> Solver<'a> {
         .then_with(|| pb.name().cmp(pa.name())) // smaller name wins
     }
 
-    fn visible(
-        &self,
-        arch: Option<Arch>,
-    ) -> impl Iterator<Item = (&'a Repository, &'a Arc<Package>)> + '_ {
-        self.candidates
-            .iter()
-            .filter(move |(_, p)| arch.is_none_or(|a| p.arch().installable_on(a)))
-            .copied()
+    fn visible(&self) -> impl Iterator<Item = (&'a Repository, &'a Arc<Package>)> + '_ {
+        self.candidates.iter().copied()
     }
 
-    fn best_provider_filtered(
-        &self,
-        req: &Dependency,
-        arch: Option<Arch>,
-    ) -> Option<&'a Arc<Package>> {
-        self.visible(arch)
+    /// Best visible candidate satisfying `req`.
+    fn best_provider(&self, req: &Dependency) -> Option<&'a Arc<Package>> {
+        self.visible()
             .filter(|(_, p)| p.satisfies(req))
             .max_by(|a, b| self.better(*a, *b))
             .map(|(_, p)| p)
     }
 
-    fn best_by_name_filtered(&self, name: &str, arch: Option<Arch>) -> Option<&'a Arc<Package>> {
-        self.visible(arch)
+    fn best_named(&self, name: &str) -> Option<&'a Arc<Package>> {
+        self.visible()
             .filter(|(_, p)| p.name() == name)
             .max_by(|a, b| self.better(*a, *b))
             .map(|(_, p)| p)
-            .or_else(|| self.best_provider_filtered(&Dependency::any(name), arch))
-    }
-
-    /// Best visible candidate satisfying `req`.
-    pub fn best_provider(&self, req: &Dependency) -> Option<&'a Package> {
-        self.best_provider_filtered(req, None).map(|p| &**p)
+            .or_else(|| self.best_provider(&Dependency::any(name)))
     }
 
     /// Best visible candidate *by package name* (for direct requests and
     /// update targets). A name request matches real names first; if no
     /// package has that name, yum falls back to `whatprovides`.
     pub fn best_by_name(&self, name: &str) -> Option<&'a Package> {
-        self.best_by_name_filtered(name, None).map(|p| &**p)
+        self.best_named(name).map(|p| &**p)
     }
 
     /// Resolve a typed [`SolveRequest`] against `db`.
@@ -391,7 +340,7 @@ impl<'a> Solver<'a> {
                 SolveKind::Install => self.seed_install(db, &req, &mut walk)?,
                 SolveKind::Update | SolveKind::UpdateAll => self.seed_update(db, &req, &mut walk),
             }
-            self.drain(db, &mut walk, req.arch)?;
+            self.drain(db, &mut walk)?;
             Ok(walk.into_solution())
         })
     }
@@ -405,7 +354,7 @@ impl<'a> Solver<'a> {
     ) -> Result<(), SolveError> {
         for name in req.targets() {
             let p = self
-                .best_by_name_filtered(name, req.arch())
+                .best_named(name)
                 .ok_or_else(|| SolveError::NothingProvides {
                     what: name.to_string(),
                     needed_by: String::new(),
@@ -437,7 +386,7 @@ impl<'a> Solver<'a> {
                 Some(ip) => ip,
                 None => continue, // yum update of a not-installed name is a no-op
             };
-            if let Some(candidate) = self.best_by_name_filtered(name, req.arch()) {
+            if let Some(candidate) = self.best_named(name) {
                 if candidate.nevra.evr > installed.package.nevra.evr {
                     walk.enqueue(candidate);
                 }
@@ -445,7 +394,7 @@ impl<'a> Solver<'a> {
             // obsoletes processing: a visible package obsoleting this
             // installed one replaces it (yum's `obsoletes=1`)
             if self.config.obsoletes {
-                for (_, p) in self.visible(req.arch()) {
+                for (_, p) in self.visible() {
                     if p.obsoletes_package(&installed.package) {
                         walk.enqueue(p);
                     }
@@ -456,7 +405,7 @@ impl<'a> Solver<'a> {
 
     /// The shared closure loop: pop work, satisfy each Requires from the
     /// db, the in-progress solution, or the best visible provider.
-    fn drain(&self, db: &RpmDb, walk: &mut Walk<'a>, arch: Option<Arch>) -> Result<(), SolveError> {
+    fn drain(&self, db: &RpmDb, walk: &mut Walk<'a>) -> Result<(), SolveError> {
         while let Some(pkg) = walk.queue.pop_front() {
             for req in &pkg.requires {
                 // satisfied by the db?
@@ -474,12 +423,12 @@ impl<'a> Solver<'a> {
                 if in_solution {
                     continue;
                 }
-                let provider = self.best_provider_filtered(req, arch).ok_or_else(|| {
-                    SolveError::NothingProvides {
-                        what: req.to_string(),
-                        needed_by: pkg.nevra.to_string(),
-                    }
-                })?;
+                let provider =
+                    self.best_provider(req)
+                        .ok_or_else(|| SolveError::NothingProvides {
+                            what: req.to_string(),
+                            needed_by: pkg.nevra.to_string(),
+                        })?;
                 walk.enqueue(provider);
             }
             // upgrade when an older instance is installed, install otherwise
@@ -612,7 +561,6 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         assert!(solver.best_by_name("gcc").is_none());
-        assert_eq!(solver.candidate_count(), 0);
     }
 
     #[test]
@@ -757,45 +705,6 @@ mod tests {
         assert_eq!(a.normalized(), b.normalized());
         assert_eq!(a.digest(), b.digest());
         assert_ne!(a.digest(), SolveRequest::update(["x", "y", "z"]).digest());
-        assert_ne!(
-            b.digest(),
-            SolveRequest::install(["x", "y", "z"])
-                .with_arch(Arch::I686)
-                .digest()
-        );
-    }
-
-    #[test]
-    fn group_request_expands_install_set() {
-        let group = PackageGroupDef::new("hpc", "HPC libraries")
-            .mandatory_pkg("openmpi")
-            .default_pkg("fftw")
-            .optional_pkg("petsc");
-        let plain = SolveRequest::install(Vec::<String>::new()).with_group(&group, false);
-        assert_eq!(plain.targets(), ["openmpi", "fftw"]);
-        let with_opt = SolveRequest::install(Vec::<String>::new()).with_group(&group, true);
-        assert_eq!(with_opt.targets(), ["openmpi", "fftw", "petsc"]);
-    }
-
-    #[test]
-    fn request_arch_filter_restricts_candidates() {
-        let repos = one_repo(vec![
-            PackageBuilder::new("tool", "2.0", "1")
-                .arch(Arch::X86_64)
-                .build(),
-            PackageBuilder::new("tool", "1.0", "1")
-                .arch(Arch::Noarch)
-                .build(),
-        ]);
-        let cfg = config();
-        let solver = Solver::new(&repos, &cfg);
-        let db = RpmDb::new();
-        // i686 filter: the x86_64 build is not installable there, so the
-        // noarch one is chosen
-        let sol = solver
-            .resolve(&db, &SolveRequest::install(["tool"]).with_arch(Arch::I686))
-            .unwrap();
-        assert_eq!(sol.installs[0].evr().version, "1.0");
     }
 
     #[test]

@@ -118,3 +118,37 @@ fn tampered_golden_journal_is_refused() {
         );
     }
 }
+
+/// Single-line edits that still parse but contradict what the journal
+/// replays to: each `(line, from, to, needle)` must replay as *not*
+/// clean, with a mismatch containing `needle`.
+#[test]
+fn wrong_footer_values_replay_unclean() {
+    let rows: &[(usize, &str, &str, &str)] = &[
+        (
+            52,
+            "cache hits 1 misses 15 entries 15",
+            "cache hits 2 misses 15 entries 15",
+            "cache totals: replay (hits=1 misses=15 entries=15) != recorded (hits=2 misses=15 entries=15)",
+        ),
+        (
+            30,
+            "response 0 14838321224971531163",
+            "response 0 1",
+            "seq 0: replayed body digest 14838321224971531163 != recorded 1",
+        ),
+    ];
+    for &(line, from, to, needle) in rows {
+        let golden_line = GOLDEN.lines().nth(line - 1).unwrap();
+        assert_eq!(golden_line, from, "line {line}");
+        let edited: String = GOLDEN
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i + 1 == line { to } else { l }.to_string() + "\n")
+            .collect();
+        let verdict = replay(&edited).unwrap_or_else(|e| panic!("{from:?} -> {to:?}: {e}"));
+        assert!(!verdict.is_clean(), "{from:?} -> {to:?} replayed clean");
+        assert_eq!(verdict.mismatches, [needle], "{from:?} -> {to:?}");
+        assert!(!verdict.render().starts_with("replay ok"));
+    }
+}
