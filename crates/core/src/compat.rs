@@ -7,7 +7,8 @@
 //! profile in [`crate::catalog`].
 
 use crate::catalog::{xsede_reference, CatalogEntry};
-use xcbc_rpm::{Evr, RpmDb};
+use std::sync::OnceLock;
+use xcbc_rpm::{Dependency, Evr, RpmDb};
 
 /// One compatibility deviation.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,50 +91,77 @@ impl CompatReport {
     }
 }
 
-fn check_entry(db: &RpmDb, entry: &CatalogEntry) -> Vec<CompatIssue> {
-    let installed = match db.newest(entry.name) {
-        None => {
-            return vec![CompatIssue::Missing {
-                package: entry.name.to_string(),
-            }]
-        }
-        Some(ip) => ip,
-    };
-    let mut issues = Vec::new();
-    let ref_version = Evr::parse(entry.version);
-    if xcbc_rpm::rpmvercmp(&installed.package.evr().version, &ref_version.version)
-        != std::cmp::Ordering::Equal
-    {
-        issues.push(CompatIssue::WrongVersion {
-            package: entry.name.to_string(),
-            installed: installed.package.evr().version.clone(),
-            reference: entry.version.to_string(),
-        });
-    }
-    for path in entry.paths {
-        let provided = db.whatprovides(&xcbc_rpm::Dependency::parse(path));
-        if provided.is_empty() {
-            issues.push(CompatIssue::MissingPath {
-                package: entry.name.to_string(),
-                path: path.to_string(),
-            });
-        }
-    }
-    issues
+/// A reference entry with its version and paths parsed, so grading a
+/// host parses nothing.
+struct ParsedEntry {
+    entry: CatalogEntry,
+    version: String,
+    paths: Vec<Dependency>,
 }
 
-/// Grade a host against the full XSEDE reference.
+impl ParsedEntry {
+    fn new(entry: &CatalogEntry) -> Self {
+        ParsedEntry {
+            entry: *entry,
+            version: Evr::parse(entry.version).version,
+            paths: entry.paths.iter().map(|p| Dependency::parse(p)).collect(),
+        }
+    }
+
+    fn check(&self, db: &RpmDb) -> Vec<CompatIssue> {
+        let name = self.entry.name;
+        let installed = match db.newest(name) {
+            None => {
+                return vec![CompatIssue::Missing {
+                    package: name.to_string(),
+                }]
+            }
+            Some(ip) => ip,
+        };
+        let mut issues = Vec::new();
+        if xcbc_rpm::rpmvercmp(&installed.package.evr().version, &self.version)
+            != std::cmp::Ordering::Equal
+        {
+            issues.push(CompatIssue::WrongVersion {
+                package: name.to_string(),
+                installed: installed.package.evr().version.clone(),
+                reference: self.entry.version.to_string(),
+            });
+        }
+        for (path, dep) in self.entry.paths.iter().zip(&self.paths) {
+            if !db.provides(dep) {
+                issues.push(CompatIssue::MissingPath {
+                    package: name.to_string(),
+                    path: path.to_string(),
+                });
+            }
+        }
+        issues
+    }
+}
+
+/// Grade a host against the full XSEDE reference, parsed once per
+/// process.
 pub fn check_compatibility(db: &RpmDb) -> CompatReport {
-    check_against(db, xsede_reference())
+    static PARSED: OnceLock<Vec<ParsedEntry>> = OnceLock::new();
+    grade(
+        db,
+        PARSED.get_or_init(|| xsede_reference().iter().map(ParsedEntry::new).collect()),
+    )
 }
 
 /// Grade against an arbitrary subset of the reference (e.g. only the
 /// packages a site cares about).
 pub fn check_against(db: &RpmDb, reference: &[CatalogEntry]) -> CompatReport {
+    let parsed: Vec<ParsedEntry> = reference.iter().map(ParsedEntry::new).collect();
+    grade(db, &parsed)
+}
+
+fn grade(db: &RpmDb, reference: &[ParsedEntry]) -> CompatReport {
     let mut issues = Vec::new();
     let mut matching = 0;
     for entry in reference {
-        let entry_issues = check_entry(db, entry);
+        let entry_issues = entry.check(db);
         if entry_issues.is_empty() {
             matching += 1;
         }

@@ -10,15 +10,15 @@
 
 use crate::compat::{check_compatibility, CompatReport};
 use crate::roll::xsede_roll;
-use crate::xnit::{enable_xnit, XnitSetupMethod};
-use std::collections::BTreeMap;
+use crate::xnit::{set_up_host, xnit_repository, XnitSetupMethod};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use xcbc_cluster::{ClusterSpec, DegradedCluster, Timeline};
 use xcbc_fault::{FaultPlan, InstallCheckpoint, PostMortem};
 use xcbc_rocks::{standard_rolls, ClusterInstall, InstallError, ResilienceConfig};
-use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb};
+use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb, TransactionReport};
 use xcbc_sim::{events_to_jsonl, SpanRecorder, TraceEvent};
-use xcbc_yum::{SolveCache, SolveError, Yum, YumConfig};
+use xcbc_yum::{SolveCache, SolveError, SolveRequest, Yum, YumConfig};
 
 /// `source` tag on trace events recorded by the XNIT overlay path.
 /// (From-scratch deployments carry the installer's own
@@ -195,6 +195,21 @@ pub fn deploy_from_scratch_resilient(
     })
 }
 
+/// One distinct starting image's overlay: what every node that starts
+/// from `before` ends up with.
+struct Overlaid {
+    before: RpmDb,
+    /// After the XNIT setup step: the database the depsolve ran against.
+    enabled: RpmDb,
+    /// Graded on `enabled`; its missing list is `request`.
+    compat: CompatReport,
+    request: SolveRequest,
+    after: RpmDb,
+    tx_report: TransactionReport,
+    /// Every package in `before` is still installed in `after`.
+    preserved: bool,
+}
+
 /// Deploy via XNIT overlay: take existing per-node databases (an
 /// operating cluster) and add the full XCBC software set without
 /// touching what is already there.
@@ -239,38 +254,60 @@ pub fn deploy_xnit_overlay_salted(
 
     rec.record("enable XSEDE yum repository", 300.0);
 
+    let mut yum = Yum::new(YumConfig::default()).with_cache_salt(cache_salt);
+    if let Some(cache) = solve_cache {
+        yum = yum.with_solve_cache(cache);
+    }
+    yum.add_repository(xnit_repository());
+
     let mut preserved = true;
     let mut first = true;
     // the first node's pre-install report, while it is still current
     let mut first_compat: Option<CompatReport> = None;
+    // every distinct starting image overlaid so far, by digest
+    let mut images: HashMap<u64, Vec<Overlaid>> = HashMap::new();
     for (host, db) in node_dbs.iter_mut() {
-        let mut yum = Yum::new(YumConfig::default()).with_cache_salt(cache_salt);
-        if let Some(cache) = &solve_cache {
-            yum = yum.with_solve_cache(Arc::clone(cache));
+        let same = images.entry(db.digest()).or_default();
+        let image = match same.iter().position(|o| o.before == *db) {
+            Some(i) => {
+                let image = &same[i];
+                // the node's own solve-cache lookup: hit and miss
+                // totals count nodes, not images
+                if yum.solve_cache().is_some() {
+                    yum.solve(&image.enabled, &image.request)?;
+                }
+                *db = image.after.clone();
+                image
+            }
+            None => {
+                let before = db.clone();
+                set_up_host(db, method).map_err(SolveError::Transaction)?;
+                let enabled = db.clone();
+                // install everything the compat report says is missing
+                let compat = check_compatibility(db);
+                let tx_report = yum.install(db, &compat.missing())?;
+                // §8's invariant: nothing pre-existing was removed
+                let preserved = before.names().iter().all(|name| db.is_installed(name));
+                same.push(Overlaid {
+                    before,
+                    enabled,
+                    request: SolveRequest::install(compat.missing()),
+                    compat,
+                    after: db.clone(),
+                    tx_report,
+                    preserved,
+                });
+                same.last().expect("just pushed")
+            }
+        };
+        preserved &= image.preserved;
+        if first && image.tx_report.executed.is_empty() {
+            first_compat = Some(image.compat.clone());
         }
-        enable_xnit(&mut yum, db, method).map_err(SolveError::Transaction)?;
 
-        // install everything the compat report says is missing
-        let compat = check_compatibility(db);
-        let tx_report = yum.install(db, &compat.missing())?;
-
-        // §8's invariant: nothing pre-existing was removed
-        if existing[host]
-            .names()
-            .iter()
-            .any(|name| !db.is_installed(name))
-        {
-            preserved = false;
-        }
-        if first && tx_report.executed.is_empty() {
-            first_compat = Some(compat);
-        }
-
-        let secs = 60.0 + tx_report.installed.len() as f64 * 2.0;
-        let label = format!(
-            "{host}: yum install of {} packages",
-            tx_report.installed.len()
-        );
+        let installed = image.tx_report.installed.len();
+        let secs = 60.0 + installed as f64 * 2.0;
+        let label = format!("{host}: yum install of {installed} packages");
         if first {
             rec.record(label, secs);
             first = false;

@@ -99,7 +99,7 @@ pub fn simulate_updates(
             UpdateStrategy::AutomaticYum => {
                 let notifier = UpdateNotifier::new(UpdatePolicy::Automatic);
                 notifier
-                    .run_check(&mut yum, &mut prod, None)
+                    .run_check(&yum, &mut prod, None)
                     .expect("update applies");
                 if breaking {
                     production_incidents += 1;
@@ -108,7 +108,7 @@ pub fn simulate_updates(
             UpdateStrategy::NotifyOnly => {
                 let notifier = UpdateNotifier::new(UpdatePolicy::NotifyOnly);
                 notifier
-                    .run_check(&mut yum, &mut prod, None)
+                    .run_check(&yum, &mut prod, None)
                     .expect("check runs");
                 // admin reviews the mail and applies by hand; review
                 // catches breakage half the time
@@ -123,7 +123,7 @@ pub fn simulate_updates(
             UpdateStrategy::StagedTest => {
                 let notifier = UpdateNotifier::new(UpdatePolicy::StagedTest);
                 notifier
-                    .run_check(&mut yum, &mut prod, Some(&mut test))
+                    .run_check(&yum, &mut prod, Some(&mut test))
                     .expect("staged apply");
                 if breaking {
                     // the test node exhibits the problem; production never

@@ -127,6 +127,17 @@ pub fn enable_xnit(
     db: &mut RpmDb,
     method: XnitSetupMethod,
 ) -> Result<String, xcbc_rpm::TransactionError> {
+    set_up_host(db, method)?;
+    yum.add_repository(xnit_repository());
+    Ok("xsede".to_string())
+}
+
+/// The host half of [`enable_xnit`]: the chosen setup method's
+/// packages, installed into `db`.
+pub(crate) fn set_up_host(
+    db: &mut RpmDb,
+    method: XnitSetupMethod,
+) -> Result<(), xcbc_rpm::TransactionError> {
     match method {
         XnitSetupMethod::RepoRpm => {
             let mut tx = TransactionSet::new();
@@ -151,8 +162,7 @@ pub fn enable_xnit(
             debug_assert_eq!(parsed[0].id, "xsede");
         }
     }
-    yum.add_repository(xnit_repository());
-    Ok("xsede".to_string())
+    Ok(())
 }
 
 #[cfg(test)]

@@ -388,6 +388,13 @@ impl FaultPlan {
         self
     }
 
+    /// Can any call at `point` fault under this plan? `false` when no
+    /// spec and no rate names the point, so the outcome of every such
+    /// call is known without making it.
+    pub fn arms(&self, point: InjectionPoint) -> bool {
+        self.specs.iter().any(|s| s.point == point) || self.rates.iter().any(|(p, _)| *p == point)
+    }
+
     /// Parse the compact plan syntax documented in the README:
     ///
     /// ```text
@@ -740,5 +747,15 @@ mod tests {
         let campaign = FaultPlan::parse("campaign.drain on=nth:1; campaign.canary").unwrap();
         assert_eq!(campaign.specs[0].kind, FaultKind::PowerLoss);
         assert_eq!(campaign.specs[1].kind, FaultKind::ScriptletError);
+    }
+
+    #[test]
+    fn arms_names_points_with_a_spec_or_a_rate() {
+        let plan = FaultPlan::parse("dhcp.discover key=x; rate rpm.scriptlet 0").unwrap();
+        assert!(plan.arms(InjectionPoint::DhcpDiscover));
+        // a zero rate still arms the point: only absence proves silence
+        assert!(plan.arms(InjectionPoint::RpmScriptlet));
+        assert!(!plan.arms(InjectionPoint::NodeBoot));
+        assert!(!FaultPlan::new(9).arms(InjectionPoint::RpmScriptlet));
     }
 }

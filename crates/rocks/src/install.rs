@@ -19,7 +19,7 @@ use crate::graph::{Appliance, KickstartGraph};
 use crate::insert_ethers::{DhcpRequest, InsertEthers};
 use crate::kickstart::{self, KickstartError};
 use crate::roll::Roll;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use xcbc_cluster::{ClusterSpec, NodeRole, Timeline};
 use xcbc_fault::{
@@ -248,6 +248,113 @@ fn quarantine_kind(reason: &str) -> FaultKind {
         .unwrap_or(FaultKind::Transient)
 }
 
+/// The package step of one install call. Every node's transaction
+/// starts from an empty database, so its kickstart package list alone
+/// fixes the database it commits: nodes with equal lists share one
+/// committed image. The memo lives for one call, so nothing in it can
+/// go stale.
+struct NodeImages<'c> {
+    /// Every package across the selected rolls, by name.
+    catalog: BTreeMap<&'c str, &'c Arc<Package>>,
+    committed: HashMap<Vec<String>, RpmDb>,
+}
+
+impl<'c> NodeImages<'c> {
+    fn new(rolls: &'c [Roll]) -> Self {
+        let catalog = rolls
+            .iter()
+            .flat_map(|r| &r.packages)
+            .map(|p| (p.name(), p))
+            .collect();
+        NodeImages {
+            catalog,
+            committed: HashMap::new(),
+        }
+    }
+
+    /// Install `names` on `node` into a fresh database. A node whose
+    /// list already committed in this call takes a clone of that image
+    /// when the plan arms no `rpm.scriptlet` fault: its own transaction
+    /// would commit the same database on its first attempt, and the
+    /// injector calls it skips could decide nothing. Otherwise the node
+    /// runs its own transaction under scriptlet fault injection,
+    /// retrying (the rollback in [`TransactionSet::run_injected`] makes
+    /// each attempt start from a clean database). Outer `Err` is a hard
+    /// install error (missing package); inner `Err` is the transaction
+    /// error left after the retry budget ran out.
+    fn install(
+        &mut self,
+        node: &str,
+        names: &[String],
+        injector: &mut FaultInjector,
+        policy: &RetryPolicy,
+        rec: &mut SpanRecorder,
+        pm: &mut PostMortem,
+    ) -> Result<Result<RpmDb, TransactionError>, InstallError> {
+        if !injector.plan().arms(InjectionPoint::RpmScriptlet) {
+            if let Some(db) = self.committed.get(names) {
+                return Ok(Ok(db.clone()));
+            }
+        }
+        let mut tx = TransactionSet::new();
+        for name in names {
+            let pkg = self.catalog.get(name.as_str()).ok_or_else(|| {
+                InstallError::new(InstallErrorKind::MissingPackage {
+                    node: node.to_string(),
+                    package: name.clone(),
+                })
+            })?;
+            tx.add_install(Arc::clone(pkg));
+        }
+        let mut rng = injector.rng_for(&format!("tx.{node}"));
+        let outcome = retry_with(policy, &mut rng, |_| {
+            let mut db = RpmDb::new();
+            tx.run_injected(&mut db, injector).map(|_| db)
+        });
+        pm.charge_retries(outcome.retries(), outcome.backoff_s);
+        rec.record_backoff(
+            format!("{node}: rpm transaction retries"),
+            outcome.backoff_s,
+        );
+        if outcome.succeeded() && outcome.retries() > 0 {
+            pm.record_moment(
+                rec.cursor(),
+                format!(
+                    "{node}: rpm.scriptlet absorbed {} retry(ies)",
+                    outcome.retries()
+                ),
+            );
+        }
+        if let Ok(db) = &outcome.result {
+            if !self.committed.contains_key(names) {
+                self.committed.insert(names.to_vec(), db.clone());
+            }
+        }
+        Ok(outcome.result)
+    }
+
+    /// Rebuild a committed node's database on resume. The node is not
+    /// rewiped, so no fault can fire and nothing is charged: this is
+    /// [`install`](Self::install) under an empty plan, one attempt, and
+    /// a recorder and post-mortem that are thrown away.
+    fn rebuild(&mut self, node: &str, names: &[String]) -> Result<RpmDb, InstallError> {
+        self.install(
+            node,
+            names,
+            &mut FaultPlan::new(0).injector(),
+            &RetryPolicy::none(),
+            &mut SpanRecorder::new(TRACE_SOURCE),
+            &mut PostMortem::default(),
+        )?
+        .map_err(|error| {
+            InstallError::new(InstallErrorKind::Transaction {
+                node: node.to_string(),
+                error,
+            })
+        })
+    }
+}
+
 /// The full from-scratch install driver.
 #[derive(Debug)]
 pub struct ClusterInstall {
@@ -281,17 +388,6 @@ impl ClusterInstall {
         &self.graph
     }
 
-    /// All packages across the selected rolls.
-    fn roll_packages(&self) -> BTreeMap<&str, &Arc<Package>> {
-        let mut map = BTreeMap::new();
-        for roll in &self.rolls {
-            for p in &roll.packages {
-                map.insert(p.name(), p);
-            }
-        }
-        map
-    }
-
     /// Run the install with no faults: [`run_resilient`] under an
     /// empty fault plan, from a fresh checkpoint.
     ///
@@ -303,42 +399,6 @@ impl ClusterInstall {
             InstallCheckpoint::new(),
         )
         .map(|resilient| resilient.report)
-    }
-
-    fn build_transaction(
-        &self,
-        node: &str,
-        names: &[String],
-        catalog: &BTreeMap<&str, &Arc<Package>>,
-    ) -> Result<TransactionSet, InstallError> {
-        let mut tx = TransactionSet::new();
-        for name in names {
-            let pkg = catalog.get(name.as_str()).ok_or_else(|| {
-                InstallError::new(InstallErrorKind::MissingPackage {
-                    node: node.to_string(),
-                    package: name.clone(),
-                })
-            })?;
-            tx.add_install(Arc::clone(pkg));
-        }
-        Ok(tx)
-    }
-
-    fn install_packages(
-        &self,
-        node: &str,
-        names: &[String],
-        catalog: &BTreeMap<&str, &Arc<Package>>,
-    ) -> Result<RpmDb, InstallError> {
-        let tx = self.build_transaction(node, names, catalog)?;
-        let mut db = RpmDb::new();
-        tx.run(&mut db).map_err(|error| {
-            InstallError::new(InstallErrorKind::Transaction {
-                node: node.to_string(),
-                error,
-            })
-        })?;
-        Ok(db)
     }
 
     /// Run the install under fault injection, with retry/backoff,
@@ -366,7 +426,7 @@ impl ClusterInstall {
         if !ok {
             return Err(InstallError::new(InstallErrorKind::NotInstallable(reasons)));
         }
-        let catalog = self.roll_packages();
+        let mut images = NodeImages::new(&self.rolls);
         let mut rec = SpanRecorder::new(TRACE_SOURCE);
         let mut node_dbs: BTreeMap<String, RpmDb> = BTreeMap::new();
         let mut checkpoint = resume_from;
@@ -390,8 +450,8 @@ impl ClusterInstall {
         if checkpoint.is_committed(&fe.hostname) {
             // Resume: the frontend survived the abort; rebuild its view
             // of the package set without charging install time.
-            let fe_db = self
-                .install_packages(&fe.hostname, &fe_ks.packages, &catalog)
+            let fe_db = images
+                .rebuild(&fe.hostname, &fe_ks.packages)
                 .map_err(|e| e.at(&checkpoint, &fe.hostname))?;
             node_dbs.insert(fe.hostname.clone(), fe_db);
             pm.record_resumed(&fe.hostname);
@@ -400,11 +460,10 @@ impl ClusterInstall {
                 format!("resumed {} from checkpoint", fe.hostname),
             );
         } else {
-            let fe_db = match self
-                .install_packages_resilient(
+            let fe_db = match images
+                .install(
                     &fe.hostname,
                     &fe_ks.packages,
-                    &catalog,
                     injector,
                     &config.transaction_retry,
                     &mut rec,
@@ -546,8 +605,8 @@ impl ClusterInstall {
                 // package view without charging install time.
                 let ks = kickstart::generate(&self.graph, n, Appliance::Compute)
                     .map_err(|e| InstallError::from(e).at(&checkpoint, &n.hostname))?;
-                let db = self
-                    .install_packages(&n.hostname, &ks.packages, &catalog)
+                let db = images
+                    .rebuild(&n.hostname, &ks.packages)
                     .map_err(|e| e.at(&checkpoint, &n.hostname))?;
                 node_dbs.insert(n.hostname.clone(), db);
                 pm.record_resumed(&n.hostname);
@@ -640,11 +699,10 @@ impl ClusterInstall {
             checkpoint.record(&n.hostname, NodeStage::Kickstarted);
 
             // Install its packages (scriptlet faults roll back and retry).
-            let db = match self
-                .install_packages_resilient(
+            let db = match images
+                .install(
                     &n.hostname,
                     &ks.packages,
-                    &catalog,
                     injector,
                     &config.transaction_retry,
                     &mut rec,
@@ -709,46 +767,6 @@ impl ClusterInstall {
             post_mortem: pm,
             quarantined,
         })
-    }
-
-    /// Build and run one node's transaction under scriptlet fault
-    /// injection, retrying (the rollback in
-    /// [`TransactionSet::run_injected`] makes each attempt start from a
-    /// clean database). Outer `Err` is a hard install error
-    /// (missing package); inner `Err` is the transaction error left
-    /// after the retry budget ran out.
-    #[allow(clippy::too_many_arguments)]
-    fn install_packages_resilient(
-        &self,
-        node: &str,
-        names: &[String],
-        catalog: &BTreeMap<&str, &Arc<Package>>,
-        injector: &mut FaultInjector,
-        policy: &RetryPolicy,
-        rec: &mut SpanRecorder,
-        pm: &mut PostMortem,
-    ) -> Result<Result<RpmDb, TransactionError>, InstallError> {
-        let tx = self.build_transaction(node, names, catalog)?;
-        let mut rng = injector.rng_for(&format!("tx.{node}"));
-        let outcome = retry_with(policy, &mut rng, |_| {
-            let mut db = RpmDb::new();
-            tx.run_injected(&mut db, injector).map(|_| db)
-        });
-        pm.charge_retries(outcome.retries(), outcome.backoff_s);
-        rec.record_backoff(
-            format!("{node}: rpm transaction retries"),
-            outcome.backoff_s,
-        );
-        if outcome.succeeded() && outcome.retries() > 0 {
-            pm.record_moment(
-                rec.cursor(),
-                format!(
-                    "{node}: rpm.scriptlet absorbed {} retry(ies)",
-                    outcome.retries()
-                ),
-            );
-        }
-        Ok(outcome.result)
     }
 }
 

@@ -61,7 +61,7 @@ impl PackageGroupDef {
 
 /// `yum groupinstall <group>` against a group catalog.
 pub fn group_install(
-    yum: &mut Yum,
+    yum: &Yum,
     db: &mut RpmDb,
     groups: &[PackageGroupDef],
     group_id: &str,
@@ -110,9 +110,9 @@ mod tests {
 
     #[test]
     fn groupinstall_pulls_mandatory_default_and_deps() {
-        let (mut yum, groups) = setup();
+        let (yum, groups) = setup();
         let mut db = RpmDb::new();
-        group_install(&mut yum, &mut db, &groups, "hpc-md", false).unwrap();
+        group_install(&yum, &mut db, &groups, "hpc-md", false).unwrap();
         for p in ["gromacs", "lammps", "openmpi", "fftw"] {
             assert!(db.is_installed(p), "{p}");
         }
@@ -122,25 +122,25 @@ mod tests {
 
     #[test]
     fn groupinstall_with_optional() {
-        let (mut yum, groups) = setup();
+        let (yum, groups) = setup();
         let mut db = RpmDb::new();
-        group_install(&mut yum, &mut db, &groups, "hpc-md", true).unwrap();
+        group_install(&yum, &mut db, &groups, "hpc-md", true).unwrap();
         assert!(db.is_installed("papi"));
     }
 
     #[test]
     fn group_lookup_by_name_too() {
-        let (mut yum, groups) = setup();
+        let (yum, groups) = setup();
         let mut db = RpmDb::new();
-        group_install(&mut yum, &mut db, &groups, "Parallel I/O", false).unwrap();
+        group_install(&yum, &mut db, &groups, "Parallel I/O", false).unwrap();
         assert!(db.is_installed("hdf5"));
     }
 
     #[test]
     fn unknown_group_errors() {
-        let (mut yum, groups) = setup();
+        let (yum, groups) = setup();
         let mut db = RpmDb::new();
-        let err = group_install(&mut yum, &mut db, &groups, "nope", false).unwrap_err();
+        let err = group_install(&yum, &mut db, &groups, "nope", false).unwrap_err();
         assert!(err.to_string().contains("@nope"));
     }
 

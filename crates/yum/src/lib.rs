@@ -189,11 +189,7 @@ impl Yum {
     }
 
     /// `yum install <names...>`: resolve, check, and run.
-    pub fn install(
-        &mut self,
-        db: &mut RpmDb,
-        names: &[&str],
-    ) -> Result<TransactionReport, SolveError> {
+    pub fn install(&self, db: &mut RpmDb, names: &[&str]) -> Result<TransactionReport, SolveError> {
         let request = SolveRequest::install(names.iter().copied());
         let solution = self.solve(db, &request)?;
         if solution.is_empty() {
@@ -211,7 +207,7 @@ impl Yum {
     /// `yum update`: apply every available update (optionally limited to
     /// `names`), resolving any new dependencies updates pull in.
     pub fn update(
-        &mut self,
+        &self,
         db: &mut RpmDb,
         names: Option<&[&str]>,
     ) -> Result<TransactionReport, SolveError> {
@@ -228,7 +224,7 @@ impl Yum {
     }
 
     /// `yum erase <name>`.
-    pub fn erase(&mut self, db: &mut RpmDb, name: &str) -> Result<TransactionReport, SolveError> {
+    pub fn erase(&self, db: &mut RpmDb, name: &str) -> Result<TransactionReport, SolveError> {
         let mut tx = TransactionSet::new();
         tx.add_erase(name);
         tx.run(db).map_err(SolveError::Transaction)
@@ -260,7 +256,7 @@ mod tests {
 
     #[test]
     fn install_pulls_dependencies() {
-        let mut yum = xnit_like_yum();
+        let yum = xnit_like_yum();
         let mut db = RpmDb::new();
         let report = yum.install(&mut db, &["gromacs"]).unwrap();
         assert_eq!(report.installed.len(), 2);
@@ -270,7 +266,7 @@ mod tests {
 
     #[test]
     fn install_unknown_package_errors() {
-        let mut yum = xnit_like_yum();
+        let yum = xnit_like_yum();
         let mut db = RpmDb::new();
         let err = yum.install(&mut db, &["no-such-package"]).unwrap_err();
         assert!(matches!(err, SolveError::NothingProvides { .. }));
@@ -278,7 +274,7 @@ mod tests {
 
     #[test]
     fn update_noop_when_current() {
-        let mut yum = xnit_like_yum();
+        let yum = xnit_like_yum();
         let mut db = RpmDb::new();
         yum.install(&mut db, &["R"]).unwrap();
         let report = yum.update(&mut db, None).unwrap();

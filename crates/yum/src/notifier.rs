@@ -65,7 +65,7 @@ impl UpdateNotifier {
     /// the updates get applied to for review.
     pub fn run_check(
         &self,
-        yum: &mut Yum,
+        yum: &Yum,
         production_db: &mut RpmDb,
         test_db: Option<&mut RpmDb>,
     ) -> Result<NotificationReport, SolveError> {
@@ -168,9 +168,9 @@ mod tests {
 
     #[test]
     fn automatic_applies_to_production() {
-        let (mut yum, mut prod, _) = setup();
+        let (yum, mut prod, _) = setup();
         let notifier = UpdateNotifier::new(UpdatePolicy::Automatic);
-        let report = notifier.run_check(&mut yum, &mut prod, None).unwrap();
+        let report = notifier.run_check(&yum, &mut prod, None).unwrap();
         assert_eq!(report.pending.len(), 1);
         assert_eq!(report.applied.len(), 1);
         assert_eq!(
@@ -187,9 +187,9 @@ mod tests {
 
     #[test]
     fn notify_only_touches_nothing() {
-        let (mut yum, mut prod, _) = setup();
+        let (yum, mut prod, _) = setup();
         let notifier = UpdateNotifier::new(UpdatePolicy::NotifyOnly);
-        let report = notifier.run_check(&mut yum, &mut prod, None).unwrap();
+        let report = notifier.run_check(&yum, &mut prod, None).unwrap();
         assert_eq!(report.pending.len(), 1);
         assert!(report.applied.is_empty());
         assert_eq!(
@@ -201,10 +201,10 @@ mod tests {
 
     #[test]
     fn staged_test_applies_only_to_test_node() {
-        let (mut yum, mut prod, mut test) = setup();
+        let (yum, mut prod, mut test) = setup();
         let notifier = UpdateNotifier::new(UpdatePolicy::StagedTest);
         let report = notifier
-            .run_check(&mut yum, &mut prod, Some(&mut test))
+            .run_check(&yum, &mut prod, Some(&mut test))
             .unwrap();
         assert_eq!(report.applied.len(), 1);
         assert_eq!(
@@ -220,10 +220,10 @@ mod tests {
 
     #[test]
     fn no_updates_produces_clean_mail() {
-        let (mut yum, mut prod, _) = setup();
+        let (yum, mut prod, _) = setup();
         yum.update(&mut prod, None).unwrap();
         let notifier = UpdateNotifier::new(UpdatePolicy::NotifyOnly);
-        let report = notifier.run_check(&mut yum, &mut prod, None).unwrap();
+        let report = notifier.run_check(&yum, &mut prod, None).unwrap();
         assert!(report.pending.is_empty());
         assert!(report.mail_body.contains("No updates available"));
     }

@@ -93,7 +93,7 @@ fn main() {
     let notifier = UpdateNotifier::new(UpdatePolicy::StagedTest);
     let mut test_db = head_db.clone();
     let report = notifier
-        .run_check(&mut yum, &mut head_db, Some(&mut test_db))
+        .run_check(&yum, &mut head_db, Some(&mut test_db))
         .unwrap();
     println!(
         "  update check: {} pending, {} staged",

@@ -9,6 +9,12 @@
 //! to span placement, labels, fields, package sets or error text fails
 //! here.
 //!
+//! It also pins the `xcbc` output of the paths where nodes share one
+//! result per node image (see [`SHARED_IMAGE_GOLDENS`]): the fleet's
+//! merged trace and its solve-cache line, a scriptlet fault that sends
+//! every node down its own transaction, and a power loss whose resume
+//! rebuilds committed nodes.
+//!
 //! When an intentional change shifts the output, regenerate with:
 //!
 //! ```text
@@ -23,6 +29,36 @@ use xcbc::rocks::{boot_node, standard_rolls, ClusterInstall, PxeStage, Roll};
 use xcbc::sim::events_to_jsonl;
 
 const GOLDEN_PATH: &str = "tests/golden/deploy-littlefe.txt";
+
+/// `(golden file, xcbc arguments)`: stdout of each command, byte for
+/// byte. `fleet` runs on one thread because which of two concurrent
+/// overlay sites misses the shared solve cache first is a race, so the
+/// cache line of a multi-threaded fleet is not reproducible.
+const SHARED_IMAGE_GOLDENS: [(&str, &[&str]); 4] = [
+    ("tests/golden/fleet.jsonl", &["fleet", "--jsonl"]),
+    (
+        "tests/golden/fleet-threads1.txt",
+        &["fleet", "--threads", "1"],
+    ),
+    (
+        "tests/golden/deploy-scriptlet.txt",
+        &[
+            "deploy",
+            "littlefe",
+            "--faults",
+            "seed=9; rpm.scriptlet key=openmpi on=nth:1",
+        ],
+    ),
+    (
+        "tests/golden/deploy-resume.txt",
+        &[
+            "deploy",
+            "littlefe",
+            "--faults",
+            "seed=7; rate dhcp.discover 0.2; power.loss key=compute-0-2 on=nth:0",
+        ],
+    ),
+];
 
 /// LittleFe modified grown to 17 nodes: the frontend plus sixteen
 /// copies of its first compute node.
@@ -149,5 +185,28 @@ fn golden_covers_every_outcome() {
         "Rocks from-scratch",
     ] {
         assert!(text.contains(needle), "golden text lacks {needle}");
+    }
+}
+
+#[test]
+fn shared_image_paths_match_golden() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (golden, args) in SHARED_IMAGE_GOLDENS {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_xcbc"))
+            .args(args)
+            .output()
+            .expect("run xcbc");
+        assert!(out.status.success(), "xcbc {args:?} failed");
+        let path = root.join(golden);
+        if std::env::var_os("XCBC_BLESS").is_some() {
+            std::fs::write(&path, &out.stdout).expect("bless golden file");
+            continue;
+        }
+        let expected = std::fs::read(&path).unwrap_or_else(|e| panic!("read {golden}: {e}"));
+        assert!(
+            out.stdout == expected,
+            "xcbc {args:?} drifted from {golden}; if intentional, regenerate with \
+             XCBC_BLESS=1 cargo test --test deploy_golden"
+        );
     }
 }

@@ -102,7 +102,7 @@ fn update_lifecycle_staged_then_promoted() {
     let mut test_db = db.clone();
     let notifier = UpdateNotifier::new(UpdatePolicy::StagedTest);
     let report = notifier
-        .run_check(&mut yum, &mut db, Some(&mut test_db))
+        .run_check(&yum, &mut db, Some(&mut test_db))
         .unwrap();
     assert_eq!(report.pending.len(), 1);
     // staged: the test node has the update, production does not yet

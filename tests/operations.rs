@@ -80,7 +80,7 @@ fn xnit_group_install_on_top_of_catalog() {
         .default_pkg("samtools")
         .optional_pkg("gatk")];
     let mut db = xcbc::rpm::RpmDb::new();
-    group_install(&mut yum, &mut db, &groups, "xsede-bio", false).unwrap();
+    group_install(&yum, &mut db, &groups, "xsede-bio", false).unwrap();
     for p in [
         "trinity",
         "ncbi-blast",

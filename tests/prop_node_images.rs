@@ -1,0 +1,382 @@
+//! Property: one result per distinct node image changes no result.
+//!
+//! A Rocks install gives every node with the same kickstart package
+//! list one committed database, and an XNIT overlay gives every node
+//! with the same starting database one transaction. Two invariants,
+//! checked over soak scenarios (random LittleFe-shaped clusters under
+//! random fault plans), say that the sharing is invisible:
+//!
+//! * `images.rocks`: every committed node's database equals a fresh
+//!   `TransactionSet` over that node's kickstart list. This holds for
+//!   the fleet's own installs and for re-runs of each from-scratch site
+//!   under a plan that arms no `rpm.scriptlet` fault (nodes share), an
+//!   `rpm.scriptlet` rate and an `rpm.scriptlet` spec (nodes must each
+//!   run their own transaction), and a power loss resumed from its
+//!   checkpoint. Under the spec `key=P on=nth:k` the one fault must land
+//!   on the k-th install of `P`, which only happens if every node
+//!   consulted the injector itself.
+//! * `images.overlay`: an N-node overlay gives the same node databases,
+//!   compat report, per-node trace spans and solve-cache counters as the
+//!   same N nodes overlaid one node per call on a fresh cache, for a mix
+//!   of equal and unequal starting databases.
+//!
+//! A failing seed is shrunk by the soak shrinker
+//! (`xcbc::check::shrink`) before the test reports it.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use xcbc::check::scenario::SiteBlueprint;
+use xcbc::check::{run_seed, shrink, Invariant, Scenario, ScenarioLimits, SoakOutcome, Violation};
+use xcbc::cluster::{ClusterSpec, NodeRole};
+use xcbc::core::deploy::{deploy_xnit_overlay_salted, limulus_factory_image, DeploymentReport};
+use xcbc::core::xnit::XnitSetupMethod;
+use xcbc::core::{xcbc_catalog, xsede_roll};
+use xcbc::fault::{FaultEvent, FaultPlan, InjectionPoint, InstallCheckpoint};
+use xcbc::rocks::install::InstallErrorKind;
+use xcbc::rocks::{kickstart, standard_rolls, Appliance, ClusterInstall, ResilienceConfig, Roll};
+use xcbc::rpm::{Package, PackageBuilder, RpmDb, TransactionSet};
+use xcbc::sim::Fnv64;
+use xcbc::yum::SolveCache;
+
+const SEEDS: u64 = 32;
+const ROCKS: &str = "images.rocks";
+const OVERLAY: &str = "images.overlay";
+
+/// The roll set of a from-scratch deploy.
+fn rolls() -> Vec<Roll> {
+    let mut rolls = standard_rolls();
+    rolls.push(xsede_roll());
+    rolls
+}
+
+/// A per-site RNG stream, independent of every other site.
+fn site_rng(seed: u64, site: &str) -> StdRng {
+    StdRng::seed_from_u64(seed ^ Fnv64::new().write(site.as_bytes()).finish())
+}
+
+/// Every node's kickstart package list and the database a fresh
+/// transaction over that list commits.
+fn fresh_images(cluster: &ClusterSpec) -> BTreeMap<String, (Vec<String>, RpmDb)> {
+    let rolls = rolls();
+    let install = ClusterInstall::new(cluster.clone(), rolls.clone());
+    let catalog: BTreeMap<&str, &Arc<Package>> = rolls
+        .iter()
+        .flat_map(|r| &r.packages)
+        .map(|p| (p.name(), p))
+        .collect();
+    cluster
+        .nodes
+        .iter()
+        .map(|n| {
+            let appliance = match n.role {
+                NodeRole::Frontend => Appliance::Frontend,
+                _ => Appliance::Compute,
+            };
+            let ks = kickstart::generate(install.graph(), n, appliance).expect("kickstart");
+            let mut tx = TransactionSet::new();
+            for name in &ks.packages {
+                tx.add_install(Arc::clone(catalog[name.as_str()]));
+            }
+            let mut db = RpmDb::new();
+            tx.run(&mut db).expect("fresh transaction commits");
+            (n.hostname.clone(), (ks.packages, db))
+        })
+        .collect()
+}
+
+fn rocks_violation(detail: String) -> Violation {
+    Violation {
+        invariant: ROCKS,
+        detail,
+    }
+}
+
+fn compare_dbs(
+    label: &str,
+    dbs: &BTreeMap<String, RpmDb>,
+    fresh: &BTreeMap<String, (Vec<String>, RpmDb)>,
+    out: &mut Vec<Violation>,
+) {
+    for (host, db) in dbs {
+        if fresh.get(host).map(|(_, f)| f) != Some(db) {
+            out.push(rocks_violation(format!(
+                "{label}: {host} committed a database unlike a fresh transaction over its kickstart list"
+            )));
+        }
+    }
+}
+
+/// Install `cluster` under `plan`, resuming after each power loss.
+/// Returns the committed databases and the faults of the last run, or
+/// `None` when the install failed for another reason (a frontend whose
+/// retries ran out).
+fn install(
+    cluster: &ClusterSpec,
+    plan: &FaultPlan,
+) -> Option<(BTreeMap<String, RpmDb>, Vec<FaultEvent>)> {
+    let install = ClusterInstall::new(cluster.clone(), rolls());
+    let mut checkpoint = InstallCheckpoint::new();
+    for _ in 0..cluster.nodes.len() + 1 {
+        match install.run_resilient(
+            &mut plan.injector(),
+            &ResilienceConfig::default(),
+            checkpoint,
+        ) {
+            Ok(r) => return Some((r.report.node_dbs, r.post_mortem.faults)),
+            Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
+                checkpoint = e.progress.checkpoint
+            }
+            Err(_) => return None,
+        }
+    }
+    None
+}
+
+fn check_rocks_site(
+    seed: u64,
+    site: &str,
+    cluster: &ClusterSpec,
+    report: Option<&DeploymentReport>,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let fresh = fresh_images(cluster);
+    if let Some(report) = report {
+        compare_dbs(
+            &format!("{site} fleet install"),
+            &report.node_dbs,
+            &fresh,
+            &mut out,
+        );
+    }
+    let mut rng = site_rng(seed, site);
+    let s = rng.gen_range(0u64..1 << 32);
+    let computes: Vec<&str> = cluster
+        .nodes
+        .iter()
+        .filter(|n| n.role == NodeRole::Compute)
+        .map(|n| n.hostname.as_str())
+        .collect();
+    let victim = computes[rng.gen_range(0..computes.len())];
+    let shared = format!(
+        "seed={s}; rate dhcp.discover {:.3}; rate node.boot {:.3}",
+        rng.gen_range(0.0..0.3),
+        rng.gen_range(0.0..0.2)
+    );
+    let rate = format!(
+        "seed={s}; rate rpm.scriptlet {:.4}",
+        rng.gen_range(0.0005..0.004)
+    );
+    let power = format!("seed={s}; rate dhcp.discover 0.1; power.loss key={victim} on=nth:0");
+    for text in [&shared, &rate, &power] {
+        let plan = FaultPlan::parse(text).expect("plan parses");
+        if let Some((dbs, _)) = install(cluster, &plan) {
+            compare_dbs(&format!("{site} under `{text}`"), &dbs, &fresh, &mut out);
+        }
+    }
+
+    // The k-th install of a package every compute node carries: the
+    // fault lands there only if every node consults the injector.
+    let (names, _) = &fresh[victim];
+    let package = &names[rng.gen_range(0..names.len())];
+    let carriers = fresh.values().filter(|(n, _)| n.contains(package)).count();
+    let k = rng.gen_range(0..carriers);
+    let text = format!("seed={s}; rpm.scriptlet key={package} on=nth:{k}");
+    let plan = FaultPlan::parse(&text).expect("plan parses");
+    match install(cluster, &plan) {
+        Some((dbs, faults)) => {
+            compare_dbs(&format!("{site} under `{text}`"), &dbs, &fresh, &mut out);
+            let hits: Vec<(InjectionPoint, &str, u64)> = faults
+                .iter()
+                .map(|f| (f.point, f.key.as_str(), f.hit))
+                .collect();
+            if hits != [(InjectionPoint::RpmScriptlet, package.as_str(), k as u64)] {
+                out.push(rocks_violation(format!(
+                    "{site} under `{text}`: injected {hits:?}, not the one fault at hit {k}"
+                )));
+            }
+        }
+        None => out.push(rocks_violation(format!(
+            "{site} under `{text}`: one retried scriptlet fault failed the install"
+        ))),
+    }
+    out
+}
+
+/// The rocks half of the property.
+struct RocksImages;
+
+impl Invariant for RocksImages {
+    fn name(&self) -> &'static str {
+        ROCKS
+    }
+
+    fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
+        // Site blueprints do not depend on the limits, so the full
+        // scenario names every cluster the (possibly shrunk) fleet ran.
+        let scenario = Scenario::generate(outcome.seed, outcome.faults, &ScenarioLimits::default());
+        let mut out = Vec::new();
+        for site in &outcome.fleet.sites {
+            let blueprint = scenario.sites.iter().find(|(name, _)| *name == site.name);
+            if let Some((_, SiteBlueprint::Scratch { cluster, .. })) = blueprint {
+                out.extend(check_rocks_site(
+                    outcome.seed,
+                    &site.name,
+                    cluster,
+                    site.result.as_ref().ok(),
+                ));
+            }
+        }
+        out
+    }
+}
+
+/// `n` hosts whose starting databases mix repeats and differences:
+/// the factory image, with one catalog package added, with one site
+/// package added, or with `slurm` gone.
+fn starting_images(rng: &mut StdRng) -> BTreeMap<String, RpmDb> {
+    let leaves: Vec<Package> = xcbc_catalog()
+        .into_iter()
+        .filter(|p| p.requires.is_empty())
+        .take(3)
+        .collect();
+    let n = rng.gen_range(2usize..=7);
+    (0..n)
+        .map(|i| {
+            let mut db = limulus_factory_image();
+            let pick = rng.gen_range(0usize..3);
+            match rng.gen_range(0u32..4) {
+                0 => {}
+                1 => {
+                    db.install(leaves[pick].clone());
+                }
+                2 => {
+                    db.install(
+                        PackageBuilder::new(&format!("site-tool-{pick}"), "1.0", "1.local")
+                            .file(format!("/opt/site/bin/tool{pick}"))
+                            .build(),
+                    );
+                }
+                _ => {
+                    db.erase("slurm");
+                }
+            }
+            (format!("node-{i:02}"), db)
+        })
+        .collect()
+}
+
+fn check_overlay_site(seed: u64, site: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut fail = |detail: String| {
+        out.push(Violation {
+            invariant: OVERLAY,
+            detail: format!("{site}: {detail}"),
+        })
+    };
+    let mut rng = site_rng(seed, site);
+    let existing = starting_images(&mut rng);
+    let method = if rng.gen_bool(0.5) {
+        XnitSetupMethod::RepoRpm
+    } else {
+        XnitSetupMethod::ManualRepoFile
+    };
+    let salt = if rng.gen_bool(0.5) {
+        0
+    } else {
+        rng.gen_range(1u64..u64::MAX)
+    };
+
+    let whole_cache = Arc::new(SolveCache::new());
+    let whole = deploy_xnit_overlay_salted(&existing, method, Some(Arc::clone(&whole_cache)), salt)
+        .expect("overlay deploys");
+    let per_cache = Arc::new(SolveCache::new());
+    let singles: Vec<DeploymentReport> = existing
+        .iter()
+        .map(|(host, db)| {
+            let one = BTreeMap::from([(host.clone(), db.clone())]);
+            deploy_xnit_overlay_salted(&one, method, Some(Arc::clone(&per_cache)), salt)
+                .expect("overlay deploys")
+        })
+        .collect();
+
+    for (single, host) in singles.iter().zip(existing.keys()) {
+        if whole.node_dbs[host] != single.node_dbs[host] {
+            fail(format!(
+                "{host}'s database differs from its one-node overlay"
+            ));
+        }
+    }
+    let first = &singles[0];
+    if whole.compat.render() != first.compat.render() {
+        fail("compat report differs from the first node's one-node overlay".into());
+    }
+    if whole.preexisting_preserved != singles.iter().all(|s| s.preexisting_preserved) {
+        fail("preserved flag differs from the one-node overlays".into());
+    }
+    // one shared "enable" span, then each node's own install span
+    let mut expected: Vec<String> = vec![first.trace[0].to_jsonl()];
+    expected.extend(singles.iter().map(|s| s.trace[1].to_jsonl()));
+    let actual: Vec<String> = whole.trace.iter().map(|e| e.to_jsonl()).collect();
+    if actual != expected {
+        fail(format!(
+            "trace {actual:#?} differs from the one-node traces {expected:#?}"
+        ));
+    }
+    if whole_cache.stats() != per_cache.stats() {
+        fail(format!(
+            "solve cache {:?} differs from one node per call {:?}",
+            whole_cache.stats(),
+            per_cache.stats()
+        ));
+    }
+    let uncached =
+        deploy_xnit_overlay_salted(&existing, method, None, salt).expect("overlay deploys");
+    if uncached.node_dbs != whole.node_dbs {
+        fail("node databases depend on the solve cache".into());
+    }
+    out
+}
+
+/// The overlay half of the property.
+struct OverlayImages;
+
+impl Invariant for OverlayImages {
+    fn name(&self) -> &'static str {
+        OVERLAY
+    }
+
+    fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
+        outcome
+            .fleet
+            .sites
+            .iter()
+            .flat_map(|site| check_overlay_site(outcome.seed, &site.name))
+            .collect()
+    }
+}
+
+#[test]
+fn shared_and_per_node_results_agree() {
+    let invariants: Vec<Box<dyn Invariant + Send + Sync>> =
+        vec![Box::new(RocksImages), Box::new(OverlayImages)];
+    let limits = ScenarioLimits::default();
+    for seed in 0..SEEDS {
+        let violations = run_seed(seed, true, &limits, &invariants);
+        if let Some(first) = violations.first() {
+            let shrunk = shrink(
+                seed,
+                true,
+                &limits,
+                first.invariant,
+                &invariants,
+                violations.clone(),
+            );
+            panic!(
+                "seed {seed}: {first}\nshrunk in {} step(s) to {:?}:\n{:#?}",
+                shrunk.steps, shrunk.limits, shrunk.violations
+            );
+        }
+    }
+}
