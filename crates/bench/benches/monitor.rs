@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xcbc_cluster::{
     default_alert_rules, ClusterMonitor, MetricKind, RrdConfig, TelemetryConfig, TelemetrySink,
 };
-use xcbc_sim::{TraceEvent, TraceSink};
+use xcbc_sim::TraceEvent;
 
 fn bench_monitor(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor/publish");
@@ -82,23 +82,7 @@ fn bench_telemetry_ingest(c: &mut Criterion) {
                 TelemetryConfig::new("littlefe", hosts.clone()),
                 default_alert_rules(),
             );
-            for e in &events {
-                sink.record(e);
-            }
-            sink.alerts().len()
-        })
-    });
-    // same stream, one `accept_batch` call: the fan-out derives every
-    // sample first, then publishes them under a single monitor lock
-    c.bench_function("telemetry/ingest_10k_events_batched", |b| {
-        b.iter(|| {
-            let monitor = ClusterMonitor::with_config(RrdConfig::default());
-            let mut sink = TelemetrySink::new(
-                monitor,
-                TelemetryConfig::new("littlefe", hosts.clone()),
-                default_alert_rules(),
-            );
-            sink.accept_batch(&events);
+            sink.ingest(&events);
             sink.alerts().len()
         })
     });

@@ -3,7 +3,7 @@
 //! The paper's core claim is operational: an XCBC/XNIT cluster stays
 //! correct across bare-metal installs, piecemeal XNIT updates, node
 //! failures, and day-to-day scheduling. The sibling crates supply the
-//! machinery (seeded fault plans, a shared clock/trace bus, a parallel
+//! machinery (seeded fault plans, a shared clock and trace, a parallel
 //! fleet engine); this crate exercises it all *together*,
 //! FoundationDB-style:
 //!

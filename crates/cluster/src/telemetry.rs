@@ -1,8 +1,8 @@
-//! Event-driven gmond: derive node metrics from the trace bus.
+//! Event-driven gmond: derive node metrics from the trace.
 //!
 //! The old monitor was fed by nothing — dashboards showed whatever a
-//! demo hand-published. [`TelemetrySink`] closes the loop: it is a
-//! [`TraceSink`] attached to the same stream every layer already emits
+//! demo hand-published. [`TelemetrySink`] closes the loop: it ingests
+//! the same event log every layer already records
 //! (`rocks.install` spans, `sched` job spans, `yum.mirror` fetches,
 //! `cluster.boot` phases) and converts each event into the per-node
 //! samples a real gmond would have measured while that work ran:
@@ -28,9 +28,7 @@ use crate::node::PowerState;
 use crate::power::POWER_TRACE_SOURCE;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use xcbc_sim::{
-    FieldValue, SimTime, TraceEvent, TraceKind, TraceSink, ANALYZE_TRACE_SOURCE, BACKOFF_PREFIX,
-};
+use xcbc_sim::{FieldValue, SimTime, TraceEvent, TraceKind, ANALYZE_TRACE_SOURCE, BACKOFF_PREFIX};
 
 /// Trace source for fleet membership marks (`join <host>` /
 /// `drain <host>` / `leave <host>`). Emitted by the elastic membership
@@ -120,7 +118,7 @@ pub struct AnalysisSummary {
     pub terminal: Option<String>,
 }
 
-/// The event-driven gmond array: one [`TraceSink`] that publishes
+/// The event-driven gmond array: ingests trace slices and publishes
 /// derived samples into a [`ClusterMonitor`] and evaluates alert rules
 /// sample-by-sample.
 #[derive(Debug)]
@@ -133,9 +131,6 @@ pub struct TelemetrySink {
     power: BTreeMap<String, PowerState>,
     /// The last `trace.analyze` critical-path summary seen, if any.
     analysis: Option<AnalysisSummary>,
-    /// Reused per-event op buffer, so single-event `record` doesn't
-    /// allocate a fresh vec per trace event.
-    scratch: Vec<TelemetryOp>,
     /// The frontend hostname as a shared allocation: unattributable
     /// work resolves here on every event, so cloning must be a
     /// refcount bump, not a heap allocation.
@@ -157,7 +152,6 @@ impl TelemetrySink {
             config,
             power: BTreeMap::new(),
             analysis: None,
-            scratch: Vec::new(),
             frontend,
         }
     }
@@ -211,8 +205,8 @@ impl TelemetrySink {
     /// Replay buffered ops: every sample lands in the gmetad under one
     /// [`publish_all`](ClusterMonitor::publish_all) lock acquisition,
     /// then the alert engine sees every op in exact derivation order —
-    /// so batched ingest is observationally identical to per-event
-    /// ingest, just without a lock round-trip per sample.
+    /// the same result as publishing and observing sample by sample,
+    /// just without a lock round-trip per sample.
     fn apply(&mut self, ops: &[TelemetryOp]) {
         self.monitor
             .publish_all(ops.iter().filter_map(|op| match op {
@@ -321,9 +315,7 @@ fn net_span(ops: &mut Vec<TelemetryOp>, host: &Arc<str>, start: SimTime, end: Si
 
 impl TelemetrySink {
     /// Convert one trace event into buffered monitoring ops and state
-    /// updates. Shared verbatim by [`record`](TraceSink::record) and
-    /// [`accept_batch`](TraceSink::accept_batch), so both paths derive
-    /// the exact same op sequence.
+    /// updates.
     fn derive(&mut self, event: &TraceEvent, ops: &mut Vec<TelemetryOp>) {
         if event.source == "campaign" {
             // a node the campaign gave up on (retry budget exhausted)
@@ -468,25 +460,17 @@ impl TelemetrySink {
             _ => {}
         }
     }
-}
 
-impl TraceSink for TelemetrySink {
-    fn record(&mut self, event: &TraceEvent) {
-        let mut ops = std::mem::take(&mut self.scratch);
-        ops.clear();
-        self.derive(event, &mut ops);
-        self.apply(&ops);
-        self.scratch = ops;
-    }
-
-    fn accept_batch(&mut self, events: &[TraceEvent]) {
+    /// Ingest `events` in emission order: derive every event's samples
+    /// and alerts and publish them.
+    pub fn ingest(&mut self, events: &[TraceEvent]) {
         // Chunked rather than all-at-once: each chunk's samples publish
         // under one monitor lock, while the op buffer stays small
         // enough to stay cache-resident and is reused across chunks
-        // (an unbounded buffer for a large batch costs more in memory
+        // (an unbounded buffer for a large slice costs more in memory
         // traffic than the saved lock round-trips buy back).
         const CHUNK: usize = 256;
-        let mut ops = std::mem::take(&mut self.scratch);
+        let mut ops = Vec::new();
         for chunk in events.chunks(CHUNK) {
             ops.clear();
             for event in chunk {
@@ -494,11 +478,6 @@ impl TraceSink for TelemetrySink {
             }
             self.apply(&ops);
         }
-        self.scratch = ops;
-    }
-
-    fn name(&self) -> &str {
-        "telemetry"
     }
 }
 
@@ -523,15 +502,13 @@ mod tests {
     #[test]
     fn install_span_drives_node_metrics() {
         let mut s = sink();
-        s.record(
-            &TraceEvent::span(
-                10.0,
-                "rocks.install",
-                "compute-0-0: pxe + kickstart install",
-                600.0,
-            )
-            .with_field("bytes", 300u64 << 20),
-        );
+        s.ingest(&[TraceEvent::span(
+            10.0,
+            "rocks.install",
+            "compute-0-0: pxe + kickstart install",
+            600.0,
+        )
+        .with_field("bytes", 300u64 << 20)]);
         let m = s.monitor();
         let cpu = m
             .with_node("compute-0-0", |n| n.ring(MetricKind::CpuPercent).latest())
@@ -548,12 +525,12 @@ mod tests {
     #[test]
     fn frontend_labels_map_to_frontend_host() {
         let mut s = sink();
-        s.record(&TraceEvent::span(
+        s.ingest(&[TraceEvent::span(
             0.0,
             "rocks.install",
             "frontend: installer screens & roll selection",
             300.0,
-        ));
+        )]);
         assert!(s
             .monitor()
             .with_node("littlefe", |n| !n.ring(MetricKind::CpuPercent).is_empty())
@@ -563,12 +540,12 @@ mod tests {
     #[test]
     fn backoff_spike_fires_cpu_hot_alert() {
         let mut s = sink();
-        s.record(&TraceEvent::span(
+        s.ingest(&[TraceEvent::span(
             50.0,
             "rocks.install",
             format!("{BACKOFF_PREFIX}compute-0-1: boot retries"),
             20.0,
-        ));
+        )]);
         // the label after the prefix is not a known-host prefix match,
         // but the spike still lands (on the frontend) and trips the rule
         let alerts = s.alerts();
@@ -580,11 +557,9 @@ mod tests {
     #[test]
     fn job_span_places_load_on_placed_nodes() {
         let mut s = sink();
-        s.record(
-            &TraceEvent::span(100.0, "sched", "job hello-mpi", 600.0)
-                .with_field("cores", 4u64)
-                .with_field("placement", "0,1"),
-        );
+        s.ingest(&[TraceEvent::span(100.0, "sched", "job hello-mpi", 600.0)
+            .with_field("cores", 4u64)
+            .with_field("placement", "0,1")]);
         for host in ["compute-0-0", "compute-0-1"] {
             let load = s
                 .monitor()
@@ -598,11 +573,11 @@ mod tests {
     #[test]
     fn sched_marks_and_reservations_carry_no_load() {
         let mut s = sink();
-        s.record(&TraceEvent::mark(0.0, "sched", "submit hello"));
-        s.record(
-            &TraceEvent::span(0.0, "sched", "reservation: maintenance", 3600.0)
+        s.ingest(&[TraceEvent::mark(0.0, "sched", "submit hello")]);
+        s.ingest(&[
+            TraceEvent::span(0.0, "sched", "reservation: maintenance", 3600.0)
                 .with_field("nodes", 2u64),
-        );
+        ]);
         assert!(s
             .monitor()
             .with_node("compute-0-0", |n| n.ring(MetricKind::LoadOne).is_empty())
@@ -612,10 +587,10 @@ mod tests {
     #[test]
     fn mirror_fetch_is_frontend_network() {
         let mut s = sink();
-        s.record(
-            &TraceEvent::span(0.0, "yum.mirror", "fetch http://mirror/rocks", 100.0)
+        s.ingest(&[
+            TraceEvent::span(0.0, "yum.mirror", "fetch http://mirror/rocks", 100.0)
                 .with_field("bytes", 1000u64 * 100),
-        );
+        ]);
         let net = s
             .monitor()
             .with_node("littlefe", |n| {
@@ -629,12 +604,12 @@ mod tests {
     #[test]
     fn finish_raises_absent_alerts_for_silent_nodes() {
         let mut s = sink();
-        s.record(&TraceEvent::span(
+        s.ingest(&[TraceEvent::span(
             0.0,
             "rocks.install",
             "compute-0-0: pxe + kickstart install",
             60.0,
-        ));
+        )]);
         s.finish(SimTime::from_secs(120));
         let absent: Vec<&str> = s
             .alerts()
@@ -658,13 +633,13 @@ mod tests {
         let mut s = sink();
         // other campaign verbs, unknown verbs and non-campaign marks
         // raise nothing
-        s.record(&TraceEvent::mark(10.0, "campaign", "drain compute-0-0"));
-        s.record(&TraceEvent::mark(20.0, "campaign", "update compute-0-0"));
-        s.record(&TraceEvent::mark(30.0, "campaign", "online compute-0-0"));
-        s.record(&TraceEvent::mark(35.0, "campaign", "ponder compute-0-0"));
-        s.record(&TraceEvent::mark(35.0, "sched", "fail compute-0-0"));
+        s.ingest(&[TraceEvent::mark(10.0, "campaign", "drain compute-0-0")]);
+        s.ingest(&[TraceEvent::mark(20.0, "campaign", "update compute-0-0")]);
+        s.ingest(&[TraceEvent::mark(30.0, "campaign", "online compute-0-0")]);
+        s.ingest(&[TraceEvent::mark(35.0, "campaign", "ponder compute-0-0")]);
+        s.ingest(&[TraceEvent::mark(35.0, "sched", "fail compute-0-0")]);
         assert!(failed(&s).is_empty());
-        s.record(&TraceEvent::mark(40.0, "campaign", "fail compute-0-1"));
+        s.ingest(&[TraceEvent::mark(40.0, "campaign", "fail compute-0-1")]);
         assert_eq!(failed(&s), ["compute-0-1"]);
     }
 
@@ -672,10 +647,10 @@ mod tests {
     fn power_events_drive_power_state_and_boot_load() {
         let mut s = sink();
         assert_eq!(s.power_state("compute-0-1"), PowerState::On);
-        s.record(
-            &TraceEvent::span(100.0, POWER_TRACE_SOURCE, "boot node 1", 90.0)
+        s.ingest(&[
+            TraceEvent::span(100.0, POWER_TRACE_SOURCE, "boot node 1", 90.0)
                 .with_field("node", 1u64),
-        );
+        ]);
         assert_eq!(s.power_state("compute-0-1"), PowerState::On);
         // the boot span drives CPU on the booting node
         let cpu = s
@@ -686,94 +661,37 @@ mod tests {
             .flatten()
             .unwrap();
         assert_eq!(cpu.value, BOOT_CPU);
-        s.record(
-            &TraceEvent::mark(500.0, POWER_TRACE_SOURCE, "power-off node 1")
+        s.ingest(&[
+            TraceEvent::mark(500.0, POWER_TRACE_SOURCE, "power-off node 1")
                 .with_field("node", 1u64),
-        );
+        ]);
         assert_eq!(s.power_state("compute-0-1"), PowerState::Off);
         // aggregate events (no `node` field) carry no per-host state
-        s.record(
-            &TraceEvent::span(600.0, POWER_TRACE_SOURCE, "boot 2 nodes", 90.0)
+        s.ingest(&[
+            TraceEvent::span(600.0, POWER_TRACE_SOURCE, "boot 2 nodes", 90.0)
                 .with_field("nodes", 2u64),
-        );
+        ]);
         assert_eq!(s.power_state("compute-0-0"), PowerState::On);
-    }
-
-    #[test]
-    fn batch_ingest_matches_per_event_ingest() {
-        // a mixed stream touching every derivation branch
-        let mut events = Vec::new();
-        for i in 0..40u64 {
-            events.push(
-                TraceEvent::span(
-                    (i * 10) as f64,
-                    "rocks.install",
-                    format!("compute-0-{}: pxe + kickstart install", i % 2),
-                    60.0,
-                )
-                .with_field("node", format!("compute-0-{}", i % 2))
-                .with_field("bytes", 1u64 << 20),
-            );
-            events.push(
-                TraceEvent::span((i * 10 + 2) as f64, "sched", format!("job j{i}"), 30.0)
-                    .with_field("cores", 2u64)
-                    .with_field("placement", "0,1"),
-            );
-        }
-        events.push(TraceEvent::mark(500.0, "campaign", "fail compute-0-1"));
-        events.push(TraceEvent::span(
-            600.0,
-            "rocks.install",
-            format!("{BACKOFF_PREFIX}retries"),
-            20.0,
-        ));
-
-        let mut looped = sink();
-        for e in &events {
-            looped.record(e);
-        }
-        let mut batched = sink();
-        batched.accept_batch(&events);
-
-        assert_eq!(looped.alerts(), batched.alerts(), "same alerts, same order");
-        for host in ["littlefe", "compute-0-0", "compute-0-1"] {
-            for kind in [
-                MetricKind::CpuPercent,
-                MetricKind::LoadOne,
-                MetricKind::MemPercent,
-                MetricKind::NetBytesPerSec,
-            ] {
-                let a: Vec<_> = looped
-                    .monitor()
-                    .with_node(host, |n| n.ring(kind).iter().collect::<Vec<_>>())
-                    .unwrap();
-                let b: Vec<_> = batched
-                    .monitor()
-                    .with_node(host, |n| n.ring(kind).iter().collect::<Vec<_>>())
-                    .unwrap();
-                assert_eq!(a, b, "{host}/{kind:?} series identical");
-            }
-        }
     }
 
     #[test]
     fn analysis_marks_update_summary_state() {
         let mut s = sink();
         assert!(s.analysis().is_none());
-        s.record(
-            &TraceEvent::mark(100.0, ANALYZE_TRACE_SOURCE, "critical-path")
+        s.ingest(&[
+            TraceEvent::mark(100.0, ANALYZE_TRACE_SOURCE, "critical-path")
                 .with_field("segments", 3u64)
                 .with_field("busy_s", 80.0)
                 .with_field("blocked_s", 20.0)
                 .with_field("makespan_s", 100.0)
                 .with_field("terminal", "sched drain"),
-        );
+        ]);
         let a = s.analysis().unwrap();
         assert_eq!(a.segments, 3);
         assert_eq!(a.makespan_s, 100.0);
         assert_eq!(a.terminal.as_deref(), Some("sched drain"));
         // lane marks and unrelated labels don't clobber the summary
-        s.record(&TraceEvent::mark(100.0, ANALYZE_TRACE_SOURCE, "lane sched"));
+        s.ingest(&[TraceEvent::mark(100.0, ANALYZE_TRACE_SOURCE, "lane sched")]);
         assert_eq!(s.analysis().unwrap().segments, 3);
         // analysis marks derive no node load
         assert!(s

@@ -175,7 +175,7 @@ pub fn deploy_from_scratch_resilient(
             &resilient.report.trace,
         );
         post_mortem.record_flight_tail(
-            flight.tail().map(|ev| ev.to_jsonl()),
+            flight.tail().iter().map(|ev| ev.to_jsonl()),
             flight.seen(),
             flight.dropped(),
         );

@@ -20,7 +20,8 @@
 //!    their depsolves through one fleet-wide
 //!    [`SolveCache`]: near-identical sites hit the
 //!    memoized solution instead of re-walking the closure. Cache
-//!    hit/miss counters are *fleet-level* telemetry (they depend on
+//!    hit/miss counters are *fleet-level* telemetry (their totals are
+//!    the same at any thread count, but which site hit depends on
 //!    scheduling) and are reported beside — never inside — the per-site
 //!    traces.
 
@@ -36,7 +37,7 @@ use xcbc_cluster::{
 use xcbc_fault::{FaultPlan, InstallCheckpoint};
 use xcbc_rocks::{InstallError, ResilienceConfig};
 use xcbc_rpm::RpmDb;
-use xcbc_sim::{pool, MetricRegistry, SimTime, TraceEvent, TraceSink};
+use xcbc_sim::{pool, MetricRegistry, SimTime, TraceEvent};
 use xcbc_yum::{CacheStats, SolveCache};
 
 /// How one fleet site gets deployed.
@@ -153,8 +154,10 @@ pub struct FleetReport {
     pub sites: Vec<SiteOutcome>,
     /// How many worker threads the deploy ran on.
     pub threads: usize,
-    /// Solve-cache counters at the end of the run. Scheduling-dependent
-    /// (which site misses first is a race), so fleet-level only.
+    /// Solve-cache counters at the end of the run. The totals are the
+    /// same at any thread count: a site whose solve loses the insert
+    /// race to an equal key counts a hit. Which site hits is a race, so
+    /// they are fleet-level only.
     pub cache: CacheStats,
 }
 
@@ -422,10 +425,9 @@ impl Fleet {
 /// [`TelemetrySink`] — and because
 /// per-site traces are byte-identical at any worker-thread count, so is
 /// everything derived here, including the Prometheus exposition
-/// (property-tested in `tests/fleet_determinism.rs`). The only
-/// scheduling-dependent values (the solve cache's hit/miss *split*) are
-/// deliberately excluded; the deterministic totals (lookups, entries)
-/// are registered instead.
+/// (property-tested in `tests/fleet_determinism.rs`). Of the solve
+/// cache it registers the lookup and entry totals, not the hit/miss
+/// split.
 #[derive(Debug)]
 pub struct FleetTelemetry {
     /// Per-site gmetads, keyed by site name.
@@ -481,9 +483,7 @@ impl FleetTelemetry {
                 TelemetryConfig::new(frontend, hosts),
                 default_alert_rules(),
             );
-            for event in &dep.trace {
-                sink.record(event);
-            }
+            sink.ingest(&dep.trace);
             if let Some(pm) = &dep.post_mortem {
                 for (node, _) in &pm.quarantined {
                     sink.note_quarantined(end, node);
@@ -514,8 +514,7 @@ impl FleetTelemetry {
             sites.insert(site.name.clone(), monitor);
         }
 
-        // fleet-level solve-cache telemetry: only the
-        // scheduling-independent totals (see module docs)
+        // fleet-level solve-cache telemetry: lookups and entries
         registry.set_counter(
             "xcbc_solvecache_lookups_total",
             "Depsolve lookups against the fleet-shared cache",

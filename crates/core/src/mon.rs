@@ -21,7 +21,7 @@ use xcbc_cluster::{
 };
 use xcbc_sim::{
     analyze, events_to_jsonl, Analysis, FlightRecorder, HistogramSink, MetricRegistry, SimTime,
-    TraceEvent, TraceSink, FLIGHT_RECORDER_CAPACITY,
+    TraceEvent, FLIGHT_RECORDER_CAPACITY,
 };
 
 /// Everything the telemetry pipeline derived from one run.
@@ -61,17 +61,14 @@ pub fn monitor_run(run: &DayOneRun, rules: Vec<AlertRule>) -> MonReport {
         TelemetryConfig::new(run.frontend.clone(), run.hosts.clone()),
         rules,
     );
-    let mut histograms = HistogramSink::new();
-    // batched ingest: one monitor-lock acquisition for the whole
-    // stream instead of one per derived sample
-    telemetry.accept_batch(&run.events);
-    histograms.accept_batch(&run.events);
+    telemetry.ingest(&run.events);
+    let histograms = HistogramSink::from_events(&run.events);
 
     // causal analysis of the same trace; its summary marks flow back
     // through the gmond array like any other layer's events
     let analysis = analyze(&run.events);
     let marks = analysis.analysis_marks();
-    telemetry.accept_batch(&marks);
+    telemetry.ingest(&marks);
     let flight = FlightRecorder::from_events(FLIGHT_RECORDER_CAPACITY, &run.events);
 
     for (node, _reason) in &run.quarantined {

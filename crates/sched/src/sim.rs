@@ -5,14 +5,14 @@
 //! active [`SchedPolicy`] is given a chance to start queued jobs.
 //! Placement is node-granular: a job asking for `nodes × ppn` needs
 //! `nodes` distinct nodes with `ppn` free cores each. Job lifecycle is
-//! reported as trace spans/marks on an internal [`EventBus`], so
+//! recorded as trace spans/marks in an internal event log, so
 //! scheduler time is directly commensurable with boot and install time
 //! elsewhere in the stack.
 
 use crate::job::{Job, JobId, JobRequest, JobState};
 use crate::policy::SchedPolicy;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use xcbc_sim::{EventBus, EventQueue, SimClock, SimTime, TraceEvent};
+use xcbc_sim::{EventQueue, SimClock, SimTime, TraceEvent};
 
 /// Trace source tag for events this simulator emits.
 const TRACE_SOURCE: &str = "sched";
@@ -100,7 +100,7 @@ pub struct ClusterSim {
     next_id: JobId,
     events: EventQueue<EventKind>,
     /// Structured trace of submits, job spans, and reservations.
-    bus: EventBus,
+    trace: Vec<TraceEvent>,
     jobs: BTreeMap<JobId, Job>,
     /// Queued jobs in arrival order.
     queue: Vec<QueueEntry>,
@@ -145,7 +145,7 @@ impl ClusterSim {
             clock: SimClock::new(),
             next_id: 0,
             events: EventQueue::new(),
-            bus: EventBus::new(),
+            trace: Vec::new(),
             jobs: BTreeMap::new(),
             queue: Vec::new(),
             running_ids: BTreeSet::new(),
@@ -214,7 +214,7 @@ impl ClusterSim {
             "reserved node out of range"
         );
         if self.tracing {
-            self.bus.emit(
+            self.trace.push(
                 TraceEvent::span(
                     start,
                     TRACE_SOURCE,
@@ -258,7 +258,7 @@ impl ClusterSim {
 
     /// Drain the recorded trace (for merging into a scenario-wide log).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.bus).into_events()
+        std::mem::take(&mut self.trace)
     }
 
     pub fn node_count(&self) -> usize {
@@ -295,7 +295,7 @@ impl ClusterSim {
         self.next_id += 1;
         let id = self.next_id;
         if self.tracing {
-            self.bus.emit(
+            self.trace.push(
                 TraceEvent::mark(t, TRACE_SOURCE, format!("submit {}", request.name))
                     .with_field("user", request.user.clone())
                     .with_field("nodes", request.nodes)
@@ -359,8 +359,8 @@ impl ClusterSim {
         }
         let now = self.clock.now();
         if self.tracing {
-            self.bus
-                .emit(TraceEvent::mark(now, TRACE_SOURCE, format!("kill {name}")));
+            self.trace
+                .push(TraceEvent::mark(now, TRACE_SOURCE, format!("kill {name}")));
         }
         self.try_start_jobs();
         true
@@ -402,7 +402,7 @@ impl ClusterSim {
         }
         let now = self.clock.now();
         if self.tracing {
-            self.bus.emit(TraceEvent::mark(
+            self.trace.push(TraceEvent::mark(
                 now,
                 TRACE_SOURCE,
                 format!("offline node {node}"),
@@ -424,7 +424,7 @@ impl ClusterSim {
         }
         let now = self.clock.now();
         if self.tracing {
-            self.bus.emit(TraceEvent::mark(
+            self.trace.push(TraceEvent::mark(
                 now,
                 TRACE_SOURCE,
                 format!("online node {node}"),
@@ -453,7 +453,7 @@ impl ClusterSim {
         self.free.push(self.cores_per_node);
         let now = self.clock.now();
         if self.tracing {
-            self.bus.emit(TraceEvent::mark(
+            self.trace.push(TraceEvent::mark(
                 now,
                 TRACE_SOURCE,
                 format!("add node {node}"),
@@ -481,7 +481,7 @@ impl ClusterSim {
         self.offline.insert(node);
         let now = self.clock.now();
         if self.tracing {
-            self.bus.emit(TraceEvent::mark(
+            self.trace.push(TraceEvent::mark(
                 now,
                 TRACE_SOURCE,
                 format!("retire node {node}"),
@@ -538,7 +538,7 @@ impl ClusterSim {
             }
             let now = self.clock.now();
             if self.tracing {
-                self.bus.emit(
+                self.trace.push(
                     TraceEvent::mark(now, TRACE_SOURCE, format!("requeue {name}"))
                         .with_field("node", node),
                 );
@@ -644,7 +644,7 @@ impl ClusterSim {
                 .with_field("cores", job.request.cores())
                 .with_field("state", if timed_out { "timed-out" } else { "completed" })
                 .with_field("placement", placed.join(","));
-                self.bus.emit(span);
+                self.trace.push(span);
             }
             self.used_core_seconds += core_secs;
             *self.usage.entry(job.request.user.clone()).or_insert(0.0) += core_secs;

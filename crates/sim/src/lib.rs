@@ -13,9 +13,9 @@
 //! * [`SimClock`] — the monotonic virtual clock an event loop drives;
 //! * [`EventQueue`] — a binary-heap discrete-event queue with strict
 //!   `(time, insertion-order)` determinism;
-//! * [`TraceEvent`] / [`EventBus`] — structured, timestamped spans,
-//!   marks, and counters fanned out to pluggable [`TraceSink`]s
-//!   ([`RingBufferSink`], [`JsonlSink`], [`MetricsSink`]);
+//! * [`TraceEvent`] — structured, timestamped spans, marks, and
+//!   counters: producers build a `Vec<TraceEvent>`, consumers read a
+//!   `&[TraceEvent]` ([`events_to_jsonl`], [`FlightRecorder`]);
 //! * [`SpanRecorder`] — the one way spans get placed (sequential,
 //!   parallel, backoff); `cluster::Timeline` is a read-only view over
 //!   what it records;
@@ -61,6 +61,5 @@ pub use selfprof::{
 };
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};
 pub use trace::{
-    events_to_jsonl, EventBus, FieldValue, FlightRecorder, JsonlSink, MetricsSink, RingBufferSink,
-    SharedSink, TraceEvent, TraceKind, TraceSink, FLIGHT_RECORDER_CAPACITY,
+    events_to_jsonl, FieldValue, FlightRecorder, TraceEvent, TraceKind, FLIGHT_RECORDER_CAPACITY,
 };

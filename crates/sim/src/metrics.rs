@@ -1,5 +1,5 @@
 //! The metric spine: a registry every layer exports into, plus span
-//! latency histograms fed straight off the trace bus.
+//! latency histograms built straight from a trace.
 //!
 //! Ganglia keeps gmond/gmetad state as RRD files and serves them as XML;
 //! modern stacks scrape a Prometheus text endpoint. [`MetricRegistry`]
@@ -16,7 +16,7 @@
 //! byte-identical text at any thread count.
 
 use crate::time::SimDuration;
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
+use crate::trace::{TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -161,18 +161,27 @@ impl LatencyHistogram {
     }
 }
 
-/// A [`TraceSink`] that feeds every span's duration into a per-source
+/// Every span's duration in a trace, fed into a per-source
 /// [`LatencyHistogram`] — the p50/p95/p99 view of what each layer spent
 /// its time on. Marks and counters are ignored.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct HistogramSink {
     by_source: BTreeMap<String, LatencyHistogram>,
 }
 
 impl HistogramSink {
-    /// An empty per-source histogram collection.
-    pub fn new() -> HistogramSink {
-        HistogramSink::default()
+    /// The per-source span histograms of `events`.
+    pub fn from_events(events: &[TraceEvent]) -> HistogramSink {
+        let mut by_source = BTreeMap::<String, LatencyHistogram>::new();
+        for event in events {
+            if let TraceKind::Span { dur } = event.kind {
+                by_source
+                    .entry(event.source.clone())
+                    .or_default()
+                    .observe(dur);
+            }
+        }
+        HistogramSink { by_source }
     }
 
     /// The histogram for one trace source, if any spans were seen.
@@ -201,21 +210,6 @@ impl HistogramSink {
                 hist,
             );
         }
-    }
-}
-
-impl TraceSink for HistogramSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if let TraceKind::Span { dur } = event.kind {
-            self.by_source
-                .entry(event.source.clone())
-                .or_default()
-                .observe(dur);
-        }
-    }
-
-    fn name(&self) -> &str {
-        "histogram"
     }
 }
 
@@ -454,10 +448,11 @@ mod tests {
 
     #[test]
     fn histogram_sink_groups_by_source() {
-        let mut sink = HistogramSink::new();
-        sink.record(&TraceEvent::span(0.0, "rocks.install", "fe", 600.0));
-        sink.record(&TraceEvent::span(0.0, "sched", "job", 60.0));
-        sink.record(&TraceEvent::mark(0.0, "sched", "submit"));
+        let sink = HistogramSink::from_events(&[
+            TraceEvent::span(0.0, "rocks.install", "fe", 600.0),
+            TraceEvent::span(0.0, "sched", "job", 60.0),
+            TraceEvent::mark(0.0, "sched", "submit"),
+        ]);
         assert_eq!(sink.source("rocks.install").unwrap().count(), 1);
         assert_eq!(sink.source("sched").unwrap().count(), 1, "marks ignored");
         let sources: Vec<&str> = sink.sources().map(|(s, _)| s).collect();

@@ -89,7 +89,7 @@ use xcbc::core::training::{littlefe_curriculum, LabSession};
 use xcbc::core::XnitSetupMethod;
 use xcbc::fault::{FaultPlan, InstallCheckpoint};
 use xcbc::rocks::{InstallErrorKind, ResilienceConfig};
-use xcbc::sim::{events_to_jsonl, MetricsSink, SimTime, TraceKind, TraceSink};
+use xcbc::sim::{events_to_jsonl, SimDuration, SimTime, TraceKind};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = env::args().skip(1).collect();
@@ -401,9 +401,12 @@ fn trace(scenario: &str, plan: &FaultPlan, jsonl: bool) -> Result<ExitCode, Stri
         print!("{}", events_to_jsonl(&run.events));
         return Ok(ExitCode::SUCCESS);
     }
-    let mut metrics = MetricsSink::new();
+    // per-source event count and span time, in source order
+    let mut by_source: BTreeMap<&str, (u64, SimDuration)> = BTreeMap::new();
     for e in &run.events {
-        metrics.record(e);
+        let (n, span) = by_source.entry(&e.source).or_default();
+        *n += 1;
+        *span += e.duration();
     }
     println!(
         "== xcbc trace: {scenario} (fault plan seed {}) ==",
@@ -425,7 +428,7 @@ fn trace(scenario: &str, plan: &FaultPlan, jsonl: bool) -> Result<ExitCode, Stri
     }
     println!();
     println!("{:<14} {:>7} {:>14}", "source", "events", "span time");
-    for (src, n, dur) in metrics.rows() {
+    for (src, (n, dur)) in by_source {
         println!("{src:<14} {n:>7} {:>14}", dur.to_string());
     }
     println!(

@@ -14,8 +14,8 @@
 //! * [`modules`] — environment modules
 //! * [`core`] — the paper's contribution: XCBC roll, XNIT repo, compatibility
 //!   checking, deployment paths, training curriculum
-//! * [`sim`] — the shared simulation clock, event queue, and trace bus
-//!   every layer above records onto
+//! * [`sim`] — the shared simulation clock, event queue, and trace
+//!   events every layer above records
 //! * [`svc`] — `xcbcd`: the concurrent multi-tenant depsolve/deploy
 //!   service with admission control, sharded tenant-salted solve
 //!   caches, and deterministic-replay request journals

@@ -11,9 +11,11 @@
 //!
 //! It also pins the `xcbc` output of the paths where nodes share one
 //! result per node image (see [`SHARED_IMAGE_GOLDENS`]): the fleet's
-//! merged trace and its solve-cache line, a scriptlet fault that sends
-//! every node down its own transaction, and a power loss whose resume
-//! rebuilds committed nodes.
+//! merged trace and its solve-cache line at one and four threads, a
+//! scriptlet fault that sends every node down its own transaction, and
+//! a power loss whose resume rebuilds committed nodes; and the plain
+//! `xcbc trace` listing with its per-source table (see
+//! [`TRACE_GOLDENS`]).
 //!
 //! When an intentional change shifts the output, regenerate with:
 //!
@@ -31,14 +33,19 @@ use xcbc::sim::events_to_jsonl;
 const GOLDEN_PATH: &str = "tests/golden/deploy-littlefe.txt";
 
 /// `(golden file, xcbc arguments)`: stdout of each command, byte for
-/// byte. `fleet` runs on one thread because which of two concurrent
-/// overlay sites misses the shared solve cache first is a race, so the
-/// cache line of a multi-threaded fleet is not reproducible.
-const SHARED_IMAGE_GOLDENS: [(&str, &[&str]); 4] = [
+/// byte. The fleet summary names the worker count and the simulated
+/// makespan on that many workers, so it is pinned at one and at four
+/// threads; its solve-cache totals are the same at both, because a
+/// site whose solve loses the insert race counts a hit.
+const SHARED_IMAGE_GOLDENS: [(&str, &[&str]); 5] = [
     ("tests/golden/fleet.jsonl", &["fleet", "--jsonl"]),
     (
         "tests/golden/fleet-threads1.txt",
         &["fleet", "--threads", "1"],
+    ),
+    (
+        "tests/golden/fleet-threads4.txt",
+        &["fleet", "--threads", "4"],
     ),
     (
         "tests/golden/deploy-scriptlet.txt",
@@ -188,10 +195,37 @@ fn golden_covers_every_outcome() {
     }
 }
 
+/// The day-one event listing and per-source table of `xcbc trace`,
+/// fault-free and under a boot fault whose hung boots and retry
+/// backoff land on the install lane. (A bare
+/// `--faults` is the seed-42 plan, which fires nothing here, so it
+/// would pin the fault-free bytes twice.)
+const TRACE_GOLDENS: [(&str, &[&str]); 2] = [
+    ("tests/golden/trace-littlefe.txt", &["trace", "littlefe"]),
+    (
+        "tests/golden/trace-littlefe-faults.txt",
+        &[
+            "trace",
+            "littlefe",
+            "--faults",
+            "seed=11; node.boot key=compute-0-2",
+        ],
+    ),
+];
+
 #[test]
 fn shared_image_paths_match_golden() {
+    check_cli_goldens(&SHARED_IMAGE_GOLDENS);
+}
+
+#[test]
+fn trace_listings_match_golden() {
+    check_cli_goldens(&TRACE_GOLDENS);
+}
+
+fn check_cli_goldens(goldens: &[(&str, &[&str])]) {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    for (golden, args) in SHARED_IMAGE_GOLDENS {
+    for &(golden, args) in goldens {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_xcbc"))
             .args(args)
             .output()
