@@ -287,7 +287,7 @@ pub fn deploy_xnit_overlay_salted(
                 let compat = check_compatibility(db);
                 let tx_report = yum.install(db, &compat.missing())?;
                 // §8's invariant: nothing pre-existing was removed
-                let preserved = before.names().iter().all(|name| db.is_installed(name));
+                let preserved = db.has_every_name_of(&before);
                 same.push(Overlaid {
                     before,
                     enabled,

@@ -33,13 +33,13 @@ pub struct PostMortem {
     pub moments: Vec<(SimTime, String)>,
     /// Flight-recorder tail: the last events (as JSONL lines) the run
     /// emitted before it finished or faulted, plus how many of the
-    /// observed events fell out of the bounded ring. Populated by the
+    /// observed events were older than that tail. Populated by the
     /// deployment engines for non-clean runs.
     pub flight_tail: Vec<String>,
     /// Total events the flight recorder observed (`0` when no recorder
-    /// ran); `flight_dropped` of them were evicted from the ring.
+    /// ran); `flight_dropped` of them were older than the retained tail.
     pub flight_seen: u64,
-    /// Events evicted from the flight-recorder ring.
+    /// Events older than the flight recorder's retained tail.
     pub flight_dropped: u64,
 }
 
@@ -73,7 +73,7 @@ impl PostMortem {
     }
 
     /// Attach a flight-recorder tail (last-events JSONL lines plus the
-    /// ring's seen/dropped counters) to the report.
+    /// recorder's seen/dropped counters) to the report.
     pub fn record_flight_tail(
         &mut self,
         tail: impl IntoIterator<Item = String>,

@@ -328,6 +328,17 @@ impl RpmDb {
         problems
     }
 
+    /// Is every name installed in `other` installed here too? One walk
+    /// over both name-sorted stores, with no allocation.
+    pub fn has_every_name_of(&self, other: &RpmDb) -> bool {
+        let mut mine = self.packages.iter().map(|ip| ip.package.name()).peekable();
+        other.packages.iter().all(|ip| {
+            let name = ip.package.name();
+            while mine.next_if(|m| *m < name).is_some() {}
+            mine.peek() == Some(&name)
+        })
+    }
+
     /// Names of all installed packages, sorted.
     pub fn names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.iter().map(|ip| ip.package.name()).collect();
@@ -535,5 +546,27 @@ mod tests {
             PackageBuilder::new("b", "1", "1").size_mb(5).build(),
         ]);
         assert_eq!(db.installed_size_bytes(), 15 << 20);
+    }
+
+    #[test]
+    fn has_every_name_of_agrees_with_per_name_lookups() {
+        let pkg = |name: &str, release: &str| PackageBuilder::new(name, "1", release).build();
+        let dbs = [
+            RpmDb::new(),
+            db_with(vec![pkg("b", "1")]),
+            db_with(vec![pkg("a", "1"), pkg("c", "1"), pkg("c", "2")]),
+            db_with(vec![pkg("a", "1"), pkg("b", "1"), pkg("c", "1")]),
+            db_with(vec![pkg("d", "1")]),
+        ];
+        for here in &dbs {
+            for other in &dbs {
+                let lookups = other.names().iter().all(|name| here.is_installed(name));
+                assert_eq!(
+                    here.has_every_name_of(other),
+                    lookups,
+                    "{here:?} / {other:?}"
+                );
+            }
+        }
     }
 }

@@ -345,13 +345,13 @@ impl FlightRecorder {
         );
         registry.set_counter(
             "xcbc_flightrecorder_dropped_total",
-            "Events evicted from the flight-recorder ring",
+            "Events older than the flight recorder's retained tail",
             &[],
             self.dropped(),
         );
         registry.set_gauge(
             "xcbc_flightrecorder_retained",
-            "Events currently retained in the flight-recorder ring",
+            "Events the flight recorder retained: the last N of its trace",
             &[],
             self.len() as f64,
         );

@@ -36,7 +36,7 @@ use xcbc_core::xnit::{xnit_repository, XnitSetupMethod};
 use xcbc_fault::{Mutation, RecordError};
 use xcbc_rpm::RpmDb;
 use xcbc_sim::{pool, self_profiler, MetricRegistry, SECTION_SVC_SERVE};
-use xcbc_yum::{CacheStats, Repository, ShardedSolveCache, SolveRequest, YumConfig};
+use xcbc_yum::{CacheStats, Repository, ShardedSolveCache, SolveRequest, Solver, YumConfig};
 
 /// The largest cache shard count a run may use. The cache builds every
 /// shard up front, so the command line and the journal reader refuse
@@ -96,7 +96,9 @@ pub struct SvcReport {
 }
 
 /// The tenant's repo view: every tenant currently sees the XNIT
-/// repository (per-tenant overlays would slot in here).
+/// repository (per-tenant overlays would slot in here). It is fixed for
+/// a run, so `serve` and `replay` each build one [`Solver`] over it and
+/// every tenant's solves share that view.
 fn tenant_repos() -> Vec<Repository> {
     vec![xnit_repository()]
 }
@@ -119,15 +121,9 @@ impl TenantState {
     }
 
     /// Execute one state-touching op serially; returns the body.
-    fn execute(
-        &mut self,
-        op: &SvcOp,
-        bank: &ShardedSolveCache,
-        repos: &[Repository],
-        config: &YumConfig,
-    ) -> String {
+    fn execute(&mut self, op: &SvcOp, bank: &ShardedSolveCache, solver: &Solver<'_>) -> String {
         match op {
-            SvcOp::Solve(req) => self.solve(req, bank, repos, config),
+            SvcOp::Solve(req) => self.solve(req, bank, solver),
             SvcOp::Deploy => self.deploy(bank),
             // ledger ops are precomputed at admission / replayed from
             // the journal prefix; they never reach here
@@ -135,15 +131,9 @@ impl TenantState {
         }
     }
 
-    fn solve(
-        &self,
-        req: &SolveRequest,
-        bank: &ShardedSolveCache,
-        repos: &[Repository],
-        config: &YumConfig,
-    ) -> String {
+    fn solve(&self, req: &SolveRequest, bank: &ShardedSolveCache, solver: &Solver<'_>) -> String {
         let frontend = self.nodes.values().next().expect("tenant has a frontend");
-        match bank.get_or_solve(self.salt, repos, config, frontend, req) {
+        match bank.get_or_solve(self.salt, solver, frontend, req) {
             Ok(sol) => {
                 let mut nevras: Vec<String> = sol
                     .installs
@@ -330,6 +320,7 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
     let bank = ShardedSolveCache::new(shards);
     let repos = tenant_repos();
     let yum_config = YumConfig::default();
+    let solver = Solver::new(&repos, &yum_config);
     let executed = pool::map(workers, work, |(tenant, items)| {
         let mut state = TenantState::new(&tenant);
         items
@@ -337,7 +328,7 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
             .map(|(seq, item)| {
                 let body = match item {
                     Work::Ready(body) => body,
-                    Work::Op(op) => state.execute(&op, &bank, &repos, &yum_config),
+                    Work::Op(op) => state.execute(&op, &bank, &solver),
                 };
                 (seq, body)
             })
@@ -529,6 +520,7 @@ pub fn replay(journal_text: &str) -> Result<ReplayReport, RecordError> {
     let bank = ShardedSolveCache::new(journal.shards);
     let repos = tenant_repos();
     let yum_config = YumConfig::default();
+    let solver = Solver::new(&repos, &yum_config);
     let mut ledger = Ledger::default();
     let mut states: BTreeMap<String, TenantState> = BTreeMap::new();
     let mut responses: Vec<(u64, String, String)> = Vec::with_capacity(journal.entries.len());
@@ -540,7 +532,7 @@ pub fn replay(journal_text: &str) -> Result<ReplayReport, RecordError> {
             op => states
                 .entry(entry.tenant.clone())
                 .or_insert_with(|| TenantState::new(&entry.tenant))
-                .execute(op, &bank, &repos, &yum_config),
+                .execute(op, &bank, &solver),
         };
         ledger.record(&entry.tenant, entry.seq);
         responses.push((entry.seq, entry.tenant.clone(), body));

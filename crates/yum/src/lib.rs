@@ -32,7 +32,7 @@ pub mod json;
 pub mod metadata;
 pub mod mirror;
 pub mod notifier;
-pub mod priorities;
+mod priorities;
 pub mod repo;
 pub mod repoconfig;
 pub mod skew;
@@ -48,7 +48,6 @@ pub use mirror::{
     FetchOptions, FetchReport, Mirror, MirrorList, MirrorOutcome, MIN_BANDWIDTH_MBPS,
 };
 pub use notifier::{NotificationReport, UpdateNotifier, UpdatePolicy};
-pub use priorities::apply_priorities;
 pub use repo::Repository;
 pub use repoconfig::{
     parse_repo_file, render_repo_file, RepoConfig, RepoFileError, XSEDE_REPO_FILE,
@@ -201,7 +200,7 @@ impl Yum {
 
     /// `yum check-update`: list available updates without applying them.
     pub fn check_update(&self, db: &RpmDb) -> Vec<CheckUpdate> {
-        updates::check_update(&self.repositories, &self.config, db)
+        updates::check_update(&self.solver(), db)
     }
 
     /// `yum update`: apply every available update (optionally limited to

@@ -201,7 +201,8 @@ impl SolveCache {
 
     /// [`get_or_solve`](Self::get_or_solve) under a key salt (see
     /// [`salted_key`](Self::salted_key)). Distinct salts never share
-    /// entries: a hit under salt A says nothing about salt B.
+    /// entries: a hit under salt A says nothing about salt B. The solver
+    /// view is built only on a miss.
     pub fn get_or_solve_salted(
         &self,
         salt: u64,
@@ -211,23 +212,19 @@ impl SolveCache {
         request: &SolveRequest,
     ) -> Result<Arc<Solution>, SolveError> {
         let key = Self::salted_key(salt, repos, config, db, request);
-        self.get_or_solve_keyed(key, repos, config, db, request)
+        self.get_or_solve_keyed(key, || Solver::new(repos, config).resolve(db, request))
     }
 
     /// The lookup → solve → insert body under a precomputed salted key.
     fn get_or_solve_keyed(
         &self,
         key: u64,
-        repos: &[Repository],
-        config: &YumConfig,
-        db: &RpmDb,
-        request: &SolveRequest,
+        solve: impl FnOnce() -> Result<Solution, SolveError>,
     ) -> Result<Arc<Solution>, SolveError> {
         if let Some(hit) = self.lookup(key) {
             return Ok(hit);
         }
-        let solution = Solver::new(repos, config).resolve(db, request)?;
-        Ok(self.insert(key, solution))
+        Ok(self.insert(key, solve()?))
     }
 
     /// Current counters.
@@ -331,18 +328,20 @@ impl ShardedSolveCache {
         self.shard(salt)
     }
 
-    /// Memoized solve, routed to the shard the salted key selects.
+    /// Memoized solve against a prebuilt solver view, routed to the
+    /// shard the salted key selects. The key covers the view's
+    /// repositories and configuration, so one view can serve every
+    /// tenant of a run.
     pub fn get_or_solve(
         &self,
         salt: u64,
-        repos: &[Repository],
-        config: &YumConfig,
+        solver: &Solver<'_>,
         db: &RpmDb,
         request: &SolveRequest,
     ) -> Result<Arc<Solution>, SolveError> {
-        let key = SolveCache::salted_key(salt, repos, config, db, request);
+        let key = SolveCache::salted_key(salt, solver.repos(), solver.config(), db, request);
         self.shard(key)
-            .get_or_solve_keyed(key, repos, config, db, request)
+            .get_or_solve_keyed(key, || solver.resolve(db, request))
     }
 
     /// Counter-neutral probe across the bank (routes like
@@ -598,8 +597,9 @@ mod tests {
         let db = RpmDb::new();
         let req = SolveRequest::install(["gromacs"]);
         let salt = ShardedSolveCache::tenant_salt("campus-a");
-        bank.get_or_solve(salt, &repos, &cfg, &db, &req).unwrap();
-        bank.get_or_solve(salt, &repos, &cfg, &db, &req).unwrap();
+        let solver = Solver::new(&repos, &cfg);
+        bank.get_or_solve(salt, &solver, &db, &req).unwrap();
+        bank.get_or_solve(salt, &solver, &db, &req).unwrap();
 
         let key = SolveCache::salted_key(salt, &repos, &cfg, &db, &req);
         let home = bank.shard_index(key);

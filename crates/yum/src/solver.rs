@@ -13,7 +13,7 @@
 //! and [`Solver::resolve`] is the one entry point.
 
 use crate::fingerprint::Fnv64;
-use crate::priorities::apply_priorities;
+use crate::priorities;
 use crate::repo::Repository;
 use crate::YumConfig;
 use std::collections::{HashSet, VecDeque};
@@ -252,30 +252,42 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// A solver view over a repository set.
+/// A solver view over a repository set: the repositories and engine
+/// configuration it was built from, plus the candidates they leave
+/// visible. Building it is the expensive part of a solve, so a caller
+/// whose repositories do not change builds one and resolves every
+/// request against it.
 pub struct Solver<'a> {
-    /// (repo, package) pairs surviving priority filtering.
-    candidates: Vec<(&'a Repository, &'a Arc<Package>)>,
+    repos: &'a [Repository],
     config: &'a YumConfig,
+    /// (repo, package) pairs surviving the enabled, priority and
+    /// architecture filters, in repository order.
+    candidates: Vec<(&'a Repository, &'a Arc<Package>)>,
 }
 
 impl<'a> Solver<'a> {
     pub fn new(repos: &'a [Repository], config: &'a YumConfig) -> Self {
-        let enabled: Vec<&Repository> = repos.iter().filter(|r| r.enabled).collect();
-        let candidates = if config.plugin_priorities {
-            apply_priorities(&enabled)
-        } else {
-            enabled
-                .iter()
-                .flat_map(|r| r.packages().iter().map(move |p| (*r, p)))
-                .collect()
-        };
-        // Filter to installable architectures up front.
-        let candidates = candidates
-            .into_iter()
-            .filter(|(_, p)| p.arch().installable_on(config.host_arch))
-            .collect();
-        Solver { candidates, config }
+        Solver {
+            repos,
+            config,
+            candidates: priorities::candidates(repos, config),
+        }
+    }
+
+    /// The repositories this view was built from.
+    pub(crate) fn repos(&self) -> &'a [Repository] {
+        self.repos
+    }
+
+    /// The engine configuration this view was built from.
+    pub(crate) fn config(&self) -> &'a YumConfig {
+        self.config
+    }
+
+    /// Every visible `(repo, package)` candidate, in repository order
+    /// (the order ties between equally good candidates break in).
+    pub fn candidates(&self) -> &[(&'a Repository, &'a Arc<Package>)] {
+        &self.candidates
     }
 
     /// Candidate ordering: priority (lower number wins, only when the

@@ -6,9 +6,8 @@
 //! will provide the administrator with a full list of packages to be
 //! updated."
 
-use crate::priorities::apply_priorities;
 use crate::repo::Repository;
-use crate::YumConfig;
+use crate::solver::Solver;
 use std::collections::HashMap;
 use xcbc_rpm::{Evr, RpmDb};
 
@@ -45,25 +44,13 @@ impl CheckUpdate {
     }
 }
 
-/// Compute the available updates for everything installed in `db`.
-pub fn check_update(repos: &[Repository], config: &YumConfig, db: &RpmDb) -> Vec<CheckUpdate> {
-    let enabled: Vec<&Repository> = repos.iter().filter(|r| r.enabled).collect();
-    let candidates = if config.plugin_priorities {
-        apply_priorities(&enabled)
-    } else {
-        enabled
-            .iter()
-            .flat_map(|r| r.packages().iter().map(move |p| (*r, p)))
-            .collect()
-    };
-
-    // best candidate per name
+/// Compute the available updates for everything installed in `db`,
+/// over the candidates `solver` sees.
+pub fn check_update(solver: &Solver<'_>, db: &RpmDb) -> Vec<CheckUpdate> {
+    // best candidate per name: lowest priority value, then newest EVR
     let mut best: HashMap<&str, (&Repository, &xcbc_rpm::Package)> = HashMap::new();
-    for (repo, p) in candidates {
+    for &(repo, p) in solver.candidates() {
         let p: &xcbc_rpm::Package = p;
-        if !p.arch().installable_on(config.host_arch) {
-            continue;
-        }
         best.entry(p.name())
             .and_modify(|slot| {
                 let better_prio = repo.priority < slot.0.priority;
@@ -108,6 +95,7 @@ pub fn check_update(repos: &[Repository], config: &YumConfig, db: &RpmDb) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::YumConfig;
     use xcbc_rpm::PackageBuilder;
 
     fn setup() -> (Vec<Repository>, YumConfig, RpmDb) {
@@ -130,7 +118,7 @@ mod tests {
     #[test]
     fn kinds_classified() {
         let (repos, cfg, db) = setup();
-        let updates = check_update(&repos, &cfg, &db);
+        let updates = check_update(&Solver::new(&repos, &cfg), &db);
         assert_eq!(updates.len(), 3);
         let by_name: HashMap<_, _> = updates.iter().map(|u| (u.name.as_str(), u)).collect();
         assert_eq!(by_name["R"].kind, UpdateKind::VersionBump);
@@ -141,7 +129,7 @@ mod tests {
     #[test]
     fn not_installed_packages_not_listed() {
         let (repos, cfg, db) = setup();
-        let updates = check_update(&repos, &cfg, &db);
+        let updates = check_update(&Solver::new(&repos, &cfg), &db);
         assert!(!updates.iter().any(|u| u.name == "local-only"));
     }
 
@@ -154,7 +142,7 @@ mod tests {
                 .epoch(1)
                 .build(),
         );
-        let updates = check_update(&repos, &cfg, &db);
+        let updates = check_update(&Solver::new(&repos, &cfg), &db);
         assert!(!updates.iter().any(|u| u.name == "java"));
     }
 
@@ -162,7 +150,7 @@ mod tests {
     fn disabled_repo_produces_no_updates() {
         let (mut repos, cfg, db) = setup();
         repos[0].enabled = false;
-        assert!(check_update(&repos, &cfg, &db).is_empty());
+        assert!(check_update(&Solver::new(&repos, &cfg), &db).is_empty());
     }
 
     #[test]
@@ -174,7 +162,7 @@ mod tests {
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("python", "2.6.6", "52").build());
         let cfg = YumConfig::default();
-        let updates = check_update(&[base, xsede], &cfg, &db);
+        let updates = check_update(&Solver::new(&[base, xsede], &cfg), &db);
         assert!(
             updates.is_empty(),
             "shadowed python 2.7.5 must not appear: {updates:?}"
@@ -184,7 +172,7 @@ mod tests {
     #[test]
     fn render_contains_fields() {
         let (repos, cfg, db) = setup();
-        let updates = check_update(&repos, &cfg, &db);
+        let updates = check_update(&Solver::new(&repos, &cfg), &db);
         let line = updates[0].render();
         assert!(line.contains(&updates[0].name));
         assert!(line.contains("xsede"));

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use xcbc_rpm::{PackageBuilder, RpmDb};
-use xcbc_yum::{Repository, ShardedSolveCache, SolveCache, SolveRequest, YumConfig};
+use xcbc_yum::{Repository, ShardedSolveCache, SolveCache, SolveRequest, Solver, YumConfig};
 
 /// A small solvable catalog: `pkg{i}` requires `pkg{i-1}`.
 fn chain_repo(n: usize) -> Repository {
@@ -41,9 +41,10 @@ proptest! {
         let salt_b = ShardedSolveCache::tenant_salt("campus-b");
         prop_assert_ne!(salt_a, salt_b);
 
-        bank.get_or_solve(salt_a, &repos, &cfg, &db, &req).unwrap();
+        let solver = Solver::new(&repos, &cfg);
+        bank.get_or_solve(salt_a, &solver, &db, &req).unwrap();
         // tenant B's first probe of the very same request must miss
-        bank.get_or_solve(salt_b, &repos, &cfg, &db, &req).unwrap();
+        bank.get_or_solve(salt_b, &solver, &db, &req).unwrap();
         let stats = bank.stats();
         prop_assert_eq!(stats.hits, 0, "tenant B observed tenant A's entry");
         prop_assert_eq!(stats.misses, 2);
@@ -66,22 +67,22 @@ proptest! {
         shards in 1usize..5,
         tenants in 2usize..5,
     ) {
-        let repos = Arc::new(vec![chain_repo(n)]);
-        let cfg = Arc::new(YumConfig::default());
+        let repos = vec![chain_repo(n)];
+        let cfg = YumConfig::default();
         let bank = Arc::new(ShardedSolveCache::new(shards));
         let req = SolveRequest::install([format!("pkg{}", n - 1).as_str()]);
+        // one view shared by every tenant thread, as `xcbcd` shares it
+        let solver = Solver::new(&repos, &cfg);
 
         std::thread::scope(|scope| {
             for t in 0..tenants {
-                let repos = Arc::clone(&repos);
-                let cfg = Arc::clone(&cfg);
                 let bank = Arc::clone(&bank);
-                let req = req.clone();
+                let (solver, req) = (&solver, req.clone());
                 scope.spawn(move || {
                     let db = RpmDb::new();
                     let salt = ShardedSolveCache::tenant_salt(&format!("tenant-{t}"));
-                    let first = bank.get_or_solve(salt, &repos, &cfg, &db, &req).unwrap();
-                    let second = bank.get_or_solve(salt, &repos, &cfg, &db, &req).unwrap();
+                    let first = bank.get_or_solve(salt, solver, &db, &req).unwrap();
+                    let second = bank.get_or_solve(salt, solver, &db, &req).unwrap();
                     assert!(Arc::ptr_eq(&first, &second));
                 });
             }
