@@ -9,7 +9,7 @@
 //! per tenant, so after the first pass nearly every solve is answered
 //! from the tenant's salted shard. The cold/warm QPS gap recorded in
 //! BENCH_pr10.json is the acceptance evidence that the sharded
-//! copy-on-write cache actually carries the multi-tenant load (warm
+//! cache actually carries the multi-tenant load (warm
 //! QPS must be ≥ 5× cold).
 
 use criterion::{criterion_group, criterion_main, Criterion};

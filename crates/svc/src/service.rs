@@ -1,5 +1,6 @@
-//! The `xcbcd` engine: serial admission, a bounded worker pool, and
-//! the single-threaded replayer.
+//! The `xcbcd` engine: serial admission, then one executor that runs
+//! the journal on a bounded worker pool — and again, on one worker, to
+//! replay it.
 //!
 //! ## The determinism contract
 //!
@@ -21,9 +22,9 @@
 //!    scheduling-independent and belong in the journal footer.
 //!
 //! Ledger-derived operations (mon snapshots, trace fetches) are pure
-//! functions of the journal prefix before the request's own entry,
-//! which is exactly the information the replayer has when it reaches
-//! the same sequence number.
+//! functions of the journal prefix before the request's own entry, so
+//! the executor derives them from the journal alone — whether `serve`
+//! just wrote it or `replay` just parsed it.
 
 use crate::admission::{AdmissionController, QuotaTable};
 use crate::api::{body_digest, Disposition, RejectReason, SvcOp, SvcRequest, SvcResponse};
@@ -120,17 +121,6 @@ impl TenantState {
         }
     }
 
-    /// Execute one state-touching op serially; returns the body.
-    fn execute(&mut self, op: &SvcOp, bank: &ShardedSolveCache, solver: &Solver<'_>) -> String {
-        match op {
-            SvcOp::Solve(req) => self.solve(req, bank, solver),
-            SvcOp::Deploy => self.deploy(bank),
-            // ledger ops are precomputed at admission / replayed from
-            // the journal prefix; they never reach here
-            SvcOp::MonSnapshot | SvcOp::TraceFetch => unreachable!("ledger op routed to a worker"),
-        }
-    }
-
     fn solve(&self, req: &SolveRequest, bank: &ShardedSolveCache, solver: &Solver<'_>) -> String {
         let frontend = self.nodes.values().next().expect("tenant has a frontend");
         match bank.get_or_solve(self.salt, solver, frontend, req) {
@@ -182,8 +172,8 @@ impl TenantState {
     }
 }
 
-/// The accepted-request ledger both the admission pass and the replayer
-/// maintain — the state mon/trace bodies are derived from.
+/// The accepted-request ledger over a journal prefix — the state
+/// mon/trace bodies are derived from.
 #[derive(Debug, Default)]
 struct Ledger {
     total: u64,
@@ -225,12 +215,63 @@ impl Ledger {
     }
 }
 
-/// What a worker executes for one accepted request.
-enum Work {
-    /// Solve/deploy, executed against tenant state.
-    Op(SvcOp),
-    /// Ledger-derived body, fixed at admission.
+/// What a tenant's serial stream runs for one journal entry.
+enum Work<'a> {
+    /// A solve against the tenant's frontend database.
+    Solve(&'a SolveRequest),
+    /// An XNIT overlay deploy onto the tenant's nodes.
+    Deploy,
+    /// A ledger-derived body, fixed from the journal prefix.
     Ready(String),
+}
+
+/// Execute journal entries: mon/trace bodies come from the ledger over
+/// the journal prefix, and each tenant's solves and deploys run as one
+/// [`pool`] item, serially in journal order, against a fresh bank and
+/// one shared solver view. Returns one body per entry, indexed by
+/// position in `entries` (never by `seq`: a replayed journal may carry
+/// gaps or duplicates there), and the bank the run left behind.
+fn execute(
+    entries: &[JournalEntry],
+    shards: usize,
+    workers: usize,
+) -> (Vec<String>, ShardedSolveCache) {
+    let mut ledger = Ledger::default();
+    let mut streams: BTreeMap<&str, Vec<(usize, Work<'_>)>> = BTreeMap::new();
+    for (i, entry) in entries.iter().enumerate() {
+        let work = match &entry.op {
+            SvcOp::Solve(req) => Work::Solve(req),
+            SvcOp::Deploy => Work::Deploy,
+            SvcOp::MonSnapshot => Work::Ready(ledger.mon_body(&entry.tenant)),
+            SvcOp::TraceFetch => Work::Ready(ledger.trace_body(&entry.tenant)),
+        };
+        ledger.record(&entry.tenant, entry.seq);
+        streams.entry(&entry.tenant).or_default().push((i, work));
+    }
+
+    let bank = ShardedSolveCache::new(shards);
+    let repos = tenant_repos();
+    let yum_config = YumConfig::default();
+    let solver = Solver::new(&repos, &yum_config);
+    let executed = pool::map(workers, streams, |(tenant, items)| {
+        let mut state = TenantState::new(tenant);
+        items
+            .into_iter()
+            .map(|(i, work)| {
+                let body = match work {
+                    Work::Solve(req) => state.solve(req, &bank, &solver),
+                    Work::Deploy => state.deploy(&bank),
+                    Work::Ready(body) => body,
+                };
+                (i, body)
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut bodies = vec![String::new(); entries.len()];
+    for (i, body) in executed.into_iter().flatten() {
+        bodies[i] = body;
+    }
+    (bodies, bank)
 }
 
 /// Serve a request stream: serial admission, per-tenant concurrent
@@ -245,7 +286,6 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
     let shards = config.shards.max(1);
     let mut admission = AdmissionController::new(config.quotas.clone(), config.queue_limit)
         .with_mutation(config.mutation);
-    let mut ledger = Ledger::default();
     let mut journal = Journal {
         seed: config.seed,
         shards,
@@ -259,10 +299,8 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
     };
 
     let mut responses: Vec<SvcResponse> = Vec::with_capacity(requests.len());
-    // per-tenant serial work queues, already in seq order
-    let mut work: BTreeMap<String, Vec<(u64, Work)>> = BTreeMap::new();
-    // seq → index into `responses`
-    let mut seq_slot: Vec<usize> = Vec::new();
+    // journal position → index into `responses`
+    let mut entry_slot: Vec<usize> = Vec::new();
     let mut tenant_dispositions: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
     let (mut rejected_quota, mut rejected_backpressure) = (0usize, 0usize);
 
@@ -296,16 +334,7 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
                     seed: req.seed,
                     op: req.op.clone(),
                 });
-                let item = match &req.op {
-                    SvcOp::MonSnapshot => Work::Ready(ledger.mon_body(&req.tenant)),
-                    SvcOp::TraceFetch => Work::Ready(ledger.trace_body(&req.tenant)),
-                    op => Work::Op(op.clone()),
-                };
-                ledger.record(&req.tenant, seq);
-                work.entry(req.tenant.clone())
-                    .or_default()
-                    .push((seq, item));
-                seq_slot.push(responses.len());
+                entry_slot.push(responses.len());
                 responses.push(SvcResponse {
                     tenant: req.tenant.clone(),
                     disposition: Disposition::Accepted { seq },
@@ -316,34 +345,13 @@ fn serve_inner(requests: &[SvcRequest], config: &SvcConfig) -> SvcReport {
     }
     let accepted = journal.entries.len();
 
-    // ---- execution: one pool item per tenant, run serially ----
-    let bank = ShardedSolveCache::new(shards);
-    let repos = tenant_repos();
-    let yum_config = YumConfig::default();
-    let solver = Solver::new(&repos, &yum_config);
-    let executed = pool::map(workers, work, |(tenant, items)| {
-        let mut state = TenantState::new(&tenant);
-        items
-            .into_iter()
-            .map(|(seq, item)| {
-                let body = match item {
-                    Work::Ready(body) => body,
-                    Work::Op(op) => state.execute(&op, &bank, &solver),
-                };
-                (seq, body)
-            })
-            .collect::<Vec<_>>()
-    });
-    for (seq, body) in executed.into_iter().flatten() {
-        responses[seq_slot[seq as usize]].body = body;
-    }
-
-    // ---- footer + mutations ----
-    for (i, entry) in journal.entries.iter().enumerate() {
-        debug_assert_eq!(entry.seq, i as u64);
+    // ---- execution, then footer + mutations ----
+    let (bodies, bank) = execute(&journal.entries, shards, workers);
+    for ((entry, slot), body) in journal.entries.iter().zip(entry_slot).zip(bodies) {
+        responses[slot].body = body;
         journal
             .response_digests
-            .push((entry.seq, responses[seq_slot[i]].body_digest()));
+            .push((entry.seq, responses[slot].body_digest()));
     }
     journal.set_cache_totals(&bank.stats());
     if config.mutation == Some(Mutation::SvcDropJournalEntry) && !journal.entries.is_empty() {
@@ -511,32 +519,19 @@ impl ReplayReport {
     }
 }
 
-/// Re-execute a journal single-threaded and verify it against its own
-/// footer: every response body must digest to what the original run
-/// recorded, and the final cache-counter totals must match. This is
-/// `xcbcd --replay LOG`.
+/// Re-execute a journal with `serve`'s executor on one worker and
+/// verify it against its own footer: every response body must digest
+/// to what the original run recorded, and the final cache-counter
+/// totals must match. This is `xcbcd --replay LOG`.
 pub fn replay(journal_text: &str) -> Result<ReplayReport, RecordError> {
     let journal = Journal::parse(journal_text)?;
-    let bank = ShardedSolveCache::new(journal.shards);
-    let repos = tenant_repos();
-    let yum_config = YumConfig::default();
-    let solver = Solver::new(&repos, &yum_config);
-    let mut ledger = Ledger::default();
-    let mut states: BTreeMap<String, TenantState> = BTreeMap::new();
-    let mut responses: Vec<(u64, String, String)> = Vec::with_capacity(journal.entries.len());
-
-    for entry in &journal.entries {
-        let body = match &entry.op {
-            SvcOp::MonSnapshot => ledger.mon_body(&entry.tenant),
-            SvcOp::TraceFetch => ledger.trace_body(&entry.tenant),
-            op => states
-                .entry(entry.tenant.clone())
-                .or_insert_with(|| TenantState::new(&entry.tenant))
-                .execute(op, &bank, &solver),
-        };
-        ledger.record(&entry.tenant, entry.seq);
-        responses.push((entry.seq, entry.tenant.clone(), body));
-    }
+    let (bodies, bank) = execute(&journal.entries, journal.shards, 1);
+    let responses: Vec<(u64, String, String)> = journal
+        .entries
+        .iter()
+        .zip(bodies)
+        .map(|(entry, body)| (entry.seq, entry.tenant.clone(), body))
+        .collect();
 
     let mut mismatches = Vec::new();
     if journal.entries.len() != journal.response_digests.len() {

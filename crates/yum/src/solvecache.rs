@@ -7,9 +7,8 @@
 //! (repositories + config, installed database, normalized request) —
 //! so the second site onward pays one hash lookup instead of a BFS walk.
 //!
-//! The map itself is copy-on-write behind an [`Arc`]: readers clone the
-//! current snapshot pointer under a briefly-held read lock and then
-//! probe it lock-free, while the (rare) writer swaps in a rebuilt map.
+//! The map sits behind an [`RwLock`]: readers probe it under a read
+//! lock, and the (rare) writer inserts in place under the write lock.
 //! Cached [`Solution`]s hold `Arc<Package>`s, so a hit shares package
 //! payloads across threads without cloning until a site commits the
 //! solution into a transaction.
@@ -32,7 +31,7 @@ use crate::solver::{Solution, SolveError, SolveRequest, Solver};
 use crate::YumConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use xcbc_rpm::RpmDb;
 use xcbc_sim::MetricRegistry;
 
@@ -74,13 +73,11 @@ impl std::iter::Sum for CacheStats {
     }
 }
 
-type Snapshot = Arc<HashMap<u64, Arc<Solution>>>;
-
 /// The concurrent solve cache. Cheap to share: wrap it in an [`Arc`]
 /// and hand clones to every fleet worker.
 #[derive(Debug, Default)]
 pub struct SolveCache {
-    map: RwLock<Snapshot>,
+    map: RwLock<HashMap<u64, Arc<Solution>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -128,24 +125,20 @@ impl SolveCache {
         }
     }
 
-    fn snapshot(&self) -> Snapshot {
-        // Read lock held only long enough to clone the Arc; probing the
-        // map afterwards is lock-free.
-        Arc::clone(&self.map.read().unwrap_or_else(|e| e.into_inner()))
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<u64, Arc<Solution>>> {
+        self.map.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Probe the cache, bumping the hit/miss counter.
     pub fn lookup(&self, key: u64) -> Option<Arc<Solution>> {
-        match self.snapshot().get(&key) {
-            Some(sol) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(sol))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.peek(key);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Probe the cache without touching the hit/miss counters. This is
@@ -153,25 +146,15 @@ impl SolveCache {
     /// coherence audit): they must be able to inspect cached solutions
     /// without perturbing the statistics the run under test reports.
     pub fn peek(&self, key: u64) -> Option<Arc<Solution>> {
-        self.snapshot().get(&key).map(Arc::clone)
-    }
-
-    /// Every `(key, solution)` pair currently cached, in unspecified
-    /// order. Counter-neutral, like [`peek`](Self::peek).
-    pub fn entries(&self) -> Vec<(u64, Arc<Solution>)> {
-        self.snapshot()
-            .iter()
-            .map(|(k, v)| (*k, Arc::clone(v)))
-            .collect()
+        self.read().get(&key).map(Arc::clone)
     }
 
     /// Store the solution of a [`lookup`](Self::lookup) that missed,
-    /// returning the shared handle. Copy-on-write: the current snapshot
-    /// is cloned, extended, and swapped in. If another thread raced the
-    /// same key in first, its entry wins (both computed the same
-    /// deterministic solution, so either is correct) and that lookup's
-    /// miss is recounted as a hit: had the lookups run one after the
-    /// other, it would have hit.
+    /// returning the shared handle. If another thread raced the same key
+    /// in first, its entry wins (both computed the same deterministic
+    /// solution, so either is correct) and that lookup's miss is
+    /// recounted as a hit: had the lookups run one after the other, it
+    /// would have hit.
     pub fn insert(&self, key: u64, solution: Solution) -> Arc<Solution> {
         let mut guard = self.map.write().unwrap_or_else(|e| e.into_inner());
         if let Some(existing) = guard.get(&key) {
@@ -180,9 +163,7 @@ impl SolveCache {
             return Arc::clone(existing);
         }
         let shared = Arc::new(solution);
-        let mut next: HashMap<u64, Arc<Solution>> = (**guard).clone();
-        next.insert(key, Arc::clone(&shared));
-        *guard = Arc::new(next);
+        guard.insert(key, Arc::clone(&shared));
         shared
     }
 
@@ -232,14 +213,8 @@ impl SolveCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.snapshot().len(),
+            entries: self.read().len(),
         }
-    }
-
-    /// Drop every stored solution (counters are kept).
-    pub fn clear(&self) {
-        let mut guard = self.map.write().unwrap_or_else(|e| e.into_inner());
-        *guard = Arc::new(HashMap::new());
     }
 
     /// Export the cache counters into a [`MetricRegistry`] — the one
@@ -310,7 +285,7 @@ impl ShardedSolveCache {
     }
 
     /// Which shard a salted key routes to.
-    pub fn shard_index(&self, key: u64) -> usize {
+    fn shard_index(&self, key: u64) -> usize {
         // fold the high bits in so the modulo sees the whole key
         ((key ^ (key >> 32)) % self.shards.len() as u64) as usize
     }
@@ -358,32 +333,6 @@ impl ShardedSolveCache {
     /// Bank-wide aggregate of the per-shard counters.
     pub fn stats(&self) -> CacheStats {
         self.shards.iter().map(|s| s.stats()).sum()
-    }
-
-    /// Export per-shard counters as `xcbc_svc_*` families (one series
-    /// per shard, labeled `shard="i"`), plus bank-wide totals.
-    pub fn register_metrics(&self, registry: &mut MetricRegistry) {
-        for (i, stats) in self.shard_stats().iter().enumerate() {
-            let shard = i.to_string();
-            registry.set_counter(
-                "xcbc_svc_cache_hits_total",
-                "Tenant-salted depsolve lookups answered from a service cache shard",
-                &[("shard", &shard)],
-                stats.hits,
-            );
-            registry.set_counter(
-                "xcbc_svc_cache_misses_total",
-                "Tenant-salted depsolve lookups that fell through to a real solve",
-                &[("shard", &shard)],
-                stats.misses,
-            );
-            registry.set_gauge(
-                "xcbc_svc_shard_entries",
-                "Distinct solutions currently stored in a service cache shard",
-                &[("shard", &shard)],
-                stats.entries as f64,
-            );
-        }
     }
 }
 
@@ -514,21 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_entries_keeps_counters() {
-        let cache = SolveCache::new();
-        let repos = repos();
-        let cfg = YumConfig::default();
-        let db = RpmDb::new();
-        cache
-            .get_or_solve(&repos, &cfg, &db, &SolveRequest::install(["gromacs"]))
-            .unwrap();
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
     fn counters_register_into_shared_registry() {
         let cache = SolveCache::new();
         let repos = repos();
@@ -612,14 +546,6 @@ mod tests {
         }
         assert_eq!(bank.stats().entries, 1);
         assert!(bank.peek(key).is_some());
-
-        let mut registry = MetricRegistry::new();
-        bank.register_metrics(&mut registry);
-        let shard = home.to_string();
-        assert_eq!(
-            registry.counter_value("xcbc_svc_cache_hits_total", &[("shard", &shard)]),
-            Some(1)
-        );
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //! answers, or which solves the cache memoizes, shows up here as a
 //! byte difference. Performance work on the svc path must leave it
 //! untouched.
+//!
+//! `tests/golden/svc-seed7.txt` is the stdout of
+//!
+//! ```text
+//! xcbc svc --tenants 3 --requests 48 --seed 7 --workers 1 --prom
+//! ```
+//!
+//! — per-request dispositions, the run summary, the `xcbc_svc_*`
+//! exposition and the replay verdict. Regenerate it after an intended
+//! change with `XCBC_BLESS=1 cargo test --test svc_golden`.
 
 use xcbc::svc::{replay, serve, SvcWorkload};
 
@@ -43,6 +53,38 @@ fn seed7_stream_journal_matches_golden() {
         );
     }
     assert_eq!(served_journal(4), GOLDEN, "journal depends on worker count");
+}
+
+#[test]
+fn seed7_svc_transcript_matches_golden() {
+    const ARGS: [&str; 10] = [
+        "svc",
+        "--tenants",
+        "3",
+        "--requests",
+        "48",
+        "--seed",
+        "7",
+        "--workers",
+        "1",
+        "--prom",
+    ];
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xcbc"))
+        .args(ARGS)
+        .output()
+        .expect("run xcbc");
+    assert!(out.status.success(), "xcbc {ARGS:?} failed");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/svc-seed7.txt");
+    if std::env::var_os("XCBC_BLESS").is_some() {
+        std::fs::write(&path, &out.stdout).expect("bless golden file");
+        return;
+    }
+    let expected = std::fs::read(&path).expect("read tests/golden/svc-seed7.txt");
+    assert!(
+        out.stdout == expected,
+        "xcbc {ARGS:?} drifted from tests/golden/svc-seed7.txt; if intentional, \
+         regenerate with XCBC_BLESS=1 cargo test --test svc_golden"
+    );
 }
 
 #[test]
@@ -120,25 +162,40 @@ fn tampered_golden_journal_is_refused() {
 }
 
 /// Single-line edits that still parse but contradict what the journal
-/// replays to: each `(line, from, to, needle)` must replay as *not*
-/// clean, with a mismatch containing `needle`.
+/// replays to: each `(line, from, to, mismatches)` must replay as *not*
+/// clean, with exactly `mismatches`.
 #[test]
 fn wrong_footer_values_replay_unclean() {
-    let rows: &[(usize, &str, &str, &str)] = &[
+    let rows: &[(usize, &str, &str, &[&str])] = &[
         (
             52,
             "cache hits 1 misses 15 entries 15",
             "cache hits 2 misses 15 entries 15",
-            "cache totals: replay (hits=1 misses=15 entries=15) != recorded (hits=2 misses=15 entries=15)",
+            &["cache totals: replay (hits=1 misses=15 entries=15) != recorded (hits=2 misses=15 entries=15)"],
         ),
         (
             30,
             "response 0 14838321224971531163",
             "response 0 1",
-            "seq 0: replayed body digest 14838321224971531163 != recorded 1",
+            &["seq 0: replayed body digest 14838321224971531163 != recorded 1"],
+        ),
+        // a duplicated seq: entries execute by journal position, so the
+        // second `entry 0` still runs as the paraview solve, while the
+        // footer's seq 1 finds no entry and both campus-a traces list
+        // seq 0 twice
+        (
+            8,
+            "entry 1 campus-a 15624733544272274768 11816172847839036445 solve install:paraview",
+            "entry 0 campus-a 15624733544272274768 11816172847839036445 solve install:paraview",
+            &[
+                "seq 0: replayed body digest 12555080171269190807 != recorded 14838321224971531163",
+                "seq 1: recorded response has no journal entry",
+                "seq 8: replayed body digest 10706920226610760284 != recorded 10021501170435182199",
+                "seq 20: replayed body digest 7141851177433753550 != recorded 4383852825738504129",
+            ],
         ),
     ];
-    for &(line, from, to, needle) in rows {
+    for &(line, from, to, mismatches) in rows {
         let golden_line = GOLDEN.lines().nth(line - 1).unwrap();
         assert_eq!(golden_line, from, "line {line}");
         let edited: String = GOLDEN
@@ -148,7 +205,7 @@ fn wrong_footer_values_replay_unclean() {
             .collect();
         let verdict = replay(&edited).unwrap_or_else(|e| panic!("{from:?} -> {to:?}: {e}"));
         assert!(!verdict.is_clean(), "{from:?} -> {to:?} replayed clean");
-        assert_eq!(verdict.mismatches, [needle], "{from:?} -> {to:?}");
+        assert_eq!(verdict.mismatches, mismatches, "{from:?} -> {to:?}");
         assert!(!verdict.render().starts_with("replay ok"));
     }
 }
