@@ -150,13 +150,6 @@ pub fn check_compatibility(db: &RpmDb) -> CompatReport {
     )
 }
 
-/// Grade against an arbitrary subset of the reference (e.g. only the
-/// packages a site cares about).
-pub fn check_against(db: &RpmDb, reference: &[CatalogEntry]) -> CompatReport {
-    let parsed: Vec<ParsedEntry> = reference.iter().map(ParsedEntry::new).collect();
-    grade(db, &parsed)
-}
-
 fn grade(db: &RpmDb, reference: &[ParsedEntry]) -> CompatReport {
     let mut issues = Vec::new();
     let mut matching = 0;
@@ -261,23 +254,6 @@ mod tests {
             !missing.contains(&"slurm"),
             "slurm is present (version+path match)"
         );
-    }
-
-    #[test]
-    fn check_against_subset() {
-        let mut db = RpmDb::new();
-        db.install(
-            PackageBuilder::new("gcc", "4.4.7", "17.el6")
-                .file("/usr/bin/gcc")
-                .build(),
-        );
-        let subset: Vec<_> = xsede_reference()
-            .iter()
-            .filter(|e| e.name == "gcc")
-            .copied()
-            .collect();
-        let report = check_against(&db, &subset);
-        assert!(report.is_compatible(), "{}", report.render());
     }
 
     #[test]

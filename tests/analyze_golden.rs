@@ -1,12 +1,11 @@
 //! Golden-file check of the seeded LittleFe trace analysis.
 //!
-//! `xcbc trace analyze littlefe --faults` must be byte-stable across
-//! refactors: the critical-path report and the flame view are the
-//! contract the docs' worked transcripts and the CI gate are built
-//! against. This test replays the default (seed 42) day-one scenario
-//! through the analyser and diffs the combined render (critical-path
-//! table + flame lanes + folded stacks) against
-//! `tests/golden/littlefe.analyze`.
+//! `xcbc trace analyze littlefe` must be byte-stable across refactors:
+//! the critical-path report, the flame view and the folded stacks are
+//! the contract the docs' worked transcripts are built against. This
+//! test checks the two `tests/golden/MANIFEST` rows that hold them: the
+//! default view of the seed-42 day-one scenario (`--faults`) and its
+//! `--folded` stacks.
 //!
 //! When an intentional change shifts the output, regenerate with:
 //!
@@ -14,44 +13,14 @@
 //! XCBC_BLESS=1 cargo test --test analyze_golden
 //! ```
 
-use xcbc::core::scenario::littlefe_day_one;
-use xcbc::fault::FaultPlan;
-use xcbc::sim::analyze;
+mod common;
 
-const GOLDEN_PATH: &str = "tests/golden/littlefe.analyze";
+use common::manifest::check_files;
 
 #[test]
 fn littlefe_trace_analysis_matches_golden() {
-    let run = littlefe_day_one(&FaultPlan::new(42)).expect("clean day-one run");
-    let analysis = analyze(&run.events);
-    let actual = format!(
-        "{}\n{}\n{}",
-        analysis.render(),
-        analysis.flame(),
-        analysis.folded()
-    );
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("XCBC_BLESS").is_some() {
-        std::fs::write(&path, &actual).expect("bless golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "read {}: {e} (run with XCBC_BLESS=1 to create)",
-            GOLDEN_PATH
-        )
-    });
-    if actual != expected {
-        let first_diff = actual
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e);
-        panic!(
-            "analysis drifted from {GOLDEN_PATH} (first differing line: {:?}); \
-             if intentional, regenerate with XCBC_BLESS=1 cargo test --test analyze_golden",
-            first_diff
-        );
-    }
+    check_files(&[
+        "trace-analyze-littlefe-faults.txt",
+        "trace-analyze-littlefe.folded",
+    ]);
 }

@@ -9,13 +9,9 @@
 //! to span placement, labels, fields, package sets or error text fails
 //! here.
 //!
-//! It also pins the `xcbc` output of the paths where nodes share one
-//! result per node image (see [`SHARED_IMAGE_GOLDENS`]): the fleet's
-//! merged trace and its solve-cache line at one and four threads, a
-//! scriptlet fault that sends every node down its own transaction, and
-//! a power loss whose resume rebuilds committed nodes; and the plain
-//! `xcbc trace` listing with its per-source table (see
-//! [`TRACE_GOLDENS`]).
+//! It also checks the `tests/golden/MANIFEST` rows of the paths where
+//! nodes share one result per node image and of the plain `xcbc trace`
+//! listing.
 //!
 //! When an intentional change shifts the output, regenerate with:
 //!
@@ -23,49 +19,16 @@
 //! XCBC_BLESS=1 cargo test --test deploy_golden
 //! ```
 
+mod common;
+
+use common::assert_golden;
+use common::manifest::check_files;
 use std::fmt::Write as _;
 use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified, littlefe_v4};
 use xcbc::cluster::ClusterSpec;
 use xcbc::core::deploy::deploy_from_scratch;
 use xcbc::rocks::{boot_node, standard_rolls, ClusterInstall, PxeStage, Roll};
 use xcbc::sim::events_to_jsonl;
-
-const GOLDEN_PATH: &str = "tests/golden/deploy-littlefe.txt";
-
-/// `(golden file, xcbc arguments)`: stdout of each command, byte for
-/// byte. The fleet summary names the worker count and the simulated
-/// makespan on that many workers, so it is pinned at one and at four
-/// threads; its solve-cache totals are the same at both, because a
-/// site whose solve loses the insert race counts a hit.
-const SHARED_IMAGE_GOLDENS: [(&str, &[&str]); 5] = [
-    ("tests/golden/fleet.jsonl", &["fleet", "--jsonl"]),
-    (
-        "tests/golden/fleet-threads1.txt",
-        &["fleet", "--threads", "1"],
-    ),
-    (
-        "tests/golden/fleet-threads4.txt",
-        &["fleet", "--threads", "4"],
-    ),
-    (
-        "tests/golden/deploy-scriptlet.txt",
-        &[
-            "deploy",
-            "littlefe",
-            "--faults",
-            "seed=9; rpm.scriptlet key=openmpi on=nth:1",
-        ],
-    ),
-    (
-        "tests/golden/deploy-resume.txt",
-        &[
-            "deploy",
-            "littlefe",
-            "--faults",
-            "seed=7; rate dhcp.discover 0.2; power.loss key=compute-0-2 on=nth:0",
-        ],
-    ),
-];
 
 /// LittleFe modified grown to 17 nodes: the frontend plus sixteen
 /// copies of its first compute node.
@@ -156,25 +119,11 @@ fn render_all() -> String {
 
 #[test]
 fn from_scratch_install_matches_golden() {
-    let actual = render_all();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("XCBC_BLESS").is_some() {
-        std::fs::write(&path, &actual).expect("bless golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {GOLDEN_PATH}: {e} (run with XCBC_BLESS=1 to create)"));
-    if actual != expected {
-        let first_diff = actual
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e);
-        panic!(
-            "from-scratch install drifted from {GOLDEN_PATH} (first differing line: {first_diff:?}); \
-             if intentional, regenerate with XCBC_BLESS=1 cargo test --test deploy_golden"
-        );
-    }
+    assert_golden(
+        "tests/golden/deploy-littlefe.txt",
+        render_all(),
+        "from-scratch install",
+    );
 }
 
 /// The golden covers what it claims to: both failure modes, a
@@ -195,52 +144,23 @@ fn golden_covers_every_outcome() {
     }
 }
 
-/// The day-one event listing and per-source table of `xcbc trace`,
-/// fault-free and under a boot fault whose hung boots and retry
-/// backoff land on the install lane. (A bare
-/// `--faults` is the seed-42 plan, which fires nothing here, so it
-/// would pin the fault-free bytes twice.)
-const TRACE_GOLDENS: [(&str, &[&str]); 2] = [
-    ("tests/golden/trace-littlefe.txt", &["trace", "littlefe"]),
-    (
-        "tests/golden/trace-littlefe-faults.txt",
-        &[
-            "trace",
-            "littlefe",
-            "--faults",
-            "seed=11; node.boot key=compute-0-2",
-        ],
-    ),
-];
-
+/// The fleet's merged trace and its solve-cache line at one and four
+/// threads, a scriptlet fault that sends every node down its own
+/// transaction, and a power loss whose resume rebuilds committed nodes.
 #[test]
 fn shared_image_paths_match_golden() {
-    check_cli_goldens(&SHARED_IMAGE_GOLDENS);
+    check_files(&[
+        "fleet.jsonl",
+        "fleet-threads1.txt",
+        "fleet-threads4.txt",
+        "deploy-scriptlet.txt",
+        "deploy-resume.txt",
+    ]);
 }
 
+/// The day-one event listing and per-source table of `xcbc trace`,
+/// fault-free and under a boot fault.
 #[test]
 fn trace_listings_match_golden() {
-    check_cli_goldens(&TRACE_GOLDENS);
-}
-
-fn check_cli_goldens(goldens: &[(&str, &[&str])]) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    for &(golden, args) in goldens {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_xcbc"))
-            .args(args)
-            .output()
-            .expect("run xcbc");
-        assert!(out.status.success(), "xcbc {args:?} failed");
-        let path = root.join(golden);
-        if std::env::var_os("XCBC_BLESS").is_some() {
-            std::fs::write(&path, &out.stdout).expect("bless golden file");
-            continue;
-        }
-        let expected = std::fs::read(&path).unwrap_or_else(|e| panic!("read {golden}: {e}"));
-        assert!(
-            out.stdout == expected,
-            "xcbc {args:?} drifted from {golden}; if intentional, regenerate with \
-             XCBC_BLESS=1 cargo test --test deploy_golden"
-        );
-    }
+    check_files(&["trace-littlefe.txt", "trace-littlefe-faults.txt"]);
 }

@@ -1,0 +1,76 @@
+//! The golden manifest: every deterministic `xcbc`/`xcbcd` output,
+//! pinned once.
+//!
+//! Each row of `tests/golden/MANIFEST` is
+//! `file<TAB>binary<TAB>arg<TAB>arg…`: running the built `binary` with
+//! those arguments must exit 0 and print the bytes of
+//! `tests/golden/<file>`. Lines that start with `#` are comments. CI
+//! reads the same rows against the release binaries.
+//! `analyze_golden`, `deploy_golden`, `mon_golden` and `svc_golden`
+//! also check the rows of the outputs they used to render, by file name.
+//!
+//! Every other file under `tests/golden/` belongs to a library-level
+//! test ([`LIBRARY_GOLDENS`]), so a golden that nothing checks fails
+//! here. When an intentional change shifts an output, regenerate with:
+//!
+//! ```text
+//! XCBC_BLESS=1 cargo test --test golden_manifest
+//! ```
+
+mod common;
+
+use common::manifest::{check_row, parse, rows};
+use std::collections::BTreeMap;
+
+/// Goldens rendered through the library by their own tests.
+const LIBRARY_GOLDENS: [&str; 4] = [
+    "deploy-littlefe.txt",  // deploy_golden.rs
+    "fleet-telemetry.prom", // mon_golden.rs
+    "sched-mix.jsonl",      // sched_golden.rs
+    "svc-seed7.journal",    // svc_golden.rs
+];
+
+#[test]
+fn every_row_prints_its_golden() {
+    for row in rows() {
+        check_row(&row);
+    }
+}
+
+/// Every golden file is checked by exactly one row or library test.
+#[test]
+fn every_golden_has_one_owner() {
+    let mut owners: BTreeMap<&str, Vec<String>> = BTreeMap::new();
+    for row in rows() {
+        owners.entry(row.file).or_default().push(row.label);
+    }
+    for file in LIBRARY_GOLDENS {
+        owners
+            .entry(file)
+            .or_default()
+            .push("a library test".into());
+    }
+    for (file, by) in &owners {
+        assert!(by.len() == 1, "{file} is pinned more than once: {by:?}");
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for entry in std::fs::read_dir(dir).expect("list tests/golden") {
+        let name = entry.expect("read tests/golden").file_name();
+        let name = name.to_string_lossy();
+        assert!(
+            name == "MANIFEST" || owners.contains_key(&*name),
+            "tests/golden/{name} is named by no MANIFEST row and no library test"
+        );
+    }
+}
+
+#[test]
+fn malformed_rows_name_their_line() {
+    for bad in ["x.txt\txcbc", "x.txt\tbash\t-c", "x.txt\txcbc\t\tfleet"] {
+        let text = format!("# comment\nfleet.jsonl\txcbc\tfleet\n{bad}\n");
+        let err = parse(&text)
+            .err()
+            .unwrap_or_else(|| panic!("{bad:?} parsed"));
+        assert!(err.starts_with("MANIFEST line 3: "), "{bad:?}: {err}");
+    }
+}

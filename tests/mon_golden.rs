@@ -1,12 +1,10 @@
 //! Golden-file checks of the Prometheus expositions.
 //!
-//! `xcbc mon littlefe --prom` must be byte-stable across refactors: the
-//! scrape is the observability contract downstream dashboards are built
-//! against. One test replays the default (seed 42, fault-free) day-one
-//! scenario through the telemetry pipeline and diffs the exposition
-//! against `tests/golden/littlefe.prom`; the other rolls the default
-//! `xcbc fleet` deployment up into fleet telemetry and diffs its
-//! exposition against `tests/golden/fleet-telemetry.prom`.
+//! One test checks the `tests/golden/MANIFEST` row of
+//! `xcbc mon littlefe --prom`, the default (seed 42, fault-free)
+//! day-one scrape; the other rolls the default `xcbc fleet` deployment
+//! up into fleet telemetry and diffs its exposition against
+//! `tests/golden/fleet-telemetry.prom`.
 //!
 //! When an intentional change shifts the exposition, regenerate with:
 //!
@@ -14,21 +12,19 @@
 //! XCBC_BLESS=1 cargo test --test mon_golden
 //! ```
 
-use xcbc::cluster::default_alert_rules;
+mod common;
+
+use common::assert_golden;
+use common::manifest::check_files;
 use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified};
 use xcbc::core::deploy::limulus_factory_image;
 use xcbc::core::fleet::{Fleet, FleetSite, FleetTelemetry};
-use xcbc::core::mon::monitor_run;
-use xcbc::core::scenario::littlefe_day_one;
 use xcbc::core::sites::{deployed_sites, AdoptionPath};
 use xcbc::core::XnitSetupMethod;
-use xcbc::fault::FaultPlan;
 
 #[test]
 fn littlefe_prometheus_exposition_matches_golden() {
-    let run = littlefe_day_one(&FaultPlan::new(42)).expect("clean day-one run");
-    let report = monitor_run(&run, default_alert_rules());
-    check_golden("tests/golden/littlefe.prom", &report.prometheus());
+    check_files(&["littlefe.prom"]);
 }
 
 /// The fleet `xcbc fleet --threads 1` deploys: every Table 3
@@ -58,28 +54,9 @@ fn default_fleet() -> Fleet {
 fn fleet_telemetry_exposition_matches_golden() {
     let report = default_fleet().deploy();
     assert!(report.all_succeeded());
-    let actual = FleetTelemetry::from_report(&report).prometheus();
-    check_golden("tests/golden/fleet-telemetry.prom", &actual);
-}
-
-fn check_golden(golden: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
-    if std::env::var_os("XCBC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("bless golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} (run with XCBC_BLESS=1 to create)", golden));
-    if actual != expected {
-        let first_diff = actual
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e);
-        panic!(
-            "exposition drifted from {golden} (first differing line: {:?}); \
-             if intentional, regenerate with XCBC_BLESS=1 cargo test --test mon_golden",
-            first_diff
-        );
-    }
+    assert_golden(
+        "tests/golden/fleet-telemetry.prom",
+        FleetTelemetry::from_report(&report).prometheus(),
+        "fleet exposition",
+    );
 }

@@ -17,11 +17,12 @@
 //! XCBC_BLESS=1 cargo test --test sched_golden
 //! ```
 
+mod common;
+
+use common::assert_golden;
 use std::fmt::Write as _;
 use xcbc::sched::{ClusterSim, JobRequest, JobState, SchedPolicy, SimMetrics};
 use xcbc::sim::events_to_jsonl;
-
-const GOLDEN_PATH: &str = "tests/golden/sched-mix.jsonl";
 
 const NODES: usize = 6;
 const CORES: u32 = 4;
@@ -168,25 +169,11 @@ fn render_all() -> String {
 
 #[test]
 fn scheduler_traces_match_golden() {
-    let actual = render_all();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("XCBC_BLESS").is_some() {
-        std::fs::write(&path, &actual).expect("bless golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {GOLDEN_PATH}: {e} (run with XCBC_BLESS=1 to create)"));
-    if actual != expected {
-        let first_diff = actual
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e);
-        panic!(
-            "scheduler trace drifted from {GOLDEN_PATH} (first differing line: {first_diff:?}); \
-             if intentional, regenerate with XCBC_BLESS=1 cargo test --test sched_golden"
-        );
-    }
+    assert_golden(
+        "tests/golden/sched-mix.jsonl",
+        render_all(),
+        "scheduler trace",
+    );
 }
 
 /// The scenarios exercise what they claim to: requeues, kills, node

@@ -10,18 +10,15 @@
 //! entries) in its footer, so a change that alters what a request
 //! answers, or which solves the cache memoizes, shows up here as a
 //! byte difference. Performance work on the svc path must leave it
-//! untouched.
-//!
-//! `tests/golden/svc-seed7.txt` is the stdout of
-//!
-//! ```text
-//! xcbc svc --tenants 3 --requests 48 --seed 7 --workers 1 --prom
-//! ```
-//!
-//! — per-request dispositions, the run summary, the `xcbc_svc_*`
-//! exposition and the replay verdict. Regenerate it after an intended
-//! change with `XCBC_BLESS=1 cargo test --test svc_golden`.
+//! untouched; an intended change re-blesses it with
+//! `XCBC_BLESS=1 cargo test --test svc_golden`. The `xcbc svc`
+//! transcript of the same stream is the `tests/golden/MANIFEST` row of
+//! `tests/golden/svc-seed7.txt`.
 
+mod common;
+
+use common::assert_golden;
+use common::manifest::check_files;
 use xcbc::svc::{replay, serve, SvcWorkload};
 
 const GOLDEN: &str = include_str!("golden/svc-seed7.journal");
@@ -39,52 +36,15 @@ fn served_journal(workers: usize) -> String {
 #[test]
 fn seed7_stream_journal_matches_golden() {
     let actual = served_journal(1);
-    if actual != GOLDEN {
-        let first_diff = actual
-            .lines()
-            .zip(GOLDEN.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e);
-        panic!(
-            "journal drifted from tests/golden/svc-seed7.journal \
-             (first differing line: {first_diff:?}; {} vs {} bytes)",
-            actual.len(),
-            GOLDEN.len()
-        );
-    }
-    assert_eq!(served_journal(4), GOLDEN, "journal depends on worker count");
+    assert_golden("tests/golden/svc-seed7.journal", &actual, "journal");
+    assert_eq!(served_journal(4), actual, "journal depends on worker count");
 }
 
+/// Per-request dispositions, the run summary, the `xcbc_svc_*`
+/// exposition and the replay verdict of `xcbc svc` on the same stream.
 #[test]
 fn seed7_svc_transcript_matches_golden() {
-    const ARGS: [&str; 10] = [
-        "svc",
-        "--tenants",
-        "3",
-        "--requests",
-        "48",
-        "--seed",
-        "7",
-        "--workers",
-        "1",
-        "--prom",
-    ];
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xcbc"))
-        .args(ARGS)
-        .output()
-        .expect("run xcbc");
-    assert!(out.status.success(), "xcbc {ARGS:?} failed");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/svc-seed7.txt");
-    if std::env::var_os("XCBC_BLESS").is_some() {
-        std::fs::write(&path, &out.stdout).expect("bless golden file");
-        return;
-    }
-    let expected = std::fs::read(&path).expect("read tests/golden/svc-seed7.txt");
-    assert!(
-        out.stdout == expected,
-        "xcbc {ARGS:?} drifted from tests/golden/svc-seed7.txt; if intentional, \
-         regenerate with XCBC_BLESS=1 cargo test --test svc_golden"
-    );
+    check_files(&["svc-seed7.txt"]);
 }
 
 #[test]
