@@ -6,9 +6,9 @@
 //! database, this module grades it against the Stampede reference
 //! profile in [`crate::catalog`].
 
-use crate::catalog::{xsede_reference, CatalogEntry};
+use crate::catalog::xsede_reference;
 use std::sync::OnceLock;
-use xcbc_rpm::{Dependency, Evr, RpmDb};
+use xcbc_rpm::{Evr, RpmDb};
 
 /// One compatibility deviation.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,83 +91,96 @@ impl CompatReport {
     }
 }
 
-/// A reference entry with its version and paths parsed, so grading a
-/// host parses nothing.
-struct ParsedEntry {
-    entry: CatalogEntry,
-    version: String,
-    paths: Vec<Dependency>,
+/// The reference, parsed and sorted once per process so that a grade
+/// is two merge walks against the database's sorted stores.
+struct Reference {
+    /// Each entry's parsed version, in reference order.
+    versions: Vec<String>,
+    /// Entry positions sorted by name (catalog names are unique).
+    by_name: Vec<usize>,
+    /// `(path, slot)` sorted by path. Slots number the reference paths
+    /// entry by entry, in reference order.
+    paths: Vec<(&'static str, usize)>,
 }
 
-impl ParsedEntry {
-    fn new(entry: &CatalogEntry) -> Self {
-        ParsedEntry {
-            entry: *entry,
-            version: Evr::parse(entry.version).version,
-            paths: entry.paths.iter().map(|p| Dependency::parse(p)).collect(),
-        }
-    }
-
-    fn check(&self, db: &RpmDb) -> Vec<CompatIssue> {
-        let name = self.entry.name;
-        let installed = match db.newest(name) {
-            None => {
-                return vec![CompatIssue::Missing {
-                    package: name.to_string(),
-                }]
-            }
-            Some(ip) => ip,
-        };
-        let mut issues = Vec::new();
-        if xcbc_rpm::rpmvercmp(&installed.package.evr().version, &self.version)
-            != std::cmp::Ordering::Equal
-        {
-            issues.push(CompatIssue::WrongVersion {
-                package: name.to_string(),
-                installed: installed.package.evr().version.clone(),
-                reference: self.entry.version.to_string(),
-            });
-        }
-        for (path, dep) in self.entry.paths.iter().zip(&self.paths) {
-            if !db.provides(dep) {
-                issues.push(CompatIssue::MissingPath {
-                    package: name.to_string(),
-                    path: path.to_string(),
-                });
-            }
-        }
-        issues
-    }
-}
-
-/// Grade a host against the full XSEDE reference, parsed once per
-/// process.
+/// Grade a host against the full XSEDE reference. Issues come in
+/// reference order.
 pub fn check_compatibility(db: &RpmDb) -> CompatReport {
-    static PARSED: OnceLock<Vec<ParsedEntry>> = OnceLock::new();
-    grade(
-        db,
-        PARSED.get_or_init(|| xsede_reference().iter().map(ParsedEntry::new).collect()),
-    )
-}
+    static REFERENCE: OnceLock<Reference> = OnceLock::new();
+    let entries = xsede_reference();
+    let reference = REFERENCE.get_or_init(|| {
+        let mut by_name: Vec<usize> = (0..entries.len()).collect();
+        by_name.sort_by_key(|&i| entries[i].name);
+        let mut paths: Vec<(&'static str, usize)> = entries
+            .iter()
+            .flat_map(|e| e.paths.iter().copied())
+            .enumerate()
+            .map(|(slot, path)| (path, slot))
+            .collect();
+        paths.sort_unstable();
+        Reference {
+            versions: entries
+                .iter()
+                .map(|e| Evr::parse(e.version).version)
+                .collect(),
+            by_name,
+            paths,
+        }
+    });
 
-fn grade(db: &RpmDb, reference: &[ParsedEntry]) -> CompatReport {
+    // Name walk: each entry's newest installed instance, with
+    // `RpmDb::newest`'s tie-break (`max_by` keeps the last of equals).
+    let mut newest = vec![None; entries.len()];
+    let mut installed = db.iter().peekable();
+    for &i in &reference.by_name {
+        let name = entries[i].name;
+        while installed.next_if(|ip| ip.package.name() < name).is_some() {}
+        newest[i] = std::iter::from_fn(|| installed.next_if(|ip| ip.package.name() == name))
+            .max_by(|a, b| a.package.nevra.evr.cmp(&b.package.nevra.evr));
+    }
+
+    // Path walk: whether any installed instance owns each path.
+    let mut owned = vec![false; reference.paths.len()];
+    let mut paths = db.paths().peekable();
+    for &(path, slot) in &reference.paths {
+        while paths.next_if(|&p| p < path).is_some() {}
+        owned[slot] = paths.peek() == Some(&path);
+    }
+
     let mut issues = Vec::new();
     let mut matching = 0;
-    for entry in reference {
-        let entry_issues = entry.check(db);
-        if entry_issues.is_empty() {
+    let mut owned = &owned[..];
+    for ((entry, version), newest) in entries.iter().zip(&reference.versions).zip(newest) {
+        let package = || entry.name.to_string();
+        let (mine, rest) = owned.split_at(entry.paths.len());
+        owned = rest;
+        let Some(installed) = newest else {
+            issues.push(CompatIssue::Missing { package: package() });
+            continue;
+        };
+        let before = issues.len();
+        let installed = &installed.package.evr().version;
+        if xcbc_rpm::rpmvercmp(installed, version) != std::cmp::Ordering::Equal {
+            issues.push(CompatIssue::WrongVersion {
+                package: package(),
+                installed: installed.clone(),
+                reference: entry.version.to_string(),
+            });
+        }
+        for (path, _) in entry.paths.iter().zip(mine).filter(|(_, &owned)| !owned) {
+            issues.push(CompatIssue::MissingPath {
+                package: package(),
+                path: path.to_string(),
+            });
+        }
+        if issues.len() == before {
             matching += 1;
         }
-        issues.extend(entry_issues);
     }
     CompatReport {
-        checked: reference.len(),
+        checked: entries.len(),
         matching,
-        score: if reference.is_empty() {
-            1.0
-        } else {
-            matching as f64 / reference.len() as f64
-        },
+        score: matching as f64 / entries.len() as f64,
         issues,
     }
 }
@@ -186,6 +199,20 @@ mod tests {
         }
         tx.run(&mut db).unwrap();
         db
+    }
+
+    /// The path walk compares reference paths with installed file paths
+    /// as text, which is `provides`'s answer only for a file dependency
+    /// named by the whole path.
+    #[test]
+    fn every_reference_path_is_a_file_dependency_on_itself() {
+        for entry in xsede_reference() {
+            for path in entry.paths {
+                let dep = xcbc_rpm::Dependency::parse(path);
+                assert!(dep.is_file_dep(), "{}: {path:?}", entry.name);
+                assert_eq!(dep.name, *path, "{}", entry.name);
+            }
+        }
     }
 
     #[test]

@@ -150,6 +150,14 @@ impl RpmDb {
         })
     }
 
+    /// Every installed file path in sorted order, once per owning
+    /// instance: a path that two instances own appears twice. Reads the
+    /// memoized file index, so a caller holding sorted paths can merge
+    /// against it instead of looking each one up.
+    pub fn paths(&self) -> impl Iterator<Item = &str> {
+        self.file_index().iter().map(|&e| self.path(e))
+    }
+
     /// Installed instances that own `path`, in database order.
     pub(crate) fn file_owners<'a, 'q: 'a>(
         &'q self,
@@ -438,6 +446,41 @@ mod tests {
         assert_eq!(removed.len(), 1);
         assert!(!db.provides(&Dependency::parse("/usr/bin/perl")));
         assert!(db.is_empty());
+    }
+
+    #[test]
+    fn paths_are_sorted_repeat_shared_paths_and_follow_changes() {
+        let mut db = db_with(vec![
+            PackageBuilder::new("torque", "4.2.10", "1")
+                .files(["/usr/bin/qsub", "/etc/pbs.conf"])
+                .build(),
+            PackageBuilder::new("slurm", "14.03", "1")
+                .files(["/usr/bin/sbatch", "/usr/bin/qsub"])
+                .build(),
+        ]);
+        let paths = |db: &RpmDb| db.paths().map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(
+            paths(&db),
+            [
+                "/etc/pbs.conf",
+                "/usr/bin/qsub",
+                "/usr/bin/qsub",
+                "/usr/bin/sbatch"
+            ]
+        );
+        db.install(
+            PackageBuilder::new("bash", "4.1.2", "15")
+                .file("/bin/bash")
+                .build(),
+        );
+        assert_eq!(paths(&db)[0], "/bin/bash");
+        db.erase("torque");
+        assert_eq!(
+            paths(&db),
+            ["/bin/bash", "/usr/bin/qsub", "/usr/bin/sbatch"]
+        );
+        db.erase_exact("slurm", &crate::evr::Evr::parse("14.03-1"));
+        assert_eq!(paths(&db), ["/bin/bash"]);
     }
 
     #[test]

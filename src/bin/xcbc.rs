@@ -69,12 +69,14 @@
 //! one output selector may be given. On every command but `soak` (where
 //! it is a switch) `--faults` takes a plan; on trace, trace analyze, mon,
 //! campaign and elastic a bare `--faults` means the default seed-42 plan.
+//! A reader that closes stdout early (`xcbc tables | head -c1`) ends the
+//! output quietly: exit 0, nothing on stderr.
 
 use std::collections::BTreeMap;
 use std::env;
 use std::process::ExitCode;
 
-use xcbc::cli::{svc_args, Args};
+use xcbc::cli::{exit_code, svc_args, Args, Stop};
 use xcbc::cluster::default_alert_rules;
 use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified};
 use xcbc::core::deploy::{
@@ -90,6 +92,7 @@ use xcbc::core::XnitSetupMethod;
 use xcbc::fault::{FaultPlan, InstallCheckpoint};
 use xcbc::rocks::{InstallErrorKind, ResilienceConfig};
 use xcbc::sim::{events_to_jsonl, SimDuration, SimTime, TraceKind};
+use xcbc::{out, outln};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = env::args().skip(1).collect();
@@ -100,21 +103,18 @@ fn main() -> ExitCode {
         }
         [cmd, rest @ ..] => (cmd.as_str(), rest),
     };
-    match run(cmd, Args::new("xcbc help", rest.to_vec())) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("xcbc {cmd}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(
+        &format!("xcbc {cmd}"),
+        run(cmd, Args::new("xcbc help", rest.to_vec())),
+    )
 }
 
 /// Read `cmd`'s arguments, rejecting any it does not take, then run it.
-fn run(cmd: &str, mut args: Args) -> Result<ExitCode, String> {
+fn run(cmd: &str, mut args: Args) -> Result<ExitCode, Stop> {
     match cmd {
         "tables" => {
             args.finish()?;
-            Ok(tables())
+            tables()
         }
         "deploy" => {
             let faults = args.value::<String>("--faults")?;
@@ -125,7 +125,7 @@ fn run(cmd: &str, mut args: Args) -> Result<ExitCode, String> {
         "lab" => {
             let student = args.positional().unwrap_or_else(|| "student".into());
             args.finish()?;
-            Ok(lab(&student))
+            lab(&student)
         }
         "linpack" => {
             let n = match args.positional() {
@@ -137,7 +137,7 @@ fn run(cmd: &str, mut args: Args) -> Result<ExitCode, String> {
                     .ok_or_else(|| format!("N must be a positive integer, got {text:?}"))?,
             };
             args.finish()?;
-            Ok(linpack(n))
+            linpack(n)
         }
         "fleet" => {
             args.exclusive(&["--jsonl", "--table"])?;
@@ -146,14 +146,14 @@ fn run(cmd: &str, mut args: Args) -> Result<ExitCode, String> {
             let threads = args.value("--threads")?.unwrap_or(4);
             args.finish()?;
             if table {
-                print!("{}", report::render_table3());
+                out!("{}", report::render_table3())?;
                 return Ok(ExitCode::SUCCESS);
             }
-            Ok(fleet_deploy(threads, jsonl))
+            fleet_deploy(threads, jsonl)
         }
         "compat" => {
             args.finish()?;
-            Ok(compat())
+            compat()
         }
         "trace" => {
             let plan = fault_plan(&mut args)?;
@@ -249,7 +249,7 @@ fn fault_plan(args: &mut Args) -> Result<FaultPlan, String> {
 /// LittleFe spec, seeded per site) and every `XnitRepository` row an
 /// XNIT overlay on a Limulus factory image — all sharing one solve
 /// cache across `threads` workers.
-fn fleet_deploy(threads: usize, jsonl: bool) -> ExitCode {
+fn fleet_deploy(threads: usize, jsonl: bool) -> Result<ExitCode, Stop> {
     let limulus_dbs = || -> BTreeMap<_, _> {
         limulus_hpc200()
             .nodes
@@ -270,30 +270,30 @@ fn fleet_deploy(threads: usize, jsonl: bool) -> ExitCode {
     }
     let report = fleet.deploy();
     if jsonl {
-        print!("{}", report.merged_jsonl());
+        out!("{}", report.merged_jsonl())?;
     } else {
-        print!("{}", report.render());
+        out!("{}", report.render())?;
     }
-    status(report.all_succeeded())
+    Ok(status(report.all_succeeded()))
 }
 
-fn tables() -> ExitCode {
-    print!("{}", report::render_table1());
-    println!();
-    print!("{}", report::render_table2());
-    print!("{}", report::render_table3());
-    println!();
-    print!("{}", report::render_table4());
-    println!();
-    print!("{}", report::render_table5());
-    println!();
-    print!("{}", report::render_figures());
-    ExitCode::SUCCESS
+fn tables() -> Result<ExitCode, Stop> {
+    out!("{}", report::render_table1())?;
+    outln!()?;
+    out!("{}", report::render_table2())?;
+    out!("{}", report::render_table3())?;
+    outln!()?;
+    out!("{}", report::render_table4())?;
+    outln!()?;
+    out!("{}", report::render_table5())?;
+    outln!()?;
+    out!("{}", report::render_figures())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, String> {
+fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, Stop> {
     if !["littlefe", "limulus", "both"].contains(&target) {
-        return Err(format!("unknown target {target:?}"));
+        return Err(format!("unknown target {target:?}").into());
     }
     if target == "limulus" && faults.is_some() {
         return Err("--faults applies only to the littlefe from-scratch path".into());
@@ -301,12 +301,12 @@ fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, String> {
     if target != "limulus" {
         match faults.map(parse_plan).transpose()? {
             Some(plan) => {
-                if deploy_littlefe_with_faults(&plan) == ExitCode::FAILURE {
+                if deploy_littlefe_with_faults(&plan)? == ExitCode::FAILURE {
                     return Ok(ExitCode::FAILURE);
                 }
             }
             None => match deploy_from_scratch(&littlefe_modified()) {
-                Ok(r) => println!("{}", r.render_row()),
+                Ok(r) => outln!("{}", r.render_row())?,
                 Err(e) => {
                     eprintln!("littlefe deploy failed: {e}");
                     return Ok(ExitCode::FAILURE);
@@ -321,7 +321,7 @@ fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, String> {
             .map(|n| (n.hostname.clone(), limulus_factory_image()))
             .collect();
         match deploy_xnit_overlay(&existing, XnitSetupMethod::RepoRpm) {
-            Ok(r) => println!("{}", r.render_row()),
+            Ok(r) => outln!("{}", r.render_row())?,
             Err(e) => {
                 eprintln!("limulus overlay failed: {e}");
                 return Ok(ExitCode::FAILURE);
@@ -335,7 +335,7 @@ fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, String> {
 /// loss aborts with a checkpoint; we resume from it the way an
 /// administrator re-running the installer would, until the deployment
 /// lands (possibly degraded, with a post-mortem).
-fn deploy_littlefe_with_faults(plan: &FaultPlan) -> ExitCode {
+fn deploy_littlefe_with_faults(plan: &FaultPlan) -> Result<ExitCode, Stop> {
     let cluster = littlefe_modified();
     let mut checkpoint = InstallCheckpoint::new();
     // each power loss strictly grows the committed set, so this
@@ -348,8 +348,8 @@ fn deploy_littlefe_with_faults(plan: &FaultPlan) -> ExitCode {
             checkpoint,
         ) {
             Ok(r) => {
-                print!("{}", r.render());
-                return ExitCode::SUCCESS;
+                out!("{}", r.render())?;
+                return Ok(ExitCode::SUCCESS);
             }
             Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
                 eprintln!(
@@ -360,22 +360,22 @@ fn deploy_littlefe_with_faults(plan: &FaultPlan) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("littlefe deploy failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     eprintln!("littlefe deploy: gave up after repeated power losses");
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
-fn lab(student: &str) -> ExitCode {
+fn lab(student: &str) -> Result<ExitCode, Stop> {
     let mut session = LabSession::new(student, littlefe_modified());
     session.run(&littlefe_curriculum());
-    print!("{}", session.render());
-    status(session.grade() == 1.0)
+    out!("{}", session.render())?;
+    Ok(status(session.grade() == 1.0))
 }
 
-fn linpack(n: usize) -> ExitCode {
+fn linpack(n: usize) -> Result<ExitCode, Stop> {
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(4)
@@ -386,8 +386,8 @@ fn linpack(n: usize) -> ExitCode {
         threads,
         seed: 42,
     });
-    println!("{}", r.render());
-    status(r.passed)
+    outln!("{}", r.render())?;
+    Ok(status(r.passed))
 }
 
 /// One virtual day-one on a LittleFe, end to end, on a single timebase
@@ -395,10 +395,10 @@ fn linpack(n: usize) -> ExitCode {
 /// the fault plan, production PXE boot, shared-cache depsolves, opening
 /// workload. For a fixed plan seed the log replays byte-identically
 /// (`--jsonl` emits the raw log).
-fn trace(scenario: &str, plan: &FaultPlan, jsonl: bool) -> Result<ExitCode, String> {
+fn trace(scenario: &str, plan: &FaultPlan, jsonl: bool) -> Result<ExitCode, Stop> {
     let run = littlefe_day_one(plan)?;
     if jsonl {
-        print!("{}", events_to_jsonl(&run.events));
+        out!("{}", events_to_jsonl(&run.events))?;
         return Ok(ExitCode::SUCCESS);
     }
     // per-source event count and span time, in source order
@@ -408,35 +408,35 @@ fn trace(scenario: &str, plan: &FaultPlan, jsonl: bool) -> Result<ExitCode, Stri
         *n += 1;
         *span += e.duration();
     }
-    println!(
+    outln!(
         "== xcbc trace: {scenario} (fault plan seed {}) ==",
         run.seed
-    );
+    )?;
     for e in &run.events {
         let detail = match &e.kind {
             TraceKind::Span { dur } => format!("  [ran {dur}]"),
             TraceKind::Mark => String::new(),
             TraceKind::Counter { value } => format!("  = {value}"),
         };
-        println!(
+        outln!(
             "[{:>10}] {:<14} {}{}",
             e.t.to_string(),
             e.source,
             e.label,
             detail
-        );
+        )?;
     }
-    println!();
-    println!("{:<14} {:>7} {:>14}", "source", "events", "span time");
+    outln!()?;
+    outln!("{:<14} {:>7} {:>14}", "source", "events", "span time")?;
     for (src, (n, dur)) in by_source {
-        println!("{src:<14} {n:>7} {:>14}", dur.to_string());
+        outln!("{src:<14} {n:>7} {:>14}", dur.to_string())?;
     }
-    println!(
+    outln!(
         "{:<14} {:>7} {:>14}",
         "total",
         run.events.len(),
         run.end().since(SimTime::ZERO).to_string()
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -450,24 +450,24 @@ fn trace_analyze(
     plan: &FaultPlan,
     folded: bool,
     top: Option<usize>,
-) -> Result<ExitCode, String> {
+) -> Result<ExitCode, Stop> {
     let run = littlefe_day_one(plan)?;
     let analysis = xcbc::sim::analyze(&run.events);
     if folded {
-        print!("{}", analysis.folded());
+        out!("{}", analysis.folded())?;
         return Ok(ExitCode::SUCCESS);
     }
     if let Some(n) = top {
-        print!("{}", analysis.top(n));
+        out!("{}", analysis.top(n))?;
         return Ok(ExitCode::SUCCESS);
     }
-    println!(
+    outln!(
         "== xcbc trace analyze: {scenario} (fault plan seed {}) ==",
         run.seed
-    );
-    print!("{}", analysis.render());
-    println!();
-    print!("{}", analysis.flame());
+    )?;
+    out!("{}", analysis.render())?;
+    outln!()?;
+    out!("{}", analysis.flame())?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -501,22 +501,19 @@ fn render_self_profile() -> String {
 /// telemetry pipeline — gmond samples derived from the trace, gmetad
 /// aggregation, RRD rings, threshold/heartbeat alerts — and render the
 /// result.
-fn mon(scenario: &str, plan: &FaultPlan, format: MonFormat) -> Result<ExitCode, String> {
+fn mon(scenario: &str, plan: &FaultPlan, format: MonFormat) -> Result<ExitCode, Stop> {
     let run = if scenario == "elastic" {
-        match elastic_day(plan) {
-            Ok(run) => run,
-            Err(code) => return Ok(code),
-        }
+        elastic_day(plan)?
     } else {
         littlefe_day_one(plan)?
     };
     let report = monitor_run(&run, default_alert_rules());
     match format {
-        MonFormat::Dashboard => print!("{}", report.dashboard()),
-        MonFormat::Prometheus => print!("{}", report.prometheus()),
-        MonFormat::GangliaXml => print!("{}", report.ganglia_xml()),
-        MonFormat::Jsonl => print!("{}", report.jsonl()),
-        MonFormat::SelfProfile => print!("{}", render_self_profile()),
+        MonFormat::Dashboard => out!("{}", report.dashboard())?,
+        MonFormat::Prometheus => out!("{}", report.prometheus())?,
+        MonFormat::GangliaXml => out!("{}", report.ganglia_xml())?,
+        MonFormat::Jsonl => out!("{}", report.jsonl())?,
+        MonFormat::SelfProfile => out!("{}", render_self_profile())?,
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -525,7 +522,7 @@ fn mon(scenario: &str, plan: &FaultPlan, format: MonFormat) -> Result<ExitCode, 
 /// check every cross-crate invariant. Exit code is the CI gate; on
 /// violation the report ends with the exact command that replays the
 /// (shrunk) failure deterministically.
-fn soak_cmd(mut args: Args) -> Result<ExitCode, String> {
+fn soak_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     use xcbc::check::{invariants_for, soak, SoakConfig};
     use xcbc::fault::Mutation;
 
@@ -563,14 +560,14 @@ fn soak_cmd(mut args: Args) -> Result<ExitCode, String> {
     args.finish()?;
 
     let report = soak(&config, &invariants_for(config.limits.mutation));
-    print!("{}", report.render());
+    out!("{}", report.render())?;
     Ok(status(report.passed()))
 }
 
 /// `xcbc svc`: serve a seeded synthetic multi-tenant stream through the
 /// xcbcd engine and verify its own journal by single-threaded replay —
 /// the one-command demonstration of the service's determinism contract.
-fn svc_cmd(mut args: Args) -> Result<ExitCode, String> {
+fn svc_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     use xcbc::sim::MetricRegistry;
     use xcbc::svc::{replay, serve, Disposition};
 
@@ -581,46 +578,46 @@ fn svc_cmd(mut args: Args) -> Result<ExitCode, String> {
     let requests = workload.generate();
     let report = serve(&requests, &config);
 
-    println!(
+    outln!(
         "xcbcd: serving seed {} ({} tenants, {} requests, {} workers, {} shards)",
         workload.seed,
         workload.tenants,
         requests.len(),
         config.workers,
         config.shards
-    );
+    )?;
     for (i, (req, resp)) in requests.iter().zip(&report.responses).enumerate() {
         let disposition = match resp.disposition {
             Disposition::Accepted { seq } => format!("seq {seq}"),
             Disposition::Rejected(reason) => format!("REJECTED {}", reason.as_str()),
         };
-        println!(
+        outln!(
             "  [{i:3}] t{:<3} {:<9} {:<24} {}",
             req.tick,
             req.tenant,
             req.op.render(),
             disposition
-        );
+        )?;
     }
-    println!();
-    print!("{}", report.summary());
+    outln!()?;
+    out!("{}", report.summary())?;
 
     if prom {
         let mut registry = MetricRegistry::new();
         report.register_metrics(&mut registry);
-        println!();
-        print!("{}", registry.render_prometheus());
+        outln!()?;
+        out!("{}", registry.render_prometheus())?;
     }
 
     if let Some(path) = journal {
         std::fs::write(&path, &report.journal_text)
             .map_err(|e| format!("cannot write journal {path}: {e}"))?;
-        println!("journal: {} entries written to {path}", report.accepted);
+        outln!("journal: {} entries written to {path}", report.accepted)?;
     }
 
     let verdict =
         replay(&report.journal_text).map_err(|e| format!("journal does not parse: {e}"))?;
-    print!("{}", verdict.render());
+    out!("{}", verdict.render())?;
     Ok(status(verdict.is_clean()))
 }
 
@@ -630,7 +627,7 @@ fn svc_cmd(mut args: Args) -> Result<ExitCode, String> {
 /// campaign resumes from the last completed wave — exactly the way an
 /// administrator re-running the tool after a machine-room power blip
 /// would — and the stitched trace matches an uninterrupted run.
-fn campaign_cmd(mut args: Args) -> Result<ExitCode, String> {
+fn campaign_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     use xcbc::core::campaign::{
         run_campaign, CampaignConfig, CampaignError, CampaignTarget, CanaryAction,
     };
@@ -700,12 +697,12 @@ fn campaign_cmd(mut args: Args) -> Result<ExitCode, String> {
             Ok(report) => {
                 stitched.push_str(&report.trace_jsonl());
                 if jsonl {
-                    print!("{stitched}");
+                    out!("{stitched}")?;
                 } else {
                     if report.resumed_from_wave > 0 {
-                        println!("resumed from wave {}", report.resumed_from_wave);
+                        outln!("resumed from wave {}", report.resumed_from_wave)?;
                     }
-                    print!("{}", report.render());
+                    out!("{}", report.render())?;
                 }
                 return Ok(ExitCode::SUCCESS);
             }
@@ -732,14 +729,14 @@ fn campaign_cmd(mut args: Args) -> Result<ExitCode, String> {
                     return Ok(ExitCode::FAILURE);
                 }
                 if !jsonl {
-                    println!(
+                    outln!(
                         "power lost before wave {wave} [{} wave(s) committed]; resuming from checkpoint",
                         checkpoint.waves_completed()
-                    );
+                    )?;
                 }
                 checkpoint_text = Some(checkpoint.to_text());
             }
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(e.to_string().into()),
         }
     }
     Err("gave up after repeated aborts".into())
@@ -801,7 +798,7 @@ fn run_elastic_demo(
         xcbc::sched::TorqueServer,
         std::sync::Arc<xcbc::yum::SolveCache>,
     ),
-    ExitCode,
+    Stop,
 > {
     use xcbc::core::elastic::{run_elastic, ElasticError, ElasticState};
     use xcbc::fault::ElasticCheckpoint;
@@ -821,7 +818,7 @@ fn run_elastic_demo(
                 Ok(cp) => Some(cp),
                 Err(e) => {
                     eprintln!("xcbc elastic: bad checkpoint: {e}");
-                    return Err(ExitCode::FAILURE);
+                    return Err(Stop::Failed);
                 }
             },
             None => None,
@@ -857,24 +854,24 @@ fn run_elastic_demo(
                         eprint!("{}", flight.render_tail());
                     }
                     eprintln!("(re-run with --resume to continue from it)");
-                    return Err(ExitCode::FAILURE);
+                    return Err(Stop::Failed);
                 }
                 if announce {
-                    println!(
+                    outln!(
                         "power lost before tick {tick} [{} tick(s) completed]; resuming from checkpoint",
                         checkpoint.ticks_completed()
-                    );
+                    )?;
                 }
                 checkpoint_text = Some(checkpoint.to_text());
             }
             Err(e) => {
                 eprintln!("xcbc elastic: {e}");
-                return Err(ExitCode::FAILURE);
+                return Err(Stop::Failed);
             }
         }
     }
     eprintln!("xcbc elastic: gave up after repeated aborts");
-    Err(ExitCode::FAILURE)
+    Err(Stop::Failed)
 }
 
 /// `xcbc elastic`: the dynamic-membership demo — a power-aware
@@ -883,7 +880,7 @@ fn run_elastic_demo(
 /// solve cache. A scheduled `elastic.scale-up` fault aborts with the
 /// checkpoint printed; with `--resume` the run continues from it and
 /// the stitched trace matches an uninterrupted run byte for byte.
-fn elastic_cmd(mut args: Args) -> Result<ExitCode, String> {
+fn elastic_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     use xcbc::core::elastic::ElasticConfig;
 
     let plan = fault_plan(&mut args)?;
@@ -898,20 +895,16 @@ fn elastic_cmd(mut args: Args) -> Result<ExitCode, String> {
     let jsonl = args.flag("--jsonl");
     args.finish()?;
 
-    match run_elastic_demo(&config, &plan, auto_resume, !jsonl) {
-        Ok((report, stitched, _, _)) => {
-            if jsonl {
-                print!("{}", events_to_jsonl(&stitched));
-            } else {
-                if report.resumed_from_tick > 0 {
-                    println!("resumed from tick {}", report.resumed_from_tick);
-                }
-                print!("{}", report.render());
-            }
-            Ok(ExitCode::SUCCESS)
+    let (report, stitched, _, _) = run_elastic_demo(&config, &plan, auto_resume, !jsonl)?;
+    if jsonl {
+        out!("{}", events_to_jsonl(&stitched))?;
+    } else {
+        if report.resumed_from_tick > 0 {
+            outln!("resumed from tick {}", report.resumed_from_tick)?;
         }
-        Err(code) => Ok(code),
+        out!("{}", report.render())?;
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The elastic demo fleet as a run `xcbc mon elastic` can replay through
@@ -919,7 +912,7 @@ fn elastic_cmd(mut args: Args) -> Result<ExitCode, String> {
 /// sequencer's boot spans and power-off marks ride the trace, so scale
 /// events show up on the dashboard next to the autoscaler's queue-depth
 /// counters.
-fn elastic_day(plan: &FaultPlan) -> Result<DayOneRun, ExitCode> {
+fn elastic_day(plan: &FaultPlan) -> Result<DayOneRun, Stop> {
     use xcbc::core::elastic::{node_name, ElasticConfig};
     use xcbc::sched::{ResourceManager, SimMetrics};
 
@@ -937,22 +930,23 @@ fn elastic_day(plan: &FaultPlan) -> Result<DayOneRun, ExitCode> {
     })
 }
 
-fn compat() -> ExitCode {
+fn compat() -> Result<ExitCode, Stop> {
     use xcbc::core::compat::check_compatibility;
     let bare = xcbc::rpm::RpmDb::new();
     let report = check_compatibility(&bare);
-    println!(
+    outln!(
         "A bare cluster matches {}/{} reference packages; XNIT would install:",
-        report.matching, report.checked
-    );
+        report.matching,
+        report.checked
+    )?;
     for name in report.missing().iter().take(10) {
-        println!("  {name}");
+        outln!("  {name}")?;
     }
-    println!(
+    outln!(
         "  ... and {} more",
         report.missing().len().saturating_sub(10)
-    );
-    ExitCode::SUCCESS
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `xcbc exp`: sweep the open-loop workload engine over a frontend ×
@@ -960,7 +954,7 @@ fn compat() -> ExitCode {
 /// the aggregated CSV and the utilization/wait curves land under
 /// `<out>/exp-NNN/`; the same grid produces byte-identical artifacts at
 /// any `--workers` count.
-fn exp_cmd(mut args: Args) -> Result<ExitCode, String> {
+fn exp_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     use std::fs;
     use std::path::Path;
     use xcbc::sched::{run_grid, ExpGrid, RmKind, SchedPolicy, WorkloadSpec};
@@ -976,7 +970,8 @@ fn exp_cmd(mut args: Args) -> Result<ExitCode, String> {
             return Err(format!(
                 "unknown --spec {other:?} \
                  (expected teaching-lab, campus-research or heavy-tail)"
-            ))
+            )
+            .into())
         }
     };
     let name = args.value::<String>("--name")?.unwrap_or(spec_name);
@@ -1048,16 +1043,16 @@ fn exp_cmd(mut args: Args) -> Result<ExitCode, String> {
     };
     io().map_err(|e| format!("cannot write {}: {e}", dir.display()))?;
 
-    print!("{}", report.grid.render());
-    println!(
+    out!("{}", report.grid.render())?;
+    outln!(
         "{} runs on {workers} workers, {} simulator events -> {}",
         report.runs.len(),
         report.total_events(),
         dir.display()
-    );
-    println!();
-    print!("{}", report.aggregate_csv());
-    println!();
-    print!("{}", report.curves());
+    )?;
+    outln!()?;
+    out!("{}", report.aggregate_csv())?;
+    outln!()?;
+    out!("{}", report.curves())?;
     Ok(ExitCode::SUCCESS)
 }

@@ -18,25 +18,21 @@
 //!
 //! The flags are `xcbc svc`'s and just as strict: an unknown flag, a
 //! stray argument, a missing or malformed value, or a zero
-//! `--tenants`/`--workers`/`--shards` exits 1 with a message.
+//! `--tenants`/`--workers`/`--shards` exits 1 with a message. A reader
+//! that closes stdout early ends the output quietly with exit 0.
 
 use std::env;
 use std::process::ExitCode;
 
-use xcbc::cli::{svc_args, Args};
+use xcbc::cli::{exit_code, svc_args, Args, Stop};
 use xcbc::svc::{replay, serve};
+use xcbc::{out, outln};
 
 fn main() -> ExitCode {
-    match run(Args::new("xcbcd --help", env::args().skip(1))) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("xcbcd: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("xcbcd", run(Args::new("xcbcd --help", env::args().skip(1))))
 }
 
-fn run(mut args: Args) -> Result<ExitCode, String> {
+fn run(mut args: Args) -> Result<ExitCode, Stop> {
     if args.flag("--help") || args.flag("-h") {
         eprintln!(
             "usage: xcbcd [--tenants N] [--workers N] [--requests N] [--seed S] \
@@ -50,7 +46,7 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read journal {path}: {e}"))?;
         let verdict = replay(&text).map_err(|e| format!("journal does not parse: {e}"))?;
-        print!("{}", verdict.render());
+        out!("{}", verdict.render())?;
         return Ok(if verdict.is_clean() {
             ExitCode::SUCCESS
         } else {
@@ -62,18 +58,18 @@ fn run(mut args: Args) -> Result<ExitCode, String> {
     args.finish()?;
 
     let report = serve(&workload.generate(), &config);
-    print!("{}", report.summary());
+    out!("{}", report.summary())?;
 
     match journal {
         Some(path) => {
             std::fs::write(&path, &report.journal_text)
                 .map_err(|e| format!("cannot write journal {path}: {e}"))?;
-            println!("journal: {} entries written to {path}", report.accepted);
+            outln!("journal: {} entries written to {path}", report.accepted)?;
         }
         None => {
             // no journal destination: emit it on stdout so pipelines can
             // capture and diff it (the CI quick-gate does exactly this)
-            print!("{}", report.journal_text);
+            out!("{}", report.journal_text)?;
         }
     }
     Ok(ExitCode::SUCCESS)

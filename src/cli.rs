@@ -7,11 +7,19 @@
 //! quietly ignored. Errors are bare messages; the binary prefixes them
 //! with its command name and exits 1.
 //!
+//! Output goes through [`out!`](crate::out) and [`outln!`](crate::outln),
+//! which return the write's result where `print!` would panic, and
+//! [`exit_code`] turns a command's result into its exit status. A reader
+//! that closes standard output early (`xcbc tables | head -c1`) ends
+//! the output quietly: exit 0, nothing on stderr.
+//!
 //! A token starting with `--` is a flag name. The token after a value
 //! flag is its value unless it starts with `--` itself. Commands take
 //! their flags before their positionals, so a flag's value is never
 //! read as a positional.
 
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::str::FromStr;
 
 use xcbc_svc::{SvcConfig, SvcWorkload, MAX_SHARDS};
@@ -150,4 +158,74 @@ pub fn svc_args(args: &mut Args) -> Result<(SvcWorkload, SvcConfig, Option<Strin
         config.shards = shards;
     }
     Ok((workload, config, args.value("--journal")?))
+}
+
+/// Why a command stopped before reaching an exit code of its own.
+#[derive(Debug)]
+pub enum Stop {
+    /// A usage or run error: the binary prints it after its command name
+    /// and exits 1.
+    Error(String),
+    /// The command already said on stderr why it failed: exit 1.
+    Failed,
+    /// Standard output could not be written.
+    Output(io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Stop::Error(message)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(message: &str) -> Self {
+        Stop::Error(message.to_string())
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        Stop::Output(e)
+    }
+}
+
+/// `print!` through the locked standard output, returning the write's
+/// `io::Result` instead of panicking when the reader has gone.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        ::std::io::Write::write_fmt(&mut ::std::io::stdout().lock(), ::std::format_args!($($arg)*))
+    };
+}
+
+/// `println!` through the locked standard output; see [`out!`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::out!("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::out!("{}\n", ::std::format_args!($($arg)*))
+    };
+}
+
+/// The exit status for a command's `result`, after flushing standard
+/// output. `command` prefixes an error message (`xcbc fleet: ...`). A
+/// closed standard output (`ErrorKind::BrokenPipe`) is a quiet end of
+/// output and exits 0; any other write error exits 1 with a message.
+pub fn exit_code(command: &str, result: Result<ExitCode, Stop>) -> ExitCode {
+    match result.and_then(|code| Ok(io::stdout().flush().map(|()| code)?)) {
+        Ok(code) => code,
+        Err(Stop::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Stop::Output(e)) => {
+            eprintln!("{command}: cannot write standard output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Stop::Error(message)) => {
+            eprintln!("{command}: {message}");
+            ExitCode::FAILURE
+        }
+        Err(Stop::Failed) => ExitCode::FAILURE,
+    }
 }
