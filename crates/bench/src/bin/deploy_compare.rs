@@ -5,15 +5,23 @@
 //! from-scratch path reinstalls every node but needs no prior system.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
+use xcbc::cli::Stop;
+use xcbc::{out, outln};
 use xcbc_cluster::specs::{limulus_hpc200, littlefe_modified};
 use xcbc_core::deploy::{deploy_from_scratch, deploy_xnit_overlay, limulus_factory_image};
 use xcbc_core::XnitSetupMethod;
 
-fn main() {
-    print!("{}", xcbc_bench::header("Deployment path comparison"));
+fn main() -> ExitCode {
+    xcbc_bench::run("deploy_compare", deploy_compare)
+}
 
-    let scratch = deploy_from_scratch(&littlefe_modified()).expect("LittleFe installs");
-    println!("{}", scratch.render_row());
+fn deploy_compare() -> Result<(), Stop> {
+    out!("{}", xcbc_bench::header("Deployment path comparison"))?;
+
+    let scratch = deploy_from_scratch(&littlefe_modified())
+        .map_err(|e| format!("LittleFe install failed: {e}"))?;
+    outln!("{}", scratch.render_row())?;
 
     let limulus: BTreeMap<_, _> = limulus_hpc200()
         .nodes
@@ -21,16 +29,18 @@ fn main() {
         .map(|n| (n.hostname.clone(), limulus_factory_image()))
         .collect();
     for method in [XnitSetupMethod::RepoRpm, XnitSetupMethod::ManualRepoFile] {
-        let overlay = deploy_xnit_overlay(&limulus, method).expect("overlay succeeds");
-        println!("{}", overlay.render_row());
+        let overlay = deploy_xnit_overlay(&limulus, method)
+            .map_err(|e| format!("Limulus overlay failed: {e}"))?;
+        outln!("{}", overlay.render_row())?;
     }
 
-    println!("\nFrom-scratch timeline (LittleFe):");
-    print!("{}", scratch.timeline().render());
+    outln!("\nFrom-scratch timeline (LittleFe):")?;
+    out!("{}", scratch.timeline().render())?;
 
-    println!("\nWhy the Limulus cannot take the from-scratch path:");
+    outln!("\nWhy the Limulus cannot take the from-scratch path:")?;
     match deploy_from_scratch(&limulus_hpc200()) {
-        Err(e) => println!("  {e}"),
-        Ok(_) => println!("  (unexpectedly installable)"),
+        Err(e) => outln!("  {e}")?,
+        Ok(_) => outln!("  (unexpectedly installable)")?,
     }
+    Ok(())
 }

@@ -1,8 +1,18 @@
 //! Regenerate Figures 1-3 as chassis renderings from the hardware model.
-fn main() {
-    print!(
+
+use std::process::ExitCode;
+use xcbc::cli::Stop;
+use xcbc::out;
+
+fn main() -> ExitCode {
+    xcbc_bench::run("figures", figures)
+}
+
+fn figures() -> Result<(), Stop> {
+    out!(
         "{}",
         xcbc_bench::header("Figures 1-3 (substitute renderings)")
-    );
-    print!("{}", xcbc_core::report::render_figures());
+    )?;
+    out!("{}", xcbc_core::report::render_figures())?;
+    Ok(())
 }

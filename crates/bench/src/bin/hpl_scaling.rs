@@ -1,15 +1,22 @@
 //! Real Linpack on this machine: GFLOPS vs problem size and threads,
 //! plus the analytic Rmax model's Table 5 projections.
 
+use std::process::ExitCode;
+use xcbc::cli::Stop;
+use xcbc::{out, outln};
 use xcbc_hpl::{run_hpl, EfficiencyModel, HplConfig};
 
-fn main() {
-    print!(
+fn main() -> ExitCode {
+    xcbc_bench::run("hpl_scaling", hpl_scaling)
+}
+
+fn hpl_scaling() -> Result<(), Stop> {
+    out!(
         "{}",
         xcbc_bench::header("HPL scaling (real runs on this host)")
-    );
+    )?;
 
-    println!("GFLOPS vs problem size (NB=64, 1 thread):");
+    outln!("GFLOPS vs problem size (NB=64, 1 thread):")?;
     for n in [128usize, 256, 512, 1024] {
         let r = run_hpl(&HplConfig {
             n,
@@ -17,14 +24,16 @@ fn main() {
             threads: 1,
             seed: 42,
         });
-        println!("  {}", r.render());
-        assert!(r.passed, "residual check failed at N={n}");
+        outln!("  {}", r.render())?;
+        if !r.passed {
+            return Err(format!("residual check failed at N={n}").into());
+        }
     }
 
     let max_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    println!("\nGFLOPS vs threads (N=1024, NB=64):");
+    outln!("\nGFLOPS vs threads (N=1024, NB=64):")?;
     for t in [1usize, 2, 4, max_threads] {
         if t > max_threads {
             continue;
@@ -35,19 +44,20 @@ fn main() {
             threads: t,
             seed: 42,
         });
-        println!("  {}", r.render());
+        outln!("  {}", r.render())?;
     }
 
-    println!("\nAnalytic Rmax model (Table 5 projections):");
+    outln!("\nAnalytic Rmax model (Table 5 projections):")?;
     let m = EfficiencyModel::gigabit_deskside();
     let lf_rmax = m.rmax_gflops(537.6, 6, 48_000);
     let lm_rmax = m.rmax_gflops(793.6, 4, 64_000);
-    println!(
+    outln!(
         "  LittleFe  (6 nodes, Rpeak 537.6): model Rmax {:.1} GF (paper est. 403.2)",
         lf_rmax
-    );
-    println!(
+    )?;
+    outln!(
         "  Limulus   (4 nodes, Rpeak 793.6): model Rmax {:.1} GF (paper meas. 498.3)",
         lm_rmax
-    );
+    )?;
+    Ok(())
 }

@@ -19,7 +19,17 @@
 //! Criterion benches (under `benches/`): `solver`, `hpl`, `sched`,
 //! `provision`, `evr`.
 
+use std::process::ExitCode;
 use std::time::Instant;
+use xcbc::cli::{exit_code, Stop};
+
+/// A binary's exit status from its `body`, the way `xcbc` decides its
+/// own: a reader that closes standard output early is a quiet end of
+/// output (exit 0, nothing on stderr), and an error exits 1 with a
+/// message after `name`.
+pub fn run(name: &str, body: impl FnOnce() -> Result<(), Stop>) -> ExitCode {
+    exit_code(name, body().map(|()| ExitCode::SUCCESS))
+}
 
 /// Print a section header the way the binaries format their output.
 pub fn header(title: &str) -> String {

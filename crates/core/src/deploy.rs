@@ -196,8 +196,10 @@ pub fn deploy_from_scratch_resilient(
 }
 
 /// One distinct starting image's overlay: what every node that starts
-/// from `before` ends up with.
+/// from `before` ends up with under `method`.
+#[derive(Debug)]
 struct Overlaid {
+    method: XnitSetupMethod,
     before: RpmDb,
     /// After the XNIT setup step: the database the depsolve ran against.
     enabled: RpmDb,
@@ -209,6 +211,15 @@ struct Overlaid {
     /// Every package in `before` is still installed in `after`.
     preserved: bool,
 }
+
+/// Every distinct starting image an overlay has computed, by
+/// `RpmDb::digest()` and confirmed with `==`. The overlay's repository
+/// and yum configuration are fixed and the setup method is part of the
+/// match, so a stored image never goes stale: a caller may keep one
+/// store across any number of [`deploy_xnit_overlay_kept`] calls. Only
+/// overlays that succeeded are stored.
+#[derive(Debug, Default)]
+pub struct OverlayImages(HashMap<u64, Vec<Overlaid>>);
 
 /// Deploy via XNIT overlay: take existing per-node databases (an
 /// operating cluster) and add the full XCBC software set without
@@ -248,6 +259,27 @@ pub fn deploy_xnit_overlay_salted(
     solve_cache: Option<Arc<SolveCache>>,
     cache_salt: u64,
 ) -> Result<DeploymentReport, SolveError> {
+    deploy_xnit_overlay_kept(
+        existing,
+        method,
+        solve_cache,
+        cache_salt,
+        &mut OverlayImages::default(),
+    )
+}
+
+/// [`deploy_xnit_overlay_salted`] over a caller-kept image store: a
+/// node whose starting image is already in `images` reuses its result,
+/// and each image computed here is added. The report is the one a
+/// fresh store gives. A reused node still makes its own solve-cache
+/// lookup, so hit and miss totals count nodes, not images.
+pub fn deploy_xnit_overlay_kept(
+    existing: &BTreeMap<String, RpmDb>,
+    method: XnitSetupMethod,
+    solve_cache: Option<Arc<SolveCache>>,
+    cache_salt: u64,
+    images: &mut OverlayImages,
+) -> Result<DeploymentReport, SolveError> {
     let mut node_dbs = existing.clone();
     let mut rec = SpanRecorder::new(OVERLAY_TRACE_SOURCE);
     let mut admin_steps: Vec<String> = method.steps().iter().map(|s| s.to_string()).collect();
@@ -264,11 +296,12 @@ pub fn deploy_xnit_overlay_salted(
     let mut first = true;
     // the first node's pre-install report, while it is still current
     let mut first_compat: Option<CompatReport> = None;
-    // every distinct starting image overlaid so far, by digest
-    let mut images: HashMap<u64, Vec<Overlaid>> = HashMap::new();
     for (host, db) in node_dbs.iter_mut() {
-        let same = images.entry(db.digest()).or_default();
-        let image = match same.iter().position(|o| o.before == *db) {
+        let same = images.0.entry(db.digest()).or_default();
+        let image = match same
+            .iter()
+            .position(|o| o.method == method && o.before == *db)
+        {
             Some(i) => {
                 let image = &same[i];
                 // the node's own solve-cache lookup: hit and miss
@@ -289,6 +322,7 @@ pub fn deploy_xnit_overlay_salted(
                 // §8's invariant: nothing pre-existing was removed
                 let preserved = db.has_every_name_of(&before);
                 same.push(Overlaid {
+                    method,
                     before,
                     enabled,
                     request: SolveRequest::install(compat.missing()),
@@ -516,6 +550,65 @@ mod tests {
         // the cache never changes *what* is deployed
         assert_eq!(a.node_dbs, b.node_dbs);
         assert_eq!(a.trace_jsonl(), b.trace_jsonl());
+    }
+
+    #[test]
+    fn a_kept_image_store_changes_no_report_and_no_cache_count() {
+        let salt = xcbc_yum::ShardedSolveCache::tenant_salt("campus-a");
+        let (kept_cache, fresh_cache) = (Arc::new(SolveCache::new()), Arc::new(SolveCache::new()));
+        let solve = |cache: &Arc<SolveCache>, db: &RpmDb, round: usize| {
+            let mut yum = Yum::new(YumConfig::default())
+                .with_cache_salt(salt)
+                .with_solve_cache(Arc::clone(cache));
+            yum.add_repository(xnit_repository());
+            let request = SolveRequest::install([["gromacs", "R", "no-such-package"][round % 3]]);
+            yum.solve(db, &request)
+                .map(|s| s.installs.len())
+                .map_err(|e| e.to_string())
+        };
+        let mut images = OverlayImages::default();
+        let (mut kept_nodes, mut fresh_nodes) = (limulus_dbs(), limulus_dbs());
+        for round in 0..5 {
+            let method = [XnitSetupMethod::RepoRpm, XnitSetupMethod::ManualRepoFile][round % 2];
+            if round == 1 {
+                // the kept factory image again, under the other method
+                (kept_nodes, fresh_nodes) = (limulus_dbs(), limulus_dbs());
+            }
+            if round == 3 {
+                // one node leaves the shared image: a new image next to a kept one
+                for nodes in [&mut kept_nodes, &mut fresh_nodes] {
+                    nodes.values_mut().last().unwrap().erase("gromacs");
+                }
+            }
+            let frontend = |nodes: &BTreeMap<String, RpmDb>| nodes.values().next().unwrap().clone();
+            assert_eq!(
+                solve(&kept_cache, &frontend(&kept_nodes), round),
+                solve(&fresh_cache, &frontend(&fresh_nodes), round)
+            );
+            let kept = deploy_xnit_overlay_kept(
+                &kept_nodes,
+                method,
+                Some(Arc::clone(&kept_cache)),
+                salt,
+                &mut images,
+            )
+            .unwrap();
+            let fresh = deploy_xnit_overlay_salted(
+                &fresh_nodes,
+                method,
+                Some(Arc::clone(&fresh_cache)),
+                salt,
+            )
+            .unwrap();
+            assert_eq!(kept.node_dbs, fresh.node_dbs, "round {round}");
+            assert_eq!(format!("{:?}", kept.compat), format!("{:?}", fresh.compat));
+            assert_eq!(kept.trace_jsonl(), fresh.trace_jsonl(), "round {round}");
+            assert_eq!(kept.preexisting_preserved, fresh.preexisting_preserved);
+            assert_eq!(kept_cache.stats(), fresh_cache.stats(), "round {round}");
+            (kept_nodes, fresh_nodes) = (kept.node_dbs, fresh.node_dbs);
+        }
+        let stored: usize = images.0.values().map(Vec::len).sum();
+        assert!(stored < 2 * 5, "later rounds reused kept images");
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! (`whatprovides`), and by file path. Also implements `rpm -V`-style
 //! verification of database consistency.
 //!
-//! The store is one vector sorted by name, so a clone copies one
-//! pointer per instance. The file index and the content digest
-//! ([`RpmDb::digest`]) are derived from it on first use and dropped by
-//! every change, so installs pay nothing per file and the solve cache
-//! keys on the digest once per database state.
+//! An [`RpmDb`] is a handle to one shared store: a vector of installed
+//! instances sorted by name. A clone costs one reference-count bump and
+//! shares the store until either handle changes; the first change
+//! copies the vector (one pointer per instance) into a store of its
+//! own. The file index and the content digest ([`RpmDb::digest`]) are
+//! derived from the store on first use, shared by every handle on it,
+//! and dropped by every change, so installs pay nothing per file and
+//! the solve cache keys on the digest once per database state.
 
 use crate::dep::Dependency;
 use crate::package::Package;
@@ -28,27 +31,42 @@ pub struct InstalledPackage {
     pub install_tid: u64,
 }
 
-/// Per-host installed-package database.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RpmDb {
+/// Per-host installed-package database: a handle to one store that its
+/// clones share until one of them changes.
+#[derive(Debug, Clone, Default)]
+pub struct RpmDb(Arc<Store>);
+
+/// The contents one or more [`RpmDb`] handles share, with the values
+/// derived from them on first use.
+#[derive(Debug, Default)]
+struct Store {
     /// Every installed instance, sorted by name and in install order
     /// within a name (several only for multilib/kernel-style installs).
     packages: Vec<InstalledPackage>,
     next_tid: u64,
-    digest: Memo<u64>,
+    digest: OnceLock<u64>,
     /// `(instance, file)` positions sorted by path, then instance.
-    files: Memo<Vec<(usize, usize)>>,
+    files: OnceLock<Vec<(usize, usize)>>,
 }
 
-/// A value derived from the database contents on first use. `==`
-/// ignores it; a clone copies a warm value along with the contents it
-/// was derived from.
-#[derive(Debug, Clone, Default)]
-struct Memo<T>(OnceLock<T>);
+/// A copy is made only to be changed, so it starts with no derived
+/// values.
+impl Clone for Store {
+    fn clone(&self) -> Self {
+        Store {
+            packages: self.packages.clone(),
+            next_tid: self.next_tid,
+            ..Store::default()
+        }
+    }
+}
 
-impl<T> PartialEq for Memo<T> {
-    fn eq(&self, _: &Self) -> bool {
-        true
+/// Same contents and same next transaction id; the derived values
+/// follow from those.
+impl PartialEq for RpmDb {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.next_tid == other.0.next_tid && self.0.packages == other.0.packages)
     }
 }
 
@@ -96,28 +114,29 @@ impl RpmDb {
 
     /// Number of installed packages.
     pub fn len(&self) -> usize {
-        self.packages.len()
+        self.0.packages.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.packages.is_empty()
+        self.0.packages.is_empty()
     }
 
     /// Iterate over every installed package, in name order.
     pub fn iter(&self) -> impl Iterator<Item = &InstalledPackage> {
-        self.packages.iter()
+        self.0.packages.iter()
     }
 
     /// Positions of the instances installed under `name`.
     fn range(&self, name: &str) -> Range<usize> {
-        let start = self.packages.partition_point(|ip| ip.package.name() < name);
-        let len = self.packages[start..].partition_point(|ip| ip.package.name() == name);
+        let packages = &self.0.packages;
+        let start = packages.partition_point(|ip| ip.package.name() < name);
+        let len = packages[start..].partition_point(|ip| ip.package.name() == name);
         start..start + len
     }
 
     /// All instances installed under `name`, in install order.
     pub fn get(&self, name: &str) -> &[InstalledPackage] {
-        &self.packages[self.range(name)]
+        &self.0.packages[self.range(name)]
     }
 
     /// The newest installed instance of `name`, if any.
@@ -132,12 +151,13 @@ impl RpmDb {
     }
 
     fn path(&self, (instance, file): (usize, usize)) -> &str {
-        &self.packages[instance].package.files[file]
+        &self.0.packages[instance].package.files[file]
     }
 
     fn file_index(&self) -> &[(usize, usize)] {
-        self.files.0.get_or_init(|| {
+        self.0.files.get_or_init(|| {
             let mut index: Vec<(usize, usize)> = self
+                .0
                 .packages
                 .iter()
                 .enumerate()
@@ -168,7 +188,7 @@ impl RpmDb {
         index[start..]
             .iter()
             .take_while(move |&&e| self.path(e) == path)
-            .map(|&(i, _)| &self.packages[i])
+            .map(|&(i, _)| &self.0.packages[i])
     }
 
     /// Installed instances satisfying `req`, in database order, without
@@ -185,7 +205,7 @@ impl RpmDb {
         let scanned = if file_dep {
             &[][..]
         } else {
-            &self.packages[..]
+            &self.0.packages[..]
         };
         owners.chain(scanned.iter().filter(move |ip| ip.package.satisfies(req)))
     }
@@ -226,7 +246,7 @@ impl RpmDb {
     /// [`erase`](Self::erase) or [`erase_exact`](Self::erase_exact)
     /// changes the contents.
     pub fn digest(&self) -> u64 {
-        *self.digest.0.get_or_init(|| {
+        *self.0.digest.get_or_init(|| {
             let mut h = Fnv64::new();
             for ip in self.iter() {
                 h.write_str(&ip.package.nevra.to_string());
@@ -235,51 +255,54 @@ impl RpmDb {
         })
     }
 
-    /// Drop the values derived from the old contents.
-    fn changed(&mut self) {
-        self.digest = Memo::default();
-        self.files = Memo::default();
+    /// The store to change: this handle's own (copied first if another
+    /// handle shares it), without the values derived from the old
+    /// contents.
+    fn changed(&mut self) -> &mut Store {
+        let store = Arc::make_mut(&mut self.0);
+        store.digest = OnceLock::new();
+        store.files = OnceLock::new();
+        store
     }
 
     /// Low-level install (no dependency checking — that is the
     /// transaction layer's job). Returns the transaction id.
     pub fn install(&mut self, package: impl Into<Arc<Package>>) -> u64 {
         let package = package.into();
-        self.changed();
-        self.next_tid += 1;
-        let at = self
+        let store = self.changed();
+        store.next_tid += 1;
+        let at = store
             .packages
             .partition_point(|ip| ip.package.name() <= package.name());
-        self.packages.insert(
+        store.packages.insert(
             at,
             InstalledPackage {
                 package,
-                install_tid: self.next_tid,
+                install_tid: store.next_tid,
             },
         );
-        self.next_tid
+        store.next_tid
     }
 
     /// Low-level erase of every instance of `name`. Returns the erased
-    /// packages (empty if the name was not installed).
+    /// packages (empty, and nothing copied, if the name was not
+    /// installed).
     pub fn erase(&mut self, name: &str) -> Vec<InstalledPackage> {
         let range = self.range(name);
         if range.is_empty() {
             return Vec::new();
         }
-        self.changed();
-        self.packages.drain(range).collect()
+        self.changed().packages.drain(range).collect()
     }
 
     /// Erase only the instance matching an exact EVR (used by upgrades that
     /// replace one multilib sibling).
     pub fn erase_exact(&mut self, name: &str, evr: &crate::evr::Evr) -> Option<InstalledPackage> {
         let range = self.range(name);
-        let idx = self.packages[range.clone()]
+        let idx = self.0.packages[range.clone()]
             .iter()
             .position(|ip| &ip.package.nevra.evr == evr)?;
-        self.changed();
-        Some(self.packages.remove(range.start + idx))
+        Some(self.changed().packages.remove(range.start + idx))
     }
 
     /// Total installed size in bytes (drives the kickstart disk-space
@@ -316,12 +339,12 @@ impl RpmDb {
         }
         let index = self.file_index();
         for owners in index.chunk_by(|&a, &b| self.path(a) == self.path(b)) {
-            let name = |&(i, _): &(usize, usize)| self.packages[i].package.name();
+            let name = |&(i, _): &(usize, usize)| self.0.packages[i].package.name();
             if owners.iter().all(|o| name(o) == name(&owners[0])) {
                 continue;
             }
             let mut owners = owners.to_vec();
-            owners.sort_by_key(|&(i, _)| self.packages[i].install_tid);
+            owners.sort_by_key(|&(i, _)| self.0.packages[i].install_tid);
             let mut packages: Vec<String> = Vec::new();
             for o in &owners {
                 if !packages.iter().any(|p| p == name(o)) {
@@ -339,8 +362,13 @@ impl RpmDb {
     /// Is every name installed in `other` installed here too? One walk
     /// over both name-sorted stores, with no allocation.
     pub fn has_every_name_of(&self, other: &RpmDb) -> bool {
-        let mut mine = self.packages.iter().map(|ip| ip.package.name()).peekable();
-        other.packages.iter().all(|ip| {
+        let mut mine = self
+            .0
+            .packages
+            .iter()
+            .map(|ip| ip.package.name())
+            .peekable();
+        other.0.packages.iter().all(|ip| {
             let name = ip.package.name();
             while mine.next_if(|m| *m < name).is_some() {}
             mine.peek() == Some(&name)

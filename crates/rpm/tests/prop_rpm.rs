@@ -204,6 +204,110 @@ proptest! {
             prop_assert_eq!(db.clone().digest(), digest_from_scratch(&db));
         }
     }
+
+    /// Two handles cloned from one database share its store until one
+    /// of them changes. Random installs and erases interleaved on both
+    /// (and re-cloning one from the other) must leave each handle's
+    /// contents, digest, sorted paths and file lookups equal to a
+    /// rebuild from scratch, even though each step's checks warm the
+    /// derived values first; and `==` must mean equal contents and
+    /// equal next transaction id, shared store or not.
+    #[test]
+    fn cloned_handles_share_a_store_until_one_changes(
+        ops in proptest::collection::vec((0usize..2, 0u8..4, 0usize..4, 0usize..3), 0..48),
+    ) {
+        let mut dbs = [RpmDb::new(), RpmDb::new()];
+        dbs[0].install(shared_store_package(0, 0));
+        dbs[0].install(shared_store_package(1, 1));
+        dbs[1] = dbs[0].clone();
+        // each handle's history from empty, and its install count
+        let start = vec![(0u8, 0usize, 0usize), (0, 1, 1)];
+        let mut histories = [start.clone(), start];
+        for (handle, op, name, release) in ops {
+            if op == 3 {
+                dbs[handle] = dbs[1 - handle].clone();
+                histories[handle] = histories[1 - handle].clone();
+            } else {
+                apply_shared_store_op(&mut dbs[handle], (op, name, release));
+                histories[handle].push((op, name, release));
+            }
+            for (db, history) in dbs.iter().zip(&histories) {
+                let mut rebuilt = RpmDb::new();
+                for &step in history {
+                    apply_shared_store_op(&mut rebuilt, step);
+                }
+                let listed = |db: &RpmDb| {
+                    db.iter()
+                        .map(|ip| (ip.package.nevra.to_string(), ip.install_tid))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(listed(db), listed(&rebuilt));
+                prop_assert_eq!(db.digest(), digest_from_scratch(db));
+                let mut paths: Vec<&str> = db
+                    .iter()
+                    .flat_map(|ip| {
+                        let mut own: Vec<&str> = ip.package.files.iter().map(String::as_str).collect();
+                        own.sort();
+                        own.dedup();
+                        own
+                    })
+                    .collect();
+                paths.sort();
+                prop_assert_eq!(db.paths().collect::<Vec<_>>(), paths);
+                let shared = Dependency::parse("/etc/shared");
+                let owners = |found: Vec<&InstalledPackage>| {
+                    found.iter().map(|ip| ip.install_tid).collect::<Vec<_>>()
+                };
+                let scanned: Vec<&InstalledPackage> = db
+                    .iter()
+                    .filter(|ip| ip.package.files.iter().any(|f| f == "/etc/shared"))
+                    .collect();
+                prop_assert_eq!(owners(db.whatprovides(&shared)), owners(scanned));
+                // equal contents in a store of its own compare equal
+                prop_assert!(*db == rebuilt, "a rebuild must equal the handle");
+                let mut bumped = db.clone();
+                bumped.install(shared_store_package(9, 0));
+                bumped.erase("n9");
+                prop_assert_eq!(listed(&bumped), listed(db));
+                prop_assert!(bumped != *db, "a later next transaction id must compare unequal");
+            }
+            let installs = |history: &[(u8, usize, usize)]| {
+                history.iter().filter(|(op, _, _)| *op == 0).count()
+            };
+            let same = dbs[0].iter().eq(dbs[1].iter())
+                && installs(&histories[0]) == installs(&histories[1]);
+            prop_assert_eq!(dbs[0] == dbs[1], same);
+        }
+    }
+}
+
+/// Package `n{name}-1.0-{release}`: a file of its own, one every
+/// package owns, and one per release.
+fn shared_store_package(name: usize, release: usize) -> Package {
+    PackageBuilder::new(&format!("n{name}"), "1.0", &format!("{release}"))
+        .files([
+            format!("/usr/bin/n{name}"),
+            "/etc/shared".to_string(),
+            format!("/lib/r{release}"),
+        ])
+        .build()
+}
+
+/// Apply one `(op, name, release)` step: 0 installs, 1 erases every
+/// instance of the name, 2 erases the one instance with that release.
+fn apply_shared_store_op(db: &mut RpmDb, (op, name, release): (u8, usize, usize)) {
+    match op {
+        0 => {
+            db.install(shared_store_package(name, release));
+        }
+        1 => {
+            db.erase(&format!("n{name}"));
+        }
+        _ => {
+            let evr = Evr::new(0, "1.0".to_string(), format!("{release}"));
+            db.erase_exact(&format!("n{name}"), &evr);
+        }
+    }
 }
 
 /// A tiny deterministic generator (SplitMix64) for the structured

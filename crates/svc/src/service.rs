@@ -31,8 +31,7 @@ use crate::api::{body_digest, Disposition, RejectReason, SvcOp, SvcRequest, SvcR
 use crate::journal::{Journal, JournalEntry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use xcbc_core::deploy::deploy_xnit_overlay_salted;
-use xcbc_core::deploy::limulus_factory_image;
+use xcbc_core::deploy::{deploy_xnit_overlay_kept, limulus_factory_image, OverlayImages};
 use xcbc_core::xnit::{xnit_repository, XnitSetupMethod};
 use xcbc_fault::{Mutation, RecordError};
 use xcbc_rpm::RpmDb;
@@ -104,10 +103,14 @@ fn tenant_repos() -> Vec<Repository> {
     vec![xnit_repository()]
 }
 
-/// A tenant's mutable service-side state: its little cluster.
+/// A tenant's mutable service-side state: its little cluster, and
+/// every node image its deploys have overlaid this run. Most deploys
+/// start from an image an earlier one produced, and the run's
+/// repository view is fixed, so the store is kept for the whole run.
 struct TenantState {
     salt: u64,
     nodes: BTreeMap<String, RpmDb>,
+    images: OverlayImages,
 }
 
 impl TenantState {
@@ -118,6 +121,7 @@ impl TenantState {
         TenantState {
             salt: ShardedSolveCache::tenant_salt(tenant),
             nodes,
+            images: OverlayImages::default(),
         }
     }
 
@@ -150,11 +154,12 @@ impl TenantState {
     fn deploy(&mut self, bank: &ShardedSolveCache) -> String {
         let before: usize = self.nodes.values().map(|db| db.len()).sum();
         let shard = Arc::clone(bank.home_shard(self.salt));
-        match deploy_xnit_overlay_salted(
+        match deploy_xnit_overlay_kept(
             &self.nodes,
             XnitSetupMethod::RepoRpm,
             Some(shard),
             self.salt,
+            &mut self.images,
         ) {
             Ok(report) => {
                 self.nodes = report.node_dbs;
