@@ -12,7 +12,7 @@ use crate::compat::{check_compatibility, CompatReport};
 use crate::roll::xsede_roll;
 use crate::xnit::{set_up_host, xnit_repository, XnitSetupMethod};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xcbc_cluster::{ClusterSpec, DegradedCluster, Timeline};
 use xcbc_fault::{FaultPlan, InstallCheckpoint, PostMortem};
 use xcbc_rocks::{standard_rolls, ClusterInstall, InstallError, ResilienceConfig};
@@ -66,7 +66,16 @@ pub struct DeploymentReport {
 /// Scientific Linux base plus Basement Supercomputing's management
 /// stack and a preconfigured SLURM ("delivered with software cluster
 /// management utilities off the shelf").
+///
+/// Built once per process; each call returns a clone of one shared
+/// database (one `Arc` bump, see [`RpmDb`]), so the images share their
+/// digest memo and a node that installs into its copy copies it first.
 pub fn limulus_factory_image() -> RpmDb {
+    static FACTORY: OnceLock<RpmDb> = OnceLock::new();
+    FACTORY.get_or_init(factory_image).clone()
+}
+
+fn factory_image() -> RpmDb {
     let mut db = RpmDb::new();
     for p in [
         PackageBuilder::new("sl-release", "6.5", "1.sl6")

@@ -1,7 +1,12 @@
 //! `xcbc` — the toolkit's command-line entry point.
 //!
 //! ```text
-//! xcbc tables              regenerate every paper table + figures
+//! xcbc tables [artifact]   regenerate every paper table + figures, or one
+//!                            paper artifact under its regeneration header:
+//!                            table1..table5 | figures | deploy_compare |
+//!                            littlefe_mod | cost_model | update_ablation
+//!                            (each pinned as results/<artifact>.txt) |
+//!                            hpl_scaling | microbench (real runs on this host)
 //! xcbc deploy [target]     simulate a deployment (littlefe | limulus | both,
 //!       [--faults "<plan>"]  default both); --faults injects faults, e.g.
 //!                            "seed=42; node.boot key=compute-0-2"
@@ -77,8 +82,16 @@ use std::env;
 use std::process::ExitCode;
 
 use xcbc::cli::{exit_code, svc_args, Args, Stop};
-use xcbc::cluster::default_alert_rules;
-use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified};
+use xcbc::cluster::cost::{
+    limulus_hpc200_bom, littlefe_modified_bom, server_configuration_bom, CloudOffering,
+    TcoComparison,
+};
+use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified, littlefe_v4, LITTLEFE_COST_USD};
+use xcbc::cluster::thermal::LITTLEFE_BAY_CLEARANCE_MM;
+use xcbc::cluster::{
+    check_node_thermals, default_alert_rules, hw, rpeak_gflops_cpu, DegradedCluster,
+    FailedComponent, Failure, NodeRole, NodeSpec,
+};
 use xcbc::core::deploy::{
     deploy_from_scratch, deploy_from_scratch_resilient, deploy_xnit_overlay, limulus_factory_image,
 };
@@ -86,11 +99,16 @@ use xcbc::core::fleet::{Fleet, FleetSite};
 use xcbc::core::mon::monitor_run;
 use xcbc::core::report;
 use xcbc::core::scenario::{littlefe_day_one, DayOneRun};
-use xcbc::core::sites::{deployed_sites, AdoptionPath};
+use xcbc::core::sites::{deployed_sites, fleet_totals, AdoptionPath};
 use xcbc::core::training::{littlefe_curriculum, LabSession};
+use xcbc::core::update::{simulate_updates, UpdateStrategy};
 use xcbc::core::XnitSetupMethod;
 use xcbc::fault::{FaultPlan, InstallCheckpoint};
+use xcbc::hpl::{
+    pingpong_bandwidth_mb_s, run_hpl, run_stream, EfficiencyModel, HplConfig, StreamKernel,
+};
 use xcbc::rocks::{InstallErrorKind, ResilienceConfig};
+use xcbc::rpm::RpmDb;
 use xcbc::sim::{events_to_jsonl, SimDuration, SimTime, TraceKind};
 use xcbc::{out, outln};
 
@@ -113,8 +131,12 @@ fn main() -> ExitCode {
 fn run(cmd: &str, mut args: Args) -> Result<ExitCode, Stop> {
     match cmd {
         "tables" => {
+            let artifact = args.positional();
             args.finish()?;
-            tables()
+            match artifact {
+                None => tables(),
+                Some(name) => paper_artifact(&name),
+            }
         }
         "deploy" => {
             let faults = args.value::<String>("--faults")?;
@@ -196,7 +218,7 @@ fn run(cmd: &str, mut args: Args) -> Result<ExitCode, Stop> {
         "help" | "--help" | "-h" => {
             args.finish()?;
             eprintln!(
-                "usage: xcbc <tables|deploy [littlefe|limulus|both] [--faults \"<plan>\"]|lab [name]|linpack [n]|fleet [--threads N] [--jsonl|--table]|compat|trace [littlefe] [--faults \"<plan>\"] [--jsonl]|trace analyze [littlefe] [--faults \"<plan>\"] [--folded|--top N]|mon [littlefe|elastic] [--faults \"<plan>\"] [--prom|--xml|--jsonl|--self]|soak [--seeds N] [--seed S] [--faults] [--no-shrink] [--sites N] [--fault-specs N] [--jobs N] [--updates N] [--mutation campaign.drop-job|campaign.skip-skew|elastic.drop-job|elastic.skip-scale-up|svc.drop-journal-entry|svc.leak-quota|soak.no-timeouts]|campaign [--nodes N] [--canary N] [--waves N] [--threads N] [--rollback] [--resume] [--faults \"<plan>\"] [--jsonl]|elastic [--min N] [--max N] [--ticks N] [--faults \"<plan>\"] [--resume] [--jsonl]|exp [--spec teaching-lab|campus-research|heavy-tail] [--policies fifo,easy,maui] [--rms torque,slurm,sge] [--loads 1.0,2.0] [--seeds N] [--jobs N] [--nodes N] [--cores N] [--workers N] [--out DIR] [--name NAME]|svc [--tenants N] [--workers N] [--requests N] [--seed S] [--shards N] [--journal FILE] [--prom]>\n\
+                "usage: xcbc <tables [table1|table2|table3|table4|table5|figures|deploy_compare|littlefe_mod|cost_model|update_ablation|hpl_scaling|microbench]|deploy [littlefe|limulus|both] [--faults \"<plan>\"]|lab [name]|linpack [n]|fleet [--threads N] [--jsonl|--table]|compat|trace [littlefe] [--faults \"<plan>\"] [--jsonl]|trace analyze [littlefe] [--faults \"<plan>\"] [--folded|--top N]|mon [littlefe|elastic] [--faults \"<plan>\"] [--prom|--xml|--jsonl|--self]|soak [--seeds N] [--seed S] [--faults] [--no-shrink] [--sites N] [--fault-specs N] [--jobs N] [--updates N] [--mutation campaign.drop-job|campaign.skip-skew|elastic.drop-job|elastic.skip-scale-up|svc.drop-journal-entry|svc.leak-quota|soak.no-timeouts]|campaign [--nodes N] [--canary N] [--waves N] [--threads N] [--rollback] [--resume] [--faults \"<plan>\"] [--jsonl]|elastic [--min N] [--max N] [--ticks N] [--faults \"<plan>\"] [--resume] [--jsonl]|exp [--spec teaching-lab|campus-research|heavy-tail] [--policies fifo,easy,maui] [--rms torque,slurm,sge] [--loads 1.0,2.0] [--seeds N] [--jobs N] [--nodes N] [--cores N] [--workers N] [--out DIR] [--name NAME]|svc [--tenants N] [--workers N] [--requests N] [--seed S] [--shards N] [--journal FILE] [--prom]>\n\
                  Every command rejects an unknown flag or a stray argument. On trace, trace analyze, mon, campaign and elastic a bare --faults means the default seed-42 plan."
             );
             Ok(ExitCode::SUCCESS)
@@ -250,13 +272,6 @@ fn fault_plan(args: &mut Args) -> Result<FaultPlan, String> {
 /// XNIT overlay on a Limulus factory image — all sharing one solve
 /// cache across `threads` workers.
 fn fleet_deploy(threads: usize, jsonl: bool) -> Result<ExitCode, Stop> {
-    let limulus_dbs = || -> BTreeMap<_, _> {
-        limulus_hpc200()
-            .nodes
-            .iter()
-            .map(|n| (n.hostname.clone(), limulus_factory_image()))
-            .collect()
-    };
     let mut fleet = Fleet::new().with_threads(threads);
     for (i, site) in deployed_sites().into_iter().enumerate() {
         fleet = fleet.add_site(match site.path {
@@ -264,7 +279,7 @@ fn fleet_deploy(threads: usize, jsonl: bool) -> Result<ExitCode, Stop> {
                 FleetSite::from_scratch(site.name, littlefe_modified(), i as u64)
             }
             AdoptionPath::XnitRepository => {
-                FleetSite::overlay(site.name, limulus_dbs(), XnitSetupMethod::RepoRpm)
+                FleetSite::overlay(site.name, limulus_images(), XnitSetupMethod::RepoRpm)
             }
         });
     }
@@ -291,6 +306,397 @@ fn tables() -> Result<ExitCode, Stop> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Every Limulus HPC200 node, keyed by hostname, on its factory image.
+fn limulus_images() -> BTreeMap<String, RpmDb> {
+    limulus_hpc200()
+        .nodes
+        .iter()
+        .map(|n| (n.hostname.clone(), limulus_factory_image()))
+        .collect()
+}
+
+/// A paper artifact's name, the title of its underlined header, and the
+/// body printed under it.
+type PaperArtifact = (&'static str, &'static str, fn() -> Result<(), Stop>);
+
+/// What `xcbc tables <artifact>` regenerates. The deterministic artifacts
+/// are pinned as `results/<name>.txt`; `hpl_scaling` and `microbench`
+/// time real runs on this host.
+const PAPER_ARTIFACTS: [PaperArtifact; 12] = [
+    ("table1", "XCBC 0.9 — Table 1 regeneration", || {
+        Ok(out!("{}", report::render_table1())?)
+    }),
+    ("table2", "XCBC 0.9 — Table 2 regeneration", || {
+        Ok(out!("{}", report::render_table2())?)
+    }),
+    ("table3", "XCBC fleet — Table 3 regeneration", table3),
+    ("table4", "Table 4 regeneration", || {
+        Ok(out!("{}", report::render_table4())?)
+    }),
+    ("table5", "Table 5 regeneration", || {
+        Ok(out!("{}", report::render_table5())?)
+    }),
+    ("figures", "Figures 1-3 (substitute renderings)", || {
+        Ok(out!("{}", report::render_figures())?)
+    }),
+    (
+        "deploy_compare",
+        "Deployment path comparison",
+        deploy_compare,
+    ),
+    (
+        "littlefe_mod",
+        "LittleFe modification analysis (§5.1)",
+        littlefe_mod,
+    ),
+    ("cost_model", "Cost analysis (§7/§8)", cost_model),
+    (
+        "update_ablation",
+        "Update strategy ablation (§3)",
+        update_ablation,
+    ),
+    (
+        "hpl_scaling",
+        "HPL scaling (real runs on this host)",
+        hpl_scaling,
+    ),
+    ("microbench", "Deskside-cluster microbenchmarks", microbench),
+];
+
+/// One paper artifact under its header; an unknown name lists the known
+/// ones.
+fn paper_artifact(name: &str) -> Result<ExitCode, Stop> {
+    let Some((_, title, body)) = PAPER_ARTIFACTS.iter().find(|(n, ..)| *n == name) else {
+        let known: Vec<&str> = PAPER_ARTIFACTS.iter().map(|(n, ..)| *n).collect();
+        return Err(format!("unknown artifact {name:?} (one of {})", known.join(", ")).into());
+    };
+    out!("{title}\n{}\n", "=".repeat(title.len()))?;
+    body()?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Table 3 and the paper's fleet totals next to the regenerated ones.
+fn table3() -> Result<(), Stop> {
+    out!("{}", report::render_table3())?;
+    let t = fleet_totals();
+    outln!(
+        "\nPaper totals: 304 nodes / 2708 cores / 49.61 TF — regenerated: {} / {} / {:.2} TF",
+        t.nodes,
+        t.cores,
+        t.rpeak_tflops
+    )?;
+    Ok(())
+}
+
+/// §3/§8: Rocks from scratch against the XNIT overlay, as numbers. The
+/// overlay touches no node OS and keeps the existing setup; the
+/// from-scratch path reinstalls every node but needs no prior system.
+fn deploy_compare() -> Result<(), Stop> {
+    let scratch = deploy_from_scratch(&littlefe_modified())
+        .map_err(|e| format!("LittleFe install failed: {e}"))?;
+    outln!("{}", scratch.render_row())?;
+
+    let limulus = limulus_images();
+    for method in [XnitSetupMethod::RepoRpm, XnitSetupMethod::ManualRepoFile] {
+        let overlay = deploy_xnit_overlay(&limulus, method)
+            .map_err(|e| format!("Limulus overlay failed: {e}"))?;
+        outln!("{}", overlay.render_row())?;
+    }
+
+    outln!("\nFrom-scratch timeline (LittleFe):")?;
+    out!("{}", scratch.timeline().render())?;
+
+    outln!("\nWhy the Limulus cannot take the from-scratch path:")?;
+    match deploy_from_scratch(&limulus_hpc200()) {
+        Err(e) => outln!("  {e}")?,
+        Ok(_) => outln!("  (unexpectedly installable)")?,
+    }
+    Ok(())
+}
+
+/// §5.1: why the stock LittleFe cannot host XCBC and what each hardware
+/// change buys.
+fn littlefe_mod() -> Result<(), Stop> {
+    let v4 = littlefe_v4();
+    let modified = littlefe_modified();
+
+    outln!("Rocks installability:")?;
+    for c in [&v4, &modified] {
+        let (ok, reasons) = c.rocks_installable();
+        outln!(
+            "  {:<28} {}",
+            c.name,
+            if ok {
+                "OK".to_string()
+            } else {
+                reasons.join("; ")
+            }
+        )?;
+    }
+
+    outln!("\nPer-CPU comparison (paper: 10.56 W vs 43.06 W):")?;
+    for cpu in [hw::ATOM_D510, hw::CELERON_G1840] {
+        outln!(
+            "  {:<22} {:.2} GHz  {} cores  {:>6.2} W measured  {:>5.1} GF/socket",
+            cpu.name,
+            cpu.clock_ghz,
+            cpu.cores,
+            cpu.measured_watts,
+            rpeak_gflops_cpu(&cpu)
+        )?;
+    }
+
+    outln!("\nCooler fit in a {LITTLEFE_BAY_CLEARANCE_MM} mm LittleFe bay:")?;
+    for cooler in [
+        hw::ATOM_HEATSINK,
+        hw::INTEL_STOCK_COOLER,
+        hw::ROSEWILL_RCX_Z775_LP,
+    ] {
+        let node = NodeSpec::new("probe", NodeRole::Compute)
+            .cpu(hw::CELERON_G1840)
+            .cooler(cooler.clone())
+            .build();
+        let issues = check_node_thermals(&node, LITTLEFE_BAY_CLEARANCE_MM);
+        outln!(
+            "  {:<42} {}",
+            cooler.name,
+            if issues.is_empty() {
+                "fits and cools".to_string()
+            } else {
+                issues
+                    .iter()
+                    .map(|i| i.to_string())
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            }
+        )?;
+    }
+
+    outln!("\nPower budget:")?;
+    outln!(
+        "  v4 (shared {} W supply):       load {:>6.1} W — ok: {}",
+        v4.shared_psu.as_ref().map(|p| p.watts).unwrap_or(0.0),
+        v4.load_watts(),
+        v4.power_budget_ok()
+    )?;
+    outln!(
+        "  modified (per-node 120 W):     load {:>6.1} W — ok: {}",
+        modified.load_watts(),
+        modified.power_budget_ok()
+    )?;
+
+    outln!(
+        "\nRpeak: v4 {:.1} GF -> modified {:.1} GF ({:.1}x)",
+        v4.rpeak_gflops(),
+        modified.rpeak_gflops(),
+        modified.rpeak_gflops() / v4.rpeak_gflops()
+    )?;
+    Ok(())
+}
+
+/// §7/§8: bills of materials, price-performance, the order-of-magnitude
+/// gap to a server configuration, and the cluster-vs-cloud crossover.
+fn cost_model() -> Result<(), Stop> {
+    let lf_bom = littlefe_modified_bom();
+    outln!("LittleFe (modified) bill of materials:")?;
+    for line in &lf_bom.lines {
+        outln!(
+            "  {:<38} {:>8.2} x{:<2} = {:>9.2}",
+            line.item,
+            line.unit_usd,
+            line.quantity,
+            line.total()
+        )?;
+    }
+    outln!("  {:<38} {:>24.2}", "TOTAL", lf_bom.total_usd())?;
+
+    outln!("\nSystem prices:")?;
+    for bom in [&lf_bom, &limulus_hpc200_bom(), &server_configuration_bom()] {
+        outln!("  {:<42} ${:>9.2}", bom.system, bom.total_usd())?;
+    }
+    outln!(
+        "  -> server config / LittleFe price ratio: {:.1}x (paper: 'an order of magnitude')",
+        server_configuration_bom().total_usd() / lf_bom.total_usd()
+    )?;
+
+    outln!("\nCluster vs commercial cloud (AWS 2015 pricing), 6 nodes:")?;
+    let cluster = littlefe_modified();
+    for hours_per_month in [40.0, 160.0, 400.0] {
+        let tco = TcoComparison::compute(
+            LITTLEFE_COST_USD,
+            cluster.load_watts(),
+            &CloudOffering::aws_2015(),
+            6,
+            hours_per_month,
+            60,
+        );
+        outln!(
+            "  {:>5.0} node-busy h/mo: cloud ${:>7.0}/mo, cluster opex ${:>5.0}/mo, crossover: {}",
+            hours_per_month,
+            tco.cloud_usd_per_month,
+            tco.cluster_opex_usd_per_month,
+            match tco.crossover_months {
+                Some(m) => format!("month {m}"),
+                None => "never (within 5 years)".to_string(),
+            }
+        )?;
+    }
+
+    let lm = limulus_hpc200();
+    outln!("\nPrice-performance (Table 5 reprise):")?;
+    outln!(
+        "  LittleFe        ${}/GF Rpeak",
+        lf_bom.usd_per_gflops_rounded(cluster.rpeak_gflops())
+    )?;
+    outln!(
+        "  Limulus HPC200  ${}/GF Rpeak",
+        limulus_hpc200_bom().usd_per_gflops_rounded(lm.rpeak_gflops())
+    )?;
+    Ok(())
+}
+
+/// §3: automatic yum against notify, staged test and Rocks update
+/// rolls, over 200 simulated update cycles at a 10 % breaking rate.
+fn update_ablation() -> Result<(), Stop> {
+    outln!(
+        "{:<16} {:>10} {:>10} {:>12} {:>12}",
+        "strategy",
+        "prod-incid",
+        "caught",
+        "admin-steps",
+        "staleness"
+    )?;
+    for strategy in [
+        UpdateStrategy::AutomaticYum,
+        UpdateStrategy::NotifyOnly,
+        UpdateStrategy::StagedTest,
+        UpdateStrategy::UpdateRoll,
+    ] {
+        let r = simulate_updates(strategy, 200, 0.10, 2015);
+        outln!(
+            "{:<16} {:>10} {:>10} {:>12} {:>9.0} d",
+            r.strategy_label,
+            r.production_incidents,
+            r.caught_in_staging,
+            r.admin_steps_total,
+            r.mean_staleness_days
+        )?;
+    }
+    outln!("\nPaper: automatic updates 'may cause unexpected behavior in a production")?;
+    outln!("environment'; staged review is 'the more prudent action'. The simulation")?;
+    outln!("shows the trade: incidents vs admin effort vs staleness.")?;
+    Ok(())
+}
+
+/// Real Linpack on this host, GFLOPS against problem size and threads,
+/// then the analytic Rmax model's Table 5 projections.
+fn hpl_scaling() -> Result<(), Stop> {
+    outln!("GFLOPS vs problem size (NB=64, 1 thread):")?;
+    for n in [128usize, 256, 512, 1024] {
+        let r = run_hpl(&HplConfig {
+            n,
+            nb: 64,
+            threads: 1,
+            seed: 42,
+        });
+        outln!("  {}", r.render())?;
+        if !r.passed {
+            return Err(format!("residual check failed at N={n}").into());
+        }
+    }
+
+    let max_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    outln!("\nGFLOPS vs threads (N=1024, NB=64):")?;
+    for t in [1usize, 2, 4, max_threads] {
+        if t > max_threads {
+            continue;
+        }
+        let r = run_hpl(&HplConfig {
+            n: 1024,
+            nb: 64,
+            threads: t,
+            seed: 42,
+        });
+        outln!("  {}", r.render())?;
+    }
+
+    outln!("\nAnalytic Rmax model (Table 5 projections):")?;
+    let m = EfficiencyModel::gigabit_deskside();
+    let lf_rmax = m.rmax_gflops(537.6, 6, 48_000);
+    let lm_rmax = m.rmax_gflops(793.6, 4, 64_000);
+    outln!(
+        "  LittleFe  (6 nodes, Rpeak 537.6): model Rmax {:.1} GF (paper est. 403.2)",
+        lf_rmax
+    )?;
+    outln!(
+        "  Limulus   (4 nodes, Rpeak 793.6): model Rmax {:.1} GF (paper meas. 498.3)",
+        lm_rmax
+    )?;
+    Ok(())
+}
+
+/// The three microbenchmarks the §6 curriculum teaches — STREAM (real),
+/// ping-pong (GbE model) and a quick HPL point (real) — and the Table 5
+/// footnote's failure reprise.
+fn microbench() -> Result<(), Stop> {
+    outln!("STREAM (real, this host, N=4M doubles):")?;
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(8);
+    for kernel in [
+        StreamKernel::Copy,
+        StreamKernel::Scale,
+        StreamKernel::Add,
+        StreamKernel::Triad,
+    ] {
+        let r = run_stream(kernel, 4 << 20, threads, 3);
+        outln!(
+            "  {:<6?} {:>8.2} GB/s ({} threads)",
+            kernel,
+            r.bandwidth_gb_s,
+            r.threads
+        )?;
+    }
+
+    outln!("\nMPI ping-pong over the LittleFe's GbE (model):")?;
+    for p in [3u32, 10, 17, 20] {
+        let bytes = 1u64 << p;
+        outln!(
+            "  {:>9} B  {:>8.2} MB/s",
+            bytes,
+            pingpong_bandwidth_mb_s(bytes, 50.0, 1.0)
+        )?;
+    }
+
+    outln!("\nHPL spot check (real, N=512):")?;
+    let r = run_hpl(&HplConfig {
+        n: 512,
+        nb: 64,
+        threads,
+        seed: 1,
+    });
+    outln!("  {}", r.render())?;
+
+    outln!("\nTable 5 footnote reprise — a node dies before Linpack:")?;
+    let degraded = DegradedCluster::new(
+        littlefe_modified(),
+        vec![Failure {
+            hostname: "compute-0-3".into(),
+            component: FailedComponent::Motherboard,
+        }],
+    );
+    outln!(
+        "  full Linpack possible: {}; degraded Rpeak {:.1} GF of 537.6",
+        degraded.can_run_full_linpack(),
+        degraded.degraded_rpeak_gflops()
+    )?;
+    outln!("  -> the paper estimated Rmax at 75% of Rpeak instead of measuring (403.2 GF)")?;
+    Ok(())
+}
+
 fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, Stop> {
     if !["littlefe", "limulus", "both"].contains(&target) {
         return Err(format!("unknown target {target:?}").into());
@@ -315,12 +721,7 @@ fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, Stop> {
         }
     }
     if target != "littlefe" {
-        let existing: BTreeMap<_, _> = limulus_hpc200()
-            .nodes
-            .iter()
-            .map(|n| (n.hostname.clone(), limulus_factory_image()))
-            .collect();
-        match deploy_xnit_overlay(&existing, XnitSetupMethod::RepoRpm) {
+        match deploy_xnit_overlay(&limulus_images(), XnitSetupMethod::RepoRpm) {
             Ok(r) => outln!("{}", r.render_row())?,
             Err(e) => {
                 eprintln!("limulus overlay failed: {e}");
@@ -380,7 +781,7 @@ fn linpack(n: usize) -> Result<ExitCode, Stop> {
         .map(|t| t.get())
         .unwrap_or(4)
         .min(8);
-    let r = xcbc::hpl::run_hpl(&xcbc::hpl::HplConfig {
+    let r = run_hpl(&HplConfig {
         n,
         nb: 64,
         threads,

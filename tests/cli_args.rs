@@ -215,6 +215,26 @@ fn every_command_rejects_bad_input() {
             &["--faults needs a value"],
         ),
         (XCBC, "tables --x", &["unknown flag", "\"--x\""]),
+        (
+            XCBC,
+            "tables nosuch",
+            &[
+                "unknown artifact \"nosuch\"",
+                "table1",
+                "cost_model",
+                "microbench",
+            ],
+        ),
+        (
+            XCBC,
+            "tables table1 extra",
+            &["unexpected argument", "\"extra\""],
+        ),
+        (
+            XCBC,
+            "tables table1 --bogus",
+            &["unknown flag", "\"--bogus\""],
+        ),
         (XCBC, "compat --x", &["unknown flag", "\"--x\""]),
         (
             XCBC,

@@ -45,6 +45,9 @@ fn a_closed_stdout_is_a_quiet_end_of_output() {
         (env!("CARGO_BIN_EXE_xcbcd"), &SEED_11[..]),
         (xcbc, &svc[..]),
         (xcbc, &["tables"][..]),
+        (xcbc, &["tables", "table2"][..]),
+        (xcbc, &["tables", "figures"][..]),
+        (xcbc, &["tables", "deploy_compare"][..]),
         (xcbc, &["compat"][..]),
     ] {
         let (code, stderr) = read_one_byte(bin, args);

@@ -2,7 +2,9 @@
 //!
 //! Each row is `file<TAB>binary<TAB>arg<TAB>arg…`: running the built
 //! `binary` with those arguments must exit 0 and print the bytes of
-//! `tests/golden/<file>`. Lines that start with `#` are comments.
+//! `tests/golden/<file>`, or of `<file>` from the repository root when
+//! it is a path with a slash (`results/table1.txt`). Lines that start
+//! with `#` are comments.
 
 // Each test target that includes this module uses a different part.
 #![allow(dead_code)]
@@ -17,6 +19,17 @@ pub struct Row<'a> {
     pub file: &'a str,
     pub binary: &'a str,
     pub args: Vec<&'a str>,
+}
+
+impl Row<'_> {
+    /// The golden file's path from the repository root.
+    pub fn path(&self) -> String {
+        if self.file.contains('/') {
+            self.file.to_string()
+        } else {
+            format!("tests/golden/{}", self.file)
+        }
+    }
 }
 
 /// The rows of `text`; `Err` names the first malformed line.
@@ -69,11 +82,7 @@ pub fn check_row(row: &Row) {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_golden(
-        &format!("tests/golden/{}", row.file),
-        &out.stdout,
-        &row.label,
-    );
+    assert_golden(&row.path(), &out.stdout, &row.label);
 }
 
 /// Checks the row that pins each of `files`; a file no row names fails.

@@ -10,8 +10,9 @@
 //! also check the rows of the outputs they used to render, by file name.
 //!
 //! Every other file under `tests/golden/` belongs to a library-level
-//! test ([`LIBRARY_GOLDENS`]), so a golden that nothing checks fails
-//! here. When an intentional change shifts an output, regenerate with:
+//! test ([`LIBRARY_GOLDENS`]), and every `results/*.txt` capture to a
+//! row, so a golden that nothing checks fails here. When an intentional
+//! change shifts an output, regenerate with:
 //!
 //! ```text
 //! XCBC_BLESS=1 cargo test --test golden_manifest
@@ -53,15 +54,29 @@ fn every_golden_has_one_owner() {
     for (file, by) in &owners {
         assert!(by.len() == 1, "{file} is pinned more than once: {by:?}");
     }
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    for entry in std::fs::read_dir(dir).expect("list tests/golden") {
-        let name = entry.expect("read tests/golden").file_name();
-        let name = name.to_string_lossy();
+    // results/ also holds the exp-001 sweep, which CI's sweep-smoke job
+    // reproduces, and SCHEMA.md
+    let goldens = listing("tests/golden")
+        .filter(|path| path != "tests/golden/MANIFEST")
+        .chain(listing("results").filter(|path| path.ends_with(".txt")));
+    for path in goldens {
+        let file = path.strip_prefix("tests/golden/").unwrap_or(&path);
         assert!(
-            name == "MANIFEST" || owners.contains_key(&*name),
-            "tests/golden/{name} is named by no MANIFEST row and no library test"
+            owners.contains_key(file),
+            "{path} is named by no MANIFEST row and no library test"
         );
     }
+}
+
+/// `dir/<name>` for each entry of `dir`, a path from the repository root.
+fn listing(dir: &str) -> impl Iterator<Item = String> + '_ {
+    let full = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+    std::fs::read_dir(full)
+        .unwrap_or_else(|e| panic!("list {dir}: {e}"))
+        .map(move |entry| {
+            let entry = entry.unwrap_or_else(|e| panic!("read {dir}: {e}"));
+            format!("{dir}/{}", entry.file_name().to_string_lossy())
+        })
 }
 
 #[test]
