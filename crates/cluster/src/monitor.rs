@@ -770,8 +770,8 @@ pub struct AlertEngine {
 }
 
 impl AlertEngine {
-    /// An engine with no rules (use [`push_rule`](Self::push_rule) or
-    /// [`with_rules`](Self::with_rules)).
+    /// An engine with no rules; [`with_rules`](Self::with_rules) starts
+    /// one with rules.
     pub fn new() -> AlertEngine {
         AlertEngine::default()
     }
@@ -782,11 +782,6 @@ impl AlertEngine {
             rules,
             ..AlertEngine::default()
         }
-    }
-
-    /// Add one rule.
-    pub fn push_rule(&mut self, rule: AlertRule) {
-        self.rules.push(rule);
     }
 
     /// The configured rules.

@@ -38,7 +38,6 @@
 pub mod bridging;
 pub mod campaign;
 pub mod catalog;
-pub mod community;
 pub mod compat;
 pub mod deploy;
 pub mod elastic;
@@ -58,7 +57,6 @@ pub use campaign::{
     CampaignReport, CampaignTarget, CanaryAction, WaveReport, CAMPAIGN_TRACE_SOURCE,
 };
 pub use catalog::{xcbc_catalog, xsede_reference, CatalogEntry};
-pub use community::{RequestPipeline, RequestState, RequesterGroup, SoftwareRequest};
 pub use compat::{check_compatibility, CompatIssue, CompatReport};
 pub use deploy::{DeploymentPath, DeploymentReport};
 pub use elastic::{

@@ -19,12 +19,10 @@
 //! assert!(sys.env().get("PATH").unwrap().contains("openmpi"));
 //! ```
 
-pub mod collections;
 pub mod env;
 pub mod modulefile;
 pub mod system;
 
-pub use collections::{Collection, CollectionStore};
 pub use env::Environment;
 pub use modulefile::{ModuleAction, Modulefile};
 pub use system::{generate_from_rpmdb, ModuleError, ModuleSystem};

@@ -20,7 +20,6 @@ pub mod attrs;
 pub mod cluster_fork;
 pub mod commands;
 pub mod database;
-pub mod distribution;
 pub mod graph;
 pub mod insert_ethers;
 pub mod install;
@@ -32,7 +31,6 @@ pub use attrs::{AttrScope, AttrStore};
 pub use cluster_fork::{cluster_fork, ForkReport, ForkResult};
 pub use commands::RocksCli;
 pub use database::{HostRecord, Membership, RocksDb};
-pub use distribution::{build_update_roll, Distribution};
 pub use graph::{Appliance, GraphError, GraphNode, KickstartGraph};
 pub use insert_ethers::{DhcpRequest, InsertEthers};
 pub use install::{

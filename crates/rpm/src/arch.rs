@@ -6,7 +6,6 @@
 //! stack actually deals with.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// Machine architecture of a package or host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,20 +74,6 @@ impl fmt::Display for Arch {
     }
 }
 
-impl FromStr for Arch {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "x86_64" => Ok(Arch::X86_64),
-            "i686" | "i386" | "i586" => Ok(Arch::I686),
-            "noarch" => Ok(Arch::Noarch),
-            "src" => Ok(Arch::Src),
-            "armv7hl" | "armv7" | "arm" => Ok(Arch::Armv7),
-            other => Err(format!("unknown architecture: {other}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,20 +111,5 @@ mod tests {
         assert!(Arch::X86_64.preference_on(host) > Arch::Noarch.preference_on(host));
         assert!(Arch::Noarch.preference_on(host) > Arch::I686.preference_on(host));
         assert_eq!(Arch::Armv7.preference_on(host), 0);
-    }
-
-    #[test]
-    fn parse_roundtrip() {
-        for a in [
-            Arch::X86_64,
-            Arch::I686,
-            Arch::Noarch,
-            Arch::Src,
-            Arch::Armv7,
-        ] {
-            assert_eq!(a.as_str().parse::<Arch>().unwrap(), a);
-        }
-        assert!("mips".parse::<Arch>().is_err());
-        assert_eq!("i386".parse::<Arch>().unwrap(), Arch::I686);
     }
 }

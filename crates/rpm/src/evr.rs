@@ -271,7 +271,7 @@ impl Evr {
         }
     }
 
-    /// Version-release form without the epoch, as used in file names.
+    /// Version-release form without the epoch.
     pub fn vr(&self) -> String {
         if self.release.is_empty() {
             self.version.clone()

@@ -23,11 +23,6 @@ impl Nevra {
             arch,
         }
     }
-
-    /// The `name-version-release.arch` filename stem, as yum prints it.
-    pub fn filename(&self) -> String {
-        format!("{}-{}.{}.rpm", self.name, self.evr.vr(), self.arch)
-    }
 }
 
 impl fmt::Display for Nevra {
@@ -205,11 +200,5 @@ mod tests {
         assert!(newer.obsoletes_package(&old_named));
         assert!(newer.obsoletes_package(&pbs_old));
         assert!(!newer.obsoletes_package(&pbs_new));
-    }
-
-    #[test]
-    fn nevra_filename() {
-        let p = PackageBuilder::new("gromacs", "4.6.5", "2.el6").build();
-        assert_eq!(p.nevra.filename(), "gromacs-4.6.5-2.el6.x86_64.rpm");
     }
 }

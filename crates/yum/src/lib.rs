@@ -2,7 +2,7 @@
 //!
 //! Reimplements the parts of Yum the XNIT toolkit relies on (the paper:
 //! "XNIT is based on the Yum repository for installation or updates of
-//! RPMs"): repository objects with metadata, `.repo` configuration files
+//! RPMs"): repository objects, `.repo` configuration files
 //! (the paper's two setup methods — the `xsede-release` repo RPM, or a
 //! hand-written `/etc/yum.repos.d/xsede.repo` plus `yum-plugin-priorities`),
 //! a dependency solver with best-candidate selection, repository
@@ -25,11 +25,7 @@
 //! assert!(db.is_installed("gromacs") && db.is_installed("openmpi"));
 //! ```
 
-pub mod cache;
 pub mod fingerprint;
-pub mod groups;
-pub mod json;
-pub mod metadata;
 pub mod mirror;
 pub mod notifier;
 mod priorities;
@@ -40,10 +36,7 @@ pub mod solvecache;
 pub mod solver;
 pub mod updates;
 
-pub use cache::MetadataCache;
 pub use fingerprint::{db_fingerprint, repos_fingerprint, Fnv64};
-pub use groups::{group_install, PackageGroupDef};
-pub use metadata::{MetadataError, PrimaryRecord, RepoMetadata};
 pub use mirror::{
     FetchOptions, FetchReport, Mirror, MirrorList, MirrorOutcome, MIN_BANDWIDTH_MBPS,
 };

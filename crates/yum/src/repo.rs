@@ -5,7 +5,6 @@
 //! not Requires/Provides payloads, and a solver can hand the repository's
 //! own packages to a [`crate::Solution`] without copying them.
 
-use crate::metadata::RepoMetadata;
 use std::sync::Arc;
 use xcbc_rpm::{Dependency, Evr, Package};
 
@@ -114,11 +113,6 @@ impl Repository {
             .filter(|p| p.satisfies(req))
             .map(|p| &**p)
             .collect()
-    }
-
-    /// Generate repo metadata (the `repodata/` a `createrepo` run makes).
-    pub fn metadata(&self) -> RepoMetadata {
-        RepoMetadata::generate(self)
     }
 
     /// Total payload size in bytes.

@@ -609,10 +609,7 @@ fn hpl_scaling() -> Result<(), Stop> {
         .map(|n| n.get())
         .unwrap_or(4);
     outln!("\nGFLOPS vs threads (N=1024, NB=64):")?;
-    for t in [1usize, 2, 4, max_threads] {
-        if t > max_threads {
-            continue;
-        }
+    for t in hpl_thread_sweep(max_threads) {
         let r = run_hpl(&HplConfig {
             n: 1024,
             nb: 64,
@@ -620,6 +617,9 @@ fn hpl_scaling() -> Result<(), Stop> {
             seed: 42,
         });
         outln!("  {}", r.render())?;
+        if !r.passed {
+            return Err(format!("residual check failed at {t} thread(s)").into());
+        }
     }
 
     outln!("\nAnalytic Rmax model (Table 5 projections):")?;
@@ -635,6 +635,15 @@ fn hpl_scaling() -> Result<(), Stop> {
         lm_rmax
     )?;
     Ok(())
+}
+
+/// The thread counts `hpl_scaling` sweeps: 1, 2, 4 and the host's
+/// `max`, ascending, each once, none above `max`.
+fn hpl_thread_sweep(max: usize) -> Vec<usize> {
+    let mut threads: Vec<usize> = [1, 2, 4, max].into_iter().filter(|&t| t <= max).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    threads
 }
 
 /// The three microbenchmarks the §6 curriculum teaches — STREAM (real),
@@ -1456,4 +1465,22 @@ fn exp_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     outln!()?;
     out!("{}", report.curves())?;
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::hpl_thread_sweep;
+
+    #[test]
+    fn hpl_thread_sweep_is_ascending_unique_and_ends_at_max() {
+        for max in [1, 2, 3, 4, 8] {
+            let sweep = hpl_thread_sweep(max);
+            assert!(sweep.windows(2).all(|w| w[0] < w[1]), "{max}: {sweep:?}");
+            assert_eq!(sweep.last(), Some(&max), "{max}: {sweep:?}");
+            assert_eq!(sweep[0], 1, "{max}: {sweep:?}");
+        }
+        assert_eq!(hpl_thread_sweep(2), [1, 2]);
+        assert_eq!(hpl_thread_sweep(3), [1, 2, 3]);
+        assert_eq!(hpl_thread_sweep(8), [1, 2, 4, 8]);
+    }
 }

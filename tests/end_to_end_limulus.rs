@@ -137,8 +137,7 @@ fn power_managed_operation_saves_energy_with_full_service() {
 fn mirror_failover_still_serves_metadata() {
     use rand::SeedableRng;
     let repo = xcbc::core::xnit_repository();
-    let md = repo.metadata();
-    assert!(md.package_count > 100);
+    assert!(repo.package_count() > 100);
     let list = xcbc::yum::MirrorList::new(vec![
         xcbc::yum::Mirror::new("http://dead.example.edu/xsederepo/", 100.0, 30.0)
             .with_failure_rate(1.0),
@@ -146,7 +145,7 @@ fn mirror_failover_still_serves_metadata() {
     ]);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let outcome = list
-        .fetch_with(xcbc::yum::FetchOptions::new(md.total_size_bytes).sample_with(&mut rng))
+        .fetch_with(xcbc::yum::FetchOptions::new(repo.total_size_bytes()).sample_with(&mut rng))
         .outcome;
     assert!(outcome.succeeded());
     assert_eq!(outcome.failed.len(), 1);

@@ -1,13 +1,10 @@
 //! Integration tests for the operational extensions: failure injection,
-//! reservations, job arrays, package groups, metadata caching, update
-//! rolls, cluster-fork, module collections, and the community pipeline.
+//! reservations, job arrays, and cluster-fork.
 
 use xcbc::cluster::specs::littlefe_modified;
 use xcbc::cluster::{sample_failures, DegradedCluster, FailedComponent, Failure};
-use xcbc::core::community::{RequestPipeline, RequesterGroup};
-use xcbc::rocks::{build_update_roll, cluster_fork, Appliance, Distribution, RocksDb};
+use xcbc::rocks::{cluster_fork, Appliance, RocksDb};
 use xcbc::sched::{submit_array, ClusterSim, JobRequest, SchedPolicy};
-use xcbc::yum::{group_install, MetadataCache, PackageGroupDef, Yum, YumConfig};
 
 #[test]
 fn maintenance_window_and_job_array_interact() {
@@ -70,65 +67,6 @@ fn fleet_failure_survey_is_plausible() {
 }
 
 #[test]
-fn xnit_group_install_on_top_of_catalog() {
-    let mut yum = Yum::new(YumConfig::default());
-    yum.add_repository(xcbc::core::xnit_repository());
-    let groups = vec![PackageGroupDef::new("xsede-bio", "Bioinformatics")
-        .mandatory_pkg("trinity")
-        .mandatory_pkg("ncbi-blast")
-        .default_pkg("bwa")
-        .default_pkg("samtools")
-        .optional_pkg("gatk")];
-    let mut db = xcbc::rpm::RpmDb::new();
-    group_install(&yum, &mut db, &groups, "xsede-bio", false).unwrap();
-    for p in [
-        "trinity",
-        "ncbi-blast",
-        "bwa",
-        "samtools",
-        "bowtie",
-        "java-1.7.0-openjdk",
-    ] {
-        assert!(db.is_installed(p), "{p} (bowtie/java via deps)");
-    }
-    assert!(!db.is_installed("gatk"));
-    assert!(db.verify().is_empty());
-}
-
-#[test]
-fn metadata_cache_shields_mirror_until_expiry() {
-    let repo = xcbc::core::xnit_repository();
-    let mut cache = MetadataCache::with_default_expiry();
-    cache.get(&repo, 0.0);
-    for minute in 1..90 {
-        let (_, fetched) = cache.get(&repo, minute as f64 * 60.0);
-        assert!(!fetched, "minute {minute}");
-    }
-    let (_, fetched) = cache.get(&repo, 90.0 * 60.0);
-    assert!(fetched);
-    assert_eq!(cache.fetches, 2);
-}
-
-#[test]
-fn rocks_update_roll_path_end_to_end() {
-    // build the distribution from the standard rolls + XSEDE roll, then
-    // produce an update roll from a newer XNIT snapshot
-    let mut distro = Distribution::new();
-    for roll in xcbc::rocks::standard_rolls() {
-        distro.add_roll_and_rebuild(&roll);
-    }
-    distro.add_roll_and_rebuild(&xcbc::core::roll::xsede_roll());
-    let gromacs_before = distro.version_of("gromacs").unwrap().clone();
-
-    // upstream XNIT publishes newer gromacs
-    let newer = vec![xcbc::rpm::PackageBuilder::new("gromacs", "4.6.7", "1.el6").build()];
-    let update_roll = build_update_roll(&distro, &newer, "2015.06");
-    assert_eq!(update_roll.packages.len(), 1);
-    distro.add_roll_and_rebuild(&update_roll);
-    assert!(distro.version_of("gromacs").unwrap() > &gromacs_before);
-}
-
-#[test]
 fn cluster_fork_verifies_post_install_state() {
     let mut db = RocksDb::new("littlefe");
     db.add_frontend("ff", 2).unwrap();
@@ -145,55 +83,4 @@ fn cluster_fork_verifies_post_install_state() {
         }
     });
     assert_eq!(report.failed_hosts(), vec!["compute-0-4"]);
-}
-
-#[test]
-fn module_collection_portability_between_xcbc_clusters() {
-    use xcbc::core::deploy::deploy_from_scratch;
-    use xcbc::modules::{generate_from_rpmdb, CollectionStore, ModuleSystem};
-
-    let report = deploy_from_scratch(&littlefe_modified()).unwrap();
-    let mut campus = ModuleSystem::new();
-    for m in generate_from_rpmdb(&report.node_dbs["compute-0-0"]) {
-        campus.add(m);
-    }
-    campus.load("gromacs").unwrap();
-    campus.load("valgrind").unwrap();
-    let mut store = CollectionStore::new();
-    store.save("thesis", &campus);
-
-    // an XSEDE cluster built the same way restores the same environment
-    let mut xsede = ModuleSystem::new();
-    for m in generate_from_rpmdb(&report.node_dbs["compute-0-1"]) {
-        xsede.add(m);
-    }
-    let loaded = store.restore("thesis", &mut xsede).unwrap();
-    assert_eq!(loaded.len(), 2);
-    assert_eq!(
-        xsede.env(),
-        campus.env(),
-        "identical environments on both clusters"
-    );
-}
-
-#[test]
-fn community_pipeline_feeds_site_installs() {
-    let mut repo = xcbc::core::xnit_repository();
-    let mut pipeline = RequestPipeline::new();
-    pipeline.submit(
-        "openfoam",
-        "2.3.0",
-        RequesterGroup::CampusChampion,
-        "Marshall",
-        true,
-        true,
-    );
-    pipeline.triage(&repo);
-    pipeline.ship_release(&mut repo);
-
-    let mut yum = Yum::new(YumConfig::default());
-    yum.add_repository(repo);
-    let mut db = xcbc::rpm::RpmDb::new();
-    yum.install(&mut db, &["openfoam"]).unwrap();
-    assert!(db.is_installed("openfoam"));
 }

@@ -1,7 +1,6 @@
 //! One never-panic property for every text format a user can hand the
 //! tools: the install, campaign and elastic checkpoints, the `xcbcd`
-//! journal, the `--faults` plan DSL, `.repo` INI files and repo
-//! metadata JSON.
+//! journal, the `--faults` plan DSL and `.repo` INI files.
 //!
 //! - Random valid values round-trip byte for byte through their writer
 //!   and `parse`.
@@ -19,16 +18,13 @@ use xcbc::fault::{
     CampaignCheckpoint, ElasticCheckpoint, FaultKind, FaultPlan, FaultWindow, InjectionPoint,
     InstallCheckpoint, NodeStage,
 };
-use xcbc::rpm::Arch;
 use xcbc::svc::{replay, serve, Journal, SvcWorkload};
-use xcbc::yum::{parse_repo_file, render_repo_file, PrimaryRecord, RepoConfig, RepoMetadata};
+use xcbc::yum::{parse_repo_file, render_repo_file, RepoConfig};
 
 /// The characters an edit inserts or replaces with.
 const EDIT_CHARS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCZ \n#=:,;.*-";
 /// Edit characters for `.repo` files: INI structure and values.
 const INI_CHARS: &[u8] = b"019abcxyz \t\n#;=[]./:";
-/// Edit characters for JSON: structure, escapes, numbers, literals.
-const JSON_CHARS: &[u8] = b"0129aeflnrstu.-+ \n\t{}[]\":,\\";
 
 /// `(kind, position, char)` draws: 0 replaces, 1 inserts, 2 deletes.
 fn edits() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
@@ -228,14 +224,6 @@ fn render_repos(configs: &[RepoConfig]) -> String {
         .collect()
 }
 
-const ARCHES: [Arch; 5] = [
-    Arch::X86_64,
-    Arch::I686,
-    Arch::Noarch,
-    Arch::Src,
-    Arch::Armv7,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -266,53 +254,6 @@ proptest! {
             let rendered = render_repos(&once);
             let again = parse_repo_file(&rendered).map(|c| render_repos(&c));
             prop_assert!(again.as_ref().ok() == Some(&rendered), "not a fixpoint: {edited:?}");
-        }
-    }
-
-    #[test]
-    fn repo_metadata_round_trips_and_survives_edits(
-        repo_id in NAME,
-        revision in 0u64..1000,
-        records in proptest::collection::vec(
-            (
-                (NAME, 0u32..3, "[0-9]{1,2}\\.[0-9]{1,2}", "[0-9]\\.el6", 0..ARCHES.len()),
-                ("[A-Za-z ]{0,12}", 0u64..1 << 40),
-                (proptest::collection::vec(NAME, 0..3), proptest::collection::vec(NAME, 0..3)),
-            ),
-            0..3,
-        ),
-        edits in edits(),
-    ) {
-        let primary: Vec<PrimaryRecord> = records
-            .iter()
-            .map(|((name, epoch, version, release, arch), (summary, size), (provides, requires))| PrimaryRecord {
-                name: name.clone(),
-                epoch: *epoch,
-                version: version.clone(),
-                release: release.clone(),
-                arch: ARCHES[*arch],
-                summary: summary.clone(),
-                size_bytes: *size,
-                provides: provides.clone(),
-                requires: requires.clone(),
-                location: format!("Packages/{name}.rpm"),
-            })
-            .collect();
-        let md = RepoMetadata {
-            repo_id,
-            revision,
-            package_count: primary.len(),
-            total_size_bytes: primary.iter().map(|r| r.size_bytes).sum(),
-            primary,
-        };
-        let text = md.to_json();
-        let parsed = RepoMetadata::from_json(&text).map_err(|e| TestCaseError::fail(format!("{e} in {text:?}")))?;
-        prop_assert_eq!(&parsed, &md);
-        prop_assert_eq!(parsed.to_json(), text.clone());
-        let edited = apply(&text, &edits, JSON_CHARS);
-        if let Ok(once) = RepoMetadata::from_json(&edited) {
-            let again = RepoMetadata::from_json(&once.to_json());
-            prop_assert!(again.as_ref().ok() == Some(&once), "not a fixpoint: {edited:?}");
         }
     }
 }
