@@ -630,11 +630,11 @@ impl Invariant for GmetadRollup {
                 expected_hosts += 1;
                 let meta_name = format!("{site}/{host}");
                 for kind in MetricKind::ALL {
-                    let local = mon.with_node(&host, |n| n.ring(kind).latest()).flatten();
+                    let local = mon.node(&host).and_then(|n| n.ring(kind).latest());
                     let rolled = telemetry
                         .meta
-                        .with_node(&meta_name, |n| n.ring(kind).latest())
-                        .flatten();
+                        .node(&meta_name)
+                        .and_then(|n| n.ring(kind).latest());
                     match (local, rolled) {
                         (Some(a), Some(b)) => {
                             if a.time != b.time || a.value.to_bits() != b.value.to_bits() {

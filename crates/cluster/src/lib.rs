@@ -42,9 +42,8 @@ pub use failure::{sample_failures, DegradedCluster, FailedComponent, Failure};
 pub use flops::{gpu_peak_gflops, rpeak_gflops_cpu};
 pub use hw::{Cooler, CpuModel, DiskDrive, DiskKind, FormFactor, Motherboard, Nic, Psu};
 pub use monitor::{
-    default_alert_rules, Alert, AlertEngine, AlertOp, AlertRule, ClusterMonitor, Consolidation,
-    MetricKind, MetricSample, MetricSeries, MetricUpdate, NodeMonitor, Ring, RrdConfig, RrdTier,
-    ALERT_TRACE_SOURCE,
+    default_alert_rules, Alert, AlertEngine, AlertOp, AlertRule, ClusterMonitor, MetricKind,
+    MetricSample, NodeMonitor, Ring, ALERT_TRACE_SOURCE,
 };
 pub use node::{NodeRole, NodeSpec, PowerState};
 pub use power::{
@@ -52,6 +51,6 @@ pub use power::{
 };
 pub use render::{render_limulus, render_littlefe_front, render_littlefe_rear};
 pub use specs::{limulus_hpc200, littlefe_modified, littlefe_v4};
-pub use telemetry::{AnalysisSummary, TelemetryConfig, TelemetrySink, MEMBERSHIP_TRACE_SOURCE};
+pub use telemetry::{TelemetryConfig, TelemetrySink, MEMBERSHIP_TRACE_SOURCE};
 pub use thermal::{check_node_thermals, ThermalIssue};
 pub use topology::{ClusterSpec, NetworkSpec};

@@ -17,18 +17,16 @@
 //!   placed node for the job's lifetime;
 //! * a mirror fetch ⇒ network throughput on the frontend.
 //!
-//! Every derived sample also flows through the [`AlertEngine`], so
-//! threshold alerts fire *at the simulated instant* the violation
-//! happened, deterministically. Because the input trace is
-//! byte-deterministic for a fixed seed, so is everything this sink
-//! derives.
+//! Each derived sample lands in the gmetad rings and then in the
+//! [`AlertEngine`], one at a time in derivation order, so threshold
+//! alerts fire *at the simulated instant* the violation happened,
+//! deterministically. Because the input trace is byte-deterministic for
+//! a fixed seed, so is everything this sink derives, however the trace
+//! is split across [`ingest`](TelemetrySink::ingest) calls.
 
-use crate::monitor::{Alert, AlertEngine, AlertRule, ClusterMonitor, MetricKind, MetricUpdate};
-use crate::node::PowerState;
+use crate::monitor::{Alert, AlertEngine, AlertRule, ClusterMonitor, MetricKind, NodeMonitor};
 use crate::power::POWER_TRACE_SOURCE;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use xcbc_sim::{FieldValue, SimTime, TraceEvent, TraceKind, ANALYZE_TRACE_SOURCE, BACKOFF_PREFIX};
+use xcbc_sim::{FieldValue, SimTime, TraceEvent, TraceKind, BACKOFF_PREFIX};
 
 /// Trace source for fleet membership marks (`join <host>` /
 /// `drain <host>` / `leave <host>`). Emitted by the elastic membership
@@ -60,6 +58,10 @@ pub const IDLE_MEM: f64 = 22.0;
 /// Idle load published when a span ends.
 pub const IDLE_LOAD: f64 = 0.05;
 
+/// Scheduler and power-sequencer node index `i` is host
+/// `compute-0-<i>`, the stock Rocks compute naming.
+const SCHED_HOST_PREFIX: &str = "compute-0-";
+
 /// How the sink maps trace events onto hosts.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
@@ -70,55 +72,35 @@ pub struct TelemetryConfig {
     /// Every hostname in the cluster; registered up front so silent
     /// nodes show up in heartbeat checks.
     pub hosts: Vec<String>,
-    /// Scheduler node index `i` maps to host `{sched_host_prefix}{i}`.
-    pub sched_host_prefix: String,
 }
 
 impl TelemetryConfig {
-    /// A config for `frontend` plus `hosts`, with the stock Rocks
-    /// compute naming (`compute-0-<i>`).
+    /// A config for `frontend` plus `hosts`.
     pub fn new(frontend: impl Into<String>, hosts: Vec<String>) -> TelemetryConfig {
         TelemetryConfig {
             frontend: frontend.into(),
             hosts,
-            sched_host_prefix: "compute-0-".to_string(),
         }
+    }
+
+    /// Resolve the host an event describes: an explicit `node` field
+    /// wins; otherwise a `<host>:`-prefixed label is matched against
+    /// the known hosts (with `frontend:` aliasing the configured
+    /// frontend); everything else is the frontend's work.
+    fn resolve_host<'a>(&'a self, event: &'a TraceEvent) -> &'a str {
+        if let Some(FieldValue::Str(node)) = field(event, "node") {
+            return node;
+        }
+        if let Some((prefix, _)) = event.label.split_once(':') {
+            if prefix != "frontend" && self.hosts.iter().any(|h| h == prefix) {
+                return prefix;
+            }
+        }
+        &self.frontend
     }
 }
 
-/// One derived monitoring action, buffered so a batch of trace events
-/// can publish under a single monitor lock while the alert engine
-/// still sees every action in exact emission order.
-#[derive(Debug)]
-enum TelemetryOp {
-    /// A sample for the gmetad rings *and* the alert engine.
-    Sample(MetricUpdate),
-    /// A direct alert raise (campaign failures and the like).
-    Raise {
-        t: SimTime,
-        rule: &'static str,
-        host: String,
-    },
-}
-
-/// The last trace-analysis summary observed on the
-/// [`ANALYZE_TRACE_SOURCE`] stream (the `critical-path` mark the
-/// analyser emits), so dashboards can show what bounded the run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AnalysisSummary {
-    /// Links in the critical path.
-    pub segments: u64,
-    /// Busy seconds along the path.
-    pub busy_s: f64,
-    /// Blocked seconds along the path.
-    pub blocked_s: f64,
-    /// The span makespan the path telescopes to.
-    pub makespan_s: f64,
-    /// Label of the terminal (makespan-bounding) span, if any.
-    pub terminal: Option<String>,
-}
-
-/// The event-driven gmond array: ingests trace slices and publishes
+/// The event-driven gmond array: ingests trace slices, publishes
 /// derived samples into a [`ClusterMonitor`] and evaluates alert rules
 /// sample-by-sample.
 #[derive(Debug)]
@@ -126,46 +108,25 @@ pub struct TelemetrySink {
     monitor: ClusterMonitor,
     engine: AlertEngine,
     config: TelemetryConfig,
-    /// Power state per host, driven by `cluster.power` boot spans and
-    /// power-off marks; hosts never power-managed stay [`PowerState::On`].
-    power: BTreeMap<String, PowerState>,
-    /// The last `trace.analyze` critical-path summary seen, if any.
-    analysis: Option<AnalysisSummary>,
-    /// The frontend hostname as a shared allocation: unattributable
-    /// work resolves here on every event, so cloning must be a
-    /// refcount bump, not a heap allocation.
-    frontend: Arc<str>,
 }
 
 impl TelemetrySink {
     /// A sink publishing into `monitor` under `rules`. All configured
     /// hosts are registered immediately.
-    pub fn new(monitor: ClusterMonitor, config: TelemetryConfig, rules: Vec<AlertRule>) -> Self {
+    pub fn new(
+        mut monitor: ClusterMonitor,
+        config: TelemetryConfig,
+        rules: Vec<AlertRule>,
+    ) -> Self {
         for h in &config.hosts {
             monitor.register(h);
         }
         monitor.register(&config.frontend);
-        let frontend = Arc::from(config.frontend.as_str());
         TelemetrySink {
             monitor,
             engine: AlertEngine::with_rules(rules),
             config,
-            power: BTreeMap::new(),
-            analysis: None,
-            frontend,
         }
-    }
-
-    /// The last critical-path summary seen on the `trace.analyze`
-    /// stream, if the run's trace was analysed.
-    pub fn analysis(&self) -> Option<&AnalysisSummary> {
-        self.analysis.as_ref()
-    }
-
-    /// The power state of `host` as last reported on the trace. Hosts
-    /// never touched by power management are assumed on.
-    pub fn power_state(&self, host: &str) -> PowerState {
-        self.power.get(host).copied().unwrap_or(PowerState::On)
     }
 
     /// The gmetad this sink publishes into.
@@ -192,7 +153,7 @@ impl TelemetrySink {
     /// Heartbeat sweep at scenario end: any registered node that never
     /// reported raises a `node-absent` alert.
     pub fn finish(&mut self, now: SimTime) {
-        for host in self.monitor.absent_nodes(now, None) {
+        for host in self.monitor.absent_nodes() {
             self.engine.raise(now, "node-absent", &host, 1.0);
         }
     }
@@ -200,46 +161,6 @@ impl TelemetrySink {
     /// Consume the sink, returning the monitor and the alert engine.
     pub fn into_parts(self) -> (ClusterMonitor, AlertEngine) {
         (self.monitor, self.engine)
-    }
-
-    /// Replay buffered ops: every sample lands in the gmetad under one
-    /// [`publish_all`](ClusterMonitor::publish_all) lock acquisition,
-    /// then the alert engine sees every op in exact derivation order —
-    /// the same result as publishing and observing sample by sample,
-    /// just without a lock round-trip per sample.
-    fn apply(&mut self, ops: &[TelemetryOp]) {
-        self.monitor
-            .publish_all(ops.iter().filter_map(|op| match op {
-                TelemetryOp::Sample(u) => Some(u),
-                TelemetryOp::Raise { .. } => None,
-            }));
-        for op in ops {
-            match op {
-                TelemetryOp::Sample(u) => self.engine.observe(&u.host, u.kind, u.time, u.value),
-                TelemetryOp::Raise { t, rule, host } => self.engine.raise(*t, rule, host, 1.0),
-            }
-        }
-    }
-
-    /// Resolve the host an event describes: an explicit `node` field
-    /// wins; otherwise a `<host>:`-prefixed label is matched against
-    /// the known hosts (with `frontend:` aliasing the configured
-    /// frontend); everything else is the frontend's work. Returns a
-    /// shared allocation so the event's derived samples can all point
-    /// at one host string.
-    fn resolve_host(&self, event: &TraceEvent) -> Arc<str> {
-        if let Some(FieldValue::Str(node)) = field(event, "node") {
-            return Arc::from(node.as_str());
-        }
-        if let Some((prefix, _)) = event.label.split_once(':') {
-            if prefix == "frontend" {
-                return Arc::clone(&self.frontend);
-            }
-            if self.config.hosts.iter().any(|h| h == prefix) {
-                return Arc::from(prefix);
-            }
-        }
-        Arc::clone(&self.frontend)
     }
 }
 
@@ -254,207 +175,144 @@ fn field_u64(event: &TraceEvent, key: &str) -> Option<u64> {
     }
 }
 
-fn field_f64(event: &TraceEvent, key: &str) -> Option<f64> {
-    match field(event, key) {
-        Some(FieldValue::F64(v)) => Some(*v),
-        _ => None,
-    }
-}
-
+/// One derived sample: into the node's ring, then past the alert rules.
 fn sample(
-    ops: &mut Vec<TelemetryOp>,
-    host: &Arc<str>,
+    node: &mut NodeMonitor,
+    engine: &mut AlertEngine,
     kind: MetricKind,
     time: SimTime,
     value: f64,
 ) {
-    ops.push(TelemetryOp::Sample(MetricUpdate {
-        host: Arc::clone(host),
-        kind,
-        time,
-        value,
-    }));
+    node.observe(kind, time, value);
+    engine.observe(&node.hostname, kind, time, value);
 }
 
 /// Busy samples at span start, idle samples at span end.
 fn busy_idle(
-    ops: &mut Vec<TelemetryOp>,
-    host: &Arc<str>,
-    start: SimTime,
-    end: SimTime,
+    node: &mut NodeMonitor,
+    engine: &mut AlertEngine,
+    (start, end): (SimTime, SimTime),
     cpu: f64,
     load: f64,
     mem: Option<f64>,
 ) {
-    sample(ops, host, MetricKind::CpuPercent, start, cpu);
-    sample(ops, host, MetricKind::LoadOne, start, load);
+    sample(node, engine, MetricKind::CpuPercent, start, cpu);
+    sample(node, engine, MetricKind::LoadOne, start, load);
     if let Some(mem) = mem {
-        sample(ops, host, MetricKind::MemPercent, start, mem);
+        sample(node, engine, MetricKind::MemPercent, start, mem);
     }
     if end > start {
-        sample(ops, host, MetricKind::CpuPercent, end, IDLE_CPU);
-        sample(ops, host, MetricKind::LoadOne, end, IDLE_LOAD);
+        sample(node, engine, MetricKind::CpuPercent, end, IDLE_CPU);
+        sample(node, engine, MetricKind::LoadOne, end, IDLE_LOAD);
         if mem.is_some() {
-            sample(ops, host, MetricKind::MemPercent, end, IDLE_MEM);
+            sample(node, engine, MetricKind::MemPercent, end, IDLE_MEM);
         }
     }
 }
 
-fn net_span(ops: &mut Vec<TelemetryOp>, host: &Arc<str>, start: SimTime, end: SimTime, bytes: u64) {
+fn net_span(
+    node: &mut NodeMonitor,
+    engine: &mut AlertEngine,
+    (start, end): (SimTime, SimTime),
+    bytes: u64,
+) {
     let dur_s = end.since(start).as_secs_f64();
     let rate = if dur_s > 0.0 {
         bytes as f64 / dur_s
     } else {
         bytes as f64
     };
-    sample(ops, host, MetricKind::NetBytesPerSec, start, rate);
+    sample(node, engine, MetricKind::NetBytesPerSec, start, rate);
     if end > start {
-        sample(ops, host, MetricKind::NetBytesPerSec, end, 0.0);
+        sample(node, engine, MetricKind::NetBytesPerSec, end, 0.0);
     }
 }
 
 impl TelemetrySink {
-    /// Convert one trace event into buffered monitoring ops and state
-    /// updates.
-    fn derive(&mut self, event: &TraceEvent, ops: &mut Vec<TelemetryOp>) {
+    /// Convert one trace event into samples and alerts.
+    fn derive(&mut self, event: &TraceEvent) {
+        let engine = &mut self.engine;
         if event.source == "campaign" {
             // a node the campaign gave up on (retry budget exhausted)
             // raises an alert on the monitoring plane
             if let TraceKind::Mark = event.kind {
                 if let Some(host) = event.label.strip_prefix("fail ") {
-                    ops.push(TelemetryOp::Raise {
-                        t: event.t,
-                        rule: "campaign-node-failed",
-                        host: host.to_string(),
-                    });
+                    engine.raise(event.t, "campaign-node-failed", host, 1.0);
                 }
             }
             return;
         }
         if event.source == MEMBERSHIP_TRACE_SOURCE {
+            // A join is the member's first heartbeat: an idle sample
+            // registers it with the gmetad so the absence sweep sees
+            // it, without inventing load the node never carried.
             if let TraceKind::Mark = event.kind {
-                if let Some((verb, host)) = event.label.split_once(' ') {
-                    match verb {
-                        // A join is the member's first heartbeat: an
-                        // idle sample registers it with the gmetad so
-                        // the absence sweep sees it, without inventing
-                        // load the node never carried.
-                        "join" => {
-                            let shared: Arc<str> = Arc::from(host);
-                            sample(ops, &shared, MetricKind::CpuPercent, event.t, 0.0);
-                            sample(ops, &shared, MetricKind::LoadOne, event.t, 0.0);
-                            self.power.insert(host.to_string(), PowerState::On);
-                        }
-                        "leave" => {
-                            self.power.insert(host.to_string(), PowerState::Off);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            return;
-        }
-        if event.source == ANALYZE_TRACE_SOURCE {
-            // analysis summaries update dashboard state; they carry no
-            // node load (the analyser ran on the operator's machine)
-            if let TraceKind::Mark = event.kind {
-                if event.label == "critical-path" {
-                    let terminal = match field(event, "terminal") {
-                        Some(FieldValue::Str(s)) => Some(s.clone()),
-                        _ => None,
-                    };
-                    self.analysis = Some(AnalysisSummary {
-                        segments: field_u64(event, "segments").unwrap_or(0),
-                        busy_s: field_f64(event, "busy_s").unwrap_or(0.0),
-                        blocked_s: field_f64(event, "blocked_s").unwrap_or(0.0),
-                        makespan_s: field_f64(event, "makespan_s").unwrap_or(0.0),
-                        terminal,
-                    });
+                if let Some(host) = event.label.strip_prefix("join ") {
+                    let node = self.monitor.node_mut(host);
+                    sample(node, engine, MetricKind::CpuPercent, event.t, 0.0);
+                    sample(node, engine, MetricKind::LoadOne, event.t, 0.0);
                 }
             }
             return;
         }
         if event.source == POWER_TRACE_SOURCE {
-            // `boot node N` spans and `power-off node N` marks carry a
-            // numeric `node` field; aggregate `boot N nodes` spans and
-            // `nodes-on` counters carry no per-host state.
-            let Some(n) = field_u64(event, "node") else {
-                return;
-            };
-            let host = format!("{}{n}", self.config.sched_host_prefix);
-            match event.kind {
-                TraceKind::Span { dur } => {
-                    let shared: Arc<str> = Arc::from(host.as_str());
-                    busy_idle(
-                        ops,
-                        &shared,
-                        event.t,
-                        event.t + dur,
-                        BOOT_CPU,
-                        INSTALL_LOAD,
-                        None,
-                    );
-                    self.power.insert(host, PowerState::On);
-                }
-                TraceKind::Mark => {
-                    self.power.insert(host, PowerState::Off);
-                }
-                TraceKind::Counter { .. } => {}
+            // `boot node N` spans carry a numeric `node` field; marks
+            // and aggregate `boot N nodes` spans carry no per-host load.
+            if let (TraceKind::Span { dur }, Some(n)) = (&event.kind, field_u64(event, "node")) {
+                let node = self.monitor.node_mut(&format!("{SCHED_HOST_PREFIX}{n}"));
+                let span = (event.t, event.t + *dur);
+                busy_idle(node, engine, span, BOOT_CPU, INSTALL_LOAD, None);
             }
             return;
         }
         let TraceKind::Span { dur } = event.kind else {
             return; // marks and counters carry no sustained node load
         };
-        let (start, end) = (event.t, event.t + dur);
+        let span = (event.t, event.t + dur);
         match event.source.as_str() {
             "rocks.install" | "xnit.overlay" => {
-                let host = self.resolve_host(event);
+                let node = self.monitor.node_mut(self.config.resolve_host(event));
                 if event.label.starts_with(BACKOFF_PREFIX) {
                     // retries thrash the node: CPU spike, no real work
-                    busy_idle(ops, &host, start, end, BACKOFF_CPU, INSTALL_LOAD, None);
+                    busy_idle(node, engine, span, BACKOFF_CPU, INSTALL_LOAD, None);
                 } else {
                     busy_idle(
-                        ops,
-                        &host,
-                        start,
-                        end,
+                        node,
+                        engine,
+                        span,
                         INSTALL_CPU,
                         INSTALL_LOAD,
                         Some(INSTALL_MEM),
                     );
                     if let Some(bytes) = field_u64(event, "bytes") {
-                        net_span(ops, &host, start, end, bytes);
+                        net_span(node, engine, span, bytes);
                     }
                 }
             }
             "cluster.boot" => {
-                let host = self.resolve_host(event);
-                busy_idle(ops, &host, start, end, BOOT_CPU, INSTALL_LOAD, None);
+                let node = self.monitor.node_mut(self.config.resolve_host(event));
+                busy_idle(node, engine, span, BOOT_CPU, INSTALL_LOAD, None);
             }
             "yum.mirror" => {
-                let host = Arc::clone(&self.frontend);
-                busy_idle(ops, &host, start, end, MIRROR_CPU, INSTALL_LOAD, None);
+                let node = self.monitor.node_mut(&self.config.frontend);
+                busy_idle(node, engine, span, MIRROR_CPU, INSTALL_LOAD, None);
                 if let Some(bytes) = field_u64(event, "bytes") {
-                    net_span(ops, &host, start, end, bytes);
+                    net_span(node, engine, span, bytes);
                 }
             }
             "sched" => {
                 let Some(FieldValue::Str(placement)) = field(event, "placement") else {
                     return; // reservations and marks: no node load
                 };
-                let hosts: Vec<Arc<str>> = placement
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|i| Arc::from(format!("{}{i}", self.config.sched_host_prefix)))
-                    .collect();
-                if hosts.is_empty() {
+                let placed: Vec<&str> = placement.split(',').filter(|s| !s.is_empty()).collect();
+                if placed.is_empty() {
                     return;
                 }
-                let cores = field_u64(event, "cores").unwrap_or(hosts.len() as u64);
-                let per_node_load = cores as f64 / hosts.len() as f64;
-                for host in &hosts {
-                    busy_idle(ops, host, start, end, JOB_CPU, per_node_load, None);
+                let cores = field_u64(event, "cores").unwrap_or(placed.len() as u64);
+                let per_node_load = cores as f64 / placed.len() as f64;
+                for i in placed {
+                    let node = self.monitor.node_mut(&format!("{SCHED_HOST_PREFIX}{i}"));
+                    busy_idle(node, engine, span, JOB_CPU, per_node_load, None);
                 }
             }
             _ => {}
@@ -464,19 +322,8 @@ impl TelemetrySink {
     /// Ingest `events` in emission order: derive every event's samples
     /// and alerts and publish them.
     pub fn ingest(&mut self, events: &[TraceEvent]) {
-        // Chunked rather than all-at-once: each chunk's samples publish
-        // under one monitor lock, while the op buffer stays small
-        // enough to stay cache-resident and is reused across chunks
-        // (an unbounded buffer for a large slice costs more in memory
-        // traffic than the saved lock round-trips buy back).
-        const CHUNK: usize = 256;
-        let mut ops = Vec::new();
-        for chunk in events.chunks(CHUNK) {
-            ops.clear();
-            for event in chunk {
-                self.derive(event, &mut ops);
-            }
-            self.apply(&ops);
+        for event in events {
+            self.derive(event);
         }
     }
 }
@@ -485,6 +332,7 @@ impl TelemetrySink {
 mod tests {
     use super::*;
     use crate::monitor::default_alert_rules;
+    use xcbc_sim::ANALYZE_TRACE_SOURCE;
 
     fn sink() -> TelemetrySink {
         let hosts = vec![
@@ -511,13 +359,14 @@ mod tests {
         .with_field("bytes", 300u64 << 20)]);
         let m = s.monitor();
         let cpu = m
-            .with_node("compute-0-0", |n| n.ring(MetricKind::CpuPercent).latest())
-            .flatten()
+            .node("compute-0-0")
+            .and_then(|n| n.ring(MetricKind::CpuPercent).latest())
             .unwrap();
         assert_eq!(cpu.value, IDLE_CPU, "span ended: node back to idle");
         assert_eq!(cpu.time, SimTime::from_secs(610));
         let net = m
-            .with_node("compute-0-0", |n| n.ring(MetricKind::NetBytesPerSec).len())
+            .node("compute-0-0")
+            .map(|n| n.ring(MetricKind::NetBytesPerSec).len())
             .unwrap();
         assert_eq!(net, 2, "rate at start, zero at end");
     }
@@ -533,7 +382,8 @@ mod tests {
         )]);
         assert!(s
             .monitor()
-            .with_node("littlefe", |n| !n.ring(MetricKind::CpuPercent).is_empty())
+            .node("littlefe")
+            .map(|n| !n.ring(MetricKind::CpuPercent).is_empty())
             .unwrap());
     }
 
@@ -563,8 +413,8 @@ mod tests {
         for host in ["compute-0-0", "compute-0-1"] {
             let load = s
                 .monitor()
-                .with_node(host, |n| n.ring(MetricKind::LoadOne).iter().next())
-                .flatten()
+                .node(host)
+                .and_then(|n| n.ring(MetricKind::LoadOne).iter().next())
                 .unwrap();
             assert_eq!(load.value, 2.0, "4 cores over 2 nodes");
         }
@@ -580,7 +430,8 @@ mod tests {
         ]);
         assert!(s
             .monitor()
-            .with_node("compute-0-0", |n| n.ring(MetricKind::LoadOne).is_empty())
+            .node("compute-0-0")
+            .map(|n| n.ring(MetricKind::LoadOne).is_empty())
             .unwrap());
     }
 
@@ -593,10 +444,8 @@ mod tests {
         ]);
         let net = s
             .monitor()
-            .with_node("littlefe", |n| {
-                n.ring(MetricKind::NetBytesPerSec).iter().next()
-            })
-            .flatten()
+            .node("littlefe")
+            .and_then(|n| n.ring(MetricKind::NetBytesPerSec).iter().next())
             .unwrap();
         assert_eq!(net.value, 1000.0);
     }
@@ -644,59 +493,52 @@ mod tests {
     }
 
     #[test]
-    fn power_events_drive_power_state_and_boot_load() {
+    fn power_boot_span_drives_boot_load() {
         let mut s = sink();
-        assert_eq!(s.power_state("compute-0-1"), PowerState::On);
         s.ingest(&[
             TraceEvent::span(100.0, POWER_TRACE_SOURCE, "boot node 1", 90.0)
                 .with_field("node", 1u64),
         ]);
-        assert_eq!(s.power_state("compute-0-1"), PowerState::On);
         // the boot span drives CPU on the booting node
         let cpu = s
             .monitor()
-            .with_node("compute-0-1", |n| {
-                n.ring(MetricKind::CpuPercent).iter().next()
-            })
-            .flatten()
+            .node("compute-0-1")
+            .and_then(|n| n.ring(MetricKind::CpuPercent).iter().next())
             .unwrap();
         assert_eq!(cpu.value, BOOT_CPU);
+        // power-off marks and aggregate spans (no `node` field) carry
+        // no per-host load
         s.ingest(&[
             TraceEvent::mark(500.0, POWER_TRACE_SOURCE, "power-off node 1")
                 .with_field("node", 1u64),
-        ]);
-        assert_eq!(s.power_state("compute-0-1"), PowerState::Off);
-        // aggregate events (no `node` field) carry no per-host state
-        s.ingest(&[
             TraceEvent::span(600.0, POWER_TRACE_SOURCE, "boot 2 nodes", 90.0)
                 .with_field("nodes", 2u64),
         ]);
-        assert_eq!(s.power_state("compute-0-0"), PowerState::On);
+        let cpu_samples = |host| {
+            s.monitor()
+                .node(host)
+                .unwrap()
+                .ring(MetricKind::CpuPercent)
+                .len()
+        };
+        assert_eq!(cpu_samples("compute-0-1"), 2, "boot busy + idle only");
+        assert_eq!(cpu_samples("compute-0-0"), 0);
     }
 
     #[test]
-    fn analysis_marks_update_summary_state() {
+    fn analysis_marks_derive_no_node_load() {
         let mut s = sink();
-        assert!(s.analysis().is_none());
         s.ingest(&[
             TraceEvent::mark(100.0, ANALYZE_TRACE_SOURCE, "critical-path")
                 .with_field("segments", 3u64)
-                .with_field("busy_s", 80.0)
-                .with_field("blocked_s", 20.0)
-                .with_field("makespan_s", 100.0)
+                .with_field("node", "compute-0-0")
                 .with_field("terminal", "sched drain"),
+            TraceEvent::mark(100.0, ANALYZE_TRACE_SOURCE, "lane sched"),
         ]);
-        let a = s.analysis().unwrap();
-        assert_eq!(a.segments, 3);
-        assert_eq!(a.makespan_s, 100.0);
-        assert_eq!(a.terminal.as_deref(), Some("sched drain"));
-        // lane marks and unrelated labels don't clobber the summary
-        s.ingest(&[TraceEvent::mark(100.0, ANALYZE_TRACE_SOURCE, "lane sched")]);
-        assert_eq!(s.analysis().unwrap().segments, 3);
-        // analysis marks derive no node load
         assert!(s
             .monitor()
-            .with_node("compute-0-0", |n| n.ring(MetricKind::CpuPercent).is_empty())
+            .node("compute-0-0")
+            .map(|n| n.ring(MetricKind::CpuPercent).is_empty())
             .unwrap());
     }
 

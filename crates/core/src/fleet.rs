@@ -31,8 +31,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use xcbc_cluster::{
-    default_alert_rules, Alert, ClusterMonitor, ClusterSpec, MetricKind, RrdConfig,
-    TelemetryConfig, TelemetrySink,
+    default_alert_rules, Alert, ClusterMonitor, ClusterSpec, MetricKind, TelemetryConfig,
+    TelemetrySink,
 };
 use xcbc_fault::{FaultPlan, InstallCheckpoint};
 use xcbc_rocks::{InstallError, ResilienceConfig};
@@ -448,7 +448,7 @@ impl FleetTelemetry {
     /// Build the rollup from a finished fleet deployment.
     pub fn from_report(report: &FleetReport) -> FleetTelemetry {
         let mut sites = BTreeMap::new();
-        let meta = ClusterMonitor::with_config(RrdConfig::default());
+        let mut meta = ClusterMonitor::new(64);
         let mut alerts = Vec::new();
         let mut registry = MetricRegistry::new();
 
@@ -477,9 +477,8 @@ impl FleetTelemetry {
                 .max()
                 .unwrap_or(SimTime::ZERO);
 
-            let monitor = ClusterMonitor::with_config(RrdConfig::default());
             let mut sink = TelemetrySink::new(
-                monitor.clone(),
+                ClusterMonitor::new(64),
                 TelemetryConfig::new(frontend, hosts),
                 default_alert_rules(),
             );
@@ -490,7 +489,7 @@ impl FleetTelemetry {
                 }
             }
             sink.finish(end);
-            let (_, engine) = sink.into_parts();
+            let (monitor, engine) = sink.into_parts();
 
             let base: &[(&str, &str)] = &[("site", &site.name)];
             monitor.register_into(&mut registry, base);
@@ -501,13 +500,14 @@ impl FleetTelemetry {
             for host in monitor.hosts() {
                 let fleet_host = format!("{}/{host}", site.name);
                 meta.register(&fleet_host);
-                monitor.with_node(&host, |n| {
-                    for kind in MetricKind::ALL {
-                        if let Some(s) = n.ring(kind).latest() {
-                            meta.publish(&fleet_host, kind, s.time, s.value);
-                        }
+                let Some(n) = monitor.node(&host) else {
+                    continue;
+                };
+                for kind in MetricKind::ALL {
+                    if let Some(s) = n.ring(kind).latest() {
+                        meta.publish(&fleet_host, kind, s.time, s.value);
                     }
-                });
+                }
             }
 
             alerts.extend(engine.into_alerts());
@@ -551,7 +551,7 @@ impl FleetTelemetry {
             .flat_map(|m| {
                 m.hosts()
                     .into_iter()
-                    .filter_map(|h| m.with_node(&h, |n| n.last_seen()).flatten())
+                    .filter_map(|h| m.node(&h).and_then(|n| n.last_seen()))
                     .collect::<Vec<_>>()
             })
             .max()

@@ -16,9 +16,7 @@
 //! a terminal dashboard with sparkline rings.
 
 use crate::scenario::DayOneRun;
-use xcbc_cluster::{
-    Alert, AlertRule, ClusterMonitor, MetricKind, RrdConfig, TelemetryConfig, TelemetrySink,
-};
+use xcbc_cluster::{Alert, AlertRule, ClusterMonitor, MetricKind, TelemetryConfig, TelemetrySink};
 use xcbc_sim::{
     analyze, events_to_jsonl, Analysis, FlightRecorder, HistogramSink, MetricRegistry, SimTime,
     TraceEvent, FLIGHT_RECORDER_CAPACITY,
@@ -31,7 +29,7 @@ pub struct MonReport {
     pub scenario: String,
     /// The fault-plan seed the run replayed under.
     pub seed: u64,
-    /// The site gmetad: every node's retained metric series.
+    /// The site gmetad: every node's last 64 samples per metric.
     pub monitor: ClusterMonitor,
     /// Alerts fired during the replay, in firing order.
     pub alerts: Vec<Alert>,
@@ -55,27 +53,25 @@ pub struct MonReport {
 /// the stock set).
 pub fn monitor_run(run: &DayOneRun, rules: Vec<AlertRule>) -> MonReport {
     let end = run.end();
-    let monitor = ClusterMonitor::with_config(RrdConfig::default());
     let mut telemetry = TelemetrySink::new(
-        monitor.clone(),
+        ClusterMonitor::new(64),
         TelemetryConfig::new(run.frontend.clone(), run.hosts.clone()),
         rules,
     );
     telemetry.ingest(&run.events);
     let histograms = HistogramSink::from_events(&run.events);
 
-    // causal analysis of the same trace; its summary marks flow back
-    // through the gmond array like any other layer's events
+    // causal analysis of the same trace; its summary marks join the
+    // timeline
     let analysis = analyze(&run.events);
     let marks = analysis.analysis_marks();
-    telemetry.ingest(&marks);
     let flight = FlightRecorder::from_events(FLIGHT_RECORDER_CAPACITY, &run.events);
 
     for (node, _reason) in &run.quarantined {
         telemetry.note_quarantined(end, node);
     }
     telemetry.finish(end);
-    let (_, engine) = telemetry.into_parts();
+    let (monitor, engine) = telemetry.into_parts();
 
     let mut registry = MetricRegistry::new();
     let base: &[(&str, &str)] = &[("cluster", &run.scenario)];
@@ -159,24 +155,21 @@ impl MonReport {
             "host", "cpu%", "load1", "net B/s", "last seen"
         ));
         for host in self.monitor.hosts() {
-            let row = self
-                .monitor
-                .with_node(&host, |n| {
-                    let seen = match n.last_seen() {
-                        Some(t) => t.to_string(),
-                        None => "never".to_string(),
-                    };
-                    format!(
-                        "{:<13} {:<18} {:<18} {:<18} {:>10}\n",
-                        n.hostname,
-                        sparkline(n.ring(MetricKind::CpuPercent).iter().map(|s| s.value)),
-                        sparkline(n.ring(MetricKind::LoadOne).iter().map(|s| s.value)),
-                        sparkline(n.ring(MetricKind::NetBytesPerSec).iter().map(|s| s.value)),
-                        seen
-                    )
-                })
-                .unwrap_or_default();
-            out.push_str(&row);
+            let Some(n) = self.monitor.node(&host) else {
+                continue;
+            };
+            let seen = match n.last_seen() {
+                Some(t) => t.to_string(),
+                None => "never".to_string(),
+            };
+            out.push_str(&format!(
+                "{:<13} {:<18} {:<18} {:<18} {:>10}\n",
+                n.hostname,
+                sparkline(n.ring(MetricKind::CpuPercent).iter().map(|s| s.value)),
+                sparkline(n.ring(MetricKind::LoadOne).iter().map(|s| s.value)),
+                sparkline(n.ring(MetricKind::NetBytesPerSec).iter().map(|s| s.value)),
+                seen
+            ));
         }
 
         out.push_str(&format!("\nalerts ({}):\n", self.alerts.len()));

@@ -169,7 +169,7 @@ impl LabSession {
                 }
             }
             LessonStep::StartMonitoring => {
-                let monitor = ClusterMonitor::new(16);
+                let mut monitor = ClusterMonitor::new(16);
                 for n in &self.cluster.nodes {
                     monitor.publish(&n.hostname, MetricKind::LoadOne, 0.0, 0.1);
                 }

@@ -55,7 +55,7 @@ fn main() {
 
     // 5. Ganglia-style monitoring.
     println!("\n== 5. monitoring ==");
-    let monitor = ClusterMonitor::new(16);
+    let mut monitor = ClusterMonitor::new(16);
     for (i, node) in cluster.nodes.iter().enumerate() {
         monitor.publish(
             &node.hostname,

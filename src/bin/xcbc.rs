@@ -909,7 +909,7 @@ fn render_self_profile() -> String {
 
 /// Replay the deployment day (or the elastic demo fleet) through the
 /// telemetry pipeline — gmond samples derived from the trace, gmetad
-/// aggregation, RRD rings, threshold/heartbeat alerts — and render the
+/// aggregation into sample rings, threshold/heartbeat alerts — and render the
 /// result.
 fn mon(scenario: &str, plan: &FaultPlan, format: MonFormat) -> Result<ExitCode, Stop> {
     let run = if scenario == "elastic" {
