@@ -201,12 +201,12 @@ impl Invariant for EvrTotalOrder {
 type NodeSpan = (String, u64, u64);
 
 /// Span events grouped by `(source, node)` as `(label, start, end)`.
-fn node_spans(trace: &[TraceEvent]) -> BTreeMap<(String, String), Vec<NodeSpan>> {
-    let mut out: BTreeMap<(String, String), Vec<NodeSpan>> = BTreeMap::new();
+fn node_spans(trace: &[TraceEvent]) -> BTreeMap<(&'static str, String), Vec<NodeSpan>> {
+    let mut out: BTreeMap<(&'static str, String), Vec<NodeSpan>> = BTreeMap::new();
     for e in trace {
         if let TraceKind::Span { .. } = e.kind {
             let node = e.fields.iter().find_map(|(k, val)| {
-                if k == "node" {
+                if *k == "node" {
                     if let xcbc_sim::FieldValue::Str(s) = val {
                         return Some(s.clone());
                     }
@@ -214,7 +214,7 @@ fn node_spans(trace: &[TraceEvent]) -> BTreeMap<(String, String), Vec<NodeSpan>>
                 None
             });
             if let Some(node) = node {
-                out.entry((e.source.clone(), node)).or_default().push((
+                out.entry((e.source, node)).or_default().push((
                     e.label.clone(),
                     e.t.as_nanos(),
                     e.end().as_nanos(),
@@ -268,10 +268,9 @@ impl Invariant for TimelineMonotone {
                 self.check_trace(&format!("site {}", site.name), &dep.trace, &mut v);
             }
         }
-        if let Some(resume) = &outcome.resume {
-            self.check_trace("resume:uninterrupted", &resume.uninterrupted_trace, &mut v);
-            self.check_trace("resume:resumed", &resume.resumed_trace, &mut v);
-        }
+        let resume = &outcome.resume;
+        self.check_trace("resume:uninterrupted", &resume.uninterrupted_trace, &mut v);
+        self.check_trace("resume:resumed", &resume.resumed_trace, &mut v);
         v
     }
 }
@@ -408,9 +407,7 @@ impl Invariant for WorkloadConservation {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(wl) = &outcome.workload else {
-            return v;
-        };
+        let wl = &outcome.workload;
         if wl.job_states.len() != wl.generated.len() {
             v.push(violation(
                 self.name(),
@@ -550,9 +547,7 @@ impl Invariant for CheckpointResumeEquivalence {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(resume) = &outcome.resume else {
-            return v;
-        };
+        let resume = &outcome.resume;
         if resume.aborts != 1 {
             v.push(violation(
                 self.name(),
@@ -689,9 +684,7 @@ impl Invariant for CampaignNoJobLost {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(rec) = &outcome.campaign else {
-            return v;
-        };
+        let rec = &outcome.campaign;
 
         for (name, state) in &rec.job_states {
             match state {
@@ -719,7 +712,7 @@ impl Invariant for CampaignNoJobLost {
                     let cores = ev
                         .fields
                         .iter()
-                        .find(|(k, _)| k == "cores")
+                        .find(|(k, _)| *k == "cores")
                         .and_then(|(_, f)| match f {
                             xcbc_sim::FieldValue::U64(n) => Some(*n as f64),
                             _ => None,
@@ -773,9 +766,7 @@ impl Invariant for ElasticNoJobLost {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(rec) = &outcome.elastic else {
-            return v;
-        };
+        let rec = &outcome.elastic;
         let satisfied = matches!(rec.report.verdict, ElasticVerdict::Satisfied);
         let mut served = 0usize;
         for (name, state) in &rec.job_states {
@@ -831,9 +822,7 @@ impl Invariant for ElasticConverges {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(rec) = &outcome.elastic else {
-            return v;
-        };
+        let rec = &outcome.elastic;
         let policy = rec.report.policy;
 
         let replayed = Autoscaler::replay(policy, rec.ticks.iter().map(|t| t.sample));
@@ -914,9 +903,7 @@ impl Invariant for CampaignConverges {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(rec) = &outcome.campaign else {
-            return v;
-        };
+        let rec = &outcome.campaign;
         let report = &rec.report;
 
         for wave in &report.waves {
@@ -980,16 +967,12 @@ impl Invariant for AnalysisCriticalPath {
             }
         }
         traces.push(("sched".to_string(), &outcome.sched.trace));
-        if let Some(campaign) = &outcome.campaign {
-            traces.push(("campaign".to_string(), &campaign.trace));
-        }
-        if let Some(resume) = &outcome.resume {
-            traces.push((
-                "resume/uninterrupted".to_string(),
-                &resume.uninterrupted_trace,
-            ));
-            traces.push(("resume/resumed".to_string(), &resume.resumed_trace));
-        }
+        traces.push(("campaign".to_string(), &outcome.campaign.trace));
+        traces.push((
+            "resume/uninterrupted".to_string(),
+            &outcome.resume.uninterrupted_trace,
+        ));
+        traces.push(("resume/resumed".to_string(), &outcome.resume.resumed_trace));
         for (label, trace) in traces {
             let a = xcbc_sim::analyze(trace);
             let b = xcbc_sim::analyze(trace);
@@ -1042,9 +1025,7 @@ impl Invariant for SvcAdmission {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(svc) = &outcome.svc else {
-            return v;
-        };
+        let svc = &outcome.svc;
         let report = &svc.report;
 
         // disposition conservation, in total and per tenant
@@ -1189,9 +1170,7 @@ impl Invariant for SvcReplay {
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
         let mut v = Vec::new();
-        let Some(svc) = &outcome.svc else {
-            return v;
-        };
+        let svc = &outcome.svc;
         match xcbc_svc::replay(&svc.report.journal_text) {
             Err(e) => v.push(violation(
                 self.name(),

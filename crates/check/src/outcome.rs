@@ -174,16 +174,16 @@ pub struct SoakOutcome {
     pub transactions: Vec<TxRecord>,
     /// The scheduler workload outcome.
     pub sched: SchedOutcome,
-    /// The checkpoint/resume equivalence stage, when the scenario ran it.
-    pub resume: Option<ResumeOutcome>,
-    /// The rolling-campaign stage, when the scenario ran it.
-    pub campaign: Option<CampaignRecord>,
-    /// The elastic-membership stage, when the scenario ran it.
-    pub elastic: Option<ElasticRecord>,
-    /// The generated-workload stage, when the scenario ran it.
-    pub workload: Option<WorkloadRecord>,
-    /// The service stage, when the scenario ran it.
-    pub svc: Option<SvcRecord>,
+    /// The checkpoint/resume equivalence stage.
+    pub resume: ResumeOutcome,
+    /// The rolling-campaign stage.
+    pub campaign: CampaignRecord,
+    /// The elastic-membership stage.
+    pub elastic: ElasticRecord,
+    /// The generated-workload stage.
+    pub workload: WorkloadRecord,
+    /// The service stage.
+    pub svc: SvcRecord,
     /// EVR strings harvested from the scenario (generated edge cases
     /// plus versions seen in deployed node databases).
     pub evr_samples: Vec<String>,

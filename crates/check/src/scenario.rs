@@ -739,11 +739,11 @@ impl Scenario {
             solve_probes,
             transactions,
             sched,
-            resume: Some(resume),
-            campaign: Some(campaign),
-            elastic: Some(elastic),
-            workload: Some(workload),
-            svc: Some(svc),
+            resume,
+            campaign,
+            elastic,
+            workload,
+            svc,
             evr_samples,
         }
     }

@@ -308,13 +308,9 @@ pub fn soak(config: &SoakConfig, invariants: &[Box<dyn Invariant + Send + Sync>]
     let mut elastic_requeues = 0u64;
     for seed in config.start_seed..config.start_seed.saturating_add(config.seeds) {
         let outcome = Scenario::generate(seed, config.faults, &config.limits).run();
-        if let Some(rec) = &outcome.campaign {
-            campaign_resumes += rec.resumes as u64;
-        }
-        if let Some(rec) = &outcome.elastic {
-            elastic_resumes += rec.resumes as u64;
-            elastic_requeues += rec.report.requeued_jobs as u64;
-        }
+        campaign_resumes += outcome.campaign.resumes as u64;
+        elastic_resumes += outcome.elastic.resumes as u64;
+        elastic_requeues += outcome.elastic.report.requeued_jobs as u64;
         let violations = check_outcome(&outcome, invariants);
         if violations.is_empty() {
             seeds_passed += 1;

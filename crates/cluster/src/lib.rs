@@ -5,7 +5,7 @@
 //! Celeron G1840, i7-4770S, Gigabyte GA-Q87TN, Crucial M550 mSATA,
 //! Rosewill RCX-Z775-LP cooler), node and cluster topology, theoretical
 //! peak FLOPS (Rpeak), power and thermal constraints, Ganglia-style
-//! monitoring, boot timelines, bill-of-materials cost, and the
+//! monitoring, bill-of-materials cost, and the
 //! cloud-vs-cluster TCO model from §8.
 //!
 //! The two headline systems are available as ready-made blueprints:
@@ -22,7 +22,6 @@
 //! assert!((limulus.rpeak_gflops() - 793.6).abs() < 0.1);
 //! ```
 
-pub mod boot;
 pub mod cost;
 pub mod failure;
 pub mod flops;
@@ -36,7 +35,6 @@ pub mod telemetry;
 pub mod thermal;
 pub mod topology;
 
-pub use boot::{BootPhase, Timeline};
 pub use cost::{Bom, BomLine, CloudOffering, TcoComparison};
 pub use failure::{sample_failures, DegradedCluster, FailedComponent, Failure};
 pub use flops::{gpu_peak_gflops, rpeak_gflops_cpu};

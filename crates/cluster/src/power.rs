@@ -518,7 +518,7 @@ mod tests {
             &steps,
             SimDuration::from_secs(7200),
         );
-        let sources: Vec<&str> = run.trace.iter().map(|e| e.source.as_str()).collect();
+        let sources: Vec<&str> = run.trace.iter().map(|e| e.source).collect();
         assert!(sources.iter().all(|s| *s == POWER_TRACE_SOURCE));
         let boot = run
             .trace

@@ -165,7 +165,7 @@ impl TelemetrySink {
 }
 
 fn field<'a>(event: &'a TraceEvent, key: &str) -> Option<&'a FieldValue> {
-    event.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    event.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 fn field_u64(event: &TraceEvent, key: &str) -> Option<u64> {
@@ -269,7 +269,7 @@ impl TelemetrySink {
             return; // marks and counters carry no sustained node load
         };
         let span = (event.t, event.t + dur);
-        match event.source.as_str() {
+        match event.source {
             "rocks.install" | "xnit.overlay" => {
                 let node = self.monitor.node_mut(self.config.resolve_host(event));
                 if event.label.starts_with(BACKOFF_PREFIX) {

@@ -13,11 +13,11 @@ use crate::roll::xsede_roll;
 use crate::xnit::{set_up_host, xnit_repository, XnitSetupMethod};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
-use xcbc_cluster::{ClusterSpec, DegradedCluster, Timeline};
+use xcbc_cluster::{ClusterSpec, DegradedCluster};
 use xcbc_fault::{FaultPlan, InstallCheckpoint, PostMortem};
 use xcbc_rocks::{standard_rolls, ClusterInstall, InstallError, ResilienceConfig};
 use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb, TransactionReport};
-use xcbc_sim::{events_to_jsonl, SpanRecorder, TraceEvent};
+use xcbc_sim::{events_to_jsonl, span_end, SpanRecorder, TraceEvent};
 use xcbc_yum::{SolveCache, SolveError, SolveRequest, Yum, YumConfig};
 
 /// `source` tag on trace events recorded by the XNIT overlay path.
@@ -395,12 +395,6 @@ impl DeploymentReport {
         events_to_jsonl(&self.trace)
     }
 
-    /// Wall-clock estimate of the whole deployment (a view over
-    /// [`trace`](DeploymentReport::trace)).
-    pub fn timeline(&self) -> Timeline {
-        Timeline::from_spans(&self.trace)
-    }
-
     /// Render the comparison row for this path.
     pub fn render_row(&self) -> String {
         format!(
@@ -410,7 +404,7 @@ impl DeploymentReport {
                 DeploymentPath::XnitOverlay(m) => format!("XNIT overlay ({m:?})"),
             },
             self.admin_steps.len(),
-            self.timeline().total_seconds(),
+            span_end(&self.trace).as_secs_f64(),
             self.nodes_reinstalled,
             self.preexisting_preserved,
             self.compat.score * 100.0
@@ -462,7 +456,7 @@ mod tests {
             !report.preexisting_preserved,
             "bare metal wipes the previous system"
         );
-        assert!(report.timeline().total_seconds() > 0.0);
+        assert!(span_end(&report.trace) > xcbc_sim::SimTime::ZERO);
         assert!(report.post_mortem.as_ref().unwrap().is_clean());
         assert!(report.degraded.is_none());
     }
@@ -504,7 +498,7 @@ mod tests {
         let second = deploy_xnit_overlay(&first.node_dbs, XnitSetupMethod::RepoRpm).unwrap();
         assert!(second.compat.is_compatible());
         // nothing left to install: wall time is just repo setup + probes
-        assert!(second.timeline().total_seconds() < first.timeline().total_seconds());
+        assert!(span_end(&second.trace) < span_end(&first.trace));
     }
 
     #[test]
@@ -514,7 +508,7 @@ mod tests {
         // a from-scratch build of the same scale
         let scratch = deploy_from_scratch(&littlefe_modified()).unwrap();
         let overlay = deploy_xnit_overlay(&limulus_dbs(), XnitSetupMethod::RepoRpm).unwrap();
-        assert!(overlay.timeline().total_seconds() < scratch.timeline().total_seconds());
+        assert!(span_end(&overlay.trace) < span_end(&scratch.trace));
         assert!(overlay.nodes_reinstalled < scratch.nodes_reinstalled);
     }
 
@@ -693,14 +687,15 @@ mod tests {
 
     #[test]
     fn deployment_timeline_agrees_with_trace() {
+        let is_span = |e: &TraceEvent| matches!(e.kind, xcbc_sim::TraceKind::Span { .. });
         let report = deploy_from_scratch(&littlefe_modified()).unwrap();
-        assert_eq!(report.timeline().len(), report.trace.len());
+        assert!(report.trace.iter().all(is_span));
         let overlay = deploy_xnit_overlay(&limulus_dbs(), XnitSetupMethod::RepoRpm).unwrap();
         assert!(overlay
             .trace
             .iter()
             .all(|e| e.source == OVERLAY_TRACE_SOURCE));
-        assert_eq!(overlay.timeline().len(), overlay.trace.len());
+        assert!(overlay.trace.iter().all(is_span));
         assert!(overlay.trace_jsonl().lines().count() == overlay.trace.len());
     }
 

@@ -37,7 +37,7 @@ use xcbc_cluster::{
 use xcbc_fault::{FaultPlan, InstallCheckpoint};
 use xcbc_rocks::{InstallError, ResilienceConfig};
 use xcbc_rpm::RpmDb;
-use xcbc_sim::{pool, MetricRegistry, SimTime, TraceEvent};
+use xcbc_sim::{pool, span_end, MetricRegistry, SimTime, TraceEvent};
 use xcbc_yum::{CacheStats, SolveCache};
 
 /// How one fleet site gets deployed.
@@ -223,7 +223,7 @@ impl FleetReport {
         self.sites
             .iter()
             .filter_map(|s| s.result.as_ref().ok())
-            .map(|r| r.timeline().total_seconds())
+            .map(|r| span_end(&r.trace).as_secs_f64())
             .sum()
     }
 
@@ -246,7 +246,7 @@ impl FleetReport {
             let secs = site
                 .result
                 .as_ref()
-                .map(|r| r.timeline().total_seconds())
+                .map(|r| span_end(&r.trace).as_secs_f64())
                 .unwrap_or(0.0);
             let mut lightest = 0;
             for (i, load) in loads.iter().enumerate().skip(1) {

@@ -140,7 +140,7 @@ impl LabSession {
                 Ok(report) => {
                     let detail = format!(
                         "installed in {:.0} simulated seconds",
-                        report.timeline().total_seconds()
+                        xcbc_sim::span_end(&report.trace).as_secs_f64()
                     );
                     self.discovered_nodes = report.node_dbs.len().saturating_sub(1);
                     self.node_dbs = Some(report.node_dbs);

@@ -5,8 +5,8 @@
 //! module runs the whole "all at once, from scratch" flow on a simulated
 //! cluster: installability checks, frontend install, insert-ethers
 //! discovery, per-node kickstart, package installation into per-node RPM
-//! databases, and a `rocks.install` span trace (viewed as a wall-clock
-//! [`Timeline`]).
+//! databases, and a `rocks.install` span trace (read as a wall-clock
+//! Gantt by [`render_gantt`](xcbc_sim::render_gantt)).
 //!
 //! There is one install path, [`ClusterInstall::run_resilient`]: it runs
 //! under a fault plan with retries, quarantine and checkpoints. A plain
@@ -21,7 +21,7 @@ use crate::kickstart::{self, KickstartError};
 use crate::roll::Roll;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use xcbc_cluster::{ClusterSpec, NodeRole, Timeline};
+use xcbc_cluster::{ClusterSpec, NodeRole};
 use xcbc_fault::{
     retry_with, FaultInjector, FaultKind, FaultPlan, InjectionPoint, InstallCheckpoint, NodeStage,
     PostMortem, RetryPolicy,
@@ -154,12 +154,6 @@ impl InstallReport {
     /// Packages installed on a given host.
     pub fn package_count(&self, host: &str) -> usize {
         self.node_dbs.get(host).map(RpmDb::len).unwrap_or(0)
-    }
-
-    /// Wall-clock timeline of the whole build (a view over
-    /// [`trace`](InstallReport::trace)).
-    pub fn timeline(&self) -> Timeline {
-        Timeline::from_spans(&self.trace)
     }
 }
 
@@ -831,23 +825,22 @@ mod tests {
     fn timeline_has_frontend_then_parallel_computes() {
         let install = ClusterInstall::new(littlefe_modified(), required_rolls());
         let report = install.run().unwrap();
-        let timeline = report.timeline();
-        let phases = timeline.phases();
-        assert!(phases[0].label.contains("frontend"));
+        let spans = &report.trace;
+        assert!(spans[0].label.contains("frontend"));
         // the five compute installs share a start time
-        let compute_phases: Vec<_> = phases
+        let compute_spans: Vec<_> = spans
             .iter()
             .filter(|p| p.label.contains("compute-0-"))
             .collect();
-        assert_eq!(compute_phases.len(), 5);
-        let starts: Vec<_> = compute_phases.iter().map(|p| p.start_s()).collect();
+        assert_eq!(compute_spans.len(), 5);
+        let starts: Vec<_> = compute_spans.iter().map(|p| p.t).collect();
         assert!(
-            starts.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9),
+            starts.windows(2).all(|w| w[0] == w[1]),
             "parallel: {starts:?}"
         );
         // total time is dominated by frontend + one compute wave
         assert!(
-            timeline.total_seconds() < 3.0 * 3600.0,
+            xcbc_sim::span_end(spans).as_secs_f64() < 3.0 * 3600.0,
             "a LittleFe builds in an afternoon"
         );
     }
@@ -858,10 +851,15 @@ mod tests {
         let report = install.run().unwrap();
         assert!(!report.trace.is_empty());
         assert!(report.trace.iter().all(|e| e.source == TRACE_SOURCE));
-        let timeline = report.timeline();
-        assert_eq!(timeline.len(), report.trace.len(), "one phase per span");
+        assert!(
+            report
+                .trace
+                .iter()
+                .all(|e| matches!(e.kind, xcbc_sim::TraceKind::Span { .. })),
+            "every event is a span"
+        );
         let last_end = report.trace.iter().map(TraceEvent::end).max().unwrap();
-        assert_eq!(timeline.end_time(), last_end);
+        assert_eq!(xcbc_sim::span_end(&report.trace), last_end);
     }
 
     #[test]
@@ -971,10 +969,10 @@ mod tests {
             "5 dhcp + 5 boot retries"
         );
         assert!(res.post_mortem.backoff_s > 0.0);
-        assert!(res.report.timeline().backoff_time() > xcbc_sim::SimDuration::ZERO);
+        assert!(xcbc_sim::backoff_time(&res.report.trace) > xcbc_sim::SimDuration::ZERO);
         // faults cost real install time too (timeouts + hung boots)
         let plain = install.run().unwrap();
-        assert!(res.report.timeline().end_time() > plain.timeline().end_time());
+        assert!(xcbc_sim::span_end(&res.report.trace) > xcbc_sim::span_end(&plain.trace));
     }
 
     #[test]

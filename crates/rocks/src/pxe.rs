@@ -6,7 +6,6 @@
 //! per-stage failure injection, recording the `cluster.boot` spans the
 //! install workflow accounts and the diagnostics a training lab teaches.
 
-use xcbc_cluster::Timeline;
 use xcbc_sim::{SpanRecorder, TraceEvent};
 
 /// Stages of the chain, in order.
@@ -70,11 +69,6 @@ impl PxeOutcome {
     pub fn succeeded(&self) -> bool {
         self.failed_at.is_none()
     }
-
-    /// The boot's stages as a timeline (a view over [`trace`](Self::trace)).
-    pub fn timeline(&self) -> Timeline {
-        Timeline::from_spans(&self.trace)
-    }
 }
 
 /// Walk the chain for one node. `payload_bytes` sizes the anaconda
@@ -125,7 +119,10 @@ mod tests {
         assert_eq!(out.trace.len(), 6);
         // anaconda dominates: 500 MB / 20 MBps = 25 s plus fixed stages
         assert!(
-            (out.timeline().total_seconds() - (5.0 + 10.0 + 30.0 + 5.0 + 25.0 + 60.0)).abs() < 1e-9
+            (xcbc_sim::span_end(&out.trace).as_secs_f64()
+                - (5.0 + 10.0 + 30.0 + 5.0 + 25.0 + 60.0))
+                .abs()
+                < 1e-9
         );
     }
 

@@ -41,10 +41,14 @@ pub trait ResourceManager {
     fn status(&self) -> String;
 
     /// Advance simulated time.
-    fn advance_to(&mut self, t: f64);
+    fn advance_to(&mut self, t: f64) {
+        self.sim_mut().run_until(t);
+    }
 
     /// Drain all events.
-    fn drain(&mut self);
+    fn drain(&mut self) {
+        self.sim_mut().run_to_completion();
+    }
 
     /// Access the underlying simulator.
     fn sim(&self) -> &ClusterSim;

@@ -107,14 +107,6 @@ impl ResourceManager for SgeCell {
         self.qstat()
     }
 
-    fn advance_to(&mut self, t: f64) {
-        self.sim.run_until(t);
-    }
-
-    fn drain(&mut self) {
-        self.sim.run_to_completion();
-    }
-
     fn sim(&self) -> &ClusterSim {
         &self.sim
     }

@@ -39,6 +39,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKind};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Width of the proportional bars in the flame view, in characters.
@@ -54,7 +55,7 @@ pub struct PathSegment {
     /// Index of the span in the analysed event slice.
     pub event_index: usize,
     /// Emitting source (`"rocks.install"`, `"sched"`, …).
-    pub source: String,
+    pub source: &'static str,
     /// Node the span ran on, or `""` when the span names none.
     pub node: String,
     /// The span's label.
@@ -118,7 +119,7 @@ pub struct Frame {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lane {
     /// Emitting source.
-    pub source: String,
+    pub source: &'static str,
     /// Node, or `""` when the lane's spans name none.
     pub node: String,
     /// Frames in `(start asc, end desc, emission index asc)` order —
@@ -130,12 +131,17 @@ pub struct Lane {
 
 impl Lane {
     /// `source (node)` or just `source` for node-less lanes.
-    pub fn key(&self) -> String {
-        if self.node.is_empty() {
-            self.source.clone()
-        } else {
-            format!("{} ({})", self.source, self.node)
-        }
+    pub fn key(&self) -> Cow<'static, str> {
+        lane_name(self.source, &self.node, " (", ")")
+    }
+}
+
+/// A lane's name: `source` alone, or `source{open}node{close}`.
+fn lane_name(source: &'static str, node: &str, open: &str, close: &str) -> Cow<'static, str> {
+    if node.is_empty() {
+        Cow::Borrowed(source)
+    } else {
+        Cow::Owned(format!("{source}{open}{node}{close}"))
     }
 }
 
@@ -160,7 +166,7 @@ pub struct Analysis {
 
 fn span_node(ev: &TraceEvent) -> String {
     for (k, v) in &ev.fields {
-        if k == "node" {
+        if *k == "node" {
             if let crate::trace::FieldValue::Str(s) = v {
                 return s.clone();
             }
@@ -197,11 +203,7 @@ fn analyze_uninstrumented(events: &[TraceEvent]) -> Analysis {
         .map(|(i, _)| i)
         .collect();
 
-    let makespan = span_idx
-        .iter()
-        .map(|&i| events[i].end())
-        .max()
-        .unwrap_or(SimTime::ZERO);
+    let makespan = crate::span_end(events);
     let trace_end = events
         .iter()
         .map(|e| e.end())
@@ -260,7 +262,7 @@ fn critical_path(events: &[TraceEvent], span_idx: &[usize]) -> CriticalPath {
         let ev = &events[i];
         segments.push(PathSegment {
             event_index: i,
-            source: ev.source.clone(),
+            source: ev.source,
             node: span_node(ev),
             label: ev.label.clone(),
             start: ev.t,
@@ -274,12 +276,12 @@ fn critical_path(events: &[TraceEvent], span_idx: &[usize]) -> CriticalPath {
 
 fn build_lanes(events: &[TraceEvent], span_idx: &[usize]) -> Vec<Lane> {
     // group span indices by (source, node)
-    let mut by_lane: std::collections::BTreeMap<(String, String), Vec<usize>> =
+    let mut by_lane: std::collections::BTreeMap<(&'static str, String), Vec<usize>> =
         std::collections::BTreeMap::new();
     for &i in span_idx {
         let ev = &events[i];
         by_lane
-            .entry((ev.source.clone(), span_node(ev)))
+            .entry((ev.source, span_node(ev)))
             .or_default()
             .push(i);
     }
@@ -353,11 +355,7 @@ impl Analysis {
             fmt_secs(self.path.blocked())
         );
         for seg in &self.path.segments {
-            let lane = if seg.node.is_empty() {
-                seg.source.clone()
-            } else {
-                format!("{} ({})", seg.source, seg.node)
-            };
+            let lane = lane_name(seg.source, &seg.node, " (", ")");
             let _ = writeln!(
                 out,
                 "  t={:>10}s +{:>8}s blocked  {:<28} {:<36} {:>10}s",
@@ -416,11 +414,7 @@ impl Analysis {
     pub fn folded(&self) -> String {
         let mut lines: Vec<String> = Vec::new();
         for lane in &self.lanes {
-            let lane_key = if lane.node.is_empty() {
-                lane.source.clone()
-            } else {
-                format!("{}/{}", lane.source, lane.node)
-            };
+            let lane_key = lane_name(lane.source, &lane.node, "/", "");
             // running ancestor chain, rebuilt from depths
             let mut chain: Vec<String> = Vec::new();
             for f in &lane.frames {
@@ -444,7 +438,7 @@ impl Analysis {
     /// The `n` frames with the largest self time, as a table. Ties
     /// break by lane key then label then start.
     pub fn top(&self, n: usize) -> String {
-        let mut rows: Vec<(SimDuration, String, String, SimTime)> = Vec::new();
+        let mut rows: Vec<(SimDuration, Cow<'static, str>, String, SimTime)> = Vec::new();
         for lane in &self.lanes {
             for f in &lane.frames {
                 rows.push((f.self_time, lane.key(), f.label.clone(), f.start));
@@ -539,7 +533,7 @@ impl Analysis {
             registry.set_gauge(
                 "xcbc_analysis_lane_busy_seconds",
                 "Root-frame busy time per (source,node) lane",
-                &[("source", &lane.source), ("node", &lane.node)],
+                &[("source", lane.source), ("node", &lane.node)],
                 lane.busy.as_secs_f64(),
             );
         }
@@ -550,7 +544,7 @@ impl Analysis {
 mod tests {
     use super::*;
 
-    fn ev(t: f64, source: &str, label: &str, dur: f64) -> TraceEvent {
+    fn ev(t: f64, source: &'static str, label: &str, dur: f64) -> TraceEvent {
         TraceEvent::span(t, source, label, dur)
     }
 

@@ -2,7 +2,7 @@
 //! reproduction.
 //!
 //! Before this crate, every layer kept a private notion of time: the
-//! boot `Timeline`'s `f64` seconds in `xcbc-cluster`, the scheduler's
+//! boot timeline's `f64` seconds in `xcbc-cluster`, the scheduler's
 //! hand-rolled event heap in `xcbc-sched`, mirror latency/bandwidth
 //! float math in `xcbc-yum`, and the install phase durations scattered
 //! through `xcbc-rocks`. This crate gives them one substrate:
@@ -17,8 +17,9 @@
 //!   counters: producers build a `Vec<TraceEvent>`, consumers read a
 //!   `&[TraceEvent]` ([`events_to_jsonl`], [`FlightRecorder`]);
 //! * [`SpanRecorder`] — the one way spans get placed (sequential,
-//!   parallel, backoff); `cluster::Timeline` is a read-only view over
-//!   what it records;
+//!   parallel, backoff); [`span_end`], [`backoff_time`] and
+//!   [`render_gantt`] read a run's length, its backoff share and its
+//!   text Gantt straight off the recorded spans;
 //! * [`MetricRegistry`] / [`LatencyHistogram`] / [`HistogramSink`] —
 //!   the observability spine: per-source span latency histograms with
 //!   fixed log-spaced buckets and a registry that gmetad, the scheduler
@@ -54,7 +55,7 @@ pub use metrics::{
     format_prom_f64, HistogramSink, LatencyHistogram, MetricRegistry, HISTOGRAM_BUCKETS_S,
 };
 pub use queue::{EventQueue, Scheduled};
-pub use recorder::{SpanRecorder, BACKOFF_PREFIX};
+pub use recorder::{backoff_time, render_gantt, span_end, SpanRecorder, BACKOFF_PREFIX};
 pub use selfprof::{
     self_profiler, SelfProfiler, SECTION_DEPSOLVE, SECTION_SCHED_RUN, SECTION_SVC_SERVE,
     SECTION_TRACE_ANALYZE, SECTION_TRACE_RENDER,

@@ -166,19 +166,16 @@ impl LatencyHistogram {
 /// its time on. Marks and counters are ignored.
 #[derive(Debug)]
 pub struct HistogramSink {
-    by_source: BTreeMap<String, LatencyHistogram>,
+    by_source: BTreeMap<&'static str, LatencyHistogram>,
 }
 
 impl HistogramSink {
     /// The per-source span histograms of `events`.
     pub fn from_events(events: &[TraceEvent]) -> HistogramSink {
-        let mut by_source = BTreeMap::<String, LatencyHistogram>::new();
+        let mut by_source = BTreeMap::<&'static str, LatencyHistogram>::new();
         for event in events {
             if let TraceKind::Span { dur } = event.kind {
-                by_source
-                    .entry(event.source.clone())
-                    .or_default()
-                    .observe(dur);
+                by_source.entry(event.source).or_default().observe(dur);
             }
         }
         HistogramSink { by_source }
@@ -190,8 +187,8 @@ impl HistogramSink {
     }
 
     /// `(source, histogram)` pairs in source order.
-    pub fn sources(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.by_source.iter().map(|(s, h)| (s.as_str(), h))
+    pub fn sources(&self) -> impl Iterator<Item = (&'static str, &LatencyHistogram)> {
+        self.by_source.iter().map(|(s, h)| (*s, h))
     }
 
     /// Is the collection empty?

@@ -1,7 +1,7 @@
 //! Integer-nanosecond simulation time.
 //!
 //! Every layer of the stack used to keep its own `f64` seconds — the
-//! boot [`Timeline`](https://docs.rs) in `xcbc-cluster`, the scheduler's
+//! boot timeline in `xcbc-cluster`, the scheduler's
 //! event heap in `xcbc-sched`, mirror latency math in `xcbc-yum`.
 //! [`SimTime`] and [`SimDuration`] replace all of them with one
 //! integer-nanosecond representation: exact addition, a total order

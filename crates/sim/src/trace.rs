@@ -81,27 +81,29 @@ pub struct TraceEvent {
     /// When the event occurred (span start for [`TraceKind::Span`]).
     pub t: SimTime,
     /// Which layer emitted it, dotted-path style (`"rocks.install"`,
-    /// `"sched"`, `"yum.mirror"`, `"cluster.boot"`).
-    pub source: String,
+    /// `"sched"`, `"yum.mirror"`, `"cluster.boot"`) — one of a fixed set
+    /// of layer names, so it is never allocated per event.
+    pub source: &'static str,
     /// Human-readable label (phase name, job name, mirror URL).
     pub label: String,
     /// Span, mark, or counter.
     pub kind: TraceKind,
-    /// Extra key/value context, in emission order.
-    pub fields: Vec<(String, FieldValue)>,
+    /// Extra key/value context, in emission order. Keys are literals;
+    /// only the values vary.
+    pub fields: Vec<(&'static str, FieldValue)>,
 }
 
 impl TraceEvent {
     /// A span of `dur` starting at `t`.
     pub fn span(
         t: impl Into<SimTime>,
-        source: impl Into<String>,
+        source: &'static str,
         label: impl Into<String>,
         dur: impl Into<SimDuration>,
     ) -> TraceEvent {
         TraceEvent {
             t: t.into(),
-            source: source.into(),
+            source,
             label: label.into(),
             kind: TraceKind::Span { dur: dur.into() },
             fields: Vec::new(),
@@ -111,12 +113,12 @@ impl TraceEvent {
     /// An instantaneous mark at `t`.
     pub fn mark(
         t: impl Into<SimTime>,
-        source: impl Into<String>,
+        source: &'static str,
         label: impl Into<String>,
     ) -> TraceEvent {
         TraceEvent {
             t: t.into(),
-            source: source.into(),
+            source,
             label: label.into(),
             kind: TraceKind::Mark,
             fields: Vec::new(),
@@ -126,13 +128,13 @@ impl TraceEvent {
     /// A counter sample at `t`.
     pub fn counter(
         t: impl Into<SimTime>,
-        source: impl Into<String>,
+        source: &'static str,
         label: impl Into<String>,
         value: u64,
     ) -> TraceEvent {
         TraceEvent {
             t: t.into(),
-            source: source.into(),
+            source,
             label: label.into(),
             kind: TraceKind::Counter { value },
             fields: Vec::new(),
@@ -140,12 +142,8 @@ impl TraceEvent {
     }
 
     /// Attach a field (builder style).
-    pub fn with_field(
-        mut self,
-        key: impl Into<String>,
-        value: impl Into<FieldValue>,
-    ) -> TraceEvent {
-        self.fields.push((key.into(), value.into()));
+    pub fn with_field(mut self, key: &'static str, value: impl Into<FieldValue>) -> TraceEvent {
+        self.fields.push((key, value.into()));
         self
     }
 
@@ -182,7 +180,7 @@ impl TraceEvent {
         line.push_str("{\"t_ns\":");
         line.push_str(&self.t.as_nanos().to_string());
         line.push_str(",\"source\":");
-        push_json_str(&mut line, &self.source);
+        push_json_str(&mut line, self.source);
         line.push_str(",\"kind\":");
         match &self.kind {
             TraceKind::Span { dur } => {

@@ -15,7 +15,7 @@ use xcbc::core::roll::xsede_roll;
 use xcbc::modules::{generate_from_rpmdb, ModuleSystem};
 use xcbc::rocks::{standard_rolls, ClusterInstall, RocksCli};
 use xcbc::sched::{JobRequest, ResourceManager, TorqueServer};
-use xcbc::sim::SimTime;
+use xcbc::sim::{render_gantt, SimTime};
 
 fn main() {
     let cluster = littlefe_modified();
@@ -39,7 +39,7 @@ fn main() {
     rolls.push(xsede_roll());
     let install = ClusterInstall::new(cluster.clone(), rolls);
     let report = install.run().expect("diskful LittleFe installs");
-    println!("{}", report.timeline().render());
+    println!("{}", render_gantt(&report.trace));
 
     // 3. The cluster database insert-ethers built.
     println!("== 3. cluster database ==");

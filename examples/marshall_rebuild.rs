@@ -11,6 +11,7 @@ use xcbc::cluster::topology::{ClusterSpec, NetworkSpec};
 use xcbc::cluster::{gpu_peak_gflops, hw, NodeRole, NodeSpec};
 use xcbc::core::deploy::deploy_from_scratch;
 use xcbc::rocks::cluster_fork;
+use xcbc::sim::span_end;
 
 /// Marshall's cluster per Table 3: 22 nodes, 264 cores (12/node), 8 GPU
 /// nodes with 3584 CUDA cores total.
@@ -91,7 +92,7 @@ fn main() {
     println!(
         "  {} nodes reinstalled; wall-clock {:.1} hours of install time",
         report.nodes_reinstalled,
-        report.timeline().total_seconds() / 3600.0
+        span_end(&report.trace).as_secs_f64() / 3600.0
     );
     println!(
         "  XSEDE compatibility after rebuild: {:.1}%",

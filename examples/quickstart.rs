@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified};
 use xcbc::core::deploy::{deploy_from_scratch, deploy_xnit_overlay, limulus_factory_image};
 use xcbc::core::XnitSetupMethod;
+use xcbc::sim::span_end;
 
 fn main() {
     // Path 1 — XCBC from scratch: Rocks + the XSEDE roll on bare metal.
@@ -22,7 +23,7 @@ fn main() {
     println!(
         "  {} nodes installed in {:.0} simulated seconds; XSEDE compatibility {:.1}%",
         report.nodes_reinstalled,
-        report.timeline().total_seconds(),
+        span_end(&report.trace).as_secs_f64(),
         report.compat.score * 100.0
     );
 

@@ -109,7 +109,7 @@ use xcbc::hpl::{
 };
 use xcbc::rocks::{InstallErrorKind, ResilienceConfig};
 use xcbc::rpm::RpmDb;
-use xcbc::sim::{events_to_jsonl, SimDuration, SimTime, TraceKind};
+use xcbc::sim::{events_to_jsonl, render_gantt, SimDuration, SimTime, TraceKind};
 use xcbc::{out, outln};
 
 fn main() -> ExitCode {
@@ -404,7 +404,7 @@ fn deploy_compare() -> Result<(), Stop> {
     }
 
     outln!("\nFrom-scratch timeline (LittleFe):")?;
-    out!("{}", scratch.timeline().render())?;
+    out!("{}", render_gantt(&scratch.trace))?;
 
     outln!("\nWhy the Limulus cannot take the from-scratch path:")?;
     match deploy_from_scratch(&limulus_hpc200()) {
@@ -814,7 +814,7 @@ fn trace(scenario: &str, plan: &FaultPlan, jsonl: bool) -> Result<ExitCode, Stop
     // per-source event count and span time, in source order
     let mut by_source: BTreeMap<&str, (u64, SimDuration)> = BTreeMap::new();
     for e in &run.events {
-        let (n, span) = by_source.entry(&e.source).or_default();
+        let (n, span) = by_source.entry(e.source).or_default();
         *n += 1;
         *span += e.duration();
     }

@@ -28,7 +28,7 @@ use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified, littlefe_v4};
 use xcbc::cluster::ClusterSpec;
 use xcbc::core::deploy::deploy_from_scratch;
 use xcbc::rocks::{boot_node, standard_rolls, ClusterInstall, PxeStage, Roll};
-use xcbc::sim::events_to_jsonl;
+use xcbc::sim::{events_to_jsonl, render_gantt};
 
 /// LittleFe modified grown to 17 nodes: the frontend plus sixteen
 /// copies of its first compute node.
@@ -78,7 +78,7 @@ fn render_all() -> String {
     out.push_str("# deploy_from_scratch littlefe trace\n");
     out.push_str(&deploy.trace_jsonl());
     out.push_str("# deploy_from_scratch littlefe timeline\n");
-    out.push_str(&deploy.timeline().render());
+    out.push_str(&render_gantt(&deploy.trace));
     writeln!(out, "# row {}", deploy.render_row()).unwrap();
 
     install_section(

@@ -10,6 +10,7 @@ use xcbc::cluster::specs::littlefe_modified;
 use xcbc::core::deploy::{deploy_from_scratch, deploy_from_scratch_resilient};
 use xcbc::fault::{FaultPlan, FaultWindow, InjectionPoint, InstallCheckpoint};
 use xcbc::rocks::{InstallErrorKind, ResilienceConfig};
+use xcbc::sim::render_gantt;
 
 #[test]
 fn power_loss_then_resume_matches_fault_free_deploy() {
@@ -99,7 +100,7 @@ proptest! {
             .expect("rate faults quarantine, they never abort");
             (
                 report.render(),
-                report.timeline().render(),
+                render_gantt(&report.trace),
                 report.checkpoint.as_ref().unwrap().to_text(),
                 report.node_dbs.clone(),
             )

@@ -2,14 +2,14 @@
 //! the sim clock, the rocks installer's span recorder, the fault
 //! layer's post-mortem moments, and the core deployment report must
 //! together replay byte-identically for a fixed fault-plan seed, and
-//! the `Timeline` view must end where the recorded spans end.
+//! `span_end` must end a report where its recorded spans end.
 
 use proptest::prelude::*;
 use xcbc::cluster::specs::littlefe_modified;
 use xcbc::core::deploy::{deploy_from_scratch_resilient, DeploymentReport};
 use xcbc::fault::{FaultPlan, InjectionPoint, InstallCheckpoint};
 use xcbc::rocks::ResilienceConfig;
-use xcbc::sim::{SimTime, TraceEvent};
+use xcbc::sim::{span_end, SimTime, TraceEvent};
 
 fn run(seed: u64, boot_rate: f64, dhcp_rate: f64) -> Result<DeploymentReport, String> {
     let plan = FaultPlan::new(seed)
@@ -49,7 +49,7 @@ proptest! {
         }
     }
 
-    /// The `Timeline` view's total equals the span-derived total
+    /// `span_end` equals the latest end over the recorded events
     /// exactly (both sides live on the same integer-nanosecond clock).
     #[test]
     fn timeline_total_equals_span_derived_total(
@@ -57,13 +57,13 @@ proptest! {
         boot_rate in 0.0f64..0.3,
     ) {
         if let Ok(report) = run(seed, boot_rate, 0.1) {
-            let span_end = report
+            let last_end = report
                 .trace
                 .iter()
                 .map(TraceEvent::end)
                 .max()
                 .unwrap_or(SimTime::ZERO);
-            prop_assert_eq!(report.timeline().total_seconds(), span_end.as_secs_f64());
+            prop_assert_eq!(span_end(&report.trace), last_end);
         }
     }
 }
