@@ -21,7 +21,9 @@ use xcbc_cluster::topology::{ClusterSpec, NetworkSpec};
 use xcbc_core::campaign::{
     run_campaign, CampaignConfig, CampaignError, CampaignTarget, CanaryAction,
 };
-use xcbc_core::deploy::{deploy_from_scratch_resilient, limulus_factory_image};
+use xcbc_core::deploy::{
+    deploy_from_scratch_resilient, deploy_from_scratch_resuming, limulus_factory_image,
+};
 use xcbc_core::elastic::{
     run_elastic, BurstSite, ElasticConfig, ElasticError, ElasticState, ElasticWorld,
 };
@@ -31,7 +33,7 @@ use xcbc_fault::{
     CampaignCheckpoint, ElasticCheckpoint, FaultPlan, FaultWindow, InjectionPoint,
     InstallCheckpoint, Mutation,
 };
-use xcbc_rocks::install::{InstallErrorKind, ResilienceConfig};
+use xcbc_rocks::install::ResilienceConfig;
 use xcbc_rpm::{PackageBuilder, RpmDb, TransactionSet};
 use xcbc_sched::{run_workload, ClusterSim, JobRequest, RmKind, SchedPolicy, WorkloadSpec};
 use xcbc_svc::{serve, SvcWorkload};
@@ -1038,23 +1040,11 @@ fn run_resume_stage(seed: u64) -> ResumeOutcome {
         Some(&fe_host),
         FaultWindow::Nth(0),
     );
-    let mut checkpoint = InstallCheckpoint::new();
+    // the resumed attempts share an image store of their own, so the
+    // two runs' databases are built independently
     let mut aborts = 0usize;
-    let mut resumed = None;
-    for _ in 0..=cluster.nodes.len() {
-        match deploy_from_scratch_resilient(&cluster, &lossy, &cfg, checkpoint.clone()) {
-            Ok(rep) => {
-                resumed = Some(rep);
-                break;
-            }
-            Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
-                aborts += 1;
-                checkpoint = e.progress.checkpoint.clone();
-            }
-            Err(e) => panic!("unexpected install error in resume stage: {e}"),
-        }
-    }
-    let resumed = resumed.expect("resume loop converges");
+    let resumed = deploy_from_scratch_resuming(&cluster, &lossy, &cfg, |_| aborts += 1)
+        .unwrap_or_else(|e| panic!("resume stage did not converge: {e}"));
 
     ResumeOutcome {
         uninterrupted_trace: clean.trace,

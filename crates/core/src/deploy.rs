@@ -11,13 +11,16 @@
 use crate::compat::{check_compatibility, CompatReport};
 use crate::roll::xsede_roll;
 use crate::xnit::{set_up_host, xnit_repository, XnitSetupMethod};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use xcbc_cluster::{ClusterSpec, DegradedCluster};
 use xcbc_fault::{FaultPlan, InstallCheckpoint, PostMortem};
-use xcbc_rocks::{standard_rolls, ClusterInstall, InstallError, ResilienceConfig};
+use xcbc_rocks::{
+    standard_rolls, ClusterInstall, InstallError, InstallErrorKind, NodeImageStore,
+    ResilienceConfig,
+};
 use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb, TransactionReport};
-use xcbc_sim::{events_to_jsonl, span_end, SpanRecorder, TraceEvent};
+use xcbc_sim::{events_to_jsonl, pool::Memo, span_end, SpanRecorder, TraceEvent};
 use xcbc_yum::{SolveCache, SolveError, SolveRequest, Yum, YumConfig};
 
 /// `source` tag on trace events recorded by the XNIT overlay path.
@@ -134,11 +137,62 @@ pub fn deploy_from_scratch_resilient(
     config: &ResilienceConfig,
     resume_from: InstallCheckpoint,
 ) -> Result<DeploymentReport, InstallError> {
+    deploy_from_scratch_in(
+        cluster,
+        plan,
+        config,
+        resume_from,
+        &NodeImageStore::default(),
+    )
+}
+
+/// Deploy from scratch under `plan` the way an administrator re-running
+/// the installer would: a power loss aborts with a checkpoint, which
+/// `on_power_loss` sees, and the install resumes from that checkpoint
+/// until the deployment lands (possibly degraded, with a post-mortem).
+/// Every attempt shares one Rocks image store, so a node the last
+/// attempt committed rebuilds its view from the stored image. Each
+/// power loss strictly grows the committed set, so this terminates; the
+/// cap of one attempt per node plus one only guards against future plan
+/// mistakes, and past it the last power-loss error is returned.
+pub fn deploy_from_scratch_resuming(
+    cluster: &ClusterSpec,
+    plan: &FaultPlan,
+    config: &ResilienceConfig,
+    mut on_power_loss: impl FnMut(&InstallError),
+) -> Result<DeploymentReport, InstallError> {
+    let images = NodeImageStore::default();
+    let mut checkpoint = InstallCheckpoint::new();
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        match deploy_from_scratch_in(cluster, plan, config, checkpoint, &images) {
+            Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
+                on_power_loss(&e);
+                if attempts > cluster.nodes.len() {
+                    return Err(e);
+                }
+                checkpoint = e.progress.checkpoint;
+            }
+            result => return result,
+        }
+    }
+}
+
+/// [`deploy_from_scratch_resilient`] over a run's shared Rocks image
+/// store (see [`ClusterInstall::run_resilient_in`]).
+pub(crate) fn deploy_from_scratch_in(
+    cluster: &ClusterSpec,
+    plan: &FaultPlan,
+    config: &ResilienceConfig,
+    resume_from: InstallCheckpoint,
+    images: &NodeImageStore,
+) -> Result<DeploymentReport, InstallError> {
     let mut rolls = standard_rolls();
     rolls.push(xsede_roll());
     let install = ClusterInstall::new(cluster.clone(), rolls);
     let mut injector = plan.injector();
-    let resilient = install.run_resilient(&mut injector, config, resume_from)?;
+    let resilient = install.run_resilient_in(&mut injector, config, resume_from, images)?;
 
     let compute = resilient
         .report
@@ -221,14 +275,20 @@ struct Overlaid {
     preserved: bool,
 }
 
+impl Overlaid {
+    fn starts_from(&self, method: XnitSetupMethod, before: &RpmDb) -> bool {
+        self.method == method && self.before == *before
+    }
+}
+
 /// Every distinct starting image an overlay has computed, by
 /// `RpmDb::digest()` and confirmed with `==`. The overlay's repository
 /// and yum configuration are fixed and the setup method is part of the
 /// match, so a stored image never goes stale: a caller may keep one
-/// store across any number of [`deploy_xnit_overlay_kept`] calls. Only
-/// overlays that succeeded are stored.
+/// store across any number of [`deploy_xnit_overlay_kept`] calls, on
+/// any number of threads. Only overlays that succeeded are stored.
 #[derive(Debug, Default)]
-pub struct OverlayImages(HashMap<u64, Vec<Overlaid>>);
+pub struct OverlayImages(Memo<u64, Arc<Overlaid>>);
 
 /// Deploy via XNIT overlay: take existing per-node databases (an
 /// operating cluster) and add the full XCBC software set without
@@ -273,7 +333,7 @@ pub fn deploy_xnit_overlay_salted(
         method,
         solve_cache,
         cache_salt,
-        &mut OverlayImages::default(),
+        &OverlayImages::default(),
     )
 }
 
@@ -287,7 +347,7 @@ pub fn deploy_xnit_overlay_kept(
     method: XnitSetupMethod,
     solve_cache: Option<Arc<SolveCache>>,
     cache_salt: u64,
-    images: &mut OverlayImages,
+    images: &OverlayImages,
 ) -> Result<DeploymentReport, SolveError> {
     let mut node_dbs = existing.clone();
     let mut rec = SpanRecorder::new(OVERLAY_TRACE_SOURCE);
@@ -306,13 +366,9 @@ pub fn deploy_xnit_overlay_kept(
     // the first node's pre-install report, while it is still current
     let mut first_compat: Option<CompatReport> = None;
     for (host, db) in node_dbs.iter_mut() {
-        let same = images.0.entry(db.digest()).or_default();
-        let image = match same
-            .iter()
-            .position(|o| o.method == method && o.before == *db)
-        {
-            Some(i) => {
-                let image = &same[i];
+        let digest = db.digest();
+        let image = match images.0.get(&digest, |o| o.starts_from(method, db)) {
+            Some(image) => {
                 // the node's own solve-cache lookup: hit and miss
                 // totals count nodes, not images
                 if yum.solve_cache().is_some() {
@@ -330,7 +386,7 @@ pub fn deploy_xnit_overlay_kept(
                 let tx_report = yum.install(db, &compat.missing())?;
                 // §8's invariant: nothing pre-existing was removed
                 let preserved = db.has_every_name_of(&before);
-                same.push(Overlaid {
+                let image = Arc::new(Overlaid {
                     method,
                     before,
                     enabled,
@@ -340,7 +396,10 @@ pub fn deploy_xnit_overlay_kept(
                     tx_report,
                     preserved,
                 });
-                same.last().expect("just pushed")
+                images.0.insert(digest, Arc::clone(&image), |o| {
+                    o.starts_from(method, &image.before)
+                });
+                image
             }
         };
         preserved &= image.preserved;
@@ -569,7 +628,7 @@ mod tests {
                 .map(|s| s.installs.len())
                 .map_err(|e| e.to_string())
         };
-        let mut images = OverlayImages::default();
+        let images = OverlayImages::default();
         let (mut kept_nodes, mut fresh_nodes) = (limulus_dbs(), limulus_dbs());
         for round in 0..5 {
             let method = [XnitSetupMethod::RepoRpm, XnitSetupMethod::ManualRepoFile][round % 2];
@@ -593,7 +652,7 @@ mod tests {
                 method,
                 Some(Arc::clone(&kept_cache)),
                 salt,
-                &mut images,
+                &images,
             )
             .unwrap();
             let fresh = deploy_xnit_overlay_salted(
@@ -610,8 +669,7 @@ mod tests {
             assert_eq!(kept_cache.stats(), fresh_cache.stats(), "round {round}");
             (kept_nodes, fresh_nodes) = (kept.node_dbs, fresh.node_dbs);
         }
-        let stored: usize = images.0.values().map(Vec::len).sum();
-        assert!(stored < 2 * 5, "later rounds reused kept images");
+        assert!(images.0.len() < 2 * 5, "later rounds reused kept images");
     }
 
     #[test]

@@ -16,16 +16,26 @@
 //!    site index, so per-site traces are byte-identical whether the
 //!    fleet runs on 1 thread or 8 (property-tested in
 //!    `tests/fleet_determinism.rs`).
-//! 2. **Shared solves, not shared state.** XNIT overlay sites route
-//!    their depsolves through one fleet-wide
+//! 2. **Shared solves and images, not shared state.** XNIT overlay
+//!    sites route their depsolves through one fleet-wide
 //!    [`SolveCache`]: near-identical sites hit the
-//!    memoized solution instead of re-walking the closure. Cache
-//!    hit/miss counters are *fleet-level* telemetry (their totals are
-//!    the same at any thread count, but which site hit depends on
+//!    memoized solution instead of re-walking the closure. Each
+//!    [`Fleet::deploy`] also owns one Rocks [`NodeImageStore`] and one
+//!    [`OverlayImages`] store that every site shares, so equal sites
+//!    build each node image once: a from-scratch node whose kickstart
+//!    list and resolved packages another site already committed takes
+//!    that image, and an overlay node whose starting image and setup
+//!    method another site already overlaid takes that result. A site
+//!    gets the same report whichever site built the image, and a site
+//!    whose fault plan arms `rpm.scriptlet` shares no Rocks image.
+//!    Cache hit/miss counters are *fleet-level* telemetry (their totals
+//!    are the same at any thread count, but which site hit depends on
 //!    scheduling) and are reported beside — never inside — the per-site
 //!    traces.
 
-use crate::deploy::{deploy_from_scratch_resilient, deploy_xnit_overlay_with, DeploymentReport};
+use crate::deploy::{
+    deploy_from_scratch_in, deploy_xnit_overlay_kept, DeploymentReport, OverlayImages,
+};
 use crate::xnit::XnitSetupMethod;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,9 +45,9 @@ use xcbc_cluster::{
     TelemetrySink,
 };
 use xcbc_fault::{FaultPlan, InstallCheckpoint};
-use xcbc_rocks::{InstallError, ResilienceConfig};
+use xcbc_rocks::{InstallError, NodeImageStore, ResilienceConfig};
 use xcbc_rpm::RpmDb;
-use xcbc_sim::{pool, span_end, MetricRegistry, SimTime, TraceEvent};
+use xcbc_sim::{pool, span_end, trace_end, MetricRegistry, SimTime};
 use xcbc_yum::{CacheStats, SolveCache};
 
 /// How one fleet site gets deployed.
@@ -387,28 +397,44 @@ impl Fleet {
     }
 
     /// Deploy every site and collect the fleet report, in site order
-    /// no matter which worker finishes when.
+    /// no matter which worker finishes when. One deploy owns one Rocks
+    /// image store and one overlay image store, shared by its workers;
+    /// nothing carries over to the next deploy.
     pub fn deploy(&self) -> FleetReport {
+        let rocks = NodeImageStore::default();
+        let overlays = OverlayImages::default();
         FleetReport {
-            sites: pool::map(self.threads, &self.sites, |site| self.deploy_site(site)),
+            sites: pool::map(self.threads, &self.sites, |site| {
+                self.deploy_site(site, &rocks, &overlays)
+            }),
             threads: pool::workers(self.threads, self.sites.len()),
             cache: self.cache.stats(),
         }
     }
 
-    fn deploy_site(&self, site: &FleetSite) -> SiteOutcome {
+    fn deploy_site(
+        &self,
+        site: &FleetSite,
+        rocks: &NodeImageStore,
+        overlays: &OverlayImages,
+    ) -> SiteOutcome {
         let result = match &site.plan {
-            SitePlan::FromScratch { cluster, faults } => deploy_from_scratch_resilient(
+            SitePlan::FromScratch { cluster, faults } => deploy_from_scratch_in(
                 cluster,
                 faults,
                 &ResilienceConfig::default(),
                 InstallCheckpoint::new(),
+                rocks,
             )
             .map_err(FleetError::Install),
-            SitePlan::XnitOverlay { existing, method } => {
-                deploy_xnit_overlay_with(existing, *method, Some(Arc::clone(&self.cache)))
-                    .map_err(FleetError::Solve)
-            }
+            SitePlan::XnitOverlay { existing, method } => deploy_xnit_overlay_kept(
+                existing,
+                *method,
+                Some(Arc::clone(&self.cache)),
+                0,
+                overlays,
+            )
+            .map_err(FleetError::Solve),
         };
         SiteOutcome {
             name: site.name.clone(),
@@ -470,12 +496,7 @@ impl FleetTelemetry {
                 .or_else(|| hosts.first())
                 .cloned()
                 .unwrap_or_else(|| site.name.clone());
-            let end = dep
-                .trace
-                .iter()
-                .map(TraceEvent::end)
-                .max()
-                .unwrap_or(SimTime::ZERO);
+            let end = trace_end(&dep.trace);
 
             let mut sink = TelemetrySink::new(
                 ClusterMonitor::new(64),
@@ -563,7 +584,7 @@ impl FleetTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::limulus_factory_image;
+    use crate::deploy::{deploy_xnit_overlay_with, limulus_factory_image};
     use xcbc_cluster::specs::{limulus_hpc200, littlefe_modified};
 
     fn limulus_dbs() -> BTreeMap<String, RpmDb> {
@@ -728,6 +749,72 @@ mod tests {
         let report = via_fleet.result.as_ref().unwrap();
         assert_eq!(report.node_dbs, uncached.node_dbs);
         assert_eq!(report.trace_jsonl(), uncached.trace_jsonl());
+    }
+
+    #[test]
+    fn a_scriptlet_site_and_an_equal_clean_site_each_deploy_as_alone() {
+        use crate::deploy::deploy_from_scratch_resilient;
+        // one retried scriptlet fault on the frontend's first package
+        let armed = FaultPlan::parse("seed=5; rpm.scriptlet key=rocks-base on=nth:0").unwrap();
+        let clean = FaultPlan::new(5);
+        let alone = |plan: &FaultPlan| {
+            deploy_from_scratch_resilient(
+                &littlefe_modified(),
+                plan,
+                &ResilienceConfig::default(),
+                InstallCheckpoint::new(),
+            )
+            .unwrap()
+        };
+        let (armed_alone, clean_alone) = (alone(&armed), alone(&clean));
+        assert!(
+            armed_alone.post_mortem.as_ref().unwrap().retries_spent > 0,
+            "the scriptlet fault fired"
+        );
+        for plans in [[&armed, &clean], [&clean, &armed]] {
+            let report = plans
+                .iter()
+                .enumerate()
+                .fold(Fleet::new(), |fleet, (i, plan)| {
+                    fleet.add_site(FleetSite::from_scratch_with_faults(
+                        format!("site-{i}"),
+                        littlefe_modified(),
+                        (*plan).clone(),
+                    ))
+                })
+                .deploy();
+            for (site, plan) in report.sites.iter().zip(plans) {
+                let want = if std::ptr::eq(plan, &armed) {
+                    &armed_alone
+                } else {
+                    &clean_alone
+                };
+                let got = site.result.as_ref().unwrap();
+                assert_eq!(got.trace_jsonl(), want.trace_jsonl(), "{}", site.name);
+                assert_eq!(got.node_dbs, want.node_dbs, "{}", site.name);
+                assert_eq!(got.render(), want.render(), "{}", site.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fleet_deployed_twice_reports_the_same_sites() {
+        let fleet =
+            mixed_fleet(2).add_site(FleetSite::from_scratch("marshall", littlefe_modified(), 7));
+        let (first, second) = (fleet.deploy(), fleet.deploy());
+        let rows = |r: &FleetReport| r.render().split("; solve cache").next().unwrap().to_owned();
+        assert_eq!(rows(&first), rows(&second));
+        assert_eq!(first.merged_jsonl(), second.merged_jsonl());
+        for (a, b) in first.sites.iter().zip(&second.sites) {
+            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+            assert_eq!(a.node_dbs, b.node_dbs);
+        }
+        // the solve cache is the fleet's and outlives a deploy, so the
+        // second deploy makes as many lookups, all hits, and adds nothing
+        let lookups = |c: &CacheStats| c.hits + c.misses;
+        assert_eq!(lookups(&second.cache), 2 * lookups(&first.cache));
+        assert_eq!(second.cache.misses, first.cache.misses);
+        assert_eq!(second.cache.entries, first.cache.entries);
     }
 
     #[test]

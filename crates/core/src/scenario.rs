@@ -10,14 +10,14 @@
 //! `xcbc-sim`, so the merged log reads as one coherent timeline — and,
 //! for a fixed plan seed, replays byte-identically.
 
-use crate::deploy::deploy_from_scratch_resilient;
+use crate::deploy::deploy_from_scratch_resuming;
 use crate::xnit::xnit_repository;
 use std::sync::Arc;
 use xcbc_cluster::specs::littlefe_modified;
-use xcbc_fault::{FaultPlan, InstallCheckpoint, RetryPolicy};
+use xcbc_fault::{FaultPlan, RetryPolicy};
 use xcbc_rocks::{boot_node, InstallErrorKind, ResilienceConfig};
 use xcbc_sched::{ClusterSim, JobRequest, SchedPolicy, SimMetrics};
-use xcbc_sim::{SimTime, TraceEvent};
+use xcbc_sim::{trace_end, SimTime, TraceEvent};
 use xcbc_yum::{
     FetchOptions, Mirror, MirrorList, SolveCache, SolveRequest, YumConfig, SOLVECACHE_TRACE_SOURCE,
 };
@@ -57,21 +57,12 @@ pub struct DayOneRun {
 impl DayOneRun {
     /// The instant the last event ends — "now" for heartbeat checks.
     pub fn end(&self) -> SimTime {
-        self.events
-            .iter()
-            .map(TraceEvent::end)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        trace_end(&self.events)
     }
 }
 
 fn elapsed(events: &[TraceEvent]) -> xcbc_sim::SimDuration {
-    events
-        .iter()
-        .map(TraceEvent::end)
-        .max()
-        .unwrap_or(SimTime::ZERO)
-        .since(SimTime::ZERO)
+    trace_end(events).since(SimTime::ZERO)
 }
 
 /// Replay a LittleFe day one under `plan`. Errors are rendered
@@ -101,28 +92,11 @@ pub fn littlefe_day_one(plan: &FaultPlan) -> Result<DayOneRun, String> {
 
     // 2. from-scratch resilient install (rocks.install), resuming
     //    across any power losses the plan injects
-    let mut checkpoint = InstallCheckpoint::new();
-    let mut report = None;
-    for _ in 0..=cluster.nodes.len() {
-        match deploy_from_scratch_resilient(
-            &cluster,
-            plan,
-            &ResilienceConfig::default(),
-            checkpoint.clone(),
-        ) {
-            Ok(r) => {
-                report = Some(r);
-                break;
-            }
-            Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
-                checkpoint = e.progress.checkpoint.clone();
-            }
-            Err(e) => return Err(format!("littlefe deploy failed: {e}")),
-        }
-    }
-    let Some(report) = report else {
-        return Err("gave up after repeated power losses".to_string());
-    };
+    let report = deploy_from_scratch_resuming(&cluster, plan, &ResilienceConfig::default(), |_| {})
+        .map_err(|e| match e.kind {
+            InstallErrorKind::PowerLoss => "gave up after repeated power losses".to_string(),
+            _ => format!("littlefe deploy failed: {e}"),
+        })?;
     let t_install = elapsed(&events);
     events.extend(report.trace.iter().map(|e| e.shifted(t_install)));
     let quarantined = report

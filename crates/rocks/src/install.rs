@@ -19,7 +19,7 @@ use crate::graph::{Appliance, KickstartGraph};
 use crate::insert_ethers::{DhcpRequest, InsertEthers};
 use crate::kickstart::{self, KickstartError};
 use crate::roll::Roll;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use xcbc_cluster::{ClusterSpec, NodeRole};
 use xcbc_fault::{
@@ -27,7 +27,7 @@ use xcbc_fault::{
     PostMortem, RetryPolicy,
 };
 use xcbc_rpm::{Package, RpmDb, TransactionError, TransactionSet};
-use xcbc_sim::{Fnv64, SimTime, SpanRecorder, TraceEvent};
+use xcbc_sim::{pool::Memo, Fnv64, SimTime, SpanRecorder, TraceEvent};
 
 /// `source` tag carried by every trace event this module records.
 pub const TRACE_SOURCE: &str = "rocks.install";
@@ -242,42 +242,66 @@ fn quarantine_kind(reason: &str) -> FaultKind {
         .unwrap_or(FaultKind::Transient)
 }
 
-/// The package step of one install call. Every node's transaction
-/// starts from an empty database, so its kickstart package list alone
-/// fixes the database it commits: nodes with equal lists share one
-/// committed image. The memo lives for one call, so nothing in it can
-/// go stale.
+/// Every node image the Rocks installs of one run have committed. A
+/// node's transaction starts from an empty database, so its kickstart
+/// package list and the packages that list resolves to fix the database
+/// it commits. An image is stored under its list and matched on equal
+/// packages too, so installs whose roll catalogs differ never share one,
+/// and a stored image never goes stale: a run may hand one store to any
+/// number of installs ([`ClusterInstall::run_resilient_in`]), on any
+/// number of threads.
+#[derive(Debug, Default)]
+pub struct NodeImageStore(Memo<Vec<String>, Arc<CommittedImage>>);
+
+#[derive(Debug)]
+struct CommittedImage {
+    packages: Vec<Arc<Package>>,
+    db: RpmDb,
+}
+
+impl CommittedImage {
+    fn installs(&self, resolved: &[&Arc<Package>]) -> bool {
+        self.packages.len() == resolved.len()
+            && self
+                .packages
+                .iter()
+                .zip(resolved)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == *b)
+    }
+}
+
+/// The package step of one install call: the roll catalog it resolves
+/// kickstart lists against, and the run's image store, unless the plan
+/// arms `rpm.scriptlet` (then every node runs its own transaction, so
+/// the store is neither read nor written).
 struct NodeImages<'c> {
     /// Every package across the selected rolls, by name.
     catalog: BTreeMap<&'c str, &'c Arc<Package>>,
-    committed: HashMap<Vec<String>, RpmDb>,
+    store: Option<&'c NodeImageStore>,
 }
 
 impl<'c> NodeImages<'c> {
-    fn new(rolls: &'c [Roll]) -> Self {
+    fn new(rolls: &'c [Roll], store: Option<&'c NodeImageStore>) -> Self {
         let catalog = rolls
             .iter()
             .flat_map(|r| &r.packages)
             .map(|p| (p.name(), p))
             .collect();
-        NodeImages {
-            catalog,
-            committed: HashMap::new(),
-        }
+        NodeImages { catalog, store }
     }
 
     /// Install `names` on `node` into a fresh database. A node whose
-    /// list already committed in this call takes a clone of that image
-    /// when the plan arms no `rpm.scriptlet` fault: its own transaction
-    /// would commit the same database on its first attempt, and the
-    /// injector calls it skips could decide nothing. Otherwise the node
-    /// runs its own transaction under scriptlet fault injection,
-    /// retrying (the rollback in [`TransactionSet::run_injected`] makes
-    /// each attempt start from a clean database). Outer `Err` is a hard
-    /// install error (missing package); inner `Err` is the transaction
-    /// error left after the retry budget ran out.
+    /// image is already in the store takes a clone of it: its own
+    /// transaction would commit the same database on its first attempt,
+    /// and the injector calls it skips could decide nothing. Otherwise
+    /// the node runs its own transaction under scriptlet fault
+    /// injection, retrying (the rollback in
+    /// [`TransactionSet::run_injected`] makes each attempt start from a
+    /// clean database). Outer `Err` is a hard install error (missing
+    /// package); inner `Err` is the transaction error left after the
+    /// retry budget ran out.
     fn install(
-        &mut self,
+        &self,
         node: &str,
         names: &[String],
         injector: &mut FaultInjector,
@@ -285,19 +309,25 @@ impl<'c> NodeImages<'c> {
         rec: &mut SpanRecorder,
         pm: &mut PostMortem,
     ) -> Result<Result<RpmDb, TransactionError>, InstallError> {
-        if !injector.plan().arms(InjectionPoint::RpmScriptlet) {
-            if let Some(db) = self.committed.get(names) {
-                return Ok(Ok(db.clone()));
-            }
+        let packages = names
+            .iter()
+            .map(|name| {
+                self.catalog.get(name.as_str()).copied().ok_or_else(|| {
+                    InstallError::new(InstallErrorKind::MissingPackage {
+                        node: node.to_string(),
+                        package: name.clone(),
+                    })
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some(image) = self
+            .store
+            .and_then(|s| s.0.get(names, |image| image.installs(&packages)))
+        {
+            return Ok(Ok(image.db.clone()));
         }
         let mut tx = TransactionSet::new();
-        for name in names {
-            let pkg = self.catalog.get(name.as_str()).ok_or_else(|| {
-                InstallError::new(InstallErrorKind::MissingPackage {
-                    node: node.to_string(),
-                    package: name.clone(),
-                })
-            })?;
+        for pkg in &packages {
             tx.add_install(Arc::clone(pkg));
         }
         let mut rng = injector.rng_for(&format!("tx.{node}"));
@@ -319,10 +349,14 @@ impl<'c> NodeImages<'c> {
                 ),
             );
         }
-        if let Ok(db) = &outcome.result {
-            if !self.committed.contains_key(names) {
-                self.committed.insert(names.to_vec(), db.clone());
-            }
+        if let (Some(store), Ok(db)) = (self.store, &outcome.result) {
+            let image = CommittedImage {
+                packages: packages.iter().map(|p| Arc::clone(p)).collect(),
+                db: db.clone(),
+            };
+            store
+                .0
+                .insert(names.to_vec(), Arc::new(image), |i| i.installs(&packages));
         }
         Ok(outcome.result)
     }
@@ -331,7 +365,7 @@ impl<'c> NodeImages<'c> {
     /// rewiped, so no fault can fire and nothing is charged: this is
     /// [`install`](Self::install) under an empty plan, one attempt, and
     /// a recorder and post-mortem that are thrown away.
-    fn rebuild(&mut self, node: &str, names: &[String]) -> Result<RpmDb, InstallError> {
+    fn rebuild(&self, node: &str, names: &[String]) -> Result<RpmDb, InstallError> {
         self.install(
             node,
             names,
@@ -416,11 +450,27 @@ impl ClusterInstall {
         config: &ResilienceConfig,
         resume_from: InstallCheckpoint,
     ) -> Result<ResilientReport, InstallError> {
+        self.run_resilient_in(injector, config, resume_from, &NodeImageStore::default())
+    }
+
+    /// [`run_resilient`](Self::run_resilient) over a run's shared
+    /// [`NodeImageStore`]: a node whose image the store holds takes it
+    /// instead of running its transaction, and every image this install
+    /// commits is added. The report is the one a fresh store gives. A
+    /// plan that arms `rpm.scriptlet` leaves the store untouched.
+    pub fn run_resilient_in(
+        &self,
+        injector: &mut FaultInjector,
+        config: &ResilienceConfig,
+        resume_from: InstallCheckpoint,
+        store: &NodeImageStore,
+    ) -> Result<ResilientReport, InstallError> {
         let (ok, reasons) = self.cluster.rocks_installable();
         if !ok {
             return Err(InstallError::new(InstallErrorKind::NotInstallable(reasons)));
         }
-        let mut images = NodeImages::new(&self.rolls);
+        let shared = !injector.plan().arms(InjectionPoint::RpmScriptlet);
+        let images = NodeImages::new(&self.rolls, shared.then_some(store));
         let mut rec = SpanRecorder::new(TRACE_SOURCE);
         let mut node_dbs: BTreeMap<String, RpmDb> = BTreeMap::new();
         let mut checkpoint = resume_from;
@@ -1121,6 +1171,48 @@ mod tests {
         };
         assert_eq!(run(77), run(77), "same seed must replay identically");
         assert_ne!(run(77), run(78), "different seeds should diverge");
+    }
+
+    #[test]
+    fn installs_sharing_a_store_keep_images_of_different_rolls_apart() {
+        // the same kickstart lists, but rocks-base is 1 MiB larger in
+        // the second install's base roll
+        let mut rolls = standard_rolls();
+        let base = rolls
+            .iter_mut()
+            .flat_map(|r| r.packages.iter_mut())
+            .find(|p| p.name() == "rocks-base")
+            .expect("the base roll carries rocks-base");
+        let mut bigger = Package::clone(base);
+        bigger.size_bytes += 1 << 20;
+        *base = Arc::new(bigger);
+        let first = ClusterInstall::new(littlefe_modified(), standard_rolls());
+        let second = ClusterInstall::new(littlefe_modified(), rolls);
+        let run = |install: &ClusterInstall, store: &NodeImageStore| {
+            install
+                .run_resilient_in(
+                    &mut FaultPlan::new(0).injector(),
+                    &ResilienceConfig::default(),
+                    InstallCheckpoint::new(),
+                    store,
+                )
+                .unwrap()
+                .report
+        };
+        let store = NodeImageStore::default();
+        let (a, b) = (run(&first, &store), run(&second, &store));
+        let b_alone = second.run().unwrap();
+        assert_eq!(b.node_dbs, b_alone.node_dbs);
+        assert_eq!(b.trace, b_alone.trace);
+        for (host, db) in &a.node_dbs {
+            assert_eq!(
+                db.installed_size_bytes() + (1 << 20),
+                b.node_dbs[host].installed_size_bytes(),
+                "{host} took the other roll's image"
+            );
+        }
+        // frontend and compute, once per roll set
+        assert_eq!(store.0.len(), 4);
     }
 
     #[test]

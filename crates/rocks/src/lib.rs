@@ -34,7 +34,7 @@ pub use database::{HostRecord, Membership, RocksDb};
 pub use graph::{Appliance, GraphError, GraphNode, KickstartGraph};
 pub use insert_ethers::{DhcpRequest, InsertEthers};
 pub use install::{
-    ClusterInstall, InstallError, InstallErrorKind, InstallProgress, InstallReport,
+    ClusterInstall, InstallError, InstallErrorKind, InstallProgress, InstallReport, NodeImageStore,
     ResilienceConfig, ResilientReport, TRACE_SOURCE,
 };
 pub use kickstart::{KickstartError, KickstartProfile, Partition};

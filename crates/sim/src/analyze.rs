@@ -204,17 +204,12 @@ fn analyze_uninstrumented(events: &[TraceEvent]) -> Analysis {
         .collect();
 
     let makespan = crate::span_end(events);
-    let trace_end = events
-        .iter()
-        .map(|e| e.end())
-        .max()
-        .unwrap_or(SimTime::ZERO);
 
     Analysis {
         events: events.len(),
         spans: span_idx.len(),
         makespan: makespan.since(SimTime::ZERO),
-        trace_end,
+        trace_end: crate::trace_end(events),
         path: critical_path(events, &span_idx),
         lanes: build_lanes(events, &span_idx),
     }

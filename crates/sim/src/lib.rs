@@ -19,7 +19,8 @@
 //! * [`SpanRecorder`] — the one way spans get placed (sequential,
 //!   parallel, backoff); [`span_end`], [`backoff_time`] and
 //!   [`render_gantt`] read a run's length, its backoff share and its
-//!   text Gantt straight off the recorded spans;
+//!   text Gantt straight off the recorded spans, and [`trace_end`]
+//!   where a whole event log ends;
 //! * [`MetricRegistry`] / [`LatencyHistogram`] / [`HistogramSink`] —
 //!   the observability spine: per-source span latency histograms with
 //!   fixed log-spaced buckets and a registry that gmetad, the scheduler
@@ -55,7 +56,7 @@ pub use metrics::{
     format_prom_f64, HistogramSink, LatencyHistogram, MetricRegistry, HISTOGRAM_BUCKETS_S,
 };
 pub use queue::{EventQueue, Scheduled};
-pub use recorder::{backoff_time, render_gantt, span_end, SpanRecorder, BACKOFF_PREFIX};
+pub use recorder::{backoff_time, render_gantt, span_end, trace_end, SpanRecorder, BACKOFF_PREFIX};
 pub use selfprof::{
     self_profiler, SelfProfiler, SECTION_DEPSOLVE, SECTION_SCHED_RUN, SECTION_SVC_SERVE,
     SECTION_TRACE_ANALYZE, SECTION_TRACE_RENDER,

@@ -14,10 +14,65 @@
 //! Output can therefore only depend on the worker count if the items
 //! themselves share state whose result depends on arrival order; each
 //! caller documents why its shared state (caches keyed per item,
-//! per-tenant salts) does not.
+//! per-tenant salts, a [`Memo`] of equal results) does not.
 
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::resume_unwind;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Results that items on any number of workers share: values under a
+/// hash key, told apart under one key by the caller's exact match
+/// (the key may be a digest or only part of what a value depends on).
+/// The lock is held only around a lookup or an insert, never while a
+/// value is computed, so workers do not serialise on each other's
+/// misses. Two workers that compute one value at once both compute it
+/// and the first insert is kept, so a memo suits values that are equal
+/// whoever computes them.
+#[derive(Debug)]
+pub struct Memo<K, V>(Mutex<HashMap<K, Vec<V>>>);
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo(Mutex::new(HashMap::new()))
+    }
+}
+
+impl<K: Hash + Eq, V: Clone> Memo<K, V> {
+    fn values(&self) -> MutexGuard<'_, HashMap<K, Vec<V>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value under `key` that `matches` accepts.
+    pub fn get<Q>(&self, key: &Q, matches: impl Fn(&V) -> bool) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.values().get(key)?.iter().find(|v| matches(v)).cloned()
+    }
+
+    /// Store `value` under `key` unless `matches` accepts a value
+    /// already there.
+    pub fn insert(&self, key: K, value: V, matches: impl Fn(&V) -> bool) {
+        let mut values = self.values();
+        let same = values.entry(key).or_default();
+        if !same.iter().any(matches) {
+            same.push(value);
+        }
+    }
+
+    /// How many values the memo holds, over every key.
+    pub fn len(&self) -> usize {
+        self.values().values().map(Vec::len).sum()
+    }
+
+    /// True when the memo holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// Worker count that [`map`] actually uses for `items` items: the
 /// request clamped to `1..=items` (1 when there are no items).
@@ -111,6 +166,26 @@ mod tests {
         assert_eq!(workers(8, 0), 1);
         assert_eq!(workers(0, 5), 1);
         assert_eq!(workers(8, 3), 3);
+    }
+
+    #[test]
+    fn a_memo_keeps_the_first_of_equal_values_and_tells_keys_apart() {
+        let memo: Memo<String, (u32, u32)> = Memo::default();
+        assert!(memo.is_empty());
+        // (value, who computed it): every item computes value k % 3
+        map(4, 0..12u32, |i| {
+            let k = i % 3;
+            if memo.get("key", |v| v.0 == k).is_none() {
+                memo.insert("key".to_string(), (k, i), |v| v.0 == k);
+            }
+        });
+        assert_eq!(memo.len(), 3);
+        for k in 0..3 {
+            assert_eq!(memo.get("key", |v| v.0 == k).map(|v| v.0), Some(k));
+        }
+        memo.insert("key".to_string(), (0, 99), |v| v.0 == 0);
+        assert_ne!(memo.get("key", |v| v.0 == 0), Some((0, 99)), "first kept");
+        assert_eq!(memo.get("other", |_| true), None);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! placed, and the three readings every report takes of the spans a
 //! recorder produced — where they end ([`span_end`]), how much of them
 //! was retry backoff ([`backoff_time`]) and their text Gantt
-//! ([`render_gantt`]).
+//! ([`render_gantt`]) — plus where a whole event log ends, marks and
+//! counters included ([`trace_end`]).
 
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKind};
@@ -17,6 +18,17 @@ pub fn span_end(events: &[TraceEvent]) -> SimTime {
     events
         .iter()
         .filter(|e| matches!(e.kind, TraceKind::Span { .. }))
+        .map(TraceEvent::end)
+        .max()
+        .unwrap_or(SimTime::ZERO)
+}
+
+/// The latest end over every event in `events` — unlike [`span_end`],
+/// marks and counters count: "now" for a log that carries fired alerts
+/// or checkpoints after its last span. Zero for an empty log.
+pub fn trace_end(events: &[TraceEvent]) -> SimTime {
+    events
+        .iter()
         .map(TraceEvent::end)
         .max()
         .unwrap_or(SimTime::ZERO)
@@ -260,5 +272,17 @@ mod tests {
         ];
         assert_eq!(span_end(&events), SimTime::from_secs(10));
         assert_eq!(render_gantt(&events).lines().count(), 1);
+    }
+
+    #[test]
+    fn trace_end_counts_a_mark_after_the_last_span() {
+        let events = vec![
+            TraceEvent::span(0.0, "x", "work", 10.0),
+            TraceEvent::mark(15.0, "x", "checkpoint"),
+            TraceEvent::span(2.0, "x", "short", 3.0),
+        ];
+        assert_eq!(span_end(&events), SimTime::from_secs(10));
+        assert_eq!(trace_end(&events), SimTime::from_secs(15));
+        assert_eq!(trace_end(&[]), SimTime::ZERO);
     }
 }

@@ -159,7 +159,7 @@ impl TenantState {
             XnitSetupMethod::RepoRpm,
             Some(shard),
             self.salt,
-            &mut self.images,
+            &self.images,
         ) {
             Ok(report) => {
                 self.nodes = report.node_dbs;

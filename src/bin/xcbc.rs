@@ -93,7 +93,7 @@ use xcbc::cluster::{
     FailedComponent, Failure, NodeRole, NodeSpec,
 };
 use xcbc::core::deploy::{
-    deploy_from_scratch, deploy_from_scratch_resilient, deploy_xnit_overlay, limulus_factory_image,
+    deploy_from_scratch, deploy_from_scratch_resuming, deploy_xnit_overlay, limulus_factory_image,
 };
 use xcbc::core::fleet::{Fleet, FleetSite};
 use xcbc::core::mon::monitor_run;
@@ -103,7 +103,7 @@ use xcbc::core::sites::{deployed_sites, fleet_totals, AdoptionPath};
 use xcbc::core::training::{littlefe_curriculum, LabSession};
 use xcbc::core::update::{simulate_updates, UpdateStrategy};
 use xcbc::core::XnitSetupMethod;
-use xcbc::fault::{FaultPlan, InstallCheckpoint};
+use xcbc::fault::FaultPlan;
 use xcbc::hpl::{
     pingpong_bandwidth_mb_s, run_hpl, run_stream, EfficiencyModel, HplConfig, StreamKernel,
 };
@@ -741,41 +741,35 @@ fn deploy(target: &str, faults: Option<&str>) -> Result<ExitCode, Stop> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// From-scratch LittleFe build under an injected fault plan. A power
-/// loss aborts with a checkpoint; we resume from it the way an
-/// administrator re-running the installer would, until the deployment
-/// lands (possibly degraded, with a post-mortem).
+/// From-scratch LittleFe build under an injected fault plan, resumed
+/// from its checkpoint after each power loss until the deployment lands
+/// (possibly degraded, with a post-mortem).
 fn deploy_littlefe_with_faults(plan: &FaultPlan) -> Result<ExitCode, Stop> {
-    let cluster = littlefe_modified();
-    let mut checkpoint = InstallCheckpoint::new();
-    // each power loss strictly grows the committed set, so this
-    // terminates; the cap only guards against future plan mistakes
-    for _ in 0..=cluster.nodes.len() {
-        match deploy_from_scratch_resilient(
-            &cluster,
-            plan,
-            &ResilienceConfig::default(),
-            checkpoint,
-        ) {
-            Ok(r) => {
-                out!("{}", r.render())?;
-                return Ok(ExitCode::SUCCESS);
-            }
-            Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
-                eprintln!(
-                    "power lost mid-install [{} node(s) committed]; resuming from checkpoint",
-                    e.progress.completed.len()
-                );
-                checkpoint = e.progress.checkpoint.clone();
-            }
-            Err(e) => {
-                eprintln!("littlefe deploy failed: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
+    let resumed = deploy_from_scratch_resuming(
+        &littlefe_modified(),
+        plan,
+        &ResilienceConfig::default(),
+        |e| {
+            eprintln!(
+                "power lost mid-install [{} node(s) committed]; resuming from checkpoint",
+                e.progress.completed.len()
+            )
+        },
+    );
+    match resumed {
+        Ok(r) => {
+            out!("{}", r.render())?;
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
+            eprintln!("littlefe deploy: gave up after repeated power losses");
+            Ok(ExitCode::FAILURE)
+        }
+        Err(e) => {
+            eprintln!("littlefe deploy failed: {e}");
+            Ok(ExitCode::FAILURE)
         }
     }
-    eprintln!("littlefe deploy: gave up after repeated power losses");
-    Ok(ExitCode::FAILURE)
 }
 
 fn lab(student: &str) -> Result<ExitCode, Stop> {

@@ -14,11 +14,18 @@
 //!   run their own transaction), and a power loss resumed from its
 //!   checkpoint. Under the spec `key=P on=nth:k` the one fault must land
 //!   on the k-th install of `P`, which only happens if every node
-//!   consulted the injector itself.
+//!   consulted the injector itself. The from-scratch sites deployed as
+//!   one fleet, whose sites share one image store, at 1 and at 4
+//!   threads, commit the same databases and each give the report the
+//!   site gets deployed alone.
 //! * `images.overlay`: an N-node overlay gives the same node databases,
 //!   compat report, per-node trace spans and solve-cache counters as the
 //!   same N nodes overlaid one node per call on a fresh cache, for a mix
-//!   of equal and unequal starting databases.
+//!   of equal and unequal starting databases. So does every site of a
+//!   fleet of such overlays, one per soak site, whose sites share one
+//!   image store and one solve cache, at 1 and at 4 threads: each site
+//!   against its nodes overlaid one per call, all sites in order on one
+//!   fresh cache.
 //!
 //! A failing seed is shrunk by the soak shrinker
 //! (`xcbc::check::shrink`) before the test reports it.
@@ -30,7 +37,11 @@ use std::sync::Arc;
 use xcbc::check::scenario::SiteBlueprint;
 use xcbc::check::{run_seed, shrink, Invariant, Scenario, ScenarioLimits, SoakOutcome, Violation};
 use xcbc::cluster::{ClusterSpec, NodeRole};
-use xcbc::core::deploy::{deploy_xnit_overlay_salted, limulus_factory_image, DeploymentReport};
+use xcbc::core::deploy::{
+    deploy_from_scratch_resilient, deploy_xnit_overlay_salted, limulus_factory_image,
+    DeploymentReport,
+};
+use xcbc::core::fleet::{Fleet, FleetReport, FleetSite};
 use xcbc::core::xnit::XnitSetupMethod;
 use xcbc::core::{xcbc_catalog, xsede_roll};
 use xcbc::fault::{FaultEvent, FaultPlan, InjectionPoint, InstallCheckpoint};
@@ -204,6 +215,58 @@ fn check_rocks_site(
     out
 }
 
+/// Deploy `sites` as one fleet at 1 and at 4 threads.
+fn fleet_at_1_and_4(sites: &[FleetSite]) -> [(usize, FleetReport); 2] {
+    [1, 4].map(|threads| {
+        let fleet = sites
+            .iter()
+            .cloned()
+            .fold(Fleet::new().with_threads(threads), Fleet::add_site);
+        (threads, fleet.deploy())
+    })
+}
+
+/// The from-scratch sites as one fleet over a shared image store.
+fn check_rocks_fleet(sites: &[(&str, &ClusterSpec, &FaultPlan)]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let fleet_sites: Vec<FleetSite> = sites
+        .iter()
+        .map(|(name, cluster, plan)| {
+            FleetSite::from_scratch_with_faults(*name, (*cluster).clone(), (*plan).clone())
+        })
+        .collect();
+    let fleets = fleet_at_1_and_4(&fleet_sites);
+    for (i, (name, cluster, plan)) in sites.iter().enumerate() {
+        let fresh = fresh_images(cluster);
+        let alone = deploy_from_scratch_resilient(
+            cluster,
+            plan,
+            &ResilienceConfig::default(),
+            InstallCheckpoint::new(),
+        );
+        for (threads, fleet) in &fleets {
+            let label = format!("{name} in a shared-store fleet at {threads} thread(s)");
+            match (&fleet.sites[i].result, &alone) {
+                (Ok(got), Ok(want)) => {
+                    compare_dbs(&label, &got.node_dbs, &fresh, &mut out);
+                    if got.trace_jsonl() != want.trace_jsonl() || got.render() != want.render() {
+                        out.push(rocks_violation(format!(
+                            "{label}: report differs from the site deployed alone"
+                        )));
+                    }
+                }
+                (Err(got), Err(want)) if got.to_string().ends_with(&want.to_string()) => {}
+                (got, want) => out.push(rocks_violation(format!(
+                    "{label}: succeeded={} but alone succeeded={}",
+                    got.is_ok(),
+                    want.is_ok()
+                ))),
+            }
+        }
+    }
+    out
+}
+
 /// The rocks half of the property.
 struct RocksImages;
 
@@ -217,17 +280,20 @@ impl Invariant for RocksImages {
         // scenario names every cluster the (possibly shrunk) fleet ran.
         let scenario = Scenario::generate(outcome.seed, outcome.faults, &ScenarioLimits::default());
         let mut out = Vec::new();
+        let mut scratch = Vec::new();
         for site in &outcome.fleet.sites {
             let blueprint = scenario.sites.iter().find(|(name, _)| *name == site.name);
-            if let Some((_, SiteBlueprint::Scratch { cluster, .. })) = blueprint {
+            if let Some((_, SiteBlueprint::Scratch { cluster, plan })) = blueprint {
                 out.extend(check_rocks_site(
                     outcome.seed,
                     &site.name,
                     cluster,
                     site.result.as_ref().ok(),
                 ));
+                scratch.push((site.name.as_str(), cluster, plan));
             }
         }
+        out.extend(check_rocks_fleet(&scratch));
         out
     }
 }
@@ -267,14 +333,8 @@ fn starting_images(rng: &mut StdRng) -> BTreeMap<String, RpmDb> {
         .collect()
 }
 
-fn check_overlay_site(seed: u64, site: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut fail = |detail: String| {
-        out.push(Violation {
-            invariant: OVERLAY,
-            detail: format!("{site}: {detail}"),
-        })
-    };
+/// One overlay site's starting databases, setup method and cache salt.
+fn overlay_site(seed: u64, site: &str) -> (BTreeMap<String, RpmDb>, XnitSetupMethod, u64) {
     let mut rng = site_rng(seed, site);
     let existing = starting_images(&mut rng);
     let method = if rng.gen_bool(0.5) {
@@ -287,42 +347,78 @@ fn check_overlay_site(seed: u64, site: &str) -> Vec<Violation> {
     } else {
         rng.gen_range(1u64..u64::MAX)
     };
+    (existing, method, salt)
+}
 
-    let whole_cache = Arc::new(SolveCache::new());
-    let whole = deploy_xnit_overlay_salted(&existing, method, Some(Arc::clone(&whole_cache)), salt)
-        .expect("overlay deploys");
-    let per_cache = Arc::new(SolveCache::new());
-    let singles: Vec<DeploymentReport> = existing
+fn overlay_violation(site: &str, detail: String) -> Violation {
+    Violation {
+        invariant: OVERLAY,
+        detail: format!("{site}: {detail}"),
+    }
+}
+
+/// `existing` overlaid one node per call through `cache`.
+fn one_node_per_call(
+    existing: &BTreeMap<String, RpmDb>,
+    method: XnitSetupMethod,
+    cache: &Arc<SolveCache>,
+    salt: u64,
+) -> Vec<DeploymentReport> {
+    existing
         .iter()
         .map(|(host, db)| {
             let one = BTreeMap::from([(host.clone(), db.clone())]);
-            deploy_xnit_overlay_salted(&one, method, Some(Arc::clone(&per_cache)), salt)
+            deploy_xnit_overlay_salted(&one, method, Some(Arc::clone(cache)), salt)
                 .expect("overlay deploys")
         })
-        .collect();
+        .collect()
+}
 
+/// How `whole` differs from the same nodes overlaid one per call.
+fn compare_to_singles(
+    whole: &DeploymentReport,
+    existing: &BTreeMap<String, RpmDb>,
+    singles: &[DeploymentReport],
+) -> Vec<String> {
+    let mut out = Vec::new();
     for (single, host) in singles.iter().zip(existing.keys()) {
         if whole.node_dbs[host] != single.node_dbs[host] {
-            fail(format!(
+            out.push(format!(
                 "{host}'s database differs from its one-node overlay"
             ));
         }
     }
     let first = &singles[0];
     if whole.compat.render() != first.compat.render() {
-        fail("compat report differs from the first node's one-node overlay".into());
+        out.push("compat report differs from the first node's one-node overlay".into());
     }
     if whole.preexisting_preserved != singles.iter().all(|s| s.preexisting_preserved) {
-        fail("preserved flag differs from the one-node overlays".into());
+        out.push("preserved flag differs from the one-node overlays".into());
     }
     // one shared "enable" span, then each node's own install span
     let mut expected: Vec<String> = vec![first.trace[0].to_jsonl()];
     expected.extend(singles.iter().map(|s| s.trace[1].to_jsonl()));
     let actual: Vec<String> = whole.trace.iter().map(|e| e.to_jsonl()).collect();
     if actual != expected {
-        fail(format!(
+        out.push(format!(
             "trace {actual:#?} differs from the one-node traces {expected:#?}"
         ));
+    }
+    out
+}
+
+fn check_overlay_site(seed: u64, site: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut fail = |detail: String| out.push(overlay_violation(site, detail));
+    let (existing, method, salt) = overlay_site(seed, site);
+
+    let whole_cache = Arc::new(SolveCache::new());
+    let whole = deploy_xnit_overlay_salted(&existing, method, Some(Arc::clone(&whole_cache)), salt)
+        .expect("overlay deploys");
+    let per_cache = Arc::new(SolveCache::new());
+    let singles = one_node_per_call(&existing, method, &per_cache, salt);
+    for detail in compare_to_singles(&whole, &existing, &singles) {
+        fail(detail);
     }
     if whole_cache.stats() != per_cache.stats() {
         fail(format!(
@@ -339,6 +435,54 @@ fn check_overlay_site(seed: u64, site: &str) -> Vec<Violation> {
     out
 }
 
+/// One overlay site per soak site, as one fleet over a shared image
+/// store and solve cache (unsalted, as a fleet deploys).
+fn check_overlay_fleet(seed: u64, names: &[&str]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let sites: Vec<_> = names
+        .iter()
+        .map(|name| {
+            let (existing, method, _) = overlay_site(seed, name);
+            (*name, existing, method)
+        })
+        .collect();
+    let fleet_sites: Vec<FleetSite> = sites
+        .iter()
+        .map(|(name, existing, method)| FleetSite::overlay(*name, existing.clone(), *method))
+        .collect();
+    let per_cache = Arc::new(SolveCache::new());
+    let singles: Vec<Vec<DeploymentReport>> = sites
+        .iter()
+        .map(|(_, existing, method)| one_node_per_call(existing, *method, &per_cache, 0))
+        .collect();
+    for (threads, fleet) in fleet_at_1_and_4(&fleet_sites) {
+        for ((name, existing, _), (site, singles)) in
+            sites.iter().zip(fleet.sites.iter().zip(&singles))
+        {
+            let label = format!("{name} in a shared-store fleet at {threads} thread(s)");
+            match &site.result {
+                Ok(whole) => out.extend(
+                    compare_to_singles(whole, existing, singles)
+                        .into_iter()
+                        .map(|detail| overlay_violation(&label, detail)),
+                ),
+                Err(e) => out.push(overlay_violation(&label, format!("failed: {e}"))),
+            }
+        }
+        if fleet.cache != per_cache.stats() {
+            out.push(overlay_violation(
+                &format!("fleet at {threads} thread(s)"),
+                format!(
+                    "solve cache {:?} differs from one node per call {:?}",
+                    fleet.cache,
+                    per_cache.stats()
+                ),
+            ));
+        }
+    }
+    out
+}
+
 /// The overlay half of the property.
 struct OverlayImages;
 
@@ -348,12 +492,18 @@ impl Invariant for OverlayImages {
     }
 
     fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
-        outcome
+        let names: Vec<&str> = outcome
             .fleet
             .sites
             .iter()
-            .flat_map(|site| check_overlay_site(outcome.seed, &site.name))
-            .collect()
+            .map(|s| s.name.as_str())
+            .collect();
+        let mut out: Vec<Violation> = names
+            .iter()
+            .flat_map(|name| check_overlay_site(outcome.seed, name))
+            .collect();
+        out.extend(check_overlay_fleet(outcome.seed, &names));
+        out
     }
 }
 
