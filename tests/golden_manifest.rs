@@ -9,9 +9,9 @@
 //! `analyze_golden`, `deploy_golden`, `mon_golden` and `svc_golden`
 //! also check the rows of the outputs they used to render, by file name.
 //!
-//! Every other file under `tests/golden/` belongs to a library-level
-//! test ([`LIBRARY_GOLDENS`]), and every `results/*.txt` capture to a
-//! row, so a golden that nothing checks fails here. When an intentional
+//! Every other file under `tests/golden/` belongs to a test of its own
+//! ([`OWN_TEST_GOLDENS`]), and every `results/*.txt` capture to a row,
+//! so a golden that nothing checks fails here. When an intentional
 //! change shifts an output, regenerate with:
 //!
 //! ```text
@@ -23,12 +23,15 @@ mod common;
 use common::manifest::{check_row, parse, rows};
 use std::collections::BTreeMap;
 
-/// Goldens rendered through the library by their own tests.
-const LIBRARY_GOLDENS: [&str; 4] = [
-    "deploy-littlefe.txt",  // deploy_golden.rs
-    "fleet-telemetry.prom", // mon_golden.rs
-    "sched-mix.jsonl",      // sched_golden.rs
-    "svc-seed7.journal",    // svc_golden.rs
+/// Goldens a test of their own checks: library renders, and the
+/// stderr of runs that exit 1.
+const OWN_TEST_GOLDENS: [&str; 6] = [
+    "campaign-abort.stderr", // cli_resume.rs
+    "deploy-littlefe.txt",   // deploy_golden.rs
+    "elastic-abort.stderr",  // cli_resume.rs
+    "fleet-telemetry.prom",  // mon_golden.rs
+    "sched-mix.jsonl",       // sched_golden.rs
+    "svc-seed7.journal",     // svc_golden.rs
 ];
 
 #[test]
@@ -38,18 +41,18 @@ fn every_row_prints_its_golden() {
     }
 }
 
-/// Every golden file is checked by exactly one row or library test.
+/// Every golden file is checked by exactly one row or test of its own.
 #[test]
 fn every_golden_has_one_owner() {
     let mut owners: BTreeMap<&str, Vec<String>> = BTreeMap::new();
     for row in rows() {
         owners.entry(row.file).or_default().push(row.label);
     }
-    for file in LIBRARY_GOLDENS {
+    for file in OWN_TEST_GOLDENS {
         owners
             .entry(file)
             .or_default()
-            .push("a library test".into());
+            .push("a test of its own".into());
     }
     for (file, by) in &owners {
         assert!(by.len() == 1, "{file} is pinned more than once: {by:?}");
@@ -63,7 +66,7 @@ fn every_golden_has_one_owner() {
         let file = path.strip_prefix("tests/golden/").unwrap_or(&path);
         assert!(
             owners.contains_key(file),
-            "{path} is named by no MANIFEST row and no library test"
+            "{path} is named by no MANIFEST row and no test of its own"
         );
     }
 }
