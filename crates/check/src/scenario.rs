@@ -9,6 +9,7 @@
 //! makes greedy shrinking sound.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -18,21 +19,14 @@ use xcbc_cluster::hw;
 use xcbc_cluster::node::{NodeRole, NodeSpec};
 use xcbc_cluster::specs::{limulus_hpc200, littlefe_modified};
 use xcbc_cluster::topology::{ClusterSpec, NetworkSpec};
-use xcbc_core::campaign::{
-    run_campaign, CampaignConfig, CampaignError, CampaignTarget, CanaryAction,
-};
+use xcbc_core::campaign::{run_campaign, CampaignConfig, CampaignTarget, CanaryAction};
 use xcbc_core::deploy::{
     deploy_from_scratch_resilient, deploy_from_scratch_resuming, limulus_factory_image,
 };
-use xcbc_core::elastic::{
-    run_elastic, BurstSite, ElasticConfig, ElasticError, ElasticState, ElasticWorld,
-};
+use xcbc_core::elastic::{run_elastic, BurstSite, ElasticConfig, ElasticState, ElasticWorld};
 use xcbc_core::fleet::{Fleet, FleetSite, FleetTelemetry};
 use xcbc_core::xnit::{xnit_repository, XnitSetupMethod};
-use xcbc_fault::{
-    CampaignCheckpoint, ElasticCheckpoint, FaultPlan, FaultWindow, InjectionPoint,
-    InstallCheckpoint, Mutation,
-};
+use xcbc_fault::{FaultPlan, FaultWindow, InjectionPoint, InstallCheckpoint, Mutation};
 use xcbc_rocks::install::ResilienceConfig;
 use xcbc_rpm::{PackageBuilder, RpmDb, TransactionSet};
 use xcbc_sched::{run_workload, ClusterSim, JobRequest, RmKind, SchedPolicy, WorkloadSpec};
@@ -855,44 +849,22 @@ impl Scenario {
             .build_default("elastic-head", config.min_nodes, 2);
 
         let mut resumes = 0usize;
-        let mut checkpoint_text: Option<String> = None;
         let mut ticks = Vec::new();
-        let mut report = None;
-        // fault keys match exactly (a scheduled `tick-1` abort cannot
-        // re-fire on `tick-100`), and each resume completes at least
-        // one tick, so horizon + settle bounds the loop; the cap only
-        // guards a livelock bug
-        for _ in 0..=config.ticks + config.max_settle_ticks {
-            let resume_cp = checkpoint_text.as_deref().map(|text| {
-                ElasticCheckpoint::parse(text).expect("elastic checkpoint round-trips")
-            });
-            match run_elastic(
-                &world,
-                &mut state,
-                rm.as_mut(),
-                &self.elastic_plan,
-                cache,
-                &config,
-                resume_cp.as_ref(),
-            ) {
-                Ok(r) => {
-                    ticks.extend(r.ticks.iter().copied());
-                    report = Some(r);
-                    break;
-                }
-                Err(ElasticError::Aborted {
-                    checkpoint,
-                    ticks: segment,
-                    ..
-                }) => {
-                    resumes += 1;
-                    ticks.extend(segment);
-                    checkpoint_text = Some(checkpoint.to_text());
-                }
-                Err(e) => panic!("elastic stage cannot run: {e}"),
-            }
-        }
-        let report = report.expect("elastic run completes within `ticks` resumes");
+        let report = run_elastic(
+            &world,
+            &mut state,
+            rm.as_mut(),
+            &self.elastic_plan,
+            cache,
+            &config,
+            |abort| {
+                resumes += 1;
+                ticks.extend_from_slice(&abort.ticks);
+                ControlFlow::Continue(())
+            },
+        )
+        .unwrap_or_else(|e| panic!("elastic stage cannot run: {e}"));
+        ticks.extend_from_slice(&report.ticks);
 
         let submitted = self
             .elastic_workload
@@ -958,35 +930,19 @@ impl Scenario {
         };
 
         let mut resumes = 0usize;
-        let mut checkpoint_text: Option<String> = None;
-        let mut report = None;
-        // each scheduled drain fault fires at most once (Nth windows),
-        // so `waves` bounds the abort/resume loop
-        for _ in 0..=self.campaign_waves {
-            let resume_cp = checkpoint_text.as_deref().map(|text| {
-                CampaignCheckpoint::parse(text).expect("campaign checkpoint round-trips")
-            });
-            match run_campaign(
-                &target,
-                &mut dbs,
-                rm.as_mut(),
-                &self.campaign_plan,
-                cache,
-                &config,
-                resume_cp.as_ref(),
-            ) {
-                Ok(r) => {
-                    report = Some(r);
-                    break;
-                }
-                Err(CampaignError::Aborted { checkpoint, .. }) => {
-                    resumes += 1;
-                    checkpoint_text = Some(checkpoint.to_text());
-                }
-                Err(e) => panic!("campaign stage cannot run: {e}"),
-            }
-        }
-        let report = report.expect("campaign completes within `waves` resumes");
+        let report = run_campaign(
+            &target,
+            &mut dbs,
+            rm.as_mut(),
+            &self.campaign_plan,
+            cache,
+            &config,
+            |_| {
+                resumes += 1;
+                ControlFlow::Continue(())
+            },
+        )
+        .unwrap_or_else(|e| panic!("campaign stage cannot run: {e}"));
 
         // Repair whatever the campaign left offline (failed canaries
         // stay down) so the remaining workload can finish, then drain.

@@ -15,7 +15,9 @@
 //! fault aborts the campaign *between* waves — before any wave work or
 //! simulator advancement — so a resumed run replays the remaining waves
 //! byte-identically: resumed trace events are the exact suffix the
-//! uninterrupted run would have produced.
+//! uninterrupted run would have produced. [`run_campaign`] resumes
+//! from each abort's checkpoint itself unless the caller's `on_abort`
+//! answers [`ControlFlow::Break`].
 //!
 //! Determinism: every per-node update uses its own [`xcbc_fault::FaultInjector`]
 //! (fault decisions depend only on the `(point, key, hit)` triple), and
@@ -23,12 +25,13 @@
 //! byte-identical at any `threads` setting.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use xcbc_fault::{CampaignCheckpoint, FaultPlan, InjectionPoint, Mutation};
+use xcbc_fault::{CampaignCheckpoint, FaultPlan, InjectionPoint, Mutation, RecordError};
 use xcbc_rpm::{RpmDb, TransactionError};
 use xcbc_sched::ResourceManager;
-use xcbc_sim::{pool, TraceEvent};
+use xcbc_sim::{events_to_jsonl, pool, TraceEvent};
 use xcbc_yum::{solve_across_skew, Fnv64, Repository, SolveCache, SolveRequest, YumConfig};
 
 /// Trace source for every event a campaign emits.
@@ -120,30 +123,24 @@ pub struct WaveReport {
     pub end_s: f64,
 }
 
-/// Full result of a campaign run (or resumed run).
+/// Full result of a campaign run.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
+    /// The waves the last segment ran (a resumed run's later waves).
     pub waves: Vec<WaveReport>,
     pub outcome: CampaignOutcome,
     /// Final checkpoint — persist it to resume a later campaign, audit
     /// which nodes updated, or read per-node failure reasons.
     pub checkpoint: CampaignCheckpoint,
-    /// Campaign-source trace events emitted by *this* run (a resumed run
-    /// carries only its own suffix).
+    /// Campaign-source trace events of every segment in order, equal to
+    /// the trace an uninterrupted run emits.
     pub trace: Vec<TraceEvent>,
-    /// Wave index this run started from (`> 0` after a resume).
-    pub resumed_from_wave: usize,
 }
 
 impl CampaignReport {
     /// The campaign trace as byte-stable JSONL.
     pub fn trace_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.trace {
-            out.push_str(&ev.to_jsonl());
-            out.push('\n');
-        }
-        out
+        events_to_jsonl(&self.trace)
     }
 
     /// Human summary, one wave per line plus the verdict.
@@ -186,21 +183,30 @@ impl CampaignReport {
     }
 }
 
+/// One campaign segment cut off by a `campaign.drain` fault between
+/// waves. No wave-`wave` work happened and the simulator did not
+/// advance, so a resume from `checkpoint` replays the remainder exactly.
+#[derive(Debug)]
+pub struct CampaignAbort {
+    /// The wave that was about to start.
+    pub wave: usize,
+    /// Progress to resume from.
+    pub checkpoint: CampaignCheckpoint,
+    /// Trace events this segment emitted before the abort.
+    pub trace: Vec<TraceEvent>,
+}
+
 /// Why a campaign run could not produce a [`CampaignReport`].
 #[derive(Debug)]
 pub enum CampaignError {
-    /// A `campaign.drain` fault fired between waves. The checkpoint and
-    /// the trace-so-far are handed back so the caller can persist them
-    /// and resume; no wave-`wave` work happened and the simulator did
-    /// not advance, so a resume replays the remainder exactly.
-    Aborted {
-        wave: usize,
-        checkpoint: CampaignCheckpoint,
-        trace: Vec<TraceEvent>,
-    },
+    /// An abort that `on_abort` answered with [`ControlFlow::Break`], or
+    /// the last one once the resume bound ran out.
+    Aborted(CampaignAbort),
     /// The resume checkpoint was recorded for a different campaign
     /// (different target, fleet, or wave shape).
     CheckpointMismatch { expected: String, found: String },
+    /// An abort's checkpoint did not read back from its text form.
+    CheckpointText(RecordError),
     /// No nodes to update.
     EmptyFleet,
     /// Nonsensical shape (zero waves, zero canary...).
@@ -210,13 +216,14 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CampaignError::Aborted { wave, .. } => {
+            CampaignError::Aborted(CampaignAbort { wave, .. }) => {
                 write!(f, "campaign aborted before wave {wave} (power/drain fault)")
             }
             CampaignError::CheckpointMismatch { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different campaign (expected digest {expected}, found {found})"
             ),
+            CampaignError::CheckpointText(e) => write!(f, "bad checkpoint: {e}"),
             CampaignError::EmptyFleet => write!(f, "campaign has no nodes"),
             CampaignError::BadConfig(msg) => write!(f, "bad campaign config: {msg}"),
         }
@@ -341,7 +348,8 @@ fn update_node(
     }
 }
 
-/// Run (or resume) a rolling update campaign against a live fleet.
+/// Run a rolling update campaign against a live fleet to its end,
+/// resuming after each abort.
 ///
 /// * `dbs` — per-node package databases, mutated in place as nodes
 ///   update. Node *i* of `rm`'s simulator is the *i*-th key in sorted
@@ -351,11 +359,50 @@ fn update_node(
 /// * `faults` — fault plan; `campaign.drain` aborts between waves,
 ///   `campaign.canary` fails the canary health check, `rpm.scriptlet`
 ///   fails node updates (per-node oracles).
-/// * `resume_from` — a checkpoint from a previous [`CampaignError::Aborted`];
-///   completed waves are skipped and the drain oracle is not re-consulted
-///   for the first resumed wave (the fault that aborted us already fired).
-#[allow(clippy::too_many_arguments)]
+/// * `on_abort` — sees each abort. [`ControlFlow::Continue`] resumes
+///   from the abort's checkpoint, read back from its text form;
+///   [`ControlFlow::Break`] returns the abort as [`CampaignError::Aborted`].
+///
+/// A resume completes at least one wave, so `config.waves + 1` attempts
+/// always suffice; past them the last abort is returned.
 pub fn run_campaign(
+    target: &CampaignTarget,
+    dbs: &mut BTreeMap<String, RpmDb>,
+    rm: &mut dyn ResourceManager,
+    faults: &FaultPlan,
+    cache: &Arc<SolveCache>,
+    config: &CampaignConfig,
+    mut on_abort: impl FnMut(&CampaignAbort) -> ControlFlow<()>,
+) -> Result<CampaignReport, CampaignError> {
+    let mut resume_from = None;
+    let mut trace = Vec::new();
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        match run_segment(target, dbs, rm, faults, cache, config, resume_from.as_ref()) {
+            Ok(mut report) => {
+                trace.append(&mut report.trace);
+                report.trace = trace;
+                return Ok(report);
+            }
+            Err(CampaignError::Aborted(abort)) => {
+                if attempts > config.waves || on_abort(&abort).is_break() {
+                    return Err(CampaignError::Aborted(abort));
+                }
+                let reread = CampaignCheckpoint::parse(&abort.checkpoint.to_text());
+                resume_from = Some(reread.map_err(CampaignError::CheckpointText)?);
+                trace.extend(abort.trace);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Run one campaign segment: from the start, or from `resume_from`, a
+/// checkpoint of an earlier abort. Completed waves are skipped and the
+/// drain oracle is not re-consulted for the first resumed wave (the
+/// fault that aborted the last segment already fired).
+fn run_segment(
     target: &CampaignTarget,
     dbs: &mut BTreeMap<String, RpmDb>,
     rm: &mut dyn ResourceManager,
@@ -408,11 +455,11 @@ pub fn run_campaign(
                 .should_fault(InjectionPoint::CampaignDrain, &format!("wave-{k}"))
                 .is_some()
         {
-            return Err(CampaignError::Aborted {
+            return Err(CampaignError::Aborted(CampaignAbort {
                 wave: k,
                 checkpoint,
                 trace,
-            });
+            }));
         }
 
         let wave_start = rm.sim().now();
@@ -627,7 +674,6 @@ pub fn run_campaign(
         outcome,
         checkpoint,
         trace,
-        resumed_from_wave: start_wave,
     })
 }
 
@@ -652,6 +698,11 @@ mod tests {
         }
     }
 
+    /// `on_abort` for runs that must not be resumed.
+    fn stop(_: &CampaignAbort) -> ControlFlow<()> {
+        ControlFlow::Break(())
+    }
+
     fn fleet(n: usize) -> BTreeMap<String, RpmDb> {
         (0..n)
             .map(|i| {
@@ -674,7 +725,7 @@ mod tests {
         let mut dbs = fleet(n);
         let mut rm = TorqueServer::with_maui("head", n, 2);
         let cache = Arc::new(SolveCache::new());
-        let r = run_campaign(&target, &mut dbs, &mut rm, faults, &cache, config, None);
+        let r = run_campaign(&target, &mut dbs, &mut rm, faults, &cache, config, stop);
         (r, dbs)
     }
 
@@ -727,7 +778,7 @@ mod tests {
             &FaultPlan::new(4),
             &cache,
             &CampaignConfig::default(),
-            None,
+            stop,
         )
         .unwrap();
         assert_eq!(report.outcome, CampaignOutcome::Completed);
@@ -756,7 +807,7 @@ mod tests {
                 drain_grace_s: 50.0,
                 ..CampaignConfig::default()
             },
-            None,
+            stop,
         )
         .unwrap();
         assert_eq!(report.waves[0].requeued_jobs, 1);
@@ -793,7 +844,7 @@ mod tests {
         let mut rm = TorqueServer::with_maui("head", 3, 2);
         let cache = Arc::new(SolveCache::new());
         let report =
-            run_campaign(&target, &mut dbs, &mut rm, &faults, &cache, &config, None).unwrap();
+            run_campaign(&target, &mut dbs, &mut rm, &faults, &cache, &config, stop).unwrap();
         assert!(matches!(report.outcome, CampaignOutcome::RolledBack { .. }));
         // canary restored byte-for-byte; nothing recorded as updated
         assert_eq!(
@@ -838,7 +889,7 @@ mod tests {
         let mut rm = TorqueServer::with_maui("head", 4, 2);
         let cache = Arc::new(SolveCache::new());
         let report =
-            run_campaign(&target, &mut dbs, &mut rm, &faults, &cache, &config, None).unwrap();
+            run_campaign(&target, &mut dbs, &mut rm, &faults, &cache, &config, stop).unwrap();
         assert_eq!(report.outcome, CampaignOutcome::Completed);
         assert_eq!(report.checkpoint.updated_nodes().count(), 1, "canary only");
         assert_eq!(report.checkpoint.failed_count(), 3);
@@ -861,7 +912,7 @@ mod tests {
             &FaultPlan::new(0),
             &cache,
             &CampaignConfig::default(),
-            None,
+            stop,
         )
         .unwrap_err();
         assert!(matches!(err, CampaignError::EmptyFleet));
@@ -875,7 +926,7 @@ mod tests {
                 waves: 0,
                 ..CampaignConfig::default()
             },
-            None,
+            stop,
         )
         .unwrap_err();
         assert!(matches!(err, CampaignError::BadConfig(_)));
@@ -900,31 +951,30 @@ mod tests {
             &FaultPlan::new(11),
             &cache,
             &config,
-            None,
+            stop,
         )
         .unwrap();
 
-        // Faulted run: power dies before wave 1.
+        // Faulted run: power dies before wave 1. A Break hands the
+        // abort back with the committed canary wave in its checkpoint.
         let faults = FaultPlan::parse("seed=11; campaign.drain key=wave-1").unwrap();
         let mut dbs_b = fleet(5);
         let mut rm_b = TorqueServer::with_maui("head", 5, 2);
         let err = run_campaign(
-            &target, &mut dbs_b, &mut rm_b, &faults, &cache, &config, None,
+            &target, &mut dbs_b, &mut rm_b, &faults, &cache, &config, stop,
         )
         .unwrap_err();
-        let CampaignError::Aborted {
-            wave,
-            checkpoint,
-            trace,
-        } = err
-        else {
-            panic!("expected abort");
+        let CampaignError::Aborted(abort) = err else {
+            panic!("expected abort, got {err}");
         };
-        assert_eq!(wave, 1);
+        assert_eq!(abort.wave, 1);
+        assert_eq!(abort.checkpoint.waves_completed(), 1);
+        assert!(!abort.trace.is_empty());
 
-        // Persist + reload the checkpoint, then resume against the same
-        // live fleet state.
-        let reloaded = CampaignCheckpoint::parse(&checkpoint.to_text()).unwrap();
+        // The same run resumed from each abort's checkpoint.
+        let mut dbs_b = fleet(5);
+        let mut rm_b = TorqueServer::with_maui("head", 5, 2);
+        let mut aborted_at = Vec::new();
         let resumed = run_campaign(
             &target,
             &mut dbs_b,
@@ -932,10 +982,13 @@ mod tests {
             &faults,
             &cache,
             &config,
-            Some(&reloaded),
+            |abort| {
+                aborted_at.push(abort.wave);
+                ControlFlow::Continue(())
+            },
         )
         .unwrap();
-        assert_eq!(resumed.resumed_from_wave, 1);
+        assert_eq!(aborted_at, [1]);
         assert_eq!(resumed.outcome, CampaignOutcome::Completed);
 
         // Same final databases...
@@ -946,14 +999,9 @@ mod tests {
                 "{node} diverged"
             );
         }
-        // ...and pre-abort trace + resumed trace is byte-identical to the
+        // ...and the stitched trace is byte-identical to the
         // uninterrupted trace.
-        let mut stitched = String::new();
-        for ev in trace.iter().chain(resumed.trace.iter()) {
-            stitched.push_str(&ev.to_jsonl());
-            stitched.push('\n');
-        }
-        assert_eq!(stitched, full.trace_jsonl());
+        assert_eq!(resumed.trace_jsonl(), full.trace_jsonl());
     }
 
     #[test]
@@ -963,7 +1011,7 @@ mod tests {
         let mut rm = TorqueServer::with_maui("head", 2, 2);
         let cache = Arc::new(SolveCache::new());
         let foreign = CampaignCheckpoint::new("deadbeefdeadbeef");
-        let err = run_campaign(
+        let err = run_segment(
             &target,
             &mut dbs,
             &mut rm,
@@ -1014,7 +1062,7 @@ mod tests {
             &FaultPlan::new(4),
             &cache,
             &config,
-            None,
+            stop,
         )
         .unwrap();
         rm.drain();

@@ -26,19 +26,22 @@
 //!
 //! Fault handling mirrors [`campaign`](crate::campaign): an
 //! `elastic.scale-up` fault aborts the engine *between* ticks — before
-//! any tick work or simulator advancement — handing back an
+//! any tick work or simulator advancement — with an
 //! [`ElasticCheckpoint`] plus the trace-so-far, so a resumed run replays
-//! the remaining ticks byte-identically. An `elastic.burst-join` fault
-//! fails that site's join; the fleet continues without it.
+//! the remaining ticks byte-identically; [`run_elastic`] resumes from
+//! each abort's checkpoint itself unless the caller's `on_abort` answers
+//! [`ControlFlow::Break`]. An `elastic.burst-join` fault fails that
+//! site's join; the fleet continues without it.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use xcbc_cluster::PowerSequencer;
-use xcbc_fault::{ElasticCheckpoint, FaultPlan, InjectionPoint, Mutation};
+use xcbc_fault::{ElasticCheckpoint, FaultPlan, InjectionPoint, Mutation, RecordError};
 use xcbc_rpm::RpmDb;
 use xcbc_sched::{JobRequest, ResourceManager};
-use xcbc_sim::{pool, SimDuration, SimTime, TraceEvent};
+use xcbc_sim::{events_to_jsonl, pool, SimDuration, SimTime, TraceEvent};
 use xcbc_yum::{Fnv64, SolveCache};
 
 use crate::deploy::deploy_xnit_overlay_with;
@@ -399,8 +402,8 @@ impl ElasticConfig {
 }
 
 /// Caller-owned live state. Like the campaign's scheduler and package
-/// databases, this survives an [`ElasticError::Aborted`] in the caller's
-/// hands so a resumed run continues from exactly where the abort left
+/// databases, [`run_elastic`] carries it across every abort it resumes,
+/// so each resumed segment continues from exactly where the abort left
 /// the fleet; only the [`ElasticCheckpoint`] round-trips through text.
 #[derive(Debug, Clone)]
 pub struct ElasticState {
@@ -461,20 +464,17 @@ pub enum ElasticVerdict {
     },
 }
 
-/// Full result of an elastic run (or resumed run).
+/// Full result of an elastic run. After resumes, `trace` covers the
+/// whole run, and the tick log, counts and burst lists the last segment.
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
-    /// Per-tick log for the ticks *this* run executed.
+    /// Per-tick log for the ticks the last segment executed.
     pub ticks: Vec<TickStat>,
     /// How the run ended.
     pub verdict: ElasticVerdict,
-    /// Final checkpoint — persist it to resume after an abort.
-    pub checkpoint: ElasticCheckpoint,
-    /// Elastic/membership/power trace events emitted by *this* run (a
-    /// resumed run carries only its own suffix).
+    /// Elastic/membership/power trace events of every segment in order,
+    /// equal to the trace an uninterrupted run emits.
     pub trace: Vec<TraceEvent>,
-    /// Tick this run started from (`> 0` after a resume).
-    pub resumed_from_tick: usize,
     /// The policy the decisions were made under, for replay audits.
     pub policy: ScalerPolicy,
     /// Nodes powered on by scale-ups.
@@ -496,12 +496,7 @@ pub struct ElasticReport {
 impl ElasticReport {
     /// The elastic trace as byte-stable JSONL.
     pub fn trace_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.trace {
-            out.push_str(&ev.to_jsonl());
-            out.push('\n');
-        }
-        out
+        events_to_jsonl(&self.trace)
     }
 
     /// Human summary: one line per tick plus the verdict.
@@ -540,25 +535,29 @@ impl ElasticReport {
     }
 }
 
+/// One elastic segment cut off by an `elastic.scale-up` fault between
+/// ticks. No tick-`tick` work happened and the simulator did not
+/// advance, so a resume from `checkpoint` replays the remainder exactly.
+#[derive(Debug)]
+pub struct ElasticAbort {
+    /// The tick that was about to start.
+    pub tick: usize,
+    /// Progress checkpoint to resume from.
+    pub checkpoint: ElasticCheckpoint,
+    /// Trace events this segment emitted before the abort.
+    pub trace: Vec<TraceEvent>,
+    /// Tick stats this segment recorded before the abort — a piece of
+    /// the decision stream, so auditors can replay the whole run's
+    /// samples through a fresh autoscaler.
+    pub ticks: Vec<TickStat>,
+}
+
 /// Why an elastic run could not produce an [`ElasticReport`].
 #[derive(Debug)]
 pub enum ElasticError {
-    /// An `elastic.scale-up` fault fired between ticks. The checkpoint
-    /// and trace-so-far come back so the caller can persist them and
-    /// resume; no tick-`tick` work happened and the simulator did not
-    /// advance, so a resume replays the remainder exactly.
-    Aborted {
-        /// The tick that was about to start.
-        tick: usize,
-        /// Progress checkpoint to resume from.
-        checkpoint: ElasticCheckpoint,
-        /// Trace events emitted before the abort.
-        trace: Vec<TraceEvent>,
-        /// Tick stats recorded before the abort — the prefix of the
-        /// decision stream a completing resume extends, so auditors can
-        /// replay the whole run's samples through a fresh autoscaler.
-        ticks: Vec<TickStat>,
-    },
+    /// An abort that `on_abort` answered with [`ControlFlow::Break`], or
+    /// the last one once the resume bound ran out.
+    Aborted(ElasticAbort),
     /// The resume checkpoint was recorded for a different run.
     CheckpointMismatch {
         /// Digest of this (world, config).
@@ -566,6 +565,8 @@ pub enum ElasticError {
         /// Digest found in the checkpoint.
         found: String,
     },
+    /// An abort's checkpoint did not read back from its text form.
+    CheckpointText(RecordError),
     /// Nonsensical shape (zero floor, ceiling below floor, job wider
     /// than the floor, grace longer than a tick...).
     BadConfig(String),
@@ -574,13 +575,14 @@ pub enum ElasticError {
 impl std::fmt::Display for ElasticError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ElasticError::Aborted { tick, .. } => {
+            ElasticError::Aborted(ElasticAbort { tick, .. }) => {
                 write!(f, "elastic run aborted before tick {tick} (scale-up fault)")
             }
             ElasticError::CheckpointMismatch { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different elastic run (expected digest {expected}, found {found})"
             ),
+            ElasticError::CheckpointText(e) => write!(f, "bad checkpoint: {e}"),
             ElasticError::BadConfig(msg) => write!(f, "bad elastic config: {msg}"),
         }
     }
@@ -697,20 +699,70 @@ fn busy_count(rm: &dyn ResourceManager) -> usize {
     in_service(rm).iter().filter(|&&i| !rm.node_idle(i)).count()
 }
 
-/// Run (or resume) the elastic membership engine against a live fleet.
+/// Run the elastic membership engine against a live fleet to its end,
+/// resuming after each abort.
 ///
-/// * `state` — caller-owned live state ([`ElasticState::new`]); it
-///   survives an abort so a resume continues the same fleet.
+/// * `state` — caller-owned live state ([`ElasticState::new`]); every
+///   resumed segment continues the same fleet.
 /// * `rm` — the live scheduler frontend, constructed with
 ///   `config.min_nodes` nodes; its simulator keeps running jobs
 ///   through every scale event.
 /// * `faults` — `elastic.scale-up` aborts between ticks,
 ///   `elastic.burst-join` fails a site's join.
-/// * `resume_from` — a checkpoint from a previous
-///   [`ElasticError::Aborted`]; completed ticks are skipped and the
-///   abort oracle is not re-consulted for the first resumed tick.
-#[allow(clippy::too_many_arguments)]
+/// * `on_abort` — sees each abort. [`ControlFlow::Continue`] resumes
+///   from the abort's checkpoint, read back from its text form;
+///   [`ControlFlow::Break`] returns the abort as [`ElasticError::Aborted`].
+///
+/// The run lasts at most `config.ticks + config.max_settle_ticks` ticks
+/// and a resume completes at least one, so one attempt more than that
+/// always suffices; past it the last abort is returned.
 pub fn run_elastic(
+    world: &ElasticWorld,
+    state: &mut ElasticState,
+    rm: &mut dyn ResourceManager,
+    faults: &FaultPlan,
+    cache: &Arc<SolveCache>,
+    config: &ElasticConfig,
+    mut on_abort: impl FnMut(&ElasticAbort) -> ControlFlow<()>,
+) -> Result<ElasticReport, ElasticError> {
+    let mut resume_from = None;
+    let mut trace = Vec::new();
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        match run_segment(
+            world,
+            state,
+            rm,
+            faults,
+            cache,
+            config,
+            resume_from.as_ref(),
+        ) {
+            Ok(mut report) => {
+                trace.append(&mut report.trace);
+                report.trace = trace;
+                return Ok(report);
+            }
+            Err(ElasticError::Aborted(abort)) => {
+                if attempts > config.ticks + config.max_settle_ticks || on_abort(&abort).is_break()
+                {
+                    return Err(ElasticError::Aborted(abort));
+                }
+                let reread = ElasticCheckpoint::parse(&abort.checkpoint.to_text());
+                resume_from = Some(reread.map_err(ElasticError::CheckpointText)?);
+                trace.extend(abort.trace);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Run one elastic segment: from the start, or from `resume_from`, a
+/// checkpoint of an earlier abort. Completed ticks are skipped and the
+/// abort oracle is not re-consulted for the first resumed tick (the
+/// fault that aborted the last segment already fired).
+fn run_segment(
     world: &ElasticWorld,
     state: &mut ElasticState,
     rm: &mut dyn ResourceManager,
@@ -777,12 +829,12 @@ pub fn run_elastic(
                 .should_fault(InjectionPoint::ScaleUp, &format!("tick-{k}"))
                 .is_some()
         {
-            return Err(ElasticError::Aborted {
+            return Err(ElasticError::Aborted(ElasticAbort {
                 tick: k,
                 checkpoint,
                 trace,
                 ticks: ticks_out,
-            });
+            }));
         }
 
         let t0 = rm.sim().now();
@@ -979,9 +1031,7 @@ pub fn run_elastic(
     Ok(ElasticReport {
         ticks: ticks_out,
         verdict,
-        checkpoint,
         trace,
-        resumed_from_tick: start_tick,
         policy: config.policy(),
         scale_ups,
         scale_downs,
@@ -997,6 +1047,11 @@ pub fn run_elastic(
 mod tests {
     use super::*;
     use xcbc_sched::TorqueServer;
+
+    /// `on_abort` for runs that must not be resumed.
+    fn stop(_: &ElasticAbort) -> ControlFlow<()> {
+        ControlFlow::Break(())
+    }
 
     fn limulus_dbs(nodes: usize) -> BTreeMap<String, RpmDb> {
         (0..nodes)
@@ -1052,7 +1107,7 @@ mod tests {
         let mut state = ElasticState::new(config);
         let mut rm = TorqueServer::with_maui("head", config.min_nodes, 2);
         let cache = Arc::new(SolveCache::new());
-        let r = run_elastic(world, &mut state, &mut rm, faults, &cache, config, None);
+        let r = run_elastic(world, &mut state, &mut rm, faults, &cache, config, stop);
         (r, state, rm)
     }
 
@@ -1225,11 +1280,12 @@ mod tests {
             &FaultPlan::new(11),
             &cache,
             &config,
-            None,
+            stop,
         )
         .unwrap();
 
-        // Faulted run: power dies before tick 3.
+        // Faulted run: power dies before tick 3. A Break hands the
+        // abort back with the three completed ticks.
         let faults = FaultPlan::parse("seed=11; elastic.scale-up key=tick-3").unwrap();
         let mut state_b = ElasticState::new(&config);
         let mut rm_b = TorqueServer::with_maui("head", config.min_nodes, 2);
@@ -1240,22 +1296,20 @@ mod tests {
             &faults,
             &cache,
             &config,
-            None,
+            stop,
         )
         .unwrap_err();
-        let ElasticError::Aborted {
-            tick,
-            checkpoint,
-            trace,
-            ticks: pre_ticks,
-        } = err
-        else {
-            panic!("expected abort");
+        let ElasticError::Aborted(abort) = err else {
+            panic!("expected abort, got {err}");
         };
-        assert_eq!(tick, 3);
+        assert_eq!(abort.tick, 3);
+        assert_eq!(abort.checkpoint.ticks_completed(), 3);
+        assert_eq!(abort.ticks.len(), 3);
 
-        // Persist + reload the checkpoint, then resume the same fleet.
-        let reloaded = ElasticCheckpoint::parse(&checkpoint.to_text()).unwrap();
+        // The same run resumed from each abort's checkpoint.
+        let mut state_b = ElasticState::new(&config);
+        let mut rm_b = TorqueServer::with_maui("head", config.min_nodes, 2);
+        let mut all_ticks = Vec::new();
         let resumed = run_elastic(
             &world,
             &mut state_b,
@@ -1263,22 +1317,18 @@ mod tests {
             &faults,
             &cache,
             &config,
-            Some(&reloaded),
+            |abort| {
+                all_ticks.extend_from_slice(&abort.ticks);
+                ControlFlow::Continue(())
+            },
         )
         .unwrap();
-        assert_eq!(resumed.resumed_from_tick, 3);
         assert_eq!(resumed.verdict, full.verdict);
 
-        // Pre-abort trace + resumed trace is byte-identical to the
-        // uninterrupted trace, and the fleets converged identically.
-        let mut stitched = String::new();
-        for ev in trace.iter().chain(resumed.trace.iter()) {
-            stitched.push_str(&ev.to_jsonl());
-            stitched.push('\n');
-        }
-        assert_eq!(stitched, full.trace_jsonl());
-        let mut all_ticks = pre_ticks.clone();
-        all_ticks.extend(resumed.ticks.iter().copied());
+        // The stitched trace is byte-identical to the uninterrupted
+        // trace, and the fleets converged identically.
+        assert_eq!(resumed.trace_jsonl(), full.trace_jsonl());
+        all_ticks.extend_from_slice(&resumed.ticks);
         assert_eq!(all_ticks, full.ticks);
         assert_eq!(resumed.final_nodes, full.final_nodes);
         assert_eq!(state_a.seq.powered_count(), state_b.seq.powered_count());
@@ -1291,7 +1341,7 @@ mod tests {
         let mut rm = TorqueServer::with_maui("head", config.min_nodes, 2);
         let cache = Arc::new(SolveCache::new());
         let foreign = ElasticCheckpoint::new("deadbeefdeadbeef");
-        let err = run_elastic(
+        let err = run_segment(
             &bursty_world(12),
             &mut state,
             &mut rm,
@@ -1324,7 +1374,7 @@ mod tests {
             &FaultPlan::new(0),
             &cache,
             &base,
-            None,
+            stop,
         )
         .unwrap_err();
         assert!(matches!(err, ElasticError::BadConfig(_)), "{err}");
@@ -1340,7 +1390,7 @@ mod tests {
             &FaultPlan::new(0),
             &cache,
             &bad,
-            None,
+            stop,
         )
         .unwrap_err();
         assert!(matches!(err, ElasticError::BadConfig(_)));
@@ -1356,7 +1406,7 @@ mod tests {
             &FaultPlan::new(0),
             &cache,
             &bad,
-            None,
+            stop,
         )
         .unwrap_err();
         assert!(matches!(err, ElasticError::BadConfig(_)));

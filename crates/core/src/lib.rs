@@ -53,16 +53,18 @@ pub mod xnit;
 
 pub use bridging::{setup_endpoint, transfer, Endpoint, GffsNamespace, TransferFile};
 pub use campaign::{
-    campaign_digest, plan_waves, run_campaign, CampaignConfig, CampaignError, CampaignOutcome,
-    CampaignReport, CampaignTarget, CanaryAction, WaveReport, CAMPAIGN_TRACE_SOURCE,
+    campaign_digest, plan_waves, run_campaign, CampaignAbort, CampaignConfig, CampaignError,
+    CampaignOutcome, CampaignReport, CampaignTarget, CanaryAction, WaveReport,
+    CAMPAIGN_TRACE_SOURCE,
 };
 pub use catalog::{xcbc_catalog, xsede_reference, CatalogEntry};
 pub use compat::{check_compatibility, CompatIssue, CompatReport};
 pub use deploy::{DeploymentPath, DeploymentReport};
 pub use elastic::{
-    elastic_digest, run_elastic, Autoscaler, BurstSite, ElasticConfig, ElasticError, ElasticReport,
-    ElasticState, ElasticVerdict, ElasticWorld, FleetMembership, MemberState, MetricSample,
-    ScaleDecision, ScalerPolicy, TickStat, ELASTIC_TRACE_SOURCE, MEMBERSHIP_TRACE_SOURCE,
+    elastic_digest, run_elastic, Autoscaler, BurstSite, ElasticAbort, ElasticConfig, ElasticError,
+    ElasticReport, ElasticState, ElasticVerdict, ElasticWorld, FleetMembership, MemberState,
+    MetricSample, ScaleDecision, ScalerPolicy, TickStat, ELASTIC_TRACE_SOURCE,
+    MEMBERSHIP_TRACE_SOURCE,
 };
 pub use fleet::{Fleet, FleetError, FleetReport, FleetSite, FleetTelemetry, SiteOutcome, SitePlan};
 pub use mon::{monitor_run, sparkline, MonReport};

@@ -79,7 +79,9 @@
 
 use std::collections::BTreeMap;
 use std::env;
+use std::ops::ControlFlow;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use xcbc::cli::{exit_code, svc_args, Args, Stop};
 use xcbc::cluster::cost::{
@@ -95,6 +97,10 @@ use xcbc::cluster::{
 use xcbc::core::deploy::{
     deploy_from_scratch, deploy_from_scratch_resuming, deploy_xnit_overlay, limulus_factory_image,
 };
+use xcbc::core::elastic::{
+    run_elastic, BurstSite, ElasticAbort, ElasticConfig, ElasticError, ElasticReport, ElasticState,
+    ElasticWorld,
+};
 use xcbc::core::fleet::{Fleet, FleetSite};
 use xcbc::core::mon::monitor_run;
 use xcbc::core::report;
@@ -109,7 +115,12 @@ use xcbc::hpl::{
 };
 use xcbc::rocks::{InstallErrorKind, ResilienceConfig};
 use xcbc::rpm::RpmDb;
-use xcbc::sim::{events_to_jsonl, render_gantt, SimDuration, SimTime, TraceKind};
+use xcbc::sched::TorqueServer;
+use xcbc::sim::{
+    events_to_jsonl, render_gantt, FlightRecorder, SimDuration, SimTime, TraceEvent, TraceKind,
+    FLIGHT_RECORDER_CAPACITY,
+};
+use xcbc::yum::SolveCache;
 use xcbc::{out, outln};
 
 fn main() -> ExitCode {
@@ -1036,9 +1047,8 @@ fn campaign_cmd(mut args: Args) -> Result<ExitCode, Stop> {
         run_campaign, CampaignConfig, CampaignError, CampaignTarget, CanaryAction,
     };
     use xcbc::core::xnit_repository;
-    use xcbc::fault::CampaignCheckpoint;
     use xcbc::sched::{JobRequest, ResourceManager, Slurm};
-    use xcbc::yum::{SolveCache, SolveRequest, YumConfig};
+    use xcbc::yum::{SolveRequest, YumConfig};
 
     let plan = fault_plan(&mut args)?;
     let nodes = args.count("--nodes")?.unwrap_or(8);
@@ -1079,71 +1089,63 @@ fn campaign_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     }
     rm.advance_to(10.0);
 
-    let cache = std::sync::Arc::new(SolveCache::new());
-    let mut checkpoint_text: Option<String> = None;
-    let mut stitched = String::new();
-    // each resume completes at least one wave, so `waves` bounds the loop
-    for _ in 0..=config.waves {
-        let resume_cp = checkpoint_text
-            .as_deref()
-            .map(CampaignCheckpoint::parse)
-            .transpose()
-            .map_err(|e| format!("bad checkpoint: {e}"))?;
-        match run_campaign(
-            &target,
-            &mut dbs,
-            &mut rm,
-            &plan,
-            &cache,
-            &config,
-            resume_cp.as_ref(),
-        ) {
-            Ok(report) => {
-                stitched.push_str(&report.trace_jsonl());
-                if jsonl {
-                    out!("{stitched}")?;
-                } else {
-                    if report.resumed_from_wave > 0 {
-                        outln!("resumed from wave {}", report.resumed_from_wave)?;
-                    }
-                    out!("{}", report.render())?;
-                }
-                return Ok(ExitCode::SUCCESS);
+    let cache = Arc::new(SolveCache::new());
+    let (mut announced, mut resumed_from) = (String::new(), 0);
+    let report = match run_campaign(
+        &target,
+        &mut dbs,
+        &mut rm,
+        &plan,
+        &cache,
+        &config,
+        |abort| {
+            if !auto_resume {
+                return ControlFlow::Break(());
             }
-            Err(CampaignError::Aborted {
-                wave,
-                checkpoint,
-                trace,
-            }) => {
-                for ev in &trace {
-                    stitched.push_str(&ev.to_jsonl());
-                    stitched.push('\n');
-                }
-                if !auto_resume {
-                    eprintln!("campaign aborted before wave {wave}; checkpoint:");
-                    eprint!("{}", checkpoint.to_text());
-                    let flight = xcbc::sim::FlightRecorder::from_events(
-                        xcbc::sim::FLIGHT_RECORDER_CAPACITY,
-                        &trace,
-                    );
-                    if !flight.is_empty() {
-                        eprint!("{}", flight.render_tail());
-                    }
-                    eprintln!("(re-run with --resume to continue from it)");
-                    return Ok(ExitCode::FAILURE);
-                }
-                if !jsonl {
-                    outln!(
-                        "power lost before wave {wave} [{} wave(s) committed]; resuming from checkpoint",
-                        checkpoint.waves_completed()
-                    )?;
-                }
-                checkpoint_text = Some(checkpoint.to_text());
+            if !jsonl {
+                announced += &format!(
+                    "power lost before wave {} [{} wave(s) committed]; resuming from checkpoint\n",
+                    abort.wave,
+                    abort.checkpoint.waves_completed()
+                );
             }
-            Err(e) => return Err(e.to_string().into()),
+            resumed_from = abort.wave;
+            ControlFlow::Continue(())
+        },
+    ) {
+        Ok(report) => report,
+        Err(CampaignError::Aborted(abort)) => {
+            print_abort(
+                &format!("campaign aborted before wave {}", abort.wave),
+                &abort.checkpoint.to_text(),
+                &abort.trace,
+            );
+            return Err(Stop::Failed);
         }
+        Err(e) => return Err(e.to_string().into()),
+    };
+    if jsonl {
+        out!("{}", report.trace_jsonl())?;
+    } else {
+        out!("{announced}")?;
+        if resumed_from > 0 {
+            outln!("resumed from wave {resumed_from}")?;
+        }
+        out!("{}", report.render())?;
     }
-    Err("gave up after repeated aborts".into())
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Print the abort that ended a run on stderr: its checkpoint, the
+/// flight-recorder tail of its trace, and how to resume.
+fn print_abort(headline: &str, checkpoint: &str, trace: &[TraceEvent]) {
+    eprintln!("{headline}; checkpoint:");
+    eprint!("{checkpoint}");
+    let flight = FlightRecorder::from_events(FLIGHT_RECORDER_CAPACITY, trace);
+    if !flight.is_empty() {
+        eprint!("{}", flight.render_tail());
+    }
+    eprintln!("(re-run with --resume to continue from it)");
 }
 
 /// The demo fleet `xcbc elastic` (and `xcbc mon elastic`) runs: an
@@ -1151,10 +1153,7 @@ fn campaign_cmd(mut args: Args) -> Result<ExitCode, Stop> {
 /// floor to the ceiling, a mid-run surge keeps the fleet busy while two
 /// cloud sites join through the shared solve cache (one leaves again),
 /// and the lull afterwards lets the fleet shrink back to the floor.
-fn elastic_demo_world(
-    config: &xcbc::core::elastic::ElasticConfig,
-) -> xcbc::core::elastic::ElasticWorld {
-    use xcbc::core::elastic::{BurstSite, ElasticWorld};
+fn elastic_demo_world(config: &ElasticConfig) -> ElasticWorld {
     use xcbc::sched::JobRequest;
 
     let mut world = ElasticWorld::default();
@@ -1184,98 +1183,32 @@ fn elastic_demo_world(
     world
 }
 
-/// Drive the shared elastic demo fleet to completion, resuming from the
-/// checkpoint after each fault-injected abort when `auto_resume` is
-/// set. Returns the final report, the stitched cross-segment trace, the
-/// drained scheduler frontend, and the shared solve cache (the latter
-/// two feed `xcbc mon elastic`).
-#[allow(clippy::type_complexity)]
+/// Drive the shared elastic demo fleet to completion, showing each
+/// fault-injected abort to `on_abort` (see [`run_elastic`]). Returns
+/// the final report, whose trace is the whole run's, the drained
+/// scheduler frontend, and the shared solve cache (the latter two feed
+/// `xcbc mon elastic`).
 fn run_elastic_demo(
-    config: &xcbc::core::elastic::ElasticConfig,
+    config: &ElasticConfig,
     plan: &FaultPlan,
-    auto_resume: bool,
-    announce: bool,
-) -> Result<
-    (
-        xcbc::core::elastic::ElasticReport,
-        Vec<xcbc::sim::TraceEvent>,
-        xcbc::sched::TorqueServer,
-        std::sync::Arc<xcbc::yum::SolveCache>,
-    ),
-    Stop,
-> {
-    use xcbc::core::elastic::{run_elastic, ElasticError, ElasticState};
-    use xcbc::fault::ElasticCheckpoint;
-    use xcbc::sched::TorqueServer;
-    use xcbc::yum::SolveCache;
-
+    on_abort: impl FnMut(&ElasticAbort) -> ControlFlow<()>,
+) -> Result<(ElasticReport, TorqueServer, Arc<SolveCache>), Stop> {
     let world = elastic_demo_world(config);
     let mut state = ElasticState::new(config);
     let mut rm = TorqueServer::with_maui("elastic-head", config.min_nodes, 2);
-    let cache = std::sync::Arc::new(SolveCache::new());
-    let mut checkpoint_text: Option<String> = None;
-    let mut stitched: Vec<xcbc::sim::TraceEvent> = Vec::new();
-    // each resume completes at least one tick, so `ticks` bounds the loop
-    for _ in 0..=config.ticks {
-        let resume_cp = match &checkpoint_text {
-            Some(text) => match ElasticCheckpoint::parse(text) {
-                Ok(cp) => Some(cp),
-                Err(e) => {
-                    eprintln!("xcbc elastic: bad checkpoint: {e}");
-                    return Err(Stop::Failed);
-                }
-            },
-            None => None,
-        };
-        match run_elastic(
-            &world,
-            &mut state,
-            &mut rm,
-            plan,
-            &cache,
-            config,
-            resume_cp.as_ref(),
-        ) {
-            Ok(report) => {
-                stitched.extend(report.trace.iter().cloned());
-                return Ok((report, stitched, rm, cache));
-            }
-            Err(ElasticError::Aborted {
-                tick,
-                checkpoint,
-                trace,
-                ..
-            }) => {
-                stitched.extend(trace);
-                if !auto_resume {
-                    eprintln!("elastic run aborted before tick {tick}; checkpoint:");
-                    eprint!("{}", checkpoint.to_text());
-                    let flight = xcbc::sim::FlightRecorder::from_events(
-                        xcbc::sim::FLIGHT_RECORDER_CAPACITY,
-                        &stitched,
-                    );
-                    if !flight.is_empty() {
-                        eprint!("{}", flight.render_tail());
-                    }
-                    eprintln!("(re-run with --resume to continue from it)");
-                    return Err(Stop::Failed);
-                }
-                if announce {
-                    outln!(
-                        "power lost before tick {tick} [{} tick(s) completed]; resuming from checkpoint",
-                        checkpoint.ticks_completed()
-                    )?;
-                }
-                checkpoint_text = Some(checkpoint.to_text());
-            }
-            Err(e) => {
-                eprintln!("xcbc elastic: {e}");
-                return Err(Stop::Failed);
-            }
+    let cache = Arc::new(SolveCache::new());
+    match run_elastic(&world, &mut state, &mut rm, plan, &cache, config, on_abort) {
+        Ok(report) => Ok((report, rm, cache)),
+        Err(ElasticError::Aborted(abort)) => {
+            print_abort(
+                &format!("elastic run aborted before tick {}", abort.tick),
+                &abort.checkpoint.to_text(),
+                &abort.trace,
+            );
+            Err(Stop::Failed)
         }
+        Err(e) => Err(e.to_string().into()),
     }
-    eprintln!("xcbc elastic: gave up after repeated aborts");
-    Err(Stop::Failed)
 }
 
 /// `xcbc elastic`: the dynamic-membership demo — a power-aware
@@ -1285,8 +1218,6 @@ fn run_elastic_demo(
 /// checkpoint printed; with `--resume` the run continues from it and
 /// the stitched trace matches an uninterrupted run byte for byte.
 fn elastic_cmd(mut args: Args) -> Result<ExitCode, Stop> {
-    use xcbc::core::elastic::ElasticConfig;
-
     let plan = fault_plan(&mut args)?;
     let defaults = ElasticConfig::default();
     let config = ElasticConfig {
@@ -1299,12 +1230,27 @@ fn elastic_cmd(mut args: Args) -> Result<ExitCode, Stop> {
     let jsonl = args.flag("--jsonl");
     args.finish()?;
 
-    let (report, stitched, _, _) = run_elastic_demo(&config, &plan, auto_resume, !jsonl)?;
+    let (mut announced, mut resumed_from) = (String::new(), 0);
+    let (report, _, _) = run_elastic_demo(&config, &plan, |abort| {
+        if !auto_resume {
+            return ControlFlow::Break(());
+        }
+        if !jsonl {
+            announced += &format!(
+                "power lost before tick {} [{} tick(s) completed]; resuming from checkpoint\n",
+                abort.tick,
+                abort.checkpoint.ticks_completed()
+            );
+        }
+        resumed_from = abort.tick;
+        ControlFlow::Continue(())
+    })?;
     if jsonl {
-        out!("{}", events_to_jsonl(&stitched))?;
+        out!("{}", report.trace_jsonl())?;
     } else {
-        if report.resumed_from_tick > 0 {
-            outln!("resumed from tick {}", report.resumed_from_tick)?;
+        out!("{announced}")?;
+        if resumed_from > 0 {
+            outln!("resumed from tick {resumed_from}")?;
         }
         out!("{}", report.render())?;
     }
@@ -1317,17 +1263,17 @@ fn elastic_cmd(mut args: Args) -> Result<ExitCode, Stop> {
 /// events show up on the dashboard next to the autoscaler's queue-depth
 /// counters.
 fn elastic_day(plan: &FaultPlan) -> Result<DayOneRun, Stop> {
-    use xcbc::core::elastic::{node_name, ElasticConfig};
+    use xcbc::core::elastic::node_name;
     use xcbc::sched::{ResourceManager, SimMetrics};
 
     let config = ElasticConfig::default();
-    let (_, events, rm, cache) = run_elastic_demo(&config, plan, true, false)?;
+    let (report, rm, cache) = run_elastic_demo(&config, plan, |_| ControlFlow::Continue(()))?;
     Ok(DayOneRun {
         scenario: "elastic".into(),
         seed: plan.seed,
         frontend: "elastic-head".into(),
         hosts: (0..config.max_nodes).map(node_name).collect(),
-        events,
+        events: report.trace,
         quarantined: Vec::new(),
         solve_cache: cache,
         sched_metrics: SimMetrics::from_sim(rm.sim()),

@@ -5,16 +5,17 @@
 //! telescope exactly to the trace's span makespan on every seed.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use xcbc::cluster::specs::{limulus_hpc200, littlefe_modified};
-use xcbc::core::campaign::{run_campaign, CampaignConfig, CampaignError, CanaryAction};
+use xcbc::core::campaign::{run_campaign, CampaignConfig, CanaryAction};
 use xcbc::core::deploy::limulus_factory_image;
 use xcbc::core::fleet::{Fleet, FleetSite};
 use xcbc::core::scenario::littlefe_day_one;
 use xcbc::core::{xnit_repository, XnitSetupMethod};
-use xcbc::fault::{CampaignCheckpoint, FaultPlan, FaultWindow, InjectionPoint};
+use xcbc::fault::{FaultPlan, FaultWindow, InjectionPoint};
 use xcbc::rpm::RpmDb;
 use xcbc::sched::{JobRequest, ResourceManager, Slurm};
 use xcbc::sim::{analyze, TraceEvent};
@@ -136,7 +137,7 @@ fn campaign_resume_stitched_analysis_matches_uninterrupted() {
         &FaultPlan::new(7),
         &cache,
         &cfg,
-        None,
+        |_| ControlFlow::Break(()),
     )
     .expect("uninterrupted campaign completes");
 
@@ -147,29 +148,22 @@ fn campaign_resume_stitched_analysis_matches_uninterrupted() {
     );
     let (mut dbs, mut rm) = world();
     let cache = Arc::new(SolveCache::new());
-    let mut stitched: Vec<TraceEvent> = Vec::new();
-    match run_campaign(&target, &mut dbs, &mut rm, &killed_plan, &cache, &cfg, None) {
-        Err(CampaignError::Aborted {
-            checkpoint, trace, ..
-        }) => {
-            stitched.extend(trace);
-            let reloaded =
-                CampaignCheckpoint::parse(&checkpoint.to_text()).expect("checkpoint round-trips");
-            let resumed = run_campaign(
-                &target,
-                &mut dbs,
-                &mut rm,
-                &killed_plan,
-                &cache,
-                &cfg,
-                Some(&reloaded),
-            )
-            .expect("resume completes");
-            stitched.extend(resumed.trace);
-        }
-        other => panic!("expected wave-1 abort, got {other:?}"),
-    }
-    assert_eq!(full_render(&full.trace), full_render(&stitched));
-    let a = analyze(&stitched);
+    let mut aborted_at = Vec::new();
+    let resumed = run_campaign(
+        &target,
+        &mut dbs,
+        &mut rm,
+        &killed_plan,
+        &cache,
+        &cfg,
+        |abort| {
+            aborted_at.push(abort.wave);
+            ControlFlow::Continue(())
+        },
+    )
+    .expect("resume completes");
+    assert_eq!(aborted_at, [1], "expected one wave-1 abort");
+    assert_eq!(full_render(&full.trace), full_render(&resumed.trace));
+    let a = analyze(&resumed.trace);
     assert_eq!(a.path.total(), a.makespan);
 }

@@ -2,7 +2,8 @@
 //! `--resume`, an abort exits 1 with nothing on stdout and prints the
 //! checkpoint, the flight-recorder tail and the `--resume` hint on
 //! stderr, pinned byte for byte. The resumed transcripts are MANIFEST
-//! rows (`campaign-resume.txt`, `elastic-resume.txt`).
+//! rows (`campaign-resume.txt`, `elastic-resume.txt`); an abort that
+//! fires before every wave or tick resumes to the unfaulted trace.
 
 mod common;
 
@@ -48,5 +49,53 @@ fn an_abort_without_resume_prints_its_checkpoint_and_exits_1() {
         assert_eq!(out.status.code(), Some(1), "xcbc {args:?}");
         assert!(out.stdout.is_empty(), "xcbc {args:?} printed to stdout");
         assert_golden(golden, &out.stderr, &format!("xcbc {args:?} stderr"));
+    }
+}
+
+/// A fault that fires before every wave or tick still lets `--resume`
+/// finish: each resume completes one wave or tick, and the stitched
+/// trace equals the unfaulted run's. The elastic run lasts its 4
+/// workload ticks plus the ticks it needs to settle back to its floor.
+#[test]
+fn an_always_firing_abort_resumes_to_the_unfaulted_trace() {
+    let pairs: [(&[&str], &[&str]); 2] = [
+        (
+            &[
+                "campaign",
+                "--resume",
+                "--jsonl",
+                "--faults",
+                "seed=1; campaign.drain on=always",
+            ],
+            &["campaign", "--jsonl", "--faults", "seed=1"],
+        ),
+        (
+            &[
+                "elastic",
+                "--resume",
+                "--ticks",
+                "4",
+                "--jsonl",
+                "--faults",
+                "seed=1; elastic.scale-up on=always",
+            ],
+            &["elastic", "--ticks", "4", "--jsonl", "--faults", "seed=1"],
+        ),
+    ];
+    for (resumed, unfaulted) in pairs {
+        let (resumed_out, unfaulted_out) = (xcbc(resumed), xcbc(unfaulted));
+        for (args, out) in [(resumed, &resumed_out), (unfaulted, &unfaulted_out)] {
+            assert!(
+                out.status.success(),
+                "xcbc {args:?}: {}\n{}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        assert!(!unfaulted_out.stdout.is_empty());
+        assert!(
+            resumed_out.stdout == unfaulted_out.stdout,
+            "xcbc {resumed:?} printed another trace than xcbc {unfaulted:?}"
+        );
     }
 }

@@ -6,16 +6,16 @@
 //! uninterrupted run.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use xcbc::core::deploy::limulus_factory_image;
 use xcbc::core::elastic::{
-    run_elastic, BurstSite, ElasticConfig, ElasticError, ElasticReport, ElasticState, ElasticWorld,
-    MemberState,
+    run_elastic, BurstSite, ElasticConfig, ElasticReport, ElasticState, ElasticWorld, MemberState,
 };
 use xcbc::core::XnitSetupMethod;
-use xcbc::fault::{ElasticCheckpoint, FaultPlan, FaultWindow, InjectionPoint};
+use xcbc::fault::{FaultPlan, FaultWindow, InjectionPoint};
 use xcbc::sched::{JobRequest, TorqueServer};
 use xcbc::yum::SolveCache;
 
@@ -80,8 +80,10 @@ fn run_once(
     let mut state = ElasticState::new(cfg);
     let mut rm = TorqueServer::with_maui("elastic-head", cfg.min_nodes, 2);
     let cache = Arc::new(SolveCache::new());
-    let report = run_elastic(world, &mut state, &mut rm, plan, &cache, cfg, None)
-        .expect("no scale-up fault scheduled: run must complete");
+    let report = run_elastic(world, &mut state, &mut rm, plan, &cache, cfg, |_| {
+        ControlFlow::Break(())
+    })
+    .expect("no scale-up fault scheduled: run must complete");
     let ledger = state
         .membership
         .members()
@@ -155,39 +157,14 @@ proptest! {
         let mut state = ElasticState::new(&cfg);
         let mut rm = TorqueServer::with_maui("elastic-head", cfg.min_nodes, 2);
         let cache = Arc::new(SolveCache::new());
-        let mut checkpoint_text: Option<String> = None;
-        let mut stitched = String::new();
-        let mut aborts = 0usize;
-        let mut final_report = None;
-        // each resume completes at least one tick; horizon + settle
-        // bounds the total, and the cap only guards a livelock bug
-        for _ in 0..=ticks + cfg.max_settle_ticks {
-            let resume_cp = checkpoint_text
-                .as_deref()
-                .map(|t| ElasticCheckpoint::parse(t).expect("checkpoint text round-trips"));
-            match run_elastic(&w, &mut state, &mut rm, &killed_plan, &cache, &cfg, resume_cp.as_ref()) {
-                Ok(report) => {
-                    stitched.push_str(&report.trace_jsonl());
-                    final_report = Some(report);
-                    break;
-                }
-                Err(ElasticError::Aborted { tick, checkpoint, trace, .. }) => {
-                    if aborts == 0 {
-                        prop_assert_eq!(tick, kill);
-                    }
-                    aborts += 1;
-                    for ev in &trace {
-                        stitched.push_str(&ev.to_jsonl());
-                        stitched.push('\n');
-                    }
-                    checkpoint_text = Some(checkpoint.to_text());
-                }
-                Err(e) => prop_assert!(false, "elastic run failed: {e}"),
-            }
-        }
-        let final_report = final_report.expect("kill/resume loop must converge");
-        prop_assert!(aborts >= 1, "the tick-{} fault never fired", kill);
-        prop_assert_eq!(full_report.trace_jsonl(), stitched);
+        let mut aborted_at = Vec::new();
+        let final_report = run_elastic(&w, &mut state, &mut rm, &killed_plan, &cache, &cfg, |abort| {
+            aborted_at.push(abort.tick);
+            ControlFlow::Continue(())
+        })
+        .expect("kill/resume loop must converge");
+        prop_assert_eq!(aborted_at.first(), Some(&kill), "the tick-{} fault never fired first", kill);
+        prop_assert_eq!(full_report.trace_jsonl(), final_report.trace_jsonl());
         prop_assert_eq!(&full_report.verdict, &final_report.verdict);
         let ledger: Vec<(String, MemberState)> = state
             .membership
