@@ -9,15 +9,14 @@
 //! changing the pre-existing cluster setup."
 
 use crate::compat::{check_compatibility, CompatReport};
-use crate::roll::xsede_roll;
+use crate::roll::xcbc_install_media;
 use crate::xnit::{set_up_host, xnit_repository, XnitSetupMethod};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use xcbc_cluster::{ClusterSpec, DegradedCluster};
 use xcbc_fault::{FaultPlan, InstallCheckpoint, PostMortem};
 use xcbc_rocks::{
-    standard_rolls, ClusterInstall, InstallError, InstallErrorKind, NodeImageStore,
-    ResilienceConfig,
+    ClusterInstall, InstallError, InstallErrorKind, NodeImageStore, ResilienceConfig,
 };
 use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb, TransactionReport};
 use xcbc_sim::{events_to_jsonl, pool::Memo, span_end, SpanRecorder, TraceEvent};
@@ -180,7 +179,8 @@ pub fn deploy_from_scratch_resuming(
 }
 
 /// [`deploy_from_scratch_resilient`] over a run's shared Rocks image
-/// store (see [`ClusterInstall::run_resilient_in`]).
+/// store (see [`ClusterInstall::run_resilient_in`]), from the one
+/// [`xcbc_install_media`].
 pub(crate) fn deploy_from_scratch_in(
     cluster: &ClusterSpec,
     plan: &FaultPlan,
@@ -188,9 +188,7 @@ pub(crate) fn deploy_from_scratch_in(
     resume_from: InstallCheckpoint,
     images: &NodeImageStore,
 ) -> Result<DeploymentReport, InstallError> {
-    let mut rolls = standard_rolls();
-    rolls.push(xsede_roll());
-    let install = ClusterInstall::new(cluster.clone(), rolls);
+    let install = ClusterInstall::with_media(cluster.clone(), xcbc_install_media());
     let mut injector = plan.injector();
     let resilient = install.run_resilient_in(&mut injector, config, resume_from, images)?;
 

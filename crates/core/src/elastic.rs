@@ -464,8 +464,9 @@ pub enum ElasticVerdict {
     },
 }
 
-/// Full result of an elastic run. After resumes, `trace` covers the
-/// whole run, and the tick log, counts and burst lists the last segment.
+/// Full result of an elastic run. After resumes, `trace`, the counts and
+/// the burst lists cover the whole run, and the tick log the last
+/// segment (each abort hands `on_abort` the ticks before it).
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
     /// Per-tick log for the ticks the last segment executed.
@@ -725,20 +726,12 @@ pub fn run_elastic(
     config: &ElasticConfig,
     mut on_abort: impl FnMut(&ElasticAbort) -> ControlFlow<()>,
 ) -> Result<ElasticReport, ElasticError> {
-    let mut resume_from = None;
+    let mut progress = Progress::default();
     let mut trace = Vec::new();
     let mut attempts = 0;
     loop {
         attempts += 1;
-        match run_segment(
-            world,
-            state,
-            rm,
-            faults,
-            cache,
-            config,
-            resume_from.as_ref(),
-        ) {
+        match run_segment(world, state, rm, faults, cache, config, &mut progress) {
             Ok(mut report) => {
                 trace.append(&mut report.trace);
                 report.trace = trace;
@@ -750,7 +743,7 @@ pub fn run_elastic(
                     return Err(ElasticError::Aborted(abort));
                 }
                 let reread = ElasticCheckpoint::parse(&abort.checkpoint.to_text());
-                resume_from = Some(reread.map_err(ElasticError::CheckpointText)?);
+                progress.resume_from = Some(reread.map_err(ElasticError::CheckpointText)?);
                 trace.extend(abort.trace);
             }
             Err(e) => return Err(e),
@@ -758,10 +751,26 @@ pub fn run_elastic(
     }
 }
 
-/// Run one elastic segment: from the start, or from `resume_from`, a
-/// checkpoint of an earlier abort. Completed ticks are skipped and the
-/// abort oracle is not re-consulted for the first resumed tick (the
-/// fault that aborted the last segment already fired).
+/// How far an elastic run has got across its segments: the checkpoint
+/// to resume from (none for a fresh run), and the counts and burst
+/// lists so far.
+#[derive(Debug, Default)]
+struct Progress {
+    resume_from: Option<ElasticCheckpoint>,
+    scale_ups: usize,
+    scale_downs: usize,
+    requeued_jobs: usize,
+    burst_joined: Vec<String>,
+    burst_failed: Vec<(String, String)>,
+    peak_nodes: usize,
+}
+
+/// Run one elastic segment: from the start, or from
+/// `progress.resume_from`, a checkpoint of an earlier abort. Completed
+/// ticks are skipped and the abort oracle is not re-consulted for the
+/// first resumed tick (the fault that aborted the last segment already
+/// fired). What the segment does is added to `progress`, whose counts
+/// and burst lists a completed segment's report takes.
 fn run_segment(
     world: &ElasticWorld,
     state: &mut ElasticState,
@@ -769,10 +778,11 @@ fn run_segment(
     faults: &FaultPlan,
     cache: &Arc<SolveCache>,
     config: &ElasticConfig,
-    resume_from: Option<&ElasticCheckpoint>,
+    progress: &mut Progress,
 ) -> Result<ElasticReport, ElasticError> {
     validate(world, state, rm, config)?;
     let digest = elastic_digest(world, config);
+    let resume_from = progress.resume_from.as_ref();
     let mut checkpoint = match resume_from {
         Some(cp) => {
             if cp.digest() != digest {
@@ -790,12 +800,7 @@ fn run_segment(
     let mut trace: Vec<TraceEvent> = Vec::new();
     let mut ticks_out: Vec<TickStat> = Vec::new();
     let mut injector = faults.injector();
-    let mut scale_ups = 0usize;
-    let mut scale_downs = 0usize;
-    let mut requeued_jobs = 0usize;
-    let mut burst_joined: Vec<String> = Vec::new();
-    let mut burst_failed: Vec<(String, String)> = Vec::new();
-    let mut peak_nodes = in_service(rm).len();
+    progress.peak_nodes = progress.peak_nodes.max(in_service(rm).len());
 
     // Day-zero membership: the floor nodes join at the start of a fresh
     // run. A resumed run's ledger already has them.
@@ -867,7 +872,7 @@ fn run_segment(
                     state.boots_in_flight.push((ready, idx));
                 }
                 trace.extend(state.seq.take_trace());
-                scale_ups += n;
+                progress.scale_ups += n;
             }
             ScaleDecision::Down(n) => {
                 let active = in_service(rm);
@@ -891,7 +896,7 @@ fn run_segment(
                     for &idx in &victims {
                         if !rm.node_idle(idx) {
                             let evicted = rm.requeue_node(idx);
-                            requeued_jobs += evicted.len();
+                            progress.requeued_jobs += evicted.len();
                             if config.mutation == Some(Mutation::ElasticDropJob) {
                                 for id in evicted {
                                     rm.sim_mut().kill(id);
@@ -904,7 +909,7 @@ fn run_segment(
                         trace.push(state.membership.leave(td_sim, &node_name(idx), "node"));
                     }
                     trace.extend(state.seq.take_trace());
-                    scale_downs += n;
+                    progress.scale_downs += n;
                 }
             }
         }
@@ -936,7 +941,9 @@ fn run_segment(
                     )
                     .with_field("error", kind.as_str()),
                 );
-                burst_failed.push((b.name.clone(), kind.as_str().to_string()));
+                progress
+                    .burst_failed
+                    .push((b.name.clone(), kind.as_str().to_string()));
             } else {
                 deploying.push(b);
             }
@@ -954,7 +961,7 @@ fn run_segment(
                         }
                         trace.push(state.membership.join(t0_sim, &b.name, "burst-site"));
                         state.joined.insert(b.name.clone(), rep.node_dbs);
-                        burst_joined.push(b.name.clone());
+                        progress.burst_joined.push(b.name.clone());
                     }
                     Err(e) => {
                         let why = format!("solve: {e}");
@@ -966,7 +973,7 @@ fn run_segment(
                             )
                             .with_field("error", why.as_str()),
                         );
-                        burst_failed.push((b.name.clone(), why));
+                        progress.burst_failed.push((b.name.clone(), why));
                     }
                 }
             }
@@ -984,7 +991,7 @@ fn run_segment(
         rm.advance_to(t0 + config.tick_s);
         let te_sim = SimTime::from_secs_f64(rm.sim().now());
         let capacity = in_service(rm).len();
-        peak_nodes = peak_nodes.max(capacity);
+        progress.peak_nodes = progress.peak_nodes.max(capacity);
         let sample = MetricSample {
             queue_depth: rm.queue_depth(),
             busy_nodes: busy_count(rm),
@@ -1028,6 +1035,15 @@ fn run_segment(
     } else {
         ElasticVerdict::AtMaxSize { queued }
     };
+    let Progress {
+        scale_ups,
+        scale_downs,
+        requeued_jobs,
+        burst_joined,
+        burst_failed,
+        peak_nodes,
+        ..
+    } = std::mem::take(progress);
     Ok(ElasticReport {
         ticks: ticks_out,
         verdict,
@@ -1348,7 +1364,10 @@ mod tests {
             &FaultPlan::new(0),
             &cache,
             &config,
-            Some(&foreign),
+            &mut Progress {
+                resume_from: Some(foreign),
+                ..Progress::default()
+            },
         )
         .unwrap_err();
         assert!(matches!(err, ElasticError::CheckpointMismatch { .. }));

@@ -474,7 +474,9 @@ impl FleetTelemetry {
     /// Build the rollup from a finished fleet deployment.
     pub fn from_report(report: &FleetReport) -> FleetTelemetry {
         let mut sites = BTreeMap::new();
-        let mut meta = ClusterMonitor::new(64);
+        // the meta-gmetad is only ever read for each host's latest
+        // sample, and it is sent exactly one per host and metric
+        let mut meta = ClusterMonitor::new(1);
         let mut alerts = Vec::new();
         let mut registry = MetricRegistry::new();
 

@@ -68,7 +68,7 @@ pub use elastic::{
 };
 pub use fleet::{Fleet, FleetError, FleetReport, FleetSite, FleetTelemetry, SiteOutcome, SitePlan};
 pub use mon::{monitor_run, sparkline, MonReport};
-pub use roll::{xsede_roll, RollRelease, XSEDE_ROLL_RELEASES};
+pub use roll::{xcbc_install_media, xsede_roll, RollRelease, XSEDE_ROLL_RELEASES};
 pub use scenario::{littlefe_day_one, DayOneRun};
 pub use sites::{deployed_sites, fleet_totals, Site};
 pub use training::{Curriculum, LabSession, LessonStep};

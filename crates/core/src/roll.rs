@@ -8,7 +8,8 @@
 //! R, significant Java updates ..."
 
 use crate::catalog::{xcbc_catalog, CATALOG};
-use xcbc_rocks::{GraphNode, Roll};
+use std::sync::{Arc, OnceLock};
+use xcbc_rocks::{standard_rolls, GraphNode, InstallMedia, Roll};
 
 /// One release of the XSEDE roll.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,6 +140,23 @@ pub static XSEDE_ROLL_RELEASES: &[RollRelease] = &[
         notes: "November 2014; 41 additions",
     },
 ];
+
+/// The XCBC install media: Rocks 6.1.1's rolls plus the XSEDE roll,
+/// the paper's Table 1 roll set. Every from-scratch deploy installs from
+/// it. It is constant input, not a store of results, so it is built once
+/// per process, like [`limulus_factory_image`]; each call returns the one
+/// shared media.
+///
+/// [`limulus_factory_image`]: crate::deploy::limulus_factory_image
+pub fn xcbc_install_media() -> Arc<InstallMedia> {
+    static MEDIA: OnceLock<Arc<InstallMedia>> = OnceLock::new();
+    let media = MEDIA.get_or_init(|| {
+        let mut rolls = standard_rolls();
+        rolls.push(xsede_roll());
+        Arc::new(InstallMedia::new(rolls))
+    });
+    Arc::clone(media)
+}
 
 /// Build the current (0.9) XSEDE roll: the full catalog as packages,
 /// with kickstart-graph nodes wiring every category onto frontend and

@@ -17,6 +17,9 @@ pub enum Appliance {
 }
 
 impl Appliance {
+    /// Every appliance, in declaration order.
+    pub const ALL: [Appliance; 3] = [Appliance::Frontend, Appliance::Compute, Appliance::Nas];
+
     /// The graph root node for this appliance.
     pub fn root_node(self) -> &'static str {
         match self {

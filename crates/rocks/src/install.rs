@@ -15,9 +15,10 @@
 //! sets and errors of a faulted run whose faults never fire.
 
 use crate::database::RocksDb;
-use crate::graph::{Appliance, KickstartGraph};
+use crate::graph::Appliance;
 use crate::insert_ethers::{DhcpRequest, InsertEthers};
 use crate::kickstart::{self, KickstartError};
+use crate::media::{ApplianceWalk, InstallMedia};
 use crate::roll::Roll;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -245,13 +246,14 @@ fn quarantine_kind(reason: &str) -> FaultKind {
 /// Every node image the Rocks installs of one run have committed. A
 /// node's transaction starts from an empty database, so its kickstart
 /// package list and the packages that list resolves to fix the database
-/// it commits. An image is stored under its list and matched on equal
-/// packages too, so installs whose roll catalogs differ never share one,
-/// and a stored image never goes stale: a run may hand one store to any
-/// number of installs ([`ClusterInstall::run_resilient_in`]), on any
-/// number of threads.
+/// it commits. An image is stored under a digest of its list and matched
+/// on equal packages, so installs whose roll catalogs differ never share
+/// one, and a stored image never goes stale: a run may hand one store to
+/// any number of installs ([`ClusterInstall::run_resilient_in`]), on any
+/// number of threads. Installs from one [`InstallMedia`] hold the same
+/// `Arc<Package>`s, so their images match on pointer equality alone.
 #[derive(Debug, Default)]
-pub struct NodeImageStore(Memo<Vec<String>, Arc<CommittedImage>>);
+pub struct NodeImageStore(Memo<u64, Arc<CommittedImage>>);
 
 #[derive(Debug)]
 struct CommittedImage {
@@ -260,38 +262,26 @@ struct CommittedImage {
 }
 
 impl CommittedImage {
-    fn installs(&self, resolved: &[&Arc<Package>]) -> bool {
+    fn installs(&self, resolved: &[Arc<Package>]) -> bool {
         self.packages.len() == resolved.len()
             && self
                 .packages
                 .iter()
                 .zip(resolved)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == *b)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
     }
 }
 
-/// The package step of one install call: the roll catalog it resolves
-/// kickstart lists against, and the run's image store, unless the plan
-/// arms `rpm.scriptlet` (then every node runs its own transaction, so
-/// the store is neither read nor written).
+/// The package step of one install call: the run's image store, unless
+/// the plan arms `rpm.scriptlet` (then every node runs its own
+/// transaction, so the store is neither read nor written).
 struct NodeImages<'c> {
-    /// Every package across the selected rolls, by name.
-    catalog: BTreeMap<&'c str, &'c Arc<Package>>,
     store: Option<&'c NodeImageStore>,
 }
 
-impl<'c> NodeImages<'c> {
-    fn new(rolls: &'c [Roll], store: Option<&'c NodeImageStore>) -> Self {
-        let catalog = rolls
-            .iter()
-            .flat_map(|r| &r.packages)
-            .map(|p| (p.name(), p))
-            .collect();
-        NodeImages { catalog, store }
-    }
-
-    /// Install `names` on `node` into a fresh database. A node whose
-    /// image is already in the store takes a clone of it: its own
+impl NodeImages<'_> {
+    /// Install `walk`'s packages on `node` into a fresh database. A node
+    /// whose image is already in the store takes a clone of it: its own
     /// transaction would commit the same database on its first attempt,
     /// and the injector calls it skips could decide nothing. Otherwise
     /// the node runs its own transaction under scriptlet fault
@@ -303,31 +293,26 @@ impl<'c> NodeImages<'c> {
     fn install(
         &self,
         node: &str,
-        names: &[String],
+        walk: &ApplianceWalk,
         injector: &mut FaultInjector,
         policy: &RetryPolicy,
         rec: &mut SpanRecorder,
         pm: &mut PostMortem,
     ) -> Result<Result<RpmDb, TransactionError>, InstallError> {
-        let packages = names
-            .iter()
-            .map(|name| {
-                self.catalog.get(name.as_str()).copied().ok_or_else(|| {
-                    InstallError::new(InstallErrorKind::MissingPackage {
-                        node: node.to_string(),
-                        package: name.clone(),
-                    })
-                })
+        let packages = walk.resolved.as_deref().map_err(|name| {
+            InstallError::new(InstallErrorKind::MissingPackage {
+                node: node.to_string(),
+                package: name.clone(),
             })
-            .collect::<Result<Vec<_>, _>>()?;
+        })?;
         if let Some(image) = self
             .store
-            .and_then(|s| s.0.get(names, |image| image.installs(&packages)))
+            .and_then(|s| s.0.get(&walk.key, |image| image.installs(packages)))
         {
             return Ok(Ok(image.db.clone()));
         }
         let mut tx = TransactionSet::new();
-        for pkg in &packages {
+        for pkg in packages {
             tx.add_install(Arc::clone(pkg));
         }
         let mut rng = injector.rng_for(&format!("tx.{node}"));
@@ -351,12 +336,12 @@ impl<'c> NodeImages<'c> {
         }
         if let (Some(store), Ok(db)) = (self.store, &outcome.result) {
             let image = CommittedImage {
-                packages: packages.iter().map(|p| Arc::clone(p)).collect(),
+                packages: packages.to_vec(),
                 db: db.clone(),
             };
             store
                 .0
-                .insert(names.to_vec(), Arc::new(image), |i| i.installs(&packages));
+                .insert(walk.key, Arc::new(image), |i| i.installs(packages));
         }
         Ok(outcome.result)
     }
@@ -365,10 +350,10 @@ impl<'c> NodeImages<'c> {
     /// rewiped, so no fault can fire and nothing is charged: this is
     /// [`install`](Self::install) under an empty plan, one attempt, and
     /// a recorder and post-mortem that are thrown away.
-    fn rebuild(&self, node: &str, names: &[String]) -> Result<RpmDb, InstallError> {
+    fn rebuild(&self, node: &str, walk: &ApplianceWalk) -> Result<RpmDb, InstallError> {
         self.install(
             node,
-            names,
+            walk,
             &mut FaultPlan::new(0).injector(),
             &RetryPolicy::none(),
             &mut SpanRecorder::new(TRACE_SOURCE),
@@ -383,37 +368,27 @@ impl<'c> NodeImages<'c> {
     }
 }
 
-/// The full from-scratch install driver.
+/// A from-scratch install: one cluster and the media it installs from.
 #[derive(Debug)]
 pub struct ClusterInstall {
     cluster: ClusterSpec,
-    rolls: Vec<Roll>,
-    graph: KickstartGraph,
+    media: Arc<InstallMedia>,
 }
 
 impl ClusterInstall {
-    /// Prepare an install of `cluster` with the given roll set. Roll
-    /// graph fragments are merged into the standard graph and attached to
-    /// both frontend and compute appliances.
+    /// Prepare an install of `cluster` from fresh media for `rolls` (see
+    /// [`InstallMedia::new`]).
     pub fn new(cluster: ClusterSpec, rolls: Vec<Roll>) -> Self {
-        let mut graph = KickstartGraph::standard();
-        for roll in &rolls {
-            graph
-                .merge_roll_nodes(
-                    &roll.graph_nodes,
-                    &[Appliance::Frontend, Appliance::Compute],
-                )
-                .expect("standard graph has both roots");
-        }
-        ClusterInstall {
-            cluster,
-            rolls,
-            graph,
-        }
+        Self::with_media(cluster, Arc::new(InstallMedia::new(rolls)))
     }
 
-    pub fn graph(&self) -> &KickstartGraph {
-        &self.graph
+    /// Prepare an install of `cluster` from existing media.
+    pub fn with_media(cluster: ClusterSpec, media: Arc<InstallMedia>) -> Self {
+        ClusterInstall { cluster, media }
+    }
+
+    pub fn media(&self) -> &InstallMedia {
+        &self.media
     }
 
     /// Run the install with no faults: [`run_resilient`] under an
@@ -470,7 +445,9 @@ impl ClusterInstall {
             return Err(InstallError::new(InstallErrorKind::NotInstallable(reasons)));
         }
         let shared = !injector.plan().arms(InjectionPoint::RpmScriptlet);
-        let images = NodeImages::new(&self.rolls, shared.then_some(store));
+        let images = NodeImages {
+            store: shared.then_some(store),
+        };
         let mut rec = SpanRecorder::new(TRACE_SOURCE);
         let mut node_dbs: BTreeMap<String, RpmDb> = BTreeMap::new();
         let mut checkpoint = resume_from;
@@ -489,13 +466,13 @@ impl ClusterInstall {
 
         // --- frontend ---
         let fe = self.cluster.frontend().expect("checked above");
-        let fe_ks = kickstart::generate(&self.graph, fe, Appliance::Frontend)
+        let fe_ks = kickstart::generate(&self.media, fe, Appliance::Frontend)
             .map_err(|e| InstallError::from(e).at(&checkpoint, &fe.hostname))?;
         if checkpoint.is_committed(&fe.hostname) {
             // Resume: the frontend survived the abort; rebuild its view
             // of the package set without charging install time.
             let fe_db = images
-                .rebuild(&fe.hostname, &fe_ks.packages)
+                .rebuild(&fe.hostname, fe_ks.walk)
                 .map_err(|e| e.at(&checkpoint, &fe.hostname))?;
             node_dbs.insert(fe.hostname.clone(), fe_db);
             pm.record_resumed(&fe.hostname);
@@ -507,7 +484,7 @@ impl ClusterInstall {
             let fe_db = match images
                 .install(
                     &fe.hostname,
-                    &fe_ks.packages,
+                    fe_ks.walk,
                     injector,
                     &config.transaction_retry,
                     &mut rec,
@@ -647,10 +624,10 @@ impl ClusterInstall {
             if checkpoint.is_committed(&n.hostname) {
                 // Resume: committed nodes are not rewiped; rebuild their
                 // package view without charging install time.
-                let ks = kickstart::generate(&self.graph, n, Appliance::Compute)
+                let ks = kickstart::generate(&self.media, n, Appliance::Compute)
                     .map_err(|e| InstallError::from(e).at(&checkpoint, &n.hostname))?;
                 let db = images
-                    .rebuild(&n.hostname, &ks.packages)
+                    .rebuild(&n.hostname, ks.walk)
                     .map_err(|e| e.at(&checkpoint, &n.hostname))?;
                 node_dbs.insert(n.hostname.clone(), db);
                 pm.record_resumed(&n.hostname);
@@ -707,7 +684,7 @@ impl ClusterInstall {
 
             // Generate its kickstart (genuine graph errors are fatal;
             // injected generation faults are retried).
-            let ks = kickstart::generate(&self.graph, n, Appliance::Compute)
+            let ks = kickstart::generate(&self.media, n, Appliance::Compute)
                 .map_err(|e| InstallError::from(e).at(&checkpoint, &n.hostname))?;
             let mut rng = injector.rng_for(&format!("ks.{}", n.hostname));
             let gen = retry_with(&config.kickstart_retry, &mut rng, |_| {
@@ -746,7 +723,7 @@ impl ClusterInstall {
             let db = match images
                 .install(
                     &n.hostname,
-                    &ks.packages,
+                    ks.walk,
                     injector,
                     &config.transaction_retry,
                     &mut rec,
@@ -805,7 +782,7 @@ impl ClusterInstall {
                 rocks_db,
                 node_dbs,
                 trace: rec.into_events(),
-                rolls_installed: self.rolls.iter().map(|r| r.name.clone()).collect(),
+                rolls_installed: self.media.rolls().iter().map(|r| r.name.clone()).collect(),
             },
             checkpoint,
             post_mortem: pm,
@@ -1213,6 +1190,53 @@ mod tests {
         }
         // frontend and compute, once per roll set
         assert_eq!(store.0.len(), 4);
+    }
+
+    #[test]
+    fn installs_from_one_media_hand_the_store_its_packages() {
+        let media = Arc::new(InstallMedia::new(standard_rolls()));
+        let store = NodeImageStore::default();
+        let run = |install: ClusterInstall| {
+            install
+                .run_resilient_in(
+                    &mut FaultPlan::new(0).injector(),
+                    &ResilienceConfig::default(),
+                    InstallCheckpoint::new(),
+                    &store,
+                )
+                .unwrap()
+                .report
+        };
+        let first = run(ClusterInstall::with_media(
+            littlefe_modified(),
+            Arc::clone(&media),
+        ));
+        let second = run(ClusterInstall::with_media(
+            littlefe_modified(),
+            Arc::clone(&media),
+        ));
+        assert_eq!(first.node_dbs, second.node_dbs);
+        // frontend and compute, stored by the first install and taken
+        // by the second
+        assert_eq!(store.0.len(), 2);
+        for appliance in [Appliance::Frontend, Appliance::Compute] {
+            let walk = media.walk(appliance).unwrap();
+            let packages = walk.resolved.as_deref().unwrap();
+            let by_pointer = |image: &Arc<CommittedImage>| {
+                image.packages.len() == packages.len()
+                    && image
+                        .packages
+                        .iter()
+                        .zip(packages)
+                        .all(|(a, b)| Arc::ptr_eq(a, b))
+            };
+            assert!(store.0.get(&walk.key, by_pointer).is_some());
+        }
+        // equal packages from other media still match, without sharing
+        // a pointer
+        let other = run(ClusterInstall::new(littlefe_modified(), standard_rolls()));
+        assert_eq!(other.node_dbs, first.node_dbs);
+        assert_eq!(store.0.len(), 2);
     }
 
     #[test]

@@ -6,25 +6,26 @@
 //! profile generation fails for a diskless node, which is exactly why the
 //! modified LittleFe adds a Crucial mSATA drive per node.
 
-use crate::graph::{Appliance, GraphError, KickstartGraph};
+use crate::graph::{Appliance, GraphError};
+use crate::media::{ApplianceWalk, InstallMedia};
 use xcbc_cluster::NodeSpec;
 
 /// One partition line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
-    pub mount: String,
+    pub mount: &'static str,
     pub size_mb: u64,
     pub grow: bool,
 }
 
-/// A generated kickstart profile for one node.
+/// A generated kickstart profile for one node. Its package list and
+/// %post scripts are its appliance's walk on the media.
 #[derive(Debug, Clone)]
-pub struct KickstartProfile {
+pub struct KickstartProfile<'m> {
     pub hostname: String,
     pub appliance: Appliance,
     pub partitions: Vec<Partition>,
-    pub packages: Vec<String>,
-    pub post_scripts: Vec<String>,
+    pub walk: &'m ApplianceWalk,
     /// Estimated install payload in bytes.
     pub payload_bytes: u64,
 }
@@ -80,58 +81,43 @@ const EST_PACKAGE_BYTES: u64 = 25 << 20;
 /// Disk layout Rocks uses: /boot, swap, /, /var, rest to /export
 /// (frontend) or /state/partition1 (compute).
 fn standard_partitions(appliance: Appliance) -> Vec<Partition> {
-    let mut parts = vec![
+    let part = |mount, size_mb| Partition {
+        mount,
+        size_mb,
+        grow: false,
+    };
+    let rest = match appliance {
+        Appliance::Frontend => "/export",
+        _ => "/state/partition1",
+    };
+    vec![
+        part("/boot", 500),
+        part("swap", 1024),
+        part("/", 16 << 10),
+        part("/var", 4 << 10),
         Partition {
-            mount: "/boot".into(),
-            size_mb: 500,
-            grow: false,
-        },
-        Partition {
-            mount: "swap".into(),
-            size_mb: 1024,
-            grow: false,
-        },
-        Partition {
-            mount: "/".into(),
-            size_mb: 16 << 10,
-            grow: false,
-        },
-        Partition {
-            mount: "/var".into(),
-            size_mb: 4 << 10,
-            grow: false,
-        },
-    ];
-    parts.push(match appliance {
-        Appliance::Frontend => Partition {
-            mount: "/export".into(),
-            size_mb: 0,
             grow: true,
+            ..part(rest, 0)
         },
-        _ => Partition {
-            mount: "/state/partition1".into(),
-            size_mb: 0,
-            grow: true,
-        },
-    });
-    parts
+    ]
 }
 
-/// Generate the kickstart for one node.
-pub fn generate(
-    graph: &KickstartGraph,
+/// Generate the kickstart for one node from `media`. The node's checks
+/// run in Rocks' order: a diskless node is refused first, then a graph
+/// that cannot be walked, then a disk too small for the payload.
+pub fn generate<'m>(
+    media: &'m InstallMedia,
     node: &NodeSpec,
     appliance: Appliance,
-) -> Result<KickstartProfile, KickstartError> {
+) -> Result<KickstartProfile<'m>, KickstartError> {
     if node.is_diskless() {
         return Err(KickstartError::DisklessUnsupported {
             hostname: node.hostname.clone(),
         });
     }
-    let packages = graph.packages_for(appliance)?;
-    let post_scripts = graph.post_scripts_for(appliance)?;
+    let walk = media.walk(appliance).map_err(|e| e.clone())?;
     let partitions = standard_partitions(appliance);
-    let payload_bytes = packages.len() as u64 * EST_PACKAGE_BYTES;
+    let payload_bytes = walk.packages.len() as u64 * EST_PACKAGE_BYTES;
 
     let fixed_mb: u64 = partitions.iter().map(|p| p.size_mb).sum();
     let need_gb = fixed_mb as f64 / 1024.0 + payload_bytes as f64 / (1 << 30) as f64;
@@ -148,13 +134,12 @@ pub fn generate(
         hostname: node.hostname.clone(),
         appliance,
         partitions,
-        packages,
-        post_scripts,
+        walk,
         payload_bytes,
     })
 }
 
-impl KickstartProfile {
+impl KickstartProfile<'_> {
     /// Render in kickstart syntax (abridged).
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -171,11 +156,11 @@ impl KickstartProfile {
             }
         }
         out.push_str("\n%packages\n");
-        for pkg in &self.packages {
+        for pkg in &self.walk.packages {
             out.push_str(&format!("{pkg}\n"));
         }
         out.push_str("%end\n\n%post\n");
-        for s in &self.post_scripts {
+        for s in &self.walk.post_scripts {
             out.push_str(&format!("# {s}\n"));
         }
         out.push_str("%end\n");
@@ -186,11 +171,16 @@ impl KickstartProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roll::standard_rolls;
     use xcbc_cluster::specs::{limulus_hpc200, littlefe_modified, littlefe_v4};
+
+    fn media() -> InstallMedia {
+        InstallMedia::new(standard_rolls())
+    }
 
     #[test]
     fn modified_littlefe_nodes_generate() {
-        let g = KickstartGraph::standard();
+        let g = media();
         let c = littlefe_modified();
         for (i, n) in c.nodes.iter().enumerate() {
             let appliance = if i == 0 {
@@ -199,14 +189,14 @@ mod tests {
                 Appliance::Compute
             };
             let ks = generate(&g, n, appliance).unwrap();
-            assert!(!ks.packages.is_empty());
+            assert!(!ks.walk.packages.is_empty());
             assert_eq!(ks.partitions.len(), 5);
         }
     }
 
     #[test]
     fn diskless_limulus_blade_rejected() {
-        let g = KickstartGraph::standard();
+        let g = media();
         let c = limulus_hpc200();
         let blade = c.compute_nodes().next().unwrap();
         let err = generate(&g, blade, Appliance::Compute).unwrap_err();
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn diskless_v4_littlefe_rejected() {
-        let g = KickstartGraph::standard();
+        let g = media();
         let c = littlefe_v4();
         let node = c.compute_nodes().next().unwrap();
         assert!(generate(&g, node, Appliance::Compute).is_err());
@@ -224,7 +214,7 @@ mod tests {
 
     #[test]
     fn frontend_partitions_export_computes_state() {
-        let g = KickstartGraph::standard();
+        let g = media();
         let c = littlefe_modified();
         let fe = generate(&g, c.frontend().unwrap(), Appliance::Frontend).unwrap();
         assert!(fe.partitions.iter().any(|p| p.mount == "/export" && p.grow));
@@ -237,7 +227,7 @@ mod tests {
 
     #[test]
     fn insufficient_disk_detected() {
-        let g = KickstartGraph::standard();
+        let g = media();
         let tiny_disk = xcbc_cluster::hw::DiskDrive {
             name: "tiny",
             kind: xcbc_cluster::hw::DiskKind::MSata,
@@ -253,8 +243,36 @@ mod tests {
     }
 
     #[test]
+    fn a_diskless_node_is_refused_before_its_disk_is_sized() {
+        // no disk at all is also too small a disk: the diskless refusal
+        // comes first, as it did before the walk moved to the media
+        let g = media();
+        let diskless = xcbc_cluster::NodeSpec::new("n0", xcbc_cluster::NodeRole::Compute).build();
+        assert!(diskless.is_diskless());
+        assert!(matches!(
+            generate(&g, &diskless, Appliance::Compute),
+            Err(KickstartError::DisklessUnsupported { .. })
+        ));
+    }
+
+    #[test]
+    fn nodes_of_one_appliance_share_its_walk() {
+        let g = media();
+        let c = littlefe_modified();
+        let mut computes = c.compute_nodes();
+        let (a, b) = (computes.next().unwrap(), computes.next().unwrap());
+        let (a, b) = (
+            generate(&g, a, Appliance::Compute).unwrap(),
+            generate(&g, b, Appliance::Compute).unwrap(),
+        );
+        assert_ne!(a.hostname, b.hostname);
+        assert!(std::ptr::eq(a.walk, b.walk));
+        assert!(std::ptr::eq(a.walk, g.walk(Appliance::Compute).unwrap()));
+    }
+
+    #[test]
     fn render_contains_sections() {
-        let g = KickstartGraph::standard();
+        let g = media();
         let c = littlefe_modified();
         let ks = generate(&g, c.frontend().unwrap(), Appliance::Frontend).unwrap();
         let text = ks.render();

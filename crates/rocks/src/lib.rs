@@ -24,6 +24,7 @@ pub mod graph;
 pub mod insert_ethers;
 pub mod install;
 pub mod kickstart;
+pub mod media;
 pub mod pxe;
 pub mod roll;
 
@@ -38,5 +39,6 @@ pub use install::{
     ResilienceConfig, ResilientReport, TRACE_SOURCE,
 };
 pub use kickstart::{KickstartError, KickstartProfile, Partition};
+pub use media::{ApplianceWalk, InstallMedia};
 pub use pxe::{boot_node, PxeOutcome, PxeStage};
 pub use roll::{standard_rolls, Roll};

@@ -18,6 +18,12 @@
 //!   one fleet, whose sites share one image store, at 1 and at 4
 //!   threads, commit the same databases and each give the report the
 //!   site gets deployed alone.
+//! * `images.media`: a from-scratch site installed from the one XCBC
+//!   install media, into one image store that every site of the seed
+//!   shares, equals the site installed from freshly built rolls into a
+//!   fresh store: node databases, traces, checkpoints (at every power
+//!   loss and at the end) and post-mortems. The plans are those of
+//!   `images.rocks` plus a boot fault that quarantines one node.
 //! * `images.overlay`: an N-node overlay gives the same node databases,
 //!   compat report, per-node trace spans and solve-cache counters as the
 //!   same N nodes overlaid one node per call on a fresh cache, for a mix
@@ -43,16 +49,20 @@ use xcbc::core::deploy::{
 };
 use xcbc::core::fleet::{Fleet, FleetReport, FleetSite};
 use xcbc::core::xnit::XnitSetupMethod;
-use xcbc::core::{xcbc_catalog, xsede_roll};
+use xcbc::core::{xcbc_catalog, xcbc_install_media, xsede_roll};
 use xcbc::fault::{FaultEvent, FaultPlan, InjectionPoint, InstallCheckpoint};
 use xcbc::rocks::install::InstallErrorKind;
-use xcbc::rocks::{kickstart, standard_rolls, Appliance, ClusterInstall, ResilienceConfig, Roll};
+use xcbc::rocks::{
+    kickstart, standard_rolls, Appliance, ClusterInstall, InstallError, NodeImageStore,
+    ResilienceConfig, ResilientReport, Roll,
+};
 use xcbc::rpm::{Package, PackageBuilder, RpmDb, TransactionSet};
 use xcbc::sim::Fnv64;
 use xcbc::yum::SolveCache;
 
 const SEEDS: u64 = 32;
 const ROCKS: &str = "images.rocks";
+const MEDIA: &str = "images.media";
 const OVERLAY: &str = "images.overlay";
 
 /// The roll set of a from-scratch deploy.
@@ -85,14 +95,14 @@ fn fresh_images(cluster: &ClusterSpec) -> BTreeMap<String, (Vec<String>, RpmDb)>
                 NodeRole::Frontend => Appliance::Frontend,
                 _ => Appliance::Compute,
             };
-            let ks = kickstart::generate(install.graph(), n, appliance).expect("kickstart");
+            let ks = kickstart::generate(install.media(), n, appliance).expect("kickstart");
             let mut tx = TransactionSet::new();
-            for name in &ks.packages {
+            for name in &ks.walk.packages {
                 tx.add_install(Arc::clone(catalog[name.as_str()]));
             }
             let mut db = RpmDb::new();
             tx.run(&mut db).expect("fresh transaction commits");
-            (n.hostname.clone(), (ks.packages, db))
+            (n.hostname.clone(), (ks.walk.packages.clone(), db))
         })
         .collect()
 }
@@ -119,48 +129,71 @@ fn compare_dbs(
     }
 }
 
-/// Install `cluster` under `plan`, resuming after each power loss.
-/// Returns the committed databases and the faults of the last run, or
-/// `None` when the install failed for another reason (a frontend whose
-/// retries ran out).
+/// Run `install` of `cluster` under `plan` over `store`, resuming after
+/// each power loss, at most once per node: the text of every power
+/// loss's checkpoint, then the last run's result.
+fn resumed(
+    cluster: &ClusterSpec,
+    install: &ClusterInstall,
+    plan: &FaultPlan,
+    store: &NodeImageStore,
+) -> (Vec<String>, Result<ResilientReport, InstallError>) {
+    let mut losses = Vec::new();
+    let mut checkpoint = InstallCheckpoint::new();
+    loop {
+        let result = install.run_resilient_in(
+            &mut plan.injector(),
+            &ResilienceConfig::default(),
+            checkpoint,
+            store,
+        );
+        match result {
+            Err(e)
+                if matches!(e.kind, InstallErrorKind::PowerLoss)
+                    && losses.len() < cluster.nodes.len() =>
+            {
+                losses.push(e.progress.checkpoint.to_text());
+                checkpoint = e.progress.checkpoint;
+            }
+            result => return (losses, result),
+        }
+    }
+}
+
+/// Install `cluster` from fresh rolls under `plan`, resuming after each
+/// power loss. Returns the committed databases and the faults of the
+/// last run, or `None` when the install failed for another reason (a
+/// frontend whose retries ran out).
 fn install(
     cluster: &ClusterSpec,
     plan: &FaultPlan,
 ) -> Option<(BTreeMap<String, RpmDb>, Vec<FaultEvent>)> {
     let install = ClusterInstall::new(cluster.clone(), rolls());
-    let mut checkpoint = InstallCheckpoint::new();
-    for _ in 0..cluster.nodes.len() + 1 {
-        match install.run_resilient(
-            &mut plan.injector(),
-            &ResilienceConfig::default(),
-            checkpoint,
-        ) {
-            Ok(r) => return Some((r.report.node_dbs, r.post_mortem.faults)),
-            Err(e) if matches!(e.kind, InstallErrorKind::PowerLoss) => {
-                checkpoint = e.progress.checkpoint
-            }
-            Err(_) => return None,
-        }
+    match resumed(cluster, &install, plan, &NodeImageStore::default()) {
+        (_, Ok(r)) => Some((r.report.node_dbs, r.post_mortem.faults)),
+        (_, Err(_)) => None,
     }
-    None
 }
 
-fn check_rocks_site(
+/// The fault plans a from-scratch site is re-installed under.
+struct SitePlans {
+    /// The plans' `seed=`.
+    seed: u64,
+    /// A random compute node.
+    victim: String,
+    /// One that arms no `rpm.scriptlet` fault, an `rpm.scriptlet` rate,
+    /// and a power loss on the victim.
+    plans: [String; 3],
+    /// The `rpm.scriptlet` spec `key=P on=nth:k`, with `P` and `k`.
+    spec: (String, String, usize),
+}
+
+fn site_plans(
     seed: u64,
     site: &str,
     cluster: &ClusterSpec,
-    report: Option<&DeploymentReport>,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let fresh = fresh_images(cluster);
-    if let Some(report) = report {
-        compare_dbs(
-            &format!("{site} fleet install"),
-            &report.node_dbs,
-            &fresh,
-            &mut out,
-        );
-    }
+    fresh: &BTreeMap<String, (Vec<String>, RpmDb)>,
+) -> SitePlans {
     let mut rng = site_rng(seed, site);
     let s = rng.gen_range(0u64..1 << 32);
     let computes: Vec<&str> = cluster
@@ -180,20 +213,50 @@ fn check_rocks_site(
         rng.gen_range(0.0005..0.004)
     );
     let power = format!("seed={s}; rate dhcp.discover 0.1; power.loss key={victim} on=nth:0");
-    for text in [&shared, &rate, &power] {
+
+    // The k-th install of a package every compute node carries: the
+    // fault lands there only if every node consults the injector.
+    let (names, _) = &fresh[victim];
+    let package = names[rng.gen_range(0..names.len())].clone();
+    let carriers = fresh.values().filter(|(n, _)| n.contains(&package)).count();
+    let k = rng.gen_range(0..carriers);
+    let text = format!("seed={s}; rpm.scriptlet key={package} on=nth:{k}");
+    SitePlans {
+        seed: s,
+        victim: victim.to_string(),
+        plans: [shared, rate, power],
+        spec: (text, package, k),
+    }
+}
+
+fn check_rocks_site(
+    seed: u64,
+    site: &str,
+    cluster: &ClusterSpec,
+    report: Option<&DeploymentReport>,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let fresh = fresh_images(cluster);
+    if let Some(report) = report {
+        compare_dbs(
+            &format!("{site} fleet install"),
+            &report.node_dbs,
+            &fresh,
+            &mut out,
+        );
+    }
+    let SitePlans {
+        plans,
+        spec: (text, package, k),
+        ..
+    } = site_plans(seed, site, cluster, &fresh);
+    for text in &plans {
         let plan = FaultPlan::parse(text).expect("plan parses");
         if let Some((dbs, _)) = install(cluster, &plan) {
             compare_dbs(&format!("{site} under `{text}`"), &dbs, &fresh, &mut out);
         }
     }
 
-    // The k-th install of a package every compute node carries: the
-    // fault lands there only if every node consults the injector.
-    let (names, _) = &fresh[victim];
-    let package = &names[rng.gen_range(0..names.len())];
-    let carriers = fresh.values().filter(|(n, _)| n.contains(package)).count();
-    let k = rng.gen_range(0..carriers);
-    let text = format!("seed={s}; rpm.scriptlet key={package} on=nth:{k}");
     let plan = FaultPlan::parse(&text).expect("plan parses");
     match install(cluster, &plan) {
         Some((dbs, faults)) => {
@@ -294,6 +357,91 @@ impl Invariant for RocksImages {
             }
         }
         out.extend(check_rocks_fleet(&scratch));
+        out
+    }
+}
+
+/// `site` installed from the XCBC media into `store` against the same
+/// site installed from fresh rolls into a fresh store, under every plan
+/// of `images.rocks` and a boot fault that quarantines the victim.
+fn check_media_site(
+    seed: u64,
+    site: &str,
+    cluster: &ClusterSpec,
+    store: &NodeImageStore,
+) -> Vec<Violation> {
+    let SitePlans {
+        seed: s,
+        victim,
+        plans,
+        spec: (spec, ..),
+    } = site_plans(seed, site, cluster, &fresh_images(cluster));
+    let quarantine = format!("seed={s}; node.boot key={victim}");
+    let media = ClusterInstall::with_media(cluster.clone(), xcbc_install_media());
+    let fresh_rolls = ClusterInstall::new(cluster.clone(), rolls());
+    let mut out = Vec::new();
+    for text in plans.iter().chain([&spec, &quarantine]) {
+        let plan = FaultPlan::parse(text).expect("plan parses");
+        let (media_losses, from_media) = resumed(cluster, &media, &plan, store);
+        let (roll_losses, from_rolls) =
+            resumed(cluster, &fresh_rolls, &plan, &NodeImageStore::default());
+        let mut fail = |what: &str| {
+            out.push(Violation {
+                invariant: MEDIA,
+                detail: format!("{site} under `{text}`: {what}"),
+            })
+        };
+        if media_losses != roll_losses {
+            fail("the power-loss checkpoints differ from fresh rolls'");
+        }
+        match (from_media, from_rolls) {
+            (Ok(a), Ok(b)) => {
+                let differs = [
+                    ("node databases", a.report.node_dbs != b.report.node_dbs),
+                    ("traces", a.report.trace != b.report.trace),
+                    (
+                        "checkpoints",
+                        a.checkpoint.to_text() != b.checkpoint.to_text(),
+                    ),
+                    ("post-mortems", a.post_mortem != b.post_mortem),
+                    ("quarantines", a.quarantined != b.quarantined),
+                ];
+                for (what, _) in differs.iter().filter(|(_, differs)| *differs) {
+                    fail(&format!("the {what} differ from fresh rolls'"));
+                }
+                if *text == quarantine && !a.quarantined.iter().any(|(n, _)| *n == victim) {
+                    fail(&format!("{victim} was not quarantined"));
+                }
+            }
+            (Err(a), Err(b)) if a.to_string() == b.to_string() => {}
+            (a, b) => fail(&format!(
+                "succeeded={} but from fresh rolls succeeded={}",
+                a.is_ok(),
+                b.is_ok()
+            )),
+        }
+    }
+    out
+}
+
+/// Installs from the shared media against installs from fresh rolls.
+struct MediaImages;
+
+impl Invariant for MediaImages {
+    fn name(&self) -> &'static str {
+        MEDIA
+    }
+
+    fn check(&self, outcome: &SoakOutcome) -> Vec<Violation> {
+        let scenario = Scenario::generate(outcome.seed, outcome.faults, &ScenarioLimits::default());
+        let store = NodeImageStore::default();
+        let mut out = Vec::new();
+        for site in &outcome.fleet.sites {
+            let blueprint = scenario.sites.iter().find(|(name, _)| *name == site.name);
+            if let Some((_, SiteBlueprint::Scratch { cluster, .. })) = blueprint {
+                out.extend(check_media_site(outcome.seed, &site.name, cluster, &store));
+            }
+        }
         out
     }
 }
@@ -509,8 +657,11 @@ impl Invariant for OverlayImages {
 
 #[test]
 fn shared_and_per_node_results_agree() {
-    let invariants: Vec<Box<dyn Invariant + Send + Sync>> =
-        vec![Box::new(RocksImages), Box::new(OverlayImages)];
+    let invariants: Vec<Box<dyn Invariant + Send + Sync>> = vec![
+        Box::new(RocksImages),
+        Box::new(MediaImages),
+        Box::new(OverlayImages),
+    ];
     let limits = ScenarioLimits::default();
     for seed in 0..SEEDS {
         let violations = run_seed(seed, true, &limits, &invariants);
